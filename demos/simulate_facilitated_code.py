@@ -1,8 +1,9 @@
 """Monte Carlo walk-through of the facilitated random-coding construction.
 
-Simulates the two-user noiseless adder at blocklength 50 with 4x4 messages,
-sweeping the facilitator alphabet K, and checks the estimated ensemble error
-against the constant-free finite-blocklength bound.  Thresholds are pinned
+Simulates the binary XOR channel with flip probability 0.11 (xor:0.11) at
+blocklength 50 with 4x4 messages, sweeping the facilitator alphabet K, and
+checks the estimated ensemble error against the constant-free
+finite-blocklength bound.  Thresholds are pinned
 at their K=1 values so the sweep isolates the facilitation benefit.
 
 Run:  python3 demos/simulate_facilitated_code.py

@@ -2,10 +2,10 @@
 
 Outputs are CSV for curves and JSON for structured reports.  When ``--out``
 is given, a run manifest (command, parameters, version, seed, wall time,
-output paths) is written next to the output file and every output file
-references it: CSV files carry a ``# manifest:`` comment line, JSON files a
-``manifest`` field.  Emitted files round-trip: parsing one and re-emitting
-it reproduces the bytes.
+output paths; for ``simulate`` also the RNG stream version) is written next
+to the output file and every output file references it: CSV files carry a
+``# manifest:`` comment line, JSON files a ``manifest`` field.  Emitted files
+round-trip: parsing one and re-emitting it reproduces the bytes.
 """
 from __future__ import annotations
 
@@ -28,7 +28,13 @@ from .channel import (
     named_channel,
     sum_capacity,
 )
-from .code_sim import estimate_error, fbl_bound, sim_config_from_dict, sim_config_to_dict
+from .code_sim import (
+    STREAM_VERSION,
+    estimate_error,
+    fbl_bound,
+    sim_config_from_dict,
+    sim_config_to_dict,
+)
 from .errors import CfmacError, NonConvergence
 from .gauss_max import SkParams, lemma1_bounds, sk_inverse_cdf
 from .rate_bounds import RateQuery, rate_report
@@ -84,8 +90,13 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_outputs(args, rows: list[str] | None, doc: dict | None, started: float) -> None:
-    """Emit CSV rows or a JSON document, with a manifest when --out is set."""
+def _write_outputs(
+    args, rows: list[str] | None, doc: dict | None, started: float, extra: dict | None = None
+) -> None:
+    """Emit CSV rows or a JSON document, with a manifest when --out is set.
+
+    ``extra`` holds further manifest fields of the subcommand.
+    """
     if args.out is None:
         if rows is not None:
             sys.stdout.write("\n".join(rows) + "\n")
@@ -103,6 +114,7 @@ def _write_outputs(args, rows: list[str] | None, doc: dict | None, started: floa
         "seed": args.seed,
         "wall_time_s": round(time.monotonic() - started, 6),
         "outputs": [str(out_path)],
+        **(extra or {}),
     }
     if rows is not None:
         body = f"# manifest: {manifest_path.name}\n" + "\n".join(rows) + "\n"
@@ -210,7 +222,7 @@ def cmd_simulate(args, started: float) -> int:
         bound = fbl_bound(config, mc_samples=args.bound_samples)
         out["fbl_bound"] = bound
         out["bound_dominates_ci_lower"] = bool(bound >= report.ci95[0])
-    _write_outputs(args, None, out, started)
+    _write_outputs(args, None, out, started, extra={"stream_version": STREAM_VERSION})
     return EXIT_OK
 
 

@@ -28,7 +28,6 @@ from cfmac.code_sim import (
     estimate_error,
     fbl_bound,
 )
-from cfmac import code_sim
 from cfmac.delta_curve import delta, delta_small_a
 from cfmac.gauss_max import (
     SkParams,
@@ -38,6 +37,8 @@ from cfmac.gauss_max import (
     sk_quantile_derivative,
 )
 from cfmac.rate_bounds import RateQuery, cooperation_gain, rate_report
+
+import gather_reference
 
 UNIFORM = ProductDist(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
@@ -253,7 +254,7 @@ def test_criterion_11_exhaustive_micro_oracle():
     mac = adder2()
     n, m, k = 2, 2, 2
     th = default_thresholds(mac, UNIFORM, n, m, m, k, "iid")
-    d12, d1, d2, _ = code_sim._decode_tables(mac, UNIFORM, th.units)
+    tables = gather_reference.decode_tables(mac, UNIFORM, th.units)
     i_bar = info_density_tables(mac, UNIFORM, units="nats").i_bar
 
     # all 256 equiprobable codebooks per user: 8 uniform binary symbols each
@@ -261,13 +262,13 @@ def test_criterion_11_exhaustive_micro_oracle():
     per_user = bits.reshape(256, m, k, n)
     f1 = np.repeat(per_user, 256, axis=0)
     f2 = np.tile(per_user, (256, 1, 1, 1))
-    e = code_sim._facilitate_score_batch(i_bar, f1, f2)
-    x1, x2 = code_sim._selected_words(f1, f2, e)
+    e = gather_reference.score_argmax(i_bar, f1, f2)
+    x1, x2 = gather_reference.selected_words(f1, f2, e)
     total_error = 0.0
     for m1 in range(m):
         for m2 in range(m):
             y = x1[:, m1, m2] + x2[:, m1, m2]  # noiseless adder output
-            s12, s1, s2 = code_sim._decode_metrics(d12, d1, d2, x1, x2, y)
+            s12, s1, s2 = gather_reference.decode_metrics(tables, x1, x2, y)
             passes = (s12 >= th.c12) & (s1 >= th.c1) & (s2 >= th.c2)
             npass = passes.sum(axis=(1, 2))
             correct = (npass == 1) & passes[:, m1, m2]

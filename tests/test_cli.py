@@ -132,6 +132,23 @@ class TestSimulate:
         assert code == 3
         assert "missing.json" in err
 
+    def test_manifest_records_stream_version(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "sim.json"
+        code, _, _ = run(capsys, "--out", str(out), "simulate", "--config", str(cfg))
+        assert code == 0
+        manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
+        assert manifest["stream_version"] == 2
+
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        code, out, err = run(capsys, "--seed", "-1", "simulate", "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert "seed -1 " in err and "Traceback" not in err
+
 
 class TestInvcdf:
     def test_quantile(self, capsys):
