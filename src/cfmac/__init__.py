@@ -52,7 +52,6 @@ from .delta_curve import (
     perturbation_direction,
 )
 from .errors import (
-    BudgetExhausted,
     CfmacError,
     DegenerateBothZero,
     DegenerateThresholds,

@@ -5,7 +5,6 @@ All internal computation is in nats; public containers carry a units flag
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +13,6 @@ from scipy.special import rel_entr, xlogy
 
 from .errors import (
     NegativeEntry,
-    NonConvergence,
     RowNotStochastic,
     SizeMismatch,
     UnreachableDensity,
@@ -46,8 +44,7 @@ class Mac:
             raise SizeMismatch(f"kernel must be 3-dimensional, got shape {kernel.shape}")
         if kernel.size == 0:
             raise SizeMismatch("alphabet sizes must be at least 1")
-        if np.any(kernel < 0):
-            raise NegativeEntry("kernel has negative entries")
+        _check_entries(kernel, "kernel")
         rows = kernel.sum(axis=2)
         bad = np.abs(rows - 1.0) > _ROW_TOL
         if np.any(bad):
@@ -71,10 +68,19 @@ class Mac:
         return self.kernel.shape[2]
 
 
-def _check_prob_vector(p: np.ndarray, name: str) -> np.ndarray:
+def _check_entries(p: np.ndarray, name: str) -> None:
+    """Name the first entry that is negative or not finite; ``p < 0`` alone lets NaN through."""
+    bad = (p < 0) | ~np.isfinite(p)
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NegativeEntry(
+            f"{name} entry {idx} is {float(p[idx])}, not a finite nonnegative probability"
+        )
+
+
+def _check_prob(p: np.ndarray, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
-        raise NegativeEntry(f"{name} has negative entries")
+    _check_entries(p, name)
     if abs(p.sum() - 1.0) > _ROW_TOL:
         raise RowNotStochastic(f"{name} sums to {p.sum():.12g}")
     p.setflags(write=False)
@@ -89,8 +95,8 @@ class ProductDist:
     p2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p1", _check_prob_vector(self.p1, "p1"))
-        object.__setattr__(self, "p2", _check_prob_vector(self.p2, "p2"))
+        object.__setattr__(self, "p1", _check_prob(self.p1, "p1"))
+        object.__setattr__(self, "p2", _check_prob(self.p2, "p2"))
 
     def joint(self) -> np.ndarray:
         return np.outer(self.p1, self.p2)
@@ -106,12 +112,7 @@ class JointDist:
         p12 = np.asarray(self.p12, dtype=float)
         if p12.ndim != 2:
             raise SizeMismatch(f"p12 must be a matrix, got shape {p12.shape}")
-        if np.any(p12 < 0):
-            raise NegativeEntry("p12 has negative entries")
-        if abs(p12.sum() - 1.0) > _ROW_TOL:
-            raise RowNotStochastic(f"p12 sums to {p12.sum():.12g}")
-        p12.setflags(write=False)
-        object.__setattr__(self, "p12", p12)
+        object.__setattr__(self, "p12", _check_prob(p12, "p12"))
 
     def joint(self) -> np.ndarray:
         return self.p12
@@ -232,25 +233,25 @@ def uniform_product(mac: Mac) -> ProductDist:
 # densities and statistics
 
 
+def _joint(mac: Mac, d: InputDist) -> np.ndarray:
+    """The joint input law p12 of ``d``, checked against the MAC's input alphabets."""
+    p12 = d.joint()
+    if p12.shape != mac.kernel.shape[:2]:
+        raise SizeMismatch(
+            f"input distribution shape {p12.shape} does not match alphabets {mac.kernel.shape[:2]}"
+        )
+    return p12
+
+
 def output_marginal(mac: Mac, d: InputDist) -> np.ndarray:
     """Output distribution p_Y induced by the input distribution."""
-    p12 = d.joint()
-    if p12.shape != (mac.x1_size, mac.x2_size):
-        raise SizeMismatch(
-            f"input distribution shape {p12.shape} does not match alphabets "
-            f"({mac.x1_size}, {mac.x2_size})"
-        )
-    return np.einsum("ij,ijy->y", p12, mac.kernel)
+    return np.einsum("ij,ijy->y", _joint(mac, d), mac.kernel)
 
 
 def info_density_tables(mac: Mac, d: InputDist, units: str = "bits") -> InfoDensityTable:
     """All three information-density tables plus per-pair expected density."""
     w = mac.kernel
-    p12 = d.joint()
-    if p12.shape != w.shape[:2]:
-        raise SizeMismatch(
-            f"input distribution shape {p12.shape} does not match alphabets {w.shape[:2]}"
-        )
+    p12 = _joint(mac, d)
     p_y = np.einsum("ij,ijy->y", p12, w)
     p1 = p12.sum(axis=1)
     p2 = p12.sum(axis=0)
@@ -338,103 +339,104 @@ def channel_stats(mac: Mac, d: InputDist, units: str = "bits") -> ChannelStats:
 
 
 def mutual_information(mac: Mac, d: InputDist, units: str = "bits") -> float:
-    return channel_stats(mac, d, units=units).mutual_info
+    """I(X1, X2; Y) under ``d`` as H(Y) - H(Y | X1, X2); builds no density tables."""
+    return float(_mi_nats(mac.kernel, _joint(mac, d)[None])[0]) * _unit_scale(units)
 
 
 # ---------------------------------------------------------------------------
 # sum-capacity over product distributions
 
 
-def _mi_nats(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> float:
-    p12 = np.outer(p1, p2)
-    p_y = np.einsum("ij,ijy->y", p12, kernel)
-    h_y = -float(xlogy(p_y, p_y).sum())
-    h_y_given_x = -float((p12[:, :, None] * xlogy(kernel, kernel)).sum())
+def _outer(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Stacked product laws: (S, |X1|) and (S, |X2|) -> (S, |X1|, |X2|)."""
+    return p1[:, :, None] * p2[:, None, :]
+
+
+def _mi_nats(kernel: np.ndarray, p12: np.ndarray) -> np.ndarray:
+    """I(X1, X2; Y) in nats for each input law of the stack p12 (S, |X1|, |X2|)."""
+    p_y = np.einsum("sij,ijy->sy", p12, kernel)
+    h_y = -xlogy(p_y, p_y).sum(axis=1)
+    h_y_given_x = -(p12[..., None] * xlogy(kernel, kernel)).reshape(len(p12), -1).sum(axis=1)
     return h_y - h_y_given_x
 
 
 def _dbar_nats(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
-    """Per-letter divergences D(W_{x1,x2} || p_Y) and their p2/p1 averages."""
-    p12 = np.outer(p1, p2)
-    p_y = np.einsum("ij,ijy->y", p12, kernel)
-    div = rel_entr(kernel, np.broadcast_to(p_y, kernel.shape)).sum(axis=2)
-    return div, div @ p2, p1 @ div
+    """Per-letter divergences D(W_{x1,x2} || p_Y) and their p2/p1 averages, per start."""
+    p_y = np.einsum("sij,ijy->sy", _outer(p1, p2), kernel)
+    div = rel_entr(kernel, p_y[:, None, None, :]).sum(axis=3)
+    return div, (div @ p2[..., None])[..., 0], (p1[:, None, :] @ div)[:, 0]
+
+
+def _ba_step(p: np.ndarray, dbar: np.ndarray) -> np.ndarray:
+    """Multiplicative update of each row of p; a row whose mass vanishes stays put."""
+    new = p * np.exp(dbar - dbar.max(axis=1, keepdims=True))
+    total = new.sum(axis=1, keepdims=True)
+    return np.divide(new, total, out=p.copy(), where=total > 0)
 
 
 def _ba_ascend(kernel, p1, p2, max_iter, tol):
-    """Alternating multiplicative ascent on the product-input objective."""
-    value = _mi_nats(kernel, p1, p2)
-    it = 0
+    """Alternating multiplicative ascent on the product-input objective.
+
+    Rows of p1 (S, |X1|) and p2 (S, |X2|) are independent starts.  Each stops
+    on its own test and is then frozen; the rest continue as a smaller batch.
+    """
+    p1, p2 = p1.copy(), p2.copy()
+    value = _mi_nats(kernel, _outer(p1, p2))
+    iters = np.full(len(p1), max_iter)
+    live, a1, a2, v = np.arange(len(p1)), p1, p2, value
     for it in range(1, max_iter + 1):
-        _, dbar1, _ = _dbar_nats(kernel, p1, p2)
-        g = np.exp(dbar1 - dbar1.max())
-        new_p1 = p1 * g
-        total = new_p1.sum()
-        if total > 0:
-            p1 = new_p1 / total
-        _, _, dbar2 = _dbar_nats(kernel, p1, p2)
-        g = np.exp(dbar2 - dbar2.max())
-        new_p2 = p2 * g
-        total = new_p2.sum()
-        if total > 0:
-            p2 = new_p2 / total
-        new_value = _mi_nats(kernel, p1, p2)
-        if new_value - value < tol:
-            value = max(value, new_value)
+        a1 = _ba_step(a1, _dbar_nats(kernel, a1, a2)[1])
+        a2 = _ba_step(a2, _dbar_nats(kernel, a1, a2)[2])
+        new_v = _mi_nats(kernel, _outer(a1, a2))
+        done = new_v - v < tol
+        if done.any():
+            rows, keep = live[done], ~done
+            p1[rows], p2[rows], iters[rows] = a1[done], a2[done], it
+            value[rows] = np.where(new_v[done] > v[done], new_v[done], v[done])
+            live, a1, a2, new_v = live[keep], a1[keep], a2[keep], new_v[keep]
+        v = new_v
+        if live.size == 0:
             break
-        value = new_value
-    return p1, p2, value, it
+    p1[live], p2[live], value[live] = a1, a2, v
+    return p1, p2, value, iters
 
 
 def _polish(kernel, p1, p2):
-    """Joint local refinement of (p1, p2) with SLSQP."""
+    """Joint local refinement of (p1, p2) with SLSQP: returns (value, p1, p2)."""
     n1 = len(p1)
-    n2 = len(p2)
 
-    def split(x):
-        return x[:n1], x[n1:]
-
-    def neg_mi(x):
-        a, b = split(x)
-        return -_mi_nats(kernel, np.abs(a), np.abs(b))
+    def mi(a, b):
+        return float(_mi_nats(kernel, np.outer(a, b)[None])[0])
 
     cons = [
         {"type": "eq", "fun": lambda x: x[:n1].sum() - 1.0},
         {"type": "eq", "fun": lambda x: x[n1:].sum() - 1.0},
     ]
     res = minimize(
-        neg_mi,
+        lambda x: -mi(np.abs(x[:n1]), np.abs(x[n1:])),
         np.concatenate([p1, p2]),
         method="SLSQP",
-        bounds=[(0.0, 1.0)] * (n1 + n2),
+        bounds=[(0.0, 1.0)] * (n1 + len(p2)),
         constraints=cons,
         options={"ftol": 1e-14, "maxiter": 500},
     )
-    a, b = split(res.x)
-    a = np.clip(a, 0.0, None)
-    b = np.clip(b, 0.0, None)
+    a = np.clip(res.x[:n1], 0.0, None)
+    b = np.clip(res.x[n1:], 0.0, None)
     a /= a.sum()
     b /= b.sum()
-    value = _mi_nats(kernel, a, b)
-    return a, b, value
+    return mi(a, b), a, b
 
 
-def _seed_grid(mac: Mac) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic multi-start seeds: uniform, vertex-leaning, and a skew mix."""
+def _seed_grid(mac: Mac) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic multi-start seeds, one start per row of (p1, p2): uniform,
+    leaning to each vertex pair (x1, x2) in lexicographic order, and a skew mix."""
     n1, n2 = mac.x1_size, mac.x2_size
-    u1 = np.full(n1, 1.0 / n1)
-    u2 = np.full(n2, 1.0 / n2)
-    seeds = [(u1, u2)]
-    for a, b in itertools.product(range(n1), range(n2)):
-        p1 = np.full(n1, 0.1 / n1)
-        p1[a] += 0.9
-        p2 = np.full(n2, 0.1 / n2)
-        p2[b] += 0.9
-        seeds.append((p1, p2))
+    a, b = np.divmod(np.arange(n1 * n2), n2)
     skew1 = np.arange(1, n1 + 1, dtype=float)
     skew2 = np.arange(n2, 0, -1, dtype=float)
-    seeds.append((skew1 / skew1.sum(), skew2 / skew2.sum()))
-    return seeds
+    p1 = np.vstack([np.full(n1, 1.0 / n1), 0.1 / n1 + 0.9 * np.eye(n1)[a], skew1 / skew1.sum()])
+    p2 = np.vstack([np.full(n2, 1.0 / n2), 0.1 / n2 + 0.9 * np.eye(n2)[b], skew2 / skew2.sum()])
+    return p1, p2
 
 
 def sum_capacity(
@@ -445,7 +447,10 @@ def sum_capacity(
 ) -> CapacityResult:
     """Maximize I(X1, X2; Y) over product input distributions.
 
-    Alternating multiplicative updates from a deterministic seed grid, each
+    Alternating multiplicative updates run from a deterministic seed grid, all
+    starts as one batch: each start keeps its own stopping test and its own
+    arithmetic, so the result equals that of running the starts one by one,
+    and ``iterations`` is the sum of the per-start counts.  Each start is then
     polished with a local constrained optimizer; near-maximizers are kept
     (deduplicated at L1 distance 1e-6) and the codeword dispersion is
     maximized over them.
@@ -455,15 +460,8 @@ def sum_capacity(
     kernel = mac.kernel
     tol_nats = tol * (LN2 if units == "bits" else 1.0)
 
-    candidates = []
-    total_iters = 0
-    for p1, p2 in _seed_grid(mac):
-        p1, p2, _, it = _ba_ascend(kernel, p1, p2, max_iter, min(tol_nats, 1e-12))
-        total_iters += it
-        p1, p2, value = _polish(kernel, p1, p2)
-        candidates.append((value, p1, p2))
-    if not candidates:
-        raise NonConvergence("no solver starts produced a result")
+    p1s, p2s, _, iters = _ba_ascend(kernel, *_seed_grid(mac), max_iter, min(tol_nats, 1e-12))
+    candidates = [_polish(kernel, p1, p2) for p1, p2 in zip(p1s, p2s)]
 
     best = max(c[0] for c in candidates)
 
@@ -472,23 +470,17 @@ def sum_capacity(
     for value, p1, p2 in sorted(candidates, key=lambda c: (-c[0], tuple(c[1]), tuple(c[2]))):
         if value < best - tol_nats:
             continue
-        dup = any(
-            np.abs(p1 - q1).sum() + np.abs(p2 - q2).sum() < 1e-6 for q1, q2 in keepers
-        )
-        if not dup:
+        if not any(np.abs(p1 - q1).sum() + np.abs(p2 - q2).sum() < 1e-6 for q1, q2 in keepers):
             keepers.append((p1, p2))
 
     scale = _unit_scale(units)
     dists = [ProductDist(p1, p2) for p1, p2 in keepers]
-    v1_star = 0.0
-    for d in dists:
-        _, v1, _, _ = _stats_nats(mac, d)
-        v1_star = max(v1_star, v1)
+    v1_star = max([0.0] + [_stats_nats(mac, d)[1] for d in dists])
 
     # KKT residual at the top maximizer: E[i_bar(x1, X2)] <= C with equality
     # on the support, and symmetrically for x2.
     p1, p2 = keepers[0]
-    _, dbar1, dbar2 = _dbar_nats(kernel, p1, p2)
+    _, (dbar1,), (dbar2,) = _dbar_nats(kernel, p1[None], p2[None])
     resid = max(
         float(np.max(dbar1 - best)),
         float(np.max(dbar2 - best)),
@@ -499,7 +491,7 @@ def sum_capacity(
         c_sum=best * scale,
         argmax_dists=dists,
         v1_star=v1_star * scale * scale,
-        iterations=total_iters,
+        iterations=int(iters.sum()),
         kkt_residual=resid * scale,
         units=units,
     )

@@ -252,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--units", choices=("bits", "nats"), default="bits")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", type=str, default=None, help="output file path")
-    parser.add_argument("--json", action="store_true", help="force JSON output where applicable")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="channel capacity and dispersion statistics")

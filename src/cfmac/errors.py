@@ -10,7 +10,7 @@ class SizeMismatch(CfmacError):
 
 
 class NegativeEntry(CfmacError):
-    """A probability entry is negative."""
+    """A probability entry is negative or not finite."""
 
 
 class RowNotStochastic(CfmacError):
@@ -51,9 +51,3 @@ class ModeMismatch(CfmacError):
 class DegenerateThresholds(CfmacError):
     """Non-finite decoder thresholds make the union bound meaningless."""
 
-
-class BudgetExhausted(CfmacError):
-    """The cooperation budget is fully consumed by the correction terms.
-
-    Not raised by default: callers usually want the flagged fallback value.
-    """

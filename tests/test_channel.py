@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ba_reference
 from cfmac.channel import (
+    LN2,
     JointDist,
     Mac,
     ProductDist,
@@ -20,6 +22,8 @@ from cfmac.channel import (
     sum_capacity,
     uniform_product,
     xor_channel,
+    _ba_ascend,
+    _seed_grid,
 )
 from cfmac.errors import NegativeEntry, RowNotStochastic, SizeMismatch
 
@@ -77,6 +81,25 @@ class TestConstruction:
     def test_product_dist_rejects_unnormalized(self):
         with pytest.raises(RowNotStochastic):
             ProductDist(np.array([0.6, 0.6]), np.array([0.5, 0.5]))
+
+    def test_non_finite_kernel_entry_is_named(self):
+        kernel = np.array(adder2().kernel)
+        kernel[1, 0, 2] = np.nan
+        with pytest.raises(NegativeEntry, match=r"kernel entry \(1, 0, 2\) is nan"):
+            Mac(kernel)
+        kernel[1, 0, 2] = np.inf
+        with pytest.raises(NegativeEntry, match=r"\(1, 0, 2\) is inf"):
+            Mac(kernel)
+
+    def test_non_finite_input_laws_are_rejected(self):
+        with pytest.raises(NegativeEntry, match=r"p1 entry \(0,\) is nan"):
+            ProductDist(np.array([np.nan, 0.5]), np.array([0.5, 0.5]))
+        with pytest.raises(NegativeEntry, match=r"p2 entry \(1,\) is nan"):
+            ProductDist(np.array([0.5, 0.5]), np.array([1.0, np.nan]))
+        with pytest.raises(NegativeEntry, match=r"p12 entry \(1, 1\) is nan"):
+            JointDist(np.array([[0.5, 0.25], [0.25, np.nan]]))
+        with pytest.raises(NegativeEntry):
+            mutual_information(adder2(), ProductDist([np.nan, 0.5], [0.5, 0.5]))
 
     def test_joint_dist_marginals(self):
         p12 = np.array([[0.4, 0.1], [0.2, 0.3]])
@@ -225,6 +248,165 @@ class TestSumCapacity:
                 d = ProductDist(p1, np.array([r, 1 - r]))
                 best = max(best, mutual_information(mac, d))
         assert sum_capacity(mac).c_sum == pytest.approx(best, abs=1e-4)
+
+
+def noisy_adder_with_zeros():
+    """Y = X1 + X2 + N mod 3 with N in {0, 1}: one kernel zero per row."""
+    kernel = np.zeros((2, 2, 3))
+    for x1 in range(2):
+        for x2 in range(2):
+            kernel[x1, x2, (x1 + x2) % 3] = 0.9
+            kernel[x1, x2, (x1 + x2 + 1) % 3] = 0.1
+    return Mac(kernel)
+
+
+def kernel_3x2x4_with_zeros():
+    rng = np.random.default_rng(31)
+    kernel = rng.random((3, 2, 4))
+    kernel[rng.random((3, 2, 4)) < 0.35] = 0.0
+    kernel[..., 0] += kernel.sum(axis=-1) == 0
+    return Mac(kernel / kernel.sum(axis=-1, keepdims=True))
+
+
+def dirichlet_4x4x5():
+    """The benchmark's 4x4x5 kernel: the second draw of its fixed kernel seed."""
+    rng = np.random.default_rng(210201247)
+    rng.dirichlet(np.ones(3), size=(2, 2))
+    return Mac(np.array(rng.dirichlet(np.ones(5), size=(4, 4)).tolist()))
+
+
+BA_CASES = {
+    "adder2": adder2,
+    "xor0.11": lambda: xor_channel(0.11),
+    "noisy-adder-zeros": noisy_adder_with_zeros,
+    "3x2x4-zeros": kernel_3x2x4_with_zeros,
+    "dir4x4x5": dirichlet_4x4x5,
+}
+
+
+class TestBatchedAscent:
+    """The batched multi-start ascent against the per-start reference, bit for bit."""
+
+    def test_seed_grid_matches_reference(self):
+        for make in BA_CASES.values():
+            mac = make()
+            p1s, p2s = _seed_grid(mac)
+            want = ba_reference._seed_grid(mac)
+            assert len(p1s) == len(want)
+            for p1, p2, (q1, q2) in zip(p1s, p2s, want):
+                assert np.array_equal(p1, q1) and np.array_equal(p2, q2)
+
+    @pytest.mark.parametrize("case", sorted(BA_CASES))
+    @pytest.mark.parametrize("max_iter", [0, 7, 5000])
+    def test_every_start_is_bit_identical(self, case, max_iter):
+        mac = BA_CASES[case]()
+        tol = min(1e-7 * LN2, 1e-12)
+        p1s, p2s, values, iters = _ba_ascend(mac.kernel, *_seed_grid(mac), max_iter, tol)
+        want = [
+            ba_reference._ba_ascend(mac.kernel, q1, q2, max_iter, tol)
+            for q1, q2 in ba_reference._seed_grid(mac)
+        ]
+        assert len(want) == len(iters)
+        for s, (q1, q2, value, it) in enumerate(want):
+            assert np.array_equal(p1s[s], q1) and np.array_equal(p2s[s], q2), (case, s)
+            assert values[s] == value and iters[s] == it, (case, s)
+        if max_iter == 5000:
+            assert len(set(iters.tolist())) > 1
+
+    @pytest.mark.parametrize("case", sorted(BA_CASES))
+    def test_sum_capacity_equals_reference_solve(self, case):
+        mac = BA_CASES[case]()
+        for units in ("bits", "nats"):
+            got = sum_capacity(mac, units=units)
+            want = ba_reference.reference_sum_capacity(mac, units=units)
+            assert got.c_sum == want.c_sum
+            assert got.v1_star == want.v1_star
+            assert got.iterations == want.iterations
+            assert got.kkt_residual == want.kkt_residual
+            assert got.units == want.units
+            assert len(got.argmax_dists) == len(want.argmax_dists)
+            for d, e in zip(got.argmax_dists, want.argmax_dists):
+                assert np.array_equal(d.p1, e.p1) and np.array_equal(d.p2, e.p2)
+
+
+def _random_law(rng, x1, x2, joint, zeros):
+    if joint:
+        p12 = rng.random((x1, x2))
+        if zeros:
+            p12[rng.random((x1, x2)) < 0.4] = 0.0
+            p12[0, 0] += p12.sum() == 0
+        return JointDist(p12 / p12.sum())
+    p1, p2 = rng.random(x1), rng.random(x2)
+    if zeros:
+        p1[rng.integers(x1)] = 0.0
+        p1[rng.integers(x1)] += 0.5
+    return ProductDist(p1 / p1.sum(), p2 / p2.sum())
+
+
+def _assert_mi_matches_stats(mac, d):
+    for units in ("bits", "nats"):
+        got = mutual_information(mac, d, units=units)
+        assert math.isfinite(got)
+        assert got == pytest.approx(channel_stats(mac, d, units=units).mutual_info, abs=1e-12)
+
+
+class TestMutualInformation:
+    """The table-free mutual information against the density-table statistics."""
+
+    def test_random_product_and_joint_laws(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            x1, x2, y = (int(v) for v in rng.integers(1, 5, size=3))
+            mac = random_mac(rng, x1, x2, y)
+            for joint in (False, True):
+                for zeros in (False, True):
+                    _assert_mi_matches_stats(mac, _random_law(rng, x1, x2, joint, zeros))
+
+    def test_grid_endpoints(self):
+        rng = np.random.default_rng(12)
+        for mac in (adder2(), xor_channel(0.11), random_mac(rng, 2, 2, 3), noisy_adder_with_zeros()):
+            for q in (0.0, 0.3, 1.0):
+                for r in (0.0, 0.7, 1.0):
+                    d = ProductDist(np.array([q, 1.0 - q]), np.array([r, 1.0 - r]))
+                    _assert_mi_matches_stats(mac, d)
+                    _assert_mi_matches_stats(mac, JointDist(d.joint()))
+
+    def test_output_never_produced(self):
+        rng = np.random.default_rng(13)
+        kernel = np.array(random_mac(rng, 3, 2, 4).kernel)
+        kernel[..., 2] = 0.0
+        mac = Mac(kernel / kernel.sum(axis=-1, keepdims=True))
+        for joint in (False, True):
+            for zeros in (False, True):
+                _assert_mi_matches_stats(mac, _random_law(rng, 3, 2, joint, zeros))
+
+    def test_wrong_shape_raises(self):
+        with pytest.raises(SizeMismatch):
+            mutual_information(adder2(), ProductDist(np.array([1.0]), np.array([0.5, 0.5])))
+        with pytest.raises(SizeMismatch):
+            mutual_information(adder2(), JointDist(np.full((3, 2), 1.0 / 6.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12),
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    st.booleans(),
+)
+def test_mutual_information_property(raw, law, joint):
+    kernel = np.array(raw).reshape(2, 2, 3)
+    kernel[..., 0] += kernel.sum(axis=-1) == 0
+    mac = Mac(kernel / kernel.sum(axis=-1, keepdims=True))
+    w = np.array(law)
+    if joint:
+        w[0] += w.sum() == 0
+        d = JointDist((w / w.sum()).reshape(2, 2))
+    else:
+        p1, p2 = w[:2], w[2:]
+        p1[0] += p1.sum() == 0
+        p2[0] += p2.sum() == 0
+        d = ProductDist(p1 / p1.sum(), p2 / p2.sum())
+    _assert_mi_matches_stats(mac, d)
 
 
 @settings(max_examples=25, deadline=None)

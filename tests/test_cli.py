@@ -40,6 +40,20 @@ class TestStats:
         assert code == 3
         assert "no_such_file.json" in err
 
+    def test_nan_kernel_is_an_input_error(self, tmp_path, capsys):
+        doc = {
+            "x1_size": 2,
+            "x2_size": 1,
+            "y_size": 2,
+            "kernel": [[[0.5, 0.5]], [[float("nan"), 1.0]]],
+        }
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "stats", "--channel", str(path))
+        assert code == 3
+        assert "(1, 0, 0) is nan" in err
+        assert "Traceback" not in err
+
     def test_channel_file_round_trip(self, tmp_path, capsys):
         doc = {
             "x1_size": 2,
