@@ -18,8 +18,10 @@ from .channel import (
     ProductDist,
     adder2,
     channel_stats,
+    dump_dist,
     info_density_tables,
     load_channel,
+    load_dist,
     mutual_information,
     named_channel,
     output_marginal,

@@ -5,7 +5,9 @@ All internal computation is in nats; public containers carry a units flag
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -23,13 +25,33 @@ LN2 = float(np.log(2.0))
 _ROW_TOL = 1e-9
 
 
+# Units: every conversion goes through these helpers, which reject unknown names.
+
+
+def _is_bits(units: str) -> bool:
+    if units not in ("bits", "nats"):
+        raise ValueError(f"unknown units {units!r}")
+    return units == "bits"
+
+
+def _nats_per_unit(units: str) -> float:
+    """Multiplier converting the requested units to nats."""
+    return LN2 if _is_bits(units) else 1.0
+
+
 def _unit_scale(units: str) -> float:
     """Multiplier converting nats to the requested units."""
-    if units == "bits":
-        return 1.0 / LN2
-    if units == "nats":
-        return 1.0
-    raise ValueError(f"unknown units {units!r}")
+    return 1.0 / _nats_per_unit(units)
+
+
+def _log_units(x: float, units: str) -> float:
+    """log x in the requested units; log2 for bits, which log(x) / LN2 misses by an ulp."""
+    return math.log2(x) if _is_bits(units) else math.log(x)
+
+
+def _log_base(units: str) -> float:
+    """The base of the logarithm the requested units count in."""
+    return 2.0 if _is_bits(units) else math.e
 
 
 @dataclass(frozen=True)
@@ -39,7 +61,7 @@ class Mac:
     kernel: np.ndarray
 
     def __post_init__(self):
-        kernel = np.asarray(self.kernel, dtype=float)
+        kernel = np.array(self.kernel, dtype=float)  # a copy: the caller's array stays writable
         if kernel.ndim != 3:
             raise SizeMismatch(f"kernel must be 3-dimensional, got shape {kernel.shape}")
         if kernel.size == 0:
@@ -79,7 +101,7 @@ def _check_entries(p: np.ndarray, name: str) -> None:
 
 
 def _check_prob(p: np.ndarray, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
+    p = np.array(p, dtype=float)  # a copy: the caller's array stays writable
     _check_entries(p, name)
     if abs(p.sum() - 1.0) > _ROW_TOL:
         raise RowNotStochastic(f"{name} sums to {p.sum():.12g}")
@@ -172,15 +194,26 @@ class CapacityResult:
 # channel construction
 
 
+@contextmanager
+def _parsing(what: str, spec):
+    """Report a record that is not an object, or lacks or mistypes a field, as SizeMismatch."""
+    if not isinstance(spec, dict):
+        raise SizeMismatch(f"malformed {what}: expected an object, got {type(spec).__name__}")
+    try:
+        yield
+    except KeyError as exc:
+        raise SizeMismatch(f"malformed {what}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SizeMismatch(f"malformed {what}: {exc}") from exc
+
+
 def load_channel(spec: dict) -> Mac:
     """Build and validate a Mac from a parsed channel description record."""
-    try:
+    with _parsing("channel spec", spec):
         x1_size = int(spec["x1_size"])
         x2_size = int(spec["x2_size"])
         y_size = int(spec["y_size"])
         kernel = np.asarray(spec["kernel"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SizeMismatch(f"malformed channel spec: {exc}") from exc
     if min(x1_size, x2_size, y_size) < 1:
         raise SizeMismatch("alphabet sizes must be at least 1")
     if kernel.shape != (x1_size, x2_size, y_size):
@@ -189,6 +222,21 @@ def load_channel(spec: dict) -> Mac:
             f"({x1_size}, {x2_size}, {y_size})"
         )
     return Mac(kernel)
+
+
+def load_dist(spec: dict) -> InputDist:
+    """Build and validate an input law from a parsed {"p12"} or {"p1", "p2"} record."""
+    with _parsing("distribution spec", spec):
+        if "p12" in spec:
+            return JointDist(np.asarray(spec["p12"], dtype=float))
+        return ProductDist(np.asarray(spec["p1"], dtype=float), np.asarray(spec["p2"], dtype=float))
+
+
+def dump_dist(d: InputDist) -> dict:
+    """The record ``load_dist`` reads back: {"p12"} for a joint law, {"p1", "p2"} otherwise."""
+    if isinstance(d, JointDist):
+        return {"p12": d.p12.tolist()}
+    return {"p1": d.p1.tolist(), "p2": d.p2.tolist()}
 
 
 def adder2() -> Mac:
@@ -458,7 +506,7 @@ def sum_capacity(
     if tol <= 0:
         raise ValueError("tol must be positive")
     kernel = mac.kernel
-    tol_nats = tol * (LN2 if units == "bits" else 1.0)
+    tol_nats = tol * _nats_per_unit(units)
 
     p1s, p2s, _, iters = _ba_ascend(kernel, *_seed_grid(mac), max_iter, min(tol_nats, 1e-12))
     candidates = [_polish(kernel, p1, p2) for p1, p2 in zip(p1s, p2s)]
@@ -495,3 +543,12 @@ def sum_capacity(
         kkt_residual=resid * scale,
         units=units,
     )
+
+
+def _capacity_in(mac: Mac, units: str, capacity: CapacityResult | None) -> CapacityResult:
+    """``capacity`` if it is given, which must be in ``units``; else the sum-capacity of ``mac``."""
+    if capacity is None:
+        return sum_capacity(mac, units=units)
+    if capacity.units != units:
+        raise ValueError(f"capacity is in {capacity.units}, the call asks for {units}")
+    return capacity

@@ -16,15 +16,13 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .channel import (
-    JointDist,
     Mac,
-    ProductDist,
     channel_stats,
+    dump_dist,
     load_channel,
+    load_dist,
     named_channel,
     sum_capacity,
 )
@@ -45,37 +43,28 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
 
-def _fmt(x: float) -> str:
-    """Canonical float text: shortest repr that parses back exactly."""
-    return repr(float(x))
+def _fmt(x: float | None) -> str:
+    """Canonical float text: shortest repr that parses back exactly; NA for None."""
+    return "NA" if x is None else repr(float(x))
+
+
+def _read_json(path_str: str, what: str):
+    """The JSON document in the ``what`` file at ``path_str``."""
+    path = Path(path_str)
+    if not path.is_file():
+        raise FileNotFoundError(f"{what} file not found: {path_str}")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CfmacError(
+            f"cannot parse {what} file {path_str}: line {exc.lineno}: {exc.msg}"
+        ) from exc
 
 
 def _resolve_channel(ref: str) -> Mac:
     if ref == "adder2" or ref.startswith("xor:"):
         return named_channel(ref)
-    path = Path(ref)
-    if not path.exists():
-        raise FileNotFoundError(f"channel file not found: {ref}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CfmacError(f"cannot parse channel file {ref}: line {exc.lineno}: {exc.msg}") from exc
-    return load_channel(doc)
-
-
-def _load_dist(path_str: str):
-    path = Path(path_str)
-    if not path.exists():
-        raise FileNotFoundError(f"distribution file not found: {path_str}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CfmacError(
-            f"cannot parse distribution file {path_str}: line {exc.lineno}: {exc.msg}"
-        ) from exc
-    if "p12" in doc:
-        return JointDist(np.asarray(doc["p12"], dtype=float))
-    return ProductDist(np.asarray(doc["p1"], dtype=float), np.asarray(doc["p2"], dtype=float))
+    return load_channel(_read_json(ref, "channel"))
 
 
 def _int_list(text: str) -> list[int]:
@@ -133,26 +122,19 @@ def _write_outputs(
 def cmd_stats(args, started: float) -> int:
     mac = _resolve_channel(args.channel)
     cap = sum_capacity(mac, units=args.units)
+    dist = load_dist(_read_json(args.dist, "distribution")) if args.dist else cap.argmax_dists[0]
+    stats = channel_stats(mac, dist, units=args.units)
     doc = {
         "channel": args.channel,
         "units": args.units,
         "c_sum": cap.c_sum,
         "v1_star": cap.v1_star,
-        "maximizers": [
-            {"p1": np.asarray(d.p1).tolist(), "p2": np.asarray(d.p2).tolist()}
-            for d in cap.argmax_dists
-        ],
+        "maximizers": [dump_dist(d) for d in cap.argmax_dists],
+        "mutual_info": stats.mutual_info,
+        "v1": stats.v1,
+        "v2": stats.v2,
+        "v_max": stats.v_max,
     }
-    dist = _load_dist(args.dist) if args.dist else cap.argmax_dists[0]
-    stats = channel_stats(mac, dist, units=args.units)
-    doc.update(
-        {
-            "mutual_info": stats.mutual_info,
-            "v1": stats.v1,
-            "v2": stats.v2,
-            "v_max": stats.v_max,
-        }
-    )
     _write_outputs(args, None, doc, started)
     return EXIT_OK
 
@@ -163,8 +145,9 @@ def cmd_fig1(args, started: float) -> int:
         p = SkParams(args.v1, args.v2, 2 ** log2_k)
         q = sk_inverse_cdf(p, args.eps).value
         b = lemma1_bounds(p, args.eps)
-        lower = _fmt(b.lower_at_eps) if b.lower_at_eps is not None else "NA"
-        rows.append(f"{log2_k},{_fmt(q)},{lower},{_fmt(b.upper_at_one_minus_eps)}")
+        rows.append(
+            f"{log2_k},{_fmt(q)},{_fmt(b.lower_at_eps)},{_fmt(b.upper_at_one_minus_eps)}"
+        )
     _write_outputs(args, rows, None, started)
     return EXIT_OK
 
@@ -190,10 +173,8 @@ def cmd_rates(args, started: float) -> int:
     for n in args.n:
         for k in k_grid:
             rep = rate_report(mac, RateQuery(n, args.eps, k, args.units), capacity=cap)
-            thm2 = _fmt(rep.thm2_rate) if rep.thm2_rate is not None else "NA"
-            thm3 = _fmt(rep.thm3_rate) if rep.thm3_rate is not None else "NA"
             rows.append(
-                f"{n},{k},{_fmt(args.eps)},{thm2},{thm3},"
+                f"{n},{k},{_fmt(args.eps)},{_fmt(rep.thm2_rate)},{_fmt(rep.thm3_rate)},"
                 f"{_fmt(rep.baseline_rate)},{_fmt(rep.best_rate)},{rep.regime}"
             )
     _write_outputs(args, rows, None, started)
@@ -201,16 +182,7 @@ def cmd_rates(args, started: float) -> int:
 
 
 def cmd_simulate(args, started: float) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {args.config}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CfmacError(
-            f"cannot parse config file {args.config}: line {exc.lineno}: {exc.msg}"
-        ) from exc
-    config = sim_config_from_dict(doc)
+    config = sim_config_from_dict(_read_json(args.config, "config"))
     if args.trials is not None:
         config = dataclasses.replace(config, trials=args.trials)
     if args.seed is not None:

@@ -50,8 +50,13 @@ from .channel import (
     InputDist,
     JointDist,
     Mac,
-    ProductDist,
+    _log_base,
+    _log_units,
+    _parsing,
+    dump_dist,
     info_density_tables,
+    load_channel,
+    load_dist,
     named_channel,
 )
 from .errors import DegenerateThresholds, ModeMismatch, NotAnNType, SizeMismatch
@@ -120,6 +125,11 @@ class SimConfig:
     seed: int = 0
     units: str = "bits"
 
+    def __post_init__(self):
+        for name in ("n", "m1_count", "m2_count", "k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
     def resolved_thresholds(self) -> DecoderThresholds:
         if self.thresholds is not None:
             return self.thresholds
@@ -157,10 +167,6 @@ class SimReport:
 # defaults and small helpers
 
 
-def _logb(x: float, units: str) -> float:
-    return math.log2(x) if units == "bits" else math.log(x)
-
-
 def default_thresholds(
     mac: Mac,
     dist: InputDist,
@@ -172,24 +178,21 @@ def default_thresholds(
     units: str = "bits",
 ) -> DecoderThresholds:
     """Threshold choices from the two constructions' explicit settings."""
-    half_log_n = 0.5 * _logb(n, units)
-    if mode == IID:
-        return DecoderThresholds(
-            c12=_logb(m1_count * m2_count * k, units) + half_log_n,
-            c1=_logb(m1_count, units) + half_log_n,
-            c2=_logb(m2_count, units) + half_log_n,
-            units=units,
-        )
-    if mode == TYPE:
-        counting = mac.x1_size * mac.x2_size * _logb(n + 1, units)
-        return DecoderThresholds(
-            c12=_logb(m1_count * m2_count, units) + half_log_n + counting,
-            c1=_logb(m1_count, units) + half_log_n + counting,
-            c2=_logb(m2_count, units) + half_log_n + counting,
-            type_constraint=np.asarray(dist.joint()),
-            units=units,
-        )
-    raise ModeMismatch(f"unknown mode {mode!r}")
+    half_log_n = 0.5 * _log_units(n, units)
+    if mode == IID:  # no type-class counting penalty; adding 0.0 is exact
+        pairs, counting, constraint = m1_count * m2_count * k, 0.0, None
+    elif mode == TYPE:
+        pairs, constraint = m1_count * m2_count, np.asarray(dist.joint())
+        counting = mac.x1_size * mac.x2_size * _log_units(n + 1, units)
+    else:
+        raise ModeMismatch(f"unknown mode {mode!r}")
+    return DecoderThresholds(
+        c12=_log_units(pairs, units) + half_log_n + counting,
+        c1=_log_units(m1_count, units) + half_log_n + counting,
+        c2=_log_units(m2_count, units) + half_log_n + counting,
+        type_constraint=constraint,
+        units=units,
+    )
 
 
 def _type_counts(dist: JointDist, n: int) -> np.ndarray:
@@ -222,6 +225,11 @@ def _clopper_pearson(errors: int, trials: int, conf: float = 0.95) -> tuple[floa
     return low, high
 
 
+def _upper_99(count: int, samples: int) -> float:
+    """Upper endpoint of the 99% Clopper-Pearson interval of count / samples."""
+    return float(_beta.ppf(0.995, count + 1, samples - count)) if count < samples else 1.0
+
+
 # ---------------------------------------------------------------------------
 # sampling: symbols are counted against cdf[:-1], so a uniform that rounds
 # past the last cumulative sum still yields the last symbol
@@ -246,19 +254,21 @@ def _require_uint8(mac: Mac) -> None:
         raise SizeMismatch("the simulator stores symbols as uint8: alphabets are limited to 256")
 
 
-def _word_samplers(dist: InputDist, n: int, mode: str):
-    """Per user, a sampler (rng, shape) -> uint8 codeword symbols."""
+def _construction(dist: InputDist, n: int, mode: str):
+    """The one mode dispatch: per user, a sampler (rng, shape) -> uint8 codeword
+    symbols, and the joint n-type counts (A1*A2,) that type mode matches (None in iid mode)."""
     if mode == IID:
-        return [partial(_draw_iid, cdf=np.cumsum(np.asarray(p))) for p in (dist.p1, dist.p2)]
-    if mode == TYPE:
-        if not isinstance(dist, JointDist):
-            raise ModeMismatch("type mode requires a JointDist n-type")
-        counts = _type_counts(dist, n)
-        return [
-            partial(_draw_type, base=np.repeat(np.arange(len(c), dtype=np.uint8), c))
-            for c in (counts.sum(axis=1), counts.sum(axis=0))
-        ]
-    raise ModeMismatch(f"unknown mode {mode!r}")
+        return [partial(_draw_iid, cdf=np.cumsum(p)) for p in (dist.p1, dist.p2)], None
+    if mode != TYPE:
+        raise ModeMismatch(f"unknown mode {mode!r}")
+    if not isinstance(dist, JointDist):
+        raise ModeMismatch("type mode requires a JointDist n-type")
+    counts = _type_counts(dist, n)
+    samplers = [
+        partial(_draw_type, base=np.repeat(np.arange(len(c), dtype=np.uint8), c))
+        for c in (counts.sum(axis=1), counts.sum(axis=0))
+    ]
+    return samplers, counts.ravel()
 
 
 def _channel(rng, output_cdf, x1, x2):
@@ -320,18 +330,6 @@ class _Facilitator:
     tol: float
     target: np.ndarray | None  # (A1*A2,) target joint-type counts, type mode
 
-    @classmethod
-    def build(cls, mac: Mac, dist: InputDist, n: int, mode: str) -> "_Facilitator":
-        if mode == TYPE:
-            if not isinstance(dist, JointDist):
-                raise ModeMismatch("type mode requires a JointDist n-type")
-            return cls(None, 0.0, _type_counts(dist, n).ravel())
-        if mode != IID:
-            raise ModeMismatch(f"unknown mode {mode!r}")
-        i_bar = info_density_tables(mac, dist, units="nats").i_bar
-        tol = _TIE_ULPS_PER_CELL * i_bar.size * float(np.spacing(n * np.abs(i_bar).max()))
-        return cls(i_bar.ravel(), tol, None)
-
     def choose(self, counts, u_choice=None):
         """e (B, M1, M2) and, in type mode, where no k matched the target."""
         if self.target is None:
@@ -345,6 +343,16 @@ class _Facilitator:
         pick = np.minimum(np.floor(u_choice * pool).astype(np.int64), pool - 1)
         order = np.argsort(~matched, axis=-1, kind="stable")  # matched ks first
         return np.take_along_axis(order, pick[..., None], axis=-1)[..., 0], n_match == 0
+
+
+def _ensemble(mac: Mac, dist: InputDist, n: int, mode: str):
+    """Word samplers and facilitator of the construction ``mode`` names."""
+    samplers, target = _construction(dist, n, mode)
+    if target is not None:
+        return samplers, _Facilitator(None, 0.0, target)
+    i_bar = info_density_tables(mac, dist, units="nats").i_bar
+    tol = _TIE_ULPS_PER_CELL * i_bar.size * float(np.spacing(n * np.abs(i_bar).max()))
+    return samplers, _Facilitator(i_bar.ravel(), tol, None)
 
 
 @dataclass(frozen=True)
@@ -461,25 +469,41 @@ def _tally_block(tally, passes, in_type, msg1, msg2) -> int:
     return int(err.sum())
 
 
-def _report(trials: int, errors: int, tally: dict, seed: int) -> SimReport:
+def _run_trials(config: SimConfig, domain: int, trial_bytes: int, block) -> SimReport:
+    """The trial loop of both error estimates.
+
+    ``block(rng, b)`` runs b trials on the stream ``rng`` and returns their
+    decoder passes (B, M1, M2), type check (or None) and sent messages.
+    """
+    if config.trials < 1:
+        raise ValueError("trials must be at least 1")
+    errors = 0
+    tally = {"threshold_miss": 0, "impostor_pass": 0, "ambiguity": 0, "type_miss": 0}
+    for rng, b in _blocks(config.seed, domain, config.trials, trial_bytes):
+        errors += _tally_block(tally, *block(rng, b))
     return SimReport(
-        trials=trials,
+        trials=config.trials,
         errors=errors,
-        p_hat=errors / trials,
-        ci95=_clopper_pearson(errors, trials),
+        p_hat=errors / config.trials,
+        ci95=_clopper_pearson(errors, config.trials),
         decomposition=tally,
-        seed=seed,
+        seed=config.seed,
     )
 
 
-def _empty_tally() -> dict:
-    return {"threshold_miss": 0, "impostor_pass": 0, "ambiguity": 0, "type_miss": 0}
-
-
-def _facilitated_words(codebooks: Codebooks, e: np.ndarray):
-    """The words x1, x2 (M1, M2, n) sent for each message pair under e (M1, M2)."""
-    m1, m2 = e.shape
-    return codebooks.f1[np.arange(m1)[:, None], e], codebooks.f2[np.arange(m2)[None, :], e]
+def _fixed_code(
+    codebooks: Codebooks, e_table: FacilitatorTable, mac: Mac, dist: InputDist,
+    th: DecoderThresholds,
+):
+    """Decoder, sent words x1, x2 (M1, M2, n) and their type check (or None) of a fixed code."""
+    dec = _Decoder.build(mac, dist, codebooks.n, th)
+    m1, m2 = e_table.e.shape
+    x1 = codebooks.f1[np.arange(m1)[:, None], e_table.e]
+    x2 = codebooks.f2[np.arange(m2)[None, :], e_table.e]
+    in_type = None
+    if dec.check is not None:
+        in_type = dec.in_type(_word_counts(x1, x2, 0, mac.x1_size, mac.x2_size, 1))
+    return dec, x1, x2, in_type
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +522,7 @@ def draw_codebooks(
 ) -> Codebooks:
     """One reproducible codebook draw (i.i.d. symbols or type-class words)."""
     _require_uint8(mac)
-    samplers = _word_samplers(dist, n, mode)
+    samplers, _ = _construction(dist, n, mode)
     rng = _stream(seed, _CODEBOOK, 0)
     f1 = samplers[0](rng, (m1_count, k, n))
     f2 = samplers[1](rng, (m2_count, k, n))
@@ -517,12 +541,12 @@ def facilitate(
         raise ModeMismatch(
             f"facilitator mode {mode!r} does not match codebook mode {codebooks.mode!r}"
         )
-    fac = _Facilitator.build(mac, dist, codebooks.n, mode)
+    _, fac = _ensemble(mac, dist, codebooks.n, mode)
     f1 = codebooks.f1.transpose(1, 0, 2)[None]  # kernel layout (1, K, M, n)
     f2 = codebooks.f2.transpose(1, 0, 2)[None]
     counts = _pair_counts(_onehot(f1, mac.x1_size), _onehot(f2, mac.x2_size))
     u_choice = None
-    if mode == TYPE:
+    if fac.target is not None:
         u_choice = _stream(seed, _FACILITATOR, 0).random(counts.shape[:3])
     e, unmatched = fac.choose(counts, u_choice)
     return FacilitatorTable(
@@ -539,15 +563,14 @@ def threshold_decode(
     dist: InputDist,
 ):
     """Decode one received word; returns ((m1, m2), 'decoded') or (None, reason)."""
-    dec = _Decoder.build(mac, dist, codebooks.n, thresholds)
+    dec, x1, x2, in_type = _fixed_code(codebooks, e_table, mac, dist, thresholds)
     y = np.asarray(y_word, dtype=np.int64)
     if y.shape != (codebooks.n,) or y.min() < 0 or y.max() >= mac.y_size:
         raise SizeMismatch(f"received word must hold {codebooks.n} symbols in [0, {mac.y_size})")
-    x1, x2 = _facilitated_words(codebooks, e_table.e)
     counts = _word_counts(x1, x2, y, mac.x1_size, mac.x2_size, mac.y_size)
     passes = dec.passes(counts.astype(np.float64) @ dec.weights)
-    if dec.check is not None:
-        passes &= dec.in_type(_word_counts(x1, x2, 0, mac.x1_size, mac.x2_size, 1))
+    if in_type is not None:
+        passes &= in_type
     hits = np.argwhere(passes)
     if len(hits) == 1:
         return (int(hits[0][0]), int(hits[0][1])), "decoded"
@@ -560,24 +583,15 @@ def threshold_decode(
 
 def estimate_error(config: SimConfig) -> SimReport:
     """Ensemble-average error probability with fresh codebooks every trial."""
-    if config.trials < 1:
-        raise ValueError("trials must be at least 1")
     mac, dist = config.mac, config.dist
     n, m1c, m2c, k = config.n, config.m1_count, config.m2_count, config.k
-    samplers = _word_samplers(dist, n, config.mode)
-    fac = _Facilitator.build(mac, dist, n, config.mode)
+    samplers, fac = _ensemble(mac, dist, n, config.mode)
     dec = _Decoder.build(mac, dist, n, config.resolved_thresholds())
 
-    errors = 0
-    tally = _empty_tally()
-    for rng, b in _blocks(
-        config.seed, _ENSEMBLE, config.trials, _trial_bytes(mac, n, m1c, m2c, k)
-    ):
-        passes, in_type, msg1, msg2, _ = _ensemble_block(
-            rng, b, m1c, m2c, k, n, mac, samplers, fac, dec
-        )
-        errors += _tally_block(tally, passes, in_type, msg1, msg2)
-    return _report(config.trials, errors, tally, config.seed)
+    def block(rng, b):
+        return _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec)[:4]
+
+    return _run_trials(config, _ENSEMBLE, _trial_bytes(mac, n, m1c, m2c, k), block)
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +601,7 @@ def estimate_error(config: SimConfig) -> SimReport:
 def _bound_samples(config: SimConfig, th: DecoderThresholds, mc_samples: int, seed: int):
     """Monte Carlo term of the bound: (threshold fails, type-mode unmatched) counts."""
     mac, dist, n, k = config.mac, config.dist, config.n, config.k
-    samplers = _word_samplers(dist, n, config.mode)
-    fac = _Facilitator.build(mac, dist, n, config.mode)
+    samplers, fac = _ensemble(mac, dist, n, config.mode)
     # the Monte Carlo term tests the thresholds only, not the type constraint
     dec = _Decoder.build(mac, dist, n, replace(th, type_constraint=None))
     fails = 0
@@ -618,31 +631,21 @@ def fbl_bound(
     th = thresholds if thresholds is not None else config.resolved_thresholds()
     th.require_finite()
     n, m1c, m2c, k = config.n, config.m1_count, config.m2_count, config.k
-    base = 2.0 if th.units == "bits" else math.e
+    base = _log_base(th.units)
     if seed is None:
         seed = config.seed
 
     fails, type_misses = _bound_samples(config, th, mc_samples, seed)
-    fail_upper = float(_beta.ppf(0.995, fails + 1, mc_samples - fails)) if fails < mc_samples else 1.0
-    if config.mode == TYPE:
-        counting = float((n + 1) ** (mac.x1_size * mac.x2_size))
-        union = counting * (
-            m1c * m2c * base ** (-th.c12)
-            + m1c * base ** (-th.c1)
-            + m2c * base ** (-th.c2)
-        )
-        miss_upper = (
-            float(_beta.ppf(0.995, type_misses + 1, mc_samples - type_misses))
-            if type_misses < mc_samples
-            else 1.0
-        )
-        return miss_upper + fail_upper + union
+    type_mode = config.mode == TYPE
     union = (
-        m1c * m2c * k * base ** (-th.c12)
+        m1c * m2c * (1 if type_mode else k) * base ** (-th.c12)
         + m1c * base ** (-th.c1)
         + m2c * base ** (-th.c2)
     )
-    return fail_upper + union
+    if not type_mode:
+        return _upper_99(fails, mc_samples) + union
+    counting = float((n + 1) ** (mac.x1_size * mac.x2_size))
+    return _upper_99(type_misses, mc_samples) + _upper_99(fails, mc_samples) + counting * union
 
 
 def estimate_error_fixed_code(
@@ -656,28 +659,24 @@ def estimate_error_fixed_code(
     codebook ensemble average, not to an individual draw, so this report is
     excluded from bound validation.
     """
-    if config.trials < 1:
-        raise ValueError("trials must be at least 1")
-    mac = config.mac
-    n, m1c, m2c = config.n, config.m1_count, config.m2_count
-    dec = _Decoder.build(mac, config.dist, n, config.resolved_thresholds())
-    x1, x2 = _facilitated_words(codebooks, e_table.e)
+    mac, n, m1c, m2c = config.mac, config.n, config.m1_count, config.m2_count
+    code = (codebooks.n, *e_table.e.shape)
+    if (n, m1c, m2c) != code:
+        raise SizeMismatch(f"config (n, M1, M2) = {(n, m1c, m2c)} does not match the code's {code}")
+    dec, x1, x2, in_type = _fixed_code(
+        codebooks, e_table, mac, config.dist, config.resolved_thresholds()
+    )
     tables = dec.fixed_tables(x1, x2)
-    in_type = None
-    if dec.check is not None:
-        in_type = dec.in_type(_word_counts(x1, x2, 0, mac.x1_size, mac.x2_size, 1))
 
-    errors = 0
-    tally = _empty_tally()
-    trial_bytes = 8 * (mac.y_size * n + tables.shape[1]) + 16 * n
-    for rng, b in _blocks(config.seed, _FIXED_CODE, config.trials, trial_bytes):
+    def block(rng, b):
         msg1 = rng.integers(0, m1c, size=b)
         msg2 = rng.integers(0, m2c, size=b)
         y = _channel(rng, dec.output_cdf, x1[msg1, msg2], x2[msg1, msg2])
         z = _onehot(y, mac.y_size, np.float64).reshape(b, -1) @ tables
-        passes = dec.passes(z.reshape(b, m1c, m2c, -1))
-        errors += _tally_block(tally, passes, in_type, msg1, msg2)
-    return _report(config.trials, errors, tally, config.seed)
+        return dec.passes(z.reshape(b, m1c, m2c, -1)), in_type, msg1, msg2
+
+    trial_bytes = 8 * (mac.y_size * n + tables.shape[1]) + 16 * n
+    return _run_trials(config, _FIXED_CODE, trial_bytes, block)
 
 
 def simulate_with_bound(config: SimConfig, mc_samples: int = 100_000) -> SimReport:
@@ -707,14 +706,8 @@ def sim_config_to_dict(config: SimConfig) -> dict:
         "trials": config.trials,
         "seed": config.seed,
         "units": config.units,
+        "dist": dump_dist(config.dist),
     }
-    if isinstance(config.dist, JointDist):
-        out["dist"] = {"p12": np.asarray(config.dist.p12).tolist()}
-    else:
-        out["dist"] = {
-            "p1": np.asarray(config.dist.p1).tolist(),
-            "p2": np.asarray(config.dist.p2).tolist(),
-        }
     if config.thresholds is not None:
         th = config.thresholds
         out["thresholds"] = {"c12": th.c12, "c1": th.c1, "c2": th.c2}
@@ -724,37 +717,31 @@ def sim_config_to_dict(config: SimConfig) -> dict:
 
 
 def sim_config_from_dict(doc: dict) -> SimConfig:
-    from .channel import load_channel
-
-    chan = doc["channel"]
-    mac = named_channel(chan) if isinstance(chan, str) else load_channel(chan)
-    dd = doc["dist"]
-    if "p12" in dd:
-        dist: InputDist = JointDist(np.asarray(dd["p12"], dtype=float))
-    else:
-        dist = ProductDist(np.asarray(dd["p1"], dtype=float), np.asarray(dd["p2"], dtype=float))
-    units = doc.get("units", "bits")
-    thresholds = None
-    if "thresholds" in doc:
-        td = doc["thresholds"]
-        tc = td.get("type_constraint")
-        thresholds = DecoderThresholds(
-            c12=float(td["c12"]),
-            c1=float(td["c1"]),
-            c2=float(td["c2"]),
-            type_constraint=None if tc is None else np.asarray(tc, dtype=float),
+    with _parsing("simulation config", doc):
+        chan = doc["channel"]
+        mac = named_channel(chan) if isinstance(chan, str) else load_channel(chan)
+        units = doc.get("units", "bits")
+        thresholds = None
+        if "thresholds" in doc:
+            td = doc["thresholds"]
+            tc = td["type_constraint"] if "type_constraint" in td else None
+            thresholds = DecoderThresholds(
+                c12=float(td["c12"]),
+                c1=float(td["c1"]),
+                c2=float(td["c2"]),
+                type_constraint=None if tc is None else np.asarray(tc, dtype=float),
+                units=units,
+            )
+        return SimConfig(
+            mac=mac,
+            dist=load_dist(doc["dist"]),
+            n=int(doc["n"]),
+            m1_count=int(doc["m1_count"]),
+            m2_count=int(doc["m2_count"]),
+            k=int(doc["k"]),
+            mode=doc.get("mode", IID),
+            thresholds=thresholds,
+            trials=int(doc.get("trials", 10_000)),
+            seed=int(doc.get("seed", 0)),
             units=units,
         )
-    return SimConfig(
-        mac=mac,
-        dist=dist,
-        n=int(doc["n"]),
-        m1_count=int(doc["m1_count"]),
-        m2_count=int(doc["m2_count"]),
-        k=int(doc["k"]),
-        mode=doc.get("mode", IID),
-        thresholds=thresholds,
-        trials=int(doc.get("trials", 10_000)),
-        seed=int(doc.get("seed", 0)),
-        units=units,
-    )

@@ -14,15 +14,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channel import (
-    LN2,
     CapacityResult,
     JointDist,
     Mac,
     ProductDist,
+    _capacity_in,
+    _nats_per_unit,
     _stats_nats,
     _unit_scale,
     info_density_tables,
-    sum_capacity,
 )
 from .errors import NonConvergence, NotCapacityAchieving
 
@@ -65,8 +65,7 @@ def perturbation_direction(
     """Budget-scaled optimal perturbation of the joint law around ``base``."""
     if a <= 0:
         raise ValueError("a must be positive")
-    if capacity is None:
-        capacity = sum_capacity(mac, units=units)
+    capacity = _capacity_in(mac, units, capacity)
     mutual, _, _, _ = _stats_nats(mac, base)
     scale = _unit_scale(units)
     if mutual * scale < capacity.c_sum - tol:
@@ -87,7 +86,7 @@ def perturbation_direction(
     e_j2 = float((p12 * j * j).sum())
     if e_j2 < 1e-18:
         return Perturbation(base, j, np.zeros_like(j), 0.0, units)
-    budget = a * (2.0 * LN2 if units == "bits" else 2.0)
+    budget = a * (2.0 * _nats_per_unit(units))
     lam_scale = math.sqrt(budget / e_j2)
     r = lam_scale * p12 * j
     return Perturbation(base, j, r, lam_scale, units)
@@ -97,8 +96,7 @@ def delta_small_a(v1_star: float, a: float, units: str = "bits") -> float:
     """Small-budget closed form sqrt(2 a V1* ln 2) (ln 2 dropped in nats mode)."""
     if a < 0 or v1_star < 0:
         raise ValueError("a and v1_star must be nonnegative")
-    factor = 2.0 * LN2 if units == "bits" else 2.0
-    return math.sqrt(a * factor * v1_star)
+    return math.sqrt(a * (2.0 * _nats_per_unit(units)) * v1_star)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +225,15 @@ def _joint_ba_unconstrained(kernel: np.ndarray, iters: int = 400) -> np.ndarray:
 def delta(
     mac: Mac,
     a: float,
-    tol: float = 1e-6,
     units: str = "bits",
     capacity: CapacityResult | None = None,
 ) -> DeltaPoint:
     """Constrained maximum sum-rate gain at dependence budget ``a``."""
     if a < 0:
         raise ValueError("a must be nonnegative")
-    if capacity is None:
-        capacity = sum_capacity(mac, units=units)
+    capacity = _capacity_in(mac, units, capacity)
     scale = _unit_scale(units)
-    a_nats = a * (LN2 if units == "bits" else 1.0)
+    a_nats = a * _nats_per_unit(units)
     kernel = mac.kernel
     c_sum_nats = capacity.c_sum / scale
 

@@ -6,7 +6,8 @@ class CfmacError(Exception):
 
 
 class SizeMismatch(CfmacError):
-    """Array shapes disagree with the declared alphabet sizes."""
+    """Array shapes disagree with the declared alphabet sizes, or an input
+    record is not an object or lacks or mistypes a field."""
 
 
 class NegativeEntry(CfmacError):

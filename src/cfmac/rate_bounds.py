@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from scipy.special import ndtri
 
-from .channel import CapacityResult, ChannelStats, Mac, channel_stats, sum_capacity
+from .channel import CapacityResult, ChannelStats, Mac, _capacity_in, _log_units, channel_stats
 from .delta_curve import delta
 from .gauss_max import SkParams, sk_inverse_cdf
 
@@ -65,13 +65,9 @@ class RateReport:
     units: str = "bits"
 
 
-def _log(x: float, units: str) -> float:
-    return math.log2(x) if units == "bits" else math.log(x)
-
-
 def theta_regime(n: int, k: int, units: str = "bits") -> tuple[str, str]:
     """Regime tag and the matching correction shape for the dispersion bound."""
-    ln = _log(n, units)
+    ln = _log_units(n, units)
     if k <= ln:
         return "theta1", "log(n)/n"
     if k <= ln ** 1.5:
@@ -82,14 +78,14 @@ def theta_regime(n: int, k: int, units: str = "bits") -> tuple[str, str]:
 
 
 def _theta_value(n: int, k: int, regime: str, coeff: float, units: str) -> float:
-    ln = _log(n, units)
+    ln = _log_units(n, units)
     if regime == "theta1":
         return coeff * ln / n
     if regime == "theta2":
         return coeff * k / n
     if regime == "theta3":
         return coeff * ln ** 1.5 / n
-    return coeff * _log(k, units) ** 1.5 / n
+    return coeff * _log_units(k, units) ** 1.5 / n
 
 
 def thm2_sum_rate(
@@ -122,14 +118,17 @@ def thm2_sum_rate(
     )
 
 
-def _baseline_stats(capacity: CapacityResult, mac: Mac, q: RateQuery) -> ChannelStats:
-    """Stats at the dispersion-maximizing member of the capacity-achieving set."""
-    best = None
-    for d in capacity.argmax_dists:
-        s = channel_stats(mac, d, units=q.units)
-        if best is None or s.v1 > best.v1:
-            best = s
-    return best
+def _baseline(
+    mac: Mac, q: RateQuery, corrections: dict | None, capacity: CapacityResult
+) -> tuple[ChannelStats, Thm2Result]:
+    """The K=1 rate, with the caller's corrections, at the dispersion-maximizing
+    member of the capacity-achieving set, and that member's stats."""
+    best = max(
+        (channel_stats(mac, d, units=q.units) for d in capacity.argmax_dists),
+        key=lambda s: s.v1,
+    )
+    k1 = RateQuery(q.n, q.eps, 1, q.units)
+    return best, thm2_sum_rate(best, k1, corrections, c_sum=capacity.c_sum)
 
 
 def thm3_sum_rate(
@@ -150,35 +149,24 @@ def thm3_sum_rate(
     if q.k < 2:
         raise ValueError("the type construction needs k >= 2")
     corrections = dict(corrections or {})
-    if capacity is None:
-        capacity = sum_capacity(mac, units=q.units)
+    capacity = _capacity_in(mac, q.units, capacity)
     c_a = float(corrections.get("c_a", mac.x1_size * mac.x2_size + 1))
     c_b = float(corrections.get("c_b", 1.0))
-    budget = _log(q.k, q.units) / q.n - c_a * _log(q.n, q.units) / q.n
+    budget = _log_units(q.k, q.units) / q.n - c_a * _log_units(q.n, q.units) / q.n
     used = {"c_a": c_a, "c_b": c_b, "budget": budget}
-    q_inv = float(ndtri(1.0 - q.eps))
     if budget <= 0.0:
-        stats = _baseline_stats(capacity, mac, q)
-        base = thm2_sum_rate(stats, RateQuery(q.n, q.eps, 1, q.units), c_sum=capacity.c_sum)
-        return Thm3Result(
-            rate=base.rate,
-            budget=budget,
-            delta_value=0.0,
-            budget_exhausted=True,
-            corrections_used=used,
-        )
-    point = delta(mac, budget, units=q.units, capacity=capacity)
-    stats_joint = channel_stats(mac, point.argmax_joint, units=q.units)
-    rate = (
-        capacity.c_sum
-        + point.delta
-        - c_b * math.sqrt(stats_joint.v2 / q.n) * q_inv
-    )
+        rate, delta_value = _baseline(mac, q, corrections, capacity)[1].rate, 0.0
+    else:
+        point = delta(mac, budget, units=q.units, capacity=capacity)
+        stats_joint = channel_stats(mac, point.argmax_joint, units=q.units)
+        q_inv = float(ndtri(1.0 - q.eps))
+        rate = capacity.c_sum + point.delta - c_b * math.sqrt(stats_joint.v2 / q.n) * q_inv
+        delta_value = point.delta
     return Thm3Result(
         rate=rate,
         budget=budget,
-        delta_value=point.delta,
-        budget_exhausted=False,
+        delta_value=delta_value,
+        budget_exhausted=budget <= 0.0,
         corrections_used=used,
     )
 
@@ -190,12 +178,8 @@ def rate_report(
     capacity: CapacityResult | None = None,
 ) -> RateReport:
     """Evaluate both bounds plus the K=1 baseline and record the best."""
-    if capacity is None:
-        capacity = sum_capacity(mac, units=q.units)
-    stats = _baseline_stats(capacity, mac, q)
-    baseline = thm2_sum_rate(
-        stats, RateQuery(q.n, q.eps, 1, q.units), corrections, c_sum=capacity.c_sum
-    )
+    capacity = _capacity_in(mac, q.units, capacity)
+    stats, baseline = _baseline(mac, q, corrections, capacity)
     flags: list[str] = []
     corrections_used: dict = {"baseline": baseline.corrections_used}
     if q.k == 1:
@@ -236,8 +220,7 @@ def cooperation_gain(
     """Best-rate improvement of K-fold facilitation over no facilitation."""
     if q.k == 1:
         return {"gain_bits_per_use": 0.0, "gain_total_bits": 0.0}
-    if capacity is None:
-        capacity = sum_capacity(mac, units=q.units)
+    capacity = _capacity_in(mac, q.units, capacity)
     with_cf = rate_report(mac, q, corrections, capacity)
     without = rate_report(mac, RateQuery(q.n, q.eps, 1, q.units), corrections, capacity)
     gain = with_cf.best_rate - without.best_rate

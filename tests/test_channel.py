@@ -14,8 +14,10 @@ from cfmac.channel import (
     ProductDist,
     adder2,
     channel_stats,
+    dump_dist,
     info_density_tables,
     load_channel,
+    load_dist,
     mutual_information,
     named_channel,
     output_marginal,
@@ -107,6 +109,58 @@ class TestConstruction:
         assert np.allclose(d.p1, [0.5, 0.5])
         assert np.allclose(d.p2, [0.6, 0.4])
         assert np.array_equal(d.joint(), p12)
+
+    def test_caller_arrays_stay_writable_and_stored_arrays_do_not(self):
+        kernel = np.array(adder2().kernel)
+        p, q, p12 = np.array([0.5, 0.5]), np.array([0.3, 0.7]), np.full((2, 2), 0.25)
+        mac, prod, joint = Mac(kernel), ProductDist(p, q), JointDist(p12)
+        kernel[0, 0, 0] = 0.5
+        p[0] = 0.2
+        q[0] = 0.2
+        p12[0, 0] = 0.2
+        assert mac.kernel[0, 0, 0] == 1.0 and prod.p1[0] == 0.5 and prod.p2[0] == 0.3
+        assert joint.p12[0, 0] == 0.25
+        for stored in (mac.kernel, prod.p1, prod.p2, joint.p12):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0.0
+
+
+class TestDistRecords:
+    def test_round_trip(self):
+        for d in (ProductDist([0.3, 0.7], [0.5, 0.5]), JointDist([[0.2, 0.3], [0.1, 0.4]])):
+            back = load_dist(json.loads(json.dumps(dump_dist(d))))
+            assert type(back) is type(d)
+            assert np.array_equal(back.joint(), d.joint())
+
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ([[0.5, 0.5]], "expected an object, got list"),
+            ({"p1": [0.5, 0.5]}, "missing field 'p2'"),
+            ({"q": 1}, "missing field 'p1'"),
+            ({"p1": ["a", 1], "p2": [1.0]}, "malformed distribution spec"),
+        ],
+    )
+    def test_malformed_record_is_named(self, record, match):
+        with pytest.raises(SizeMismatch, match=match):
+            load_dist(record)
+
+    def test_malformed_channel_record_is_named(self):
+        with pytest.raises(SizeMismatch, match="missing field 'kernel'"):
+            load_channel({"x1_size": 1, "x2_size": 1, "y_size": 1})
+        with pytest.raises(SizeMismatch, match="expected an object, got list"):
+            load_channel([1.0])
+
+
+class TestUnits:
+    @pytest.mark.parametrize("units", ["Bits", "bit", "nat", ""])
+    def test_unknown_units_are_rejected(self, units):
+        with pytest.raises(ValueError, match="unknown units"):
+            channel_stats(adder2(), UNIFORM, units=units)
+        with pytest.raises(ValueError, match="unknown units"):
+            sum_capacity(adder2(), units=units)
+        with pytest.raises(ValueError, match="unknown units"):
+            mutual_information(adder2(), UNIFORM, units=units)
 
 
 class TestOutputMarginal:

@@ -54,6 +54,21 @@ class TestStats:
         assert "(1, 0, 0) is nan" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ([[0.5, 0.5], [0.5, 0.5]], "expected an object, got list"),
+            ({"p": [0.5, 0.5]}, "malformed distribution spec: missing field 'p1'"),
+            ({"p12": [[0.5, "x"], [0, 0]]}, "malformed distribution spec"),
+        ],
+    )
+    def test_malformed_dist_file_is_an_input_error(self, tmp_path, capsys, doc, match):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "stats", "--channel", "adder2", "--dist", str(path))
+        assert code == 3 and out == ""
+        assert match in err and err.count("\n") == 1
+
     def test_channel_file_round_trip(self, tmp_path, capsys):
         doc = {
             "x1_size": 2,
@@ -145,6 +160,31 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", "missing.json")
         assert code == 3
         assert "missing.json" in err
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda doc: [doc], "expected an object, got list"),
+            (lambda doc: {**doc, "n": None}, "malformed simulation config"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "k"}, "missing field 'k'"),
+            (lambda doc: {**doc, "dist": {"p1": [0.5, 0.5]}}, "missing field 'p2'"),
+            (
+                lambda doc: {**doc, "k": 0, "thresholds": {"c12": 1, "c1": 1, "c2": 1}},
+                "k must be at least 1, got 0",
+            ),
+        ],
+    )
+    def test_malformed_config_is_an_input_error(self, tmp_path, capsys, edit, match):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(edit(self.CONFIG)))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert match in err and err.count("\n") == 1
+
+    def test_config_directory_is_an_input_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "simulate", "--config", str(tmp_path))
+        assert code == 3
+        assert "config file not found" in err
 
     def test_manifest_records_stream_version(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

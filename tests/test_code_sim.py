@@ -205,6 +205,14 @@ class TestEstimateError:
         b = estimate_error_fixed_code(cb, table, cfg)
         assert a == b
 
+    @pytest.mark.parametrize("sizes", [(20, 4, 4), (20, 1, 1), (21, 2, 2)])
+    def test_fixed_code_rejects_a_config_of_other_sizes(self, sizes):
+        n, m1, m2 = sizes
+        cb = draw_codebooks(adder2(), UNIFORM, n, m1, m2, 2, "iid", seed=3)
+        table = facilitate(cb, adder2(), UNIFORM, "iid")
+        with pytest.raises(SizeMismatch, match=r"\(20, 2, 2\) does not match"):
+            estimate_error_fixed_code(cb, table, self.config(trials=100))
+
 
 class TestFblBound:
     def test_union_terms_equal_three_over_sqrt_n(self):
@@ -239,6 +247,12 @@ class TestFblBound:
         assert rep.fbl_bound >= rep.ci95[0]
 
 
+_CONFIG_DOC = {
+    "channel": "adder2", "dist": {"p1": [0.5, 0.5], "p2": [0.5, 0.5]},
+    "n": 20, "m1_count": 2, "m2_count": 2, "k": 2,
+}
+
+
 class TestConfigSerialization:
     def test_round_trip(self):
         cfg = SimConfig(
@@ -255,6 +269,40 @@ class TestConfigSerialization:
         assert (back.n, back.m1_count, back.m2_count, back.k) == (12, 2, 4, 3)
         assert (back.trials, back.seed, back.mode) == (123, 42, "iid")
         assert estimate_error(back) == estimate_error(cfg)
+
+    def test_joint_dist_round_trip(self):
+        cfg = SimConfig(
+            mac=adder2(), dist=HALF_TYPE, n=8, m1_count=2, m2_count=2, k=4, mode="type",
+            trials=200, seed=3,
+        )
+        back = sim_config_from_dict(sim_config_to_dict(cfg))
+        assert np.array_equal(back.dist.p12, HALF_TYPE.p12)
+        assert estimate_error(back) == estimate_error(cfg)
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ([1, 2], "expected an object, got list"),
+            ({"channel": "adder2"}, "missing field"),
+            ({**_CONFIG_DOC, "n": None}, "malformed simulation config"),
+            ({**_CONFIG_DOC, "thresholds": 5}, "malformed simulation config"),
+            ({**_CONFIG_DOC, "dist": {"p12": "x"}}, "malformed distribution spec"),
+            ({**_CONFIG_DOC, "channel": {"x1_size": 2}}, "malformed channel spec"),
+        ],
+    )
+    def test_malformed_config_is_named(self, doc, match):
+        with pytest.raises(SizeMismatch, match=match):
+            sim_config_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["n", "m1_count", "m2_count", "k"])
+    def test_sizes_below_one_are_rejected(self, field):
+        kw = dict(mac=adder2(), dist=UNIFORM, n=20, m1_count=2, m2_count=2, k=2)
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
+            SimConfig(**{**kw, field: 0})
+
+    def test_unknown_units_are_rejected(self):
+        with pytest.raises(ValueError, match="unknown units 'bit'"):
+            default_thresholds(adder2(), UNIFORM, 20, 2, 2, 2, "iid", units="bit")
 
 
 class _ConstantRng:
@@ -398,7 +446,7 @@ class TestCountKernel:
     @pytest.mark.parametrize("case", sorted(_IID_CASES))
     def test_iid_matches_gather_reference(self, case):
         mac, dist, n = _IID_CASES[case]
-        fac = code_sim._Facilitator.build(mac, dist, n, "iid")
+        fac = code_sim._ensemble(mac, dist, n, "iid")[1]
         i_bar = info_density_tables(mac, dist, units="nats").i_bar
         saw_neg_inf = False
         for seed in range(5):
@@ -413,7 +461,7 @@ class TestCountKernel:
     @pytest.mark.parametrize("case", sorted(_TYPE_CASES))
     def test_type_mode_matches_gather_reference(self, case):
         mac, dist, n = _TYPE_CASES[case]
-        fac = code_sim._Facilitator.build(mac, dist, n, "type")
+        fac = code_sim._ensemble(mac, dist, n, "type")[1]
         target = np.rint(dist.p12 * n).astype(int)
         for seed in range(5):
             f1, f2, y = self.draw(mac, dist, n, "type", seed)
@@ -431,7 +479,7 @@ class TestCountKernel:
         mac, dist, n = _IID_CASES["xor0.11"]
         f1, f2, _ = self.draw(mac, dist, n, "iid", 0)
         _, _, counts = self.kernel_parts(mac, f1, f2)
-        e, _ = code_sim._Facilitator.build(mac, dist, n, "iid").choose(counts)
+        e, _ = code_sim._ensemble(mac, dist, n, "iid")[1].choose(counts)
         assert np.all(e == 0)
 
 

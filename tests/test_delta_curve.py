@@ -123,3 +123,20 @@ class TestPerturbation:
         skew = ProductDist(np.array([0.9, 0.1]), np.array([0.5, 0.5]))
         with pytest.raises(NotCapacityAchieving):
             perturbation_direction(adder2(), skew, 0.01)
+
+
+class TestUnitsAndCapacity:
+    def test_unknown_units_are_rejected(self):
+        with pytest.raises(ValueError, match="unknown units 'Bits'"):
+            delta_small_a(0.25, 1e-4, units="Bits")
+        with pytest.raises(ValueError, match="unknown units"):
+            delta(adder2(), 0.01, units="nat")
+
+    def test_capacity_in_other_units_is_rejected(self):
+        mac = adder2()
+        cap_bits = sum_capacity(mac)
+        with pytest.raises(ValueError, match="capacity is in bits"):
+            delta(mac, 0.01, units="nats", capacity=cap_bits)
+        base = cap_bits.argmax_dists[0]
+        with pytest.raises(ValueError, match="capacity is in bits"):
+            perturbation_direction(mac, base, 0.01, capacity=cap_bits, units="nats")

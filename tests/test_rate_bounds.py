@@ -152,3 +152,39 @@ class TestCooperationGain:
             assert g["gain_total_bits"] == pytest.approx(
                 g["gain_bits_per_use"] * n, rel=1e-12
             )
+
+
+class TestBaselineAndUnits:
+    THETA = {"theta1": 5.0, "theta2": 5.0, "theta3": 5.0, "theta4": 5.0}
+
+    def test_thm3_fallback_keeps_the_corrections(self):
+        # at n = 100, K = 2 the type-construction budget is negative, so thm3
+        # falls back to the K = 1 baseline, which must carry the same theta
+        rep = rate_report(adder2(), RateQuery(100, 0.01, 2), corrections=self.THETA)
+        assert rep.flags == ["thm3_budget_exhausted"]
+        assert rep.thm3_rate == rep.baseline_rate
+        assert rep.best_rate == max(rep.thm2_rate, rep.baseline_rate)
+        t3 = thm3_sum_rate(adder2(), RateQuery(100, 0.01, 2), corrections=self.THETA)
+        assert t3.budget_exhausted and t3.rate == rep.baseline_rate
+
+    def test_unknown_units_are_rejected(self):
+        with pytest.raises(ValueError, match="unknown units 'bitz'"):
+            theta_regime(1000, 8, units="bitz")
+        with pytest.raises(ValueError, match="unknown units"):
+            rate_report(adder2(), RateQuery(1000, 0.01, 2, "Bits"))
+
+    def test_capacity_in_other_units_is_rejected(self):
+        mac = adder2()
+        cap_bits = sum_capacity(mac)
+        q = RateQuery(1000, 0.01, 2, "nats")
+        with pytest.raises(ValueError, match="capacity is in bits"):
+            rate_report(mac, RateQuery(1000, 0.01, 1, "nats"), capacity=cap_bits)
+        with pytest.raises(ValueError, match="capacity is in bits"):
+            rate_report(mac, q, capacity=cap_bits)
+        with pytest.raises(ValueError, match="capacity is in bits"):
+            thm3_sum_rate(mac, q, capacity=cap_bits)
+        with pytest.raises(ValueError, match="capacity is in bits"):
+            cooperation_gain(mac, q, capacity=cap_bits)
+        cap_nats = sum_capacity(mac, units="nats")
+        right = rate_report(mac, RateQuery(1000, 0.01, 1, "nats"), capacity=cap_nats)
+        assert right.best_rate == rate_report(mac, RateQuery(1000, 0.01, 1, "nats")).best_rate
