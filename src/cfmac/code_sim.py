@@ -13,8 +13,13 @@ match and the type check compare or contract the counts N[a1, a2] of a
 codeword pair, and the three decoding metrics contract the counts
 D[a1, y, a2] of (codeword pair, received word).  The counts of every
 (m1, m2, k) at once come exactly from one batched float32 matmul of one-hot
-codewords, (K, M1*A1, n) @ (K, n, M2*A2); the decode counts put the (x1, y)
-one-hot on the left.  Table entries that are not finite (-inf at kernel
+codewords, (K, M1*A1, n) @ (K, n, M2*A2), which the facilitator needs.  The
+decode counts are needed at the facilitated k = e(m1, m2) only.  Where
+M1*M2 < K*(M1 + M2), as always in the bound (M1 = M2 = 1), the (x1, y, x2)
+symbols of the M1*M2 facilitated words are counted directly; otherwise one
+GEMM with the (x1, y) one-hot on the left counts all K codewords and the
+counts at e are picked out.  Both give the same exact integers, and the rule
+reads only the shape.  Table entries that are not finite (-inf at kernel
 zeros) are counted by separate indicator columns, so 0 * inf never arises.
 With a fixed code the per-pair tables are built once and the metrics of a
 batch of received words are one GEMM of their one-hot form (the tables hold
@@ -316,10 +321,34 @@ def _decode_counts(l1, r2, y1h, e):
 def _word_counts(x1, x2, y, a1, a2, ny):
     """Counts (..., A1*Y*A2) of (x1, y, x2) in given words x1, x2, y (..., n)."""
     cells = a1 * ny * a2
-    code = (x1.astype(np.intp) * ny + y) * a2 + x2
+    code = np.empty(np.broadcast_shapes(x1.shape, np.shape(y), x2.shape), dtype=np.intp)
+    code[...] = x1  # one cell index per symbol, built in place: (x1 * Y + y) * A2 + x2
+    code *= ny
+    code += y
+    code *= a2
+    code += x2
     rows = code.size // code.shape[-1]
-    flat = code.reshape(rows, -1) + cells * np.arange(rows)[:, None]
-    return np.bincount(flat.ravel(), minlength=rows * cells).reshape(code.shape[:-1] + (cells,))
+    flat = code.reshape(rows, -1)
+    flat += cells * np.arange(rows)[:, None]  # a disjoint range of cells per row
+    return np.bincount(code.ravel(), minlength=rows * cells).reshape(code.shape[:-1] + (cells,))
+
+
+def _facilitated_counts(f1, f2, y, e, a1, a2, ny):
+    """Counts D (B, M1, M2, A1*Y*A2) of (x1, y, x2) in the words f1[b, e, m1], f2[b, e, m2]."""
+    bb = np.arange(len(e))[:, None, None]
+    x1 = f1[bb, e, np.arange(e.shape[1])[:, None]]  # (B, M1, M2, n)
+    x2 = f2[bb, e, np.arange(e.shape[2])]
+    return _word_counts(x1, x2, y[:, None, None], a1, a2, ny)
+
+
+def _counts_directly(m1, m2, k) -> bool:
+    """Count the facilitated words' symbols directly rather than by the all-K GEMM.
+
+    The direct count touches M1*M2 words per trial, the GEMM's one-hot
+    operands K*(M1 + M2); the shape alone decides, so the counts (exact
+    integers either way) never depend on the data.
+    """
+    return m1 * m2 < k * (m1 + m2)
 
 
 @dataclass(frozen=True)
@@ -446,7 +475,10 @@ def _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec):
     y = _channel(rng, dec.output_cdf, f1[bb, k_sent, msg1], f2[bb, k_sent, msg2])
 
     in_type = dec.in_type(np.take_along_axis(counts, e[..., None, None], axis=3)[:, :, :, 0])
-    z = _decode_counts(l1, r2, _onehot(y, mac.y_size), e)
+    if _counts_directly(m1c, m2c, k):
+        z = _facilitated_counts(f1, f2, y, e, mac.x1_size, mac.x2_size, mac.y_size)
+    else:
+        z = _decode_counts(l1, r2, _onehot(y, mac.y_size), e)
     return dec.passes(z.astype(np.float64) @ dec.weights), in_type, msg1, msg2, unmatched
 
 

@@ -397,17 +397,18 @@ class TestCountKernel:
 
     B, M1, M2, K = 6, 3, 2, 4
 
-    def draw(self, mac, dist, n, mode, seed):
+    def draw(self, mac, dist, n, mode, seed, shape=(M1, M2, K)):
         rng = np.random.default_rng(seed)
+        m1, m2, k = shape
         if mode == "iid":
-            f1 = rng.choice(mac.x1_size, size=(self.B, self.M1, self.K, n), p=dist.p1)
-            f2 = rng.choice(mac.x2_size, size=(self.B, self.M2, self.K, n), p=dist.p2)
+            f1 = rng.choice(mac.x1_size, size=(self.B, m1, k, n), p=dist.p1)
+            f2 = rng.choice(mac.x2_size, size=(self.B, m2, k, n), p=dist.p2)
         else:
             counts = np.rint(dist.p12 * n).astype(int)
             base1 = np.repeat(np.arange(mac.x1_size), counts.sum(axis=1))
             base2 = np.repeat(np.arange(mac.x2_size), counts.sum(axis=0))
-            f1 = rng.permuted(np.broadcast_to(base1, (self.B, self.M1, self.K, n)), axis=-1)
-            f2 = rng.permuted(np.broadcast_to(base2, (self.B, self.M2, self.K, n)), axis=-1)
+            f1 = rng.permuted(np.broadcast_to(base1, (self.B, m1, k, n)), axis=-1)
+            f2 = rng.permuted(np.broadcast_to(base2, (self.B, m2, k, n)), axis=-1)
         y = rng.integers(0, mac.y_size, size=(self.B, n))
         return f1.astype(np.uint8), f2.astype(np.uint8), y.astype(np.uint8)
 
@@ -474,6 +475,30 @@ class TestCountKernel:
             assert np.array_equal(chosen, ~unmatched)
             self.check_decode(mac, dist, n, "type", f1, f2, y, e, l1, r2, counts)
 
+    # (M1, M2, K): the first three count the facilitated words directly
+    # (M1 * M2 < K * (M1 + M2)), the others take the all-K decode-count GEMM
+    @pytest.mark.parametrize(
+        "shape", [(3, 2, 4), (5, 3, 2), (1, 1, 1), (4, 4, 1), (4, 4, 2), (16, 16, 4)]
+    )
+    @pytest.mark.parametrize("mode, case", [(m, c) for m in ("iid", "type") for c in sorted(_IID_CASES)])
+    def test_direct_count_equals_decode_counts(self, mode, case, shape):
+        mac, dist, n = (_IID_CASES if mode == "iid" else _TYPE_CASES)[case]
+        m1, m2, k = shape
+        assert code_sim._counts_directly(m1, m2, k) == (shape in [(3, 2, 4), (5, 3, 2), (1, 1, 1)])
+        fac = code_sim._ensemble(mac, dist, n, mode)[1]
+        sizes = (mac.x1_size, mac.x2_size, mac.y_size)
+        for seed in range(3):
+            f1, f2, y = self.draw(mac, dist, n, mode, seed, shape)
+            l1, r2, counts = self.kernel_parts(mac, f1, f2)
+            u = np.random.default_rng(seed).random((self.B, m1, m2))
+            e, _ = fac.choose(counts, u)
+            want = code_sim._decode_counts(l1, r2, code_sim._onehot(y, mac.y_size), e)
+            got = code_sim._facilitated_counts(
+                f1.transpose(0, 2, 1, 3), f2.transpose(0, 2, 1, 3), y, e, *sizes
+            )
+            assert got.shape == want.shape == (self.B, m1, m2, np.prod(sizes))
+            assert np.array_equal(got, want)
+
     def test_xor_scores_all_tie_so_first_codeword_wins(self):
         # xor:0.11 under uniform inputs has four bitwise-equal i_bar entries
         mac, dist, n = _IID_CASES["xor0.11"]
@@ -500,6 +525,27 @@ def test_memory_stays_bounded_at_m64_n1000():
     finally:
         tracemalloc.stop()
     assert rep.trials == 6 and sum(rep.decomposition.values()) == rep.errors
+    assert peak_mb < bound_mb, peak_mb
+
+
+def test_memory_stays_bounded_where_facilitated_words_are_counted_directly():
+    # M1 * M2 = 49 < K * (M1 + M2) = 56: the largest M1 = M2 at K = 4 that
+    # counts the facilitated words directly; 40 trials fill one block and start
+    # a second
+    bound_mb = code_sim._BLOCK_BYTES / 2**20
+    cfg = SimConfig(
+        mac=adder2(), dist=UNIFORM, n=1000, m1_count=7, m2_count=7, k=4,
+        mode="iid", trials=40, seed=3,
+    )
+    assert code_sim._counts_directly(7, 7, 4) and not code_sim._counts_directly(8, 8, 4)
+    assert code_sim._BLOCK_BYTES // code_sim._trial_bytes(cfg.mac, 1000, 7, 7, 4) < cfg.trials
+    tracemalloc.start()
+    try:
+        rep = estimate_error(cfg)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == 40 and sum(rep.decomposition.values()) == rep.errors
     assert peak_mb < bound_mb, peak_mb
 
 
