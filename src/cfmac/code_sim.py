@@ -33,9 +33,12 @@ so exactly tied scores give the smallest k whatever the summation order or
 the BLAS build.
 
 Randomness.  Trials are processed in blocks, each drawing from its own
-counter-keyed Philox stream keyed by (seed, stream family, block index);
-the families (ensemble trials, bound samples, codebook draws, facilitator
-picks, fixed-code trials) never share a key.  The block size is a pure
+PCG64DXSM stream, seeded by ``SeedSequence(seed, spawn_key=(family, block))``
+for the seed, the stream family and the block index.  The seed's 32-bit
+words are zero-padded to four before the spawn key is appended, so distinct
+(seed, family, block) never give the same entropy, and the families
+(ensemble trials, bound samples, codebook draws, facilitator picks,
+fixed-code trials) never share a stream.  Uniforms keep 53 bits.  The block size is a pure
 function of the configuration's per-trial footprint and the byte budget
 ``_BLOCK_BYTES``, so results are bit-for-bit reproducible for a given
 (config, seed), independent of scheduling, and memory stays bounded.
@@ -66,7 +69,7 @@ from .channel import (
 )
 from .errors import DegenerateThresholds, ModeMismatch, NotAnNType, SizeMismatch
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 _BLOCK_BYTES = 64 * 2**20  # per-block working-set budget; sets the trials per block
 # Facilitator scores within this many ulps of n * max|i_bar|, per joint cell
@@ -75,7 +78,7 @@ _BLOCK_BYTES = 64 * 2**20  # per-block working-set budget; sets the trials per b
 # scores under two, whatever the summation order: the factor 16 leaves margin.
 _TIE_ULPS_PER_CELL = 16
 
-# Philox key domains, one per stream family: key = seed * 2^64 + domain * 2^56 + block
+# stream families, the first entry of each block stream's spawn key
 _ENSEMBLE, _BOUND, _CODEBOOK, _FACILITATOR, _FIXED_CODE = range(1, 6)
 
 IID = "iid"
@@ -208,19 +211,21 @@ def _type_counts(dist: JointDist, n: int) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def _stream(seed: int, domain: int, block: int) -> np.random.Generator:
+def _stream(seed: int, family: int, block: int) -> np.random.Generator:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    return np.random.Generator(
-        np.random.Philox(key=(int(seed) << 64) + (domain << 56) + block)
-    )
+    # SeedSequence([seed, family, block]) would not do: a seed below 2**32 is
+    # one word and its entropy is zero-padded, so (s, f, b) and
+    # (f * 2**32 + s, b, 0) would share a stream
+    entropy = np.random.SeedSequence(int(seed), spawn_key=(family, block))
+    return np.random.Generator(np.random.PCG64DXSM(entropy))
 
 
-def _blocks(seed: int, domain: int, total: int, trial_bytes: int):
+def _blocks(seed: int, family: int, total: int, trial_bytes: int):
     """(stream, size) per block; blocks hold as many trials as the budget allows."""
     size = max(1, _BLOCK_BYTES // trial_bytes)
     for block, start in enumerate(range(0, total, size)):
-        yield _stream(seed, domain, block), min(size, total - start)
+        yield _stream(seed, family, block), min(size, total - start)
 
 
 def _clopper_pearson(errors: int, trials: int, conf: float = 0.95) -> tuple[float, float]:
@@ -501,7 +506,7 @@ def _tally_block(tally, passes, in_type, msg1, msg2) -> int:
     return int(err.sum())
 
 
-def _run_trials(config: SimConfig, domain: int, trial_bytes: int, block) -> SimReport:
+def _run_trials(config: SimConfig, family: int, trial_bytes: int, block) -> SimReport:
     """The trial loop of both error estimates.
 
     ``block(rng, b)`` runs b trials on the stream ``rng`` and returns their
@@ -511,7 +516,7 @@ def _run_trials(config: SimConfig, domain: int, trial_bytes: int, block) -> SimR
         raise ValueError("trials must be at least 1")
     errors = 0
     tally = {"threshold_miss": 0, "impostor_pass": 0, "ambiguity": 0, "type_miss": 0}
-    for rng, b in _blocks(config.seed, domain, config.trials, trial_bytes):
+    for rng, b in _blocks(config.seed, family, config.trials, trial_bytes):
         errors += _tally_block(tally, *block(rng, b))
     return SimReport(
         trials=config.trials,

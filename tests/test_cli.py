@@ -193,7 +193,7 @@ class TestSimulate:
         code, _, _ = run(capsys, "--out", str(out), "simulate", "--config", str(cfg))
         assert code == 0
         manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
-        assert manifest["stream_version"] == 2
+        assert manifest["stream_version"] == 3
 
     def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

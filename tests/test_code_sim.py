@@ -343,13 +343,21 @@ class TestStreams:
     )
 
     def test_families_seeds_and_blocks_get_disjoint_keys(self):
-        keys = set()
+        firsts = set()
         for seed in (0, 1, 2, 2**64 - 1):
             for family in self.FAMILIES:
                 for block in range(4):
                     rng = code_sim._stream(seed, family, block)
-                    keys.add(tuple(rng.bit_generator.state["state"]["key"]))
-        assert len(keys) == 4 * len(self.FAMILIES) * 4
+                    firsts.add(tuple(rng.bit_generator.random_raw(2).tolist()))
+        assert len(firsts) == 4 * len(self.FAMILIES) * 4
+
+    def test_a_seed_of_two_words_does_not_alias_a_family_and_block(self):
+        # seeded with SeedSequence([seed, family, block]), the one-word seed 7's
+        # (ensemble, block 2) and the two-word seed 2**32 + 7's (bound, block 0)
+        # would both hash the words [7, 1, 2, 0]
+        a = code_sim._stream(7, code_sim._ENSEMBLE, 2).bit_generator.random_raw(2)
+        b = code_sim._stream(2**32 + 7, code_sim._BOUND, 0).bit_generator.random_raw(2)
+        assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_range_is_named(self, seed):
@@ -365,7 +373,7 @@ class TestStreams:
             draw_codebooks(adder2(), UNIFORM, 4, 2, 2, 2, "iid", seed=seed)
 
     def test_stream_version(self):
-        assert code_sim.STREAM_VERSION == 2
+        assert code_sim.STREAM_VERSION == 3
 
 
 def _kernel_3x2x4():
@@ -560,15 +568,16 @@ def _noisy_adder():
 
 
 class TestStreamGolden:
-    """Exact results of stream version 2 for fixed (config, seed).
+    """Exact results of stream version 3 for fixed (config, seed).
 
-    Anything that moves the random streams (key domains, draw order, the
-    samplers, or the trials per block set by ``_trial_bytes`` and
+    Anything that moves the random streams (the generator or its keys, draw
+    order, the samplers, or the trials per block set by ``_trial_bytes`` and
     ``_BLOCK_BYTES``) changes these figures.  Such a change must bump
-    ``STREAM_VERSION`` and record the new figures here under the new version.
+    ``STREAM_VERSION`` and record the new figures here under the new version;
+    ``PYTHONPATH=src python tests/stream_golden.py`` prints them.
     """
 
-    VERSION = 2
+    VERSION = 3
     # name: (config, trials per (ensemble, bound) block, errors,
     #        (threshold_miss, impostor_pass, ambiguity, type_miss),
     #        (bound samples, threshold fails, type-mode unmatched))
@@ -576,17 +585,17 @@ class TestStreamGolden:
         "xor-iid-blocks": (
             dict(mac=xor_channel(0.11), dist=UNIFORM, n=60, m1_count=16, m2_count=16, k=4,
                  trials=600, seed=11),
-            (197, 5336), 14, (13, 0, 1, 0), (20_000, 247, 0),
+            (197, 5336), 6, (6, 0, 0, 0), (20_000, 247, 0),
         ),
         "noisy-adder-iid": (
             dict(mac=_noisy_adder(), dist=ProductDist(np.array([0.6, 0.4]), UNIFORM.p2), n=16,
                  m1_count=3, m2_count=2, k=3, trials=3000, seed=5),
-            (5801, 19418), 87, (68, 0, 19, 0), (20_000, 436, 0),
+            (5801, 19418), 88, (70, 1, 17, 0), (20_000, 436, 0),
         ),
         "noisy-adder-type": (
             dict(mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=4, m2_count=4, k=16,
                  mode="type", trials=1000, seed=1),
-            (330, 1618), 509, (500, 0, 0, 9), (5000, 2481, 57),
+            (330, 1618), 505, (492, 0, 0, 13), (5000, 2512, 55),
         ),
     }
 
@@ -626,14 +635,14 @@ class TestStreamGolden:
         kw = self.CASES["noisy-adder-iid"][0]
         cfg = SimConfig(**kw)
         cb = draw_codebooks(cfg.mac, cfg.dist, cfg.n, 3, 2, 3, "iid", seed=9)
-        assert "".join(map(str, cb.f1[0, 0])) == "1111101010000100"
-        assert "".join(map(str, cb.f2[1, 2])) == "0000011000001000"
+        assert "".join(map(str, cb.f1[0, 0])) == "0100000000011100"
+        assert "".join(map(str, cb.f2[1, 2])) == "0101110110011110"
         table = facilitate(cb, cfg.mac, cfg.dist, "iid")
-        assert table.e.tolist() == [[0, 2], [1, 1], [2, 1]]
+        assert table.e.tolist() == [[2, 0], [1, 1], [0, 2]]
         rep = estimate_error_fixed_code(cb, table, replace(cfg, trials=2000))
-        assert (rep.errors, rep.decomposition["threshold_miss"]) == (46, 45)
+        assert (rep.errors, rep.decomposition["threshold_miss"]) == (47, 41)
         kw = self.CASES["noisy-adder-type"][0]
         cb = draw_codebooks(kw["mac"], kw["dist"], kw["n"], 2, 2, 8, "type", seed=9)
         table = facilitate(cb, kw["mac"], kw["dist"], "type", seed=4)
-        assert table.e.tolist() == [[6, 0], [1, 3]]
-        assert table.unmatched.tolist() == [[True, False], [False, True]]
+        assert table.e.tolist() == [[4, 5], [0, 5]]
+        assert table.unmatched.tolist() == [[False, False], [False, False]]
