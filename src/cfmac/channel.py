@@ -6,6 +6,7 @@ All internal computation is in nats; public containers carry a units flag
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -207,13 +208,40 @@ def _parsing(what: str, spec):
         raise SizeMismatch(f"malformed {what}: {exc}") from exc
 
 
+def _field(spec: dict, name: str, convert, *default):
+    """``convert(spec[name])``, or ``default`` when the field is absent.
+
+    Meant for use under ``_parsing``: an absent field without a default
+    raises KeyError, and a value ``convert`` rejects a ValueError naming the field.
+    """
+    if default and name not in spec:
+        return default[0]
+    value = spec[name]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from exc
+
+
+def _integer(value) -> int:
+    """An integral number as an int; booleans and fractional values are errors."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def load_channel(spec: dict) -> Mac:
     """Build and validate a Mac from a parsed channel description record."""
     with _parsing("channel spec", spec):
-        x1_size = int(spec["x1_size"])
-        x2_size = int(spec["x2_size"])
-        y_size = int(spec["y_size"])
-        kernel = np.asarray(spec["kernel"], dtype=float)
+        x1_size = _field(spec, "x1_size", _integer)
+        x2_size = _field(spec, "x2_size", _integer)
+        y_size = _field(spec, "y_size", _integer)
+        kernel = _field(spec, "kernel", _floats)
     if min(x1_size, x2_size, y_size) < 1:
         raise SizeMismatch("alphabet sizes must be at least 1")
     if kernel.shape != (x1_size, x2_size, y_size):
@@ -228,8 +256,8 @@ def load_dist(spec: dict) -> InputDist:
     """Build and validate an input law from a parsed {"p12"} or {"p1", "p2"} record."""
     with _parsing("distribution spec", spec):
         if "p12" in spec:
-            return JointDist(np.asarray(spec["p12"], dtype=float))
-        return ProductDist(np.asarray(spec["p1"], dtype=float), np.asarray(spec["p2"], dtype=float))
+            return JointDist(_field(spec, "p12", _floats))
+        return ProductDist(_field(spec, "p1", _floats), _field(spec, "p2", _floats))
 
 
 def dump_dist(d: InputDist) -> dict:

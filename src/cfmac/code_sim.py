@@ -60,6 +60,9 @@ from .channel import (
     Mac,
     _log_base,
     _log_units,
+    _field,
+    _floats,
+    _integer,
     _parsing,
     dump_dist,
     info_density_tables,
@@ -753,32 +756,37 @@ def sim_config_to_dict(config: SimConfig) -> dict:
     return out
 
 
+def _thresholds_record(td, units: str) -> DecoderThresholds:
+    if not isinstance(td, dict):
+        raise TypeError(f"expected an object, got {type(td).__name__}")
+    tc = td.get("type_constraint")
+    return DecoderThresholds(
+        c12=_field(td, "c12", float),
+        c1=_field(td, "c1", float),
+        c2=_field(td, "c2", float),
+        type_constraint=None if tc is None else _field(td, "type_constraint", _floats),
+        units=units,
+    )
+
+
+def _channel_record(chan) -> Mac:
+    return named_channel(chan) if isinstance(chan, str) else load_channel(chan)
+
+
 def sim_config_from_dict(doc: dict) -> SimConfig:
     with _parsing("simulation config", doc):
-        chan = doc["channel"]
-        mac = named_channel(chan) if isinstance(chan, str) else load_channel(chan)
+        mac = _field(doc, "channel", _channel_record)
         units = doc.get("units", "bits")
-        thresholds = None
-        if "thresholds" in doc:
-            td = doc["thresholds"]
-            tc = td["type_constraint"] if "type_constraint" in td else None
-            thresholds = DecoderThresholds(
-                c12=float(td["c12"]),
-                c1=float(td["c1"]),
-                c2=float(td["c2"]),
-                type_constraint=None if tc is None else np.asarray(tc, dtype=float),
-                units=units,
-            )
         return SimConfig(
             mac=mac,
             dist=load_dist(doc["dist"]),
-            n=int(doc["n"]),
-            m1_count=int(doc["m1_count"]),
-            m2_count=int(doc["m2_count"]),
-            k=int(doc["k"]),
+            n=_field(doc, "n", _integer),
+            m1_count=_field(doc, "m1_count", _integer),
+            m2_count=_field(doc, "m2_count", _integer),
+            k=_field(doc, "k", _integer),
             mode=doc.get("mode", IID),
-            thresholds=thresholds,
-            trials=int(doc.get("trials", 10_000)),
-            seed=int(doc.get("seed", 0)),
+            thresholds=_field(doc, "thresholds", partial(_thresholds_record, units=units), None),
+            trials=_field(doc, "trials", _integer, 10_000),
+            seed=_field(doc, "seed", _integer, 0),
             units=units,
         )

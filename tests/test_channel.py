@@ -145,6 +145,26 @@ class TestDistRecords:
         with pytest.raises(SizeMismatch, match=match):
             load_dist(record)
 
+    @pytest.mark.parametrize("field", ["p1", "p2"])
+    def test_mistyped_dist_field_is_named(self, field):
+        record = {"p1": [0.5, 0.5], "p2": [0.5, 0.5], field: ["a", 1]}
+        with pytest.raises(SizeMismatch, match=f"distribution spec: field '{field}': could not"):
+            load_dist(record)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("x1_size", None, "expected an integer, got None"),
+            ("y_size", 2.5, "expected an integer, got 2.5"),
+            ("x2_size", True, "expected an integer, got True"),
+            ("kernel", "x", "could not convert"),
+        ],
+    )
+    def test_mistyped_channel_field_is_named(self, field, value, match):
+        record = {"x1_size": 2, "x2_size": 2, "y_size": 3, "kernel": adder2().kernel.tolist()}
+        with pytest.raises(SizeMismatch, match=f"channel spec: field '{field}': {match}"):
+            load_channel({**record, field: value})
+
     def test_malformed_channel_record_is_named(self):
         with pytest.raises(SizeMismatch, match="missing field 'kernel'"):
             load_channel({"x1_size": 1, "x2_size": 1, "y_size": 1})

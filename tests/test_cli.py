@@ -181,6 +181,17 @@ class TestSimulate:
         assert code == 3 and out == ""
         assert match in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "field, value", [("n", 20.7), ("n", True), ("trials", 1.5), ("k", None), ("seed", "5")]
+    )
+    def test_non_integer_size_is_an_input_error(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CONFIG, field: value}))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert f"field '{field}': expected an integer, got {value!r}" in err
+        assert err.count("\n") == 1
+
     def test_config_directory_is_an_input_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--config", str(tmp_path))
         assert code == 3

@@ -294,6 +294,32 @@ class TestConfigSerialization:
         with pytest.raises(SizeMismatch, match=match):
             sim_config_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [20.7, 1.5, True, False, "20", None, float("inf")])
+    @pytest.mark.parametrize("field", ["n", "m1_count", "m2_count", "k", "trials", "seed"])
+    def test_integer_fields_reject_other_values(self, field, value):
+        with pytest.raises(SizeMismatch, match=f"field '{field}': expected an integer, got {value!r}"):
+            sim_config_from_dict({**_CONFIG_DOC, field: value})
+
+    def test_integral_floats_are_integers(self):
+        cfg = sim_config_from_dict({**_CONFIG_DOC, "n": 20.0, "trials": 1e3, "seed": 7.0})
+        assert (cfg.n, cfg.trials, cfg.seed) == (20, 1000, 7)
+        assert all(type(v) is int for v in (cfg.n, cfg.trials, cfg.seed))
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ({**_CONFIG_DOC, "thresholds": {"c12": None, "c1": 1, "c2": 1}}, "field 'c12'"),
+            ({**_CONFIG_DOC, "thresholds": 5}, "field 'thresholds': expected an object, got int"),
+            ({**_CONFIG_DOC, "channel": "xor:a"}, "field 'channel'"),
+            ({**_CONFIG_DOC, "dist": {"p12": "x"}}, "field 'p12'"),
+            ({**_CONFIG_DOC, "channel": {"x1_size": 2, "x2_size": 2, "y_size": 3, "kernel": "x"}},
+             "field 'kernel'"),
+        ],
+    )
+    def test_mistyped_field_is_named(self, doc, match):
+        with pytest.raises(SizeMismatch, match=match):
+            sim_config_from_dict(doc)
+
     @pytest.mark.parametrize("field", ["n", "m1_count", "m2_count", "k"])
     def test_sizes_below_one_are_rejected(self, field):
         kw = dict(mac=adder2(), dist=UNIFORM, n=20, m1_count=2, m2_count=2, k=2)
