@@ -38,10 +38,10 @@ for the seed, the stream family and the block index.  The seed's 32-bit
 words are zero-padded to four before the spawn key is appended, so distinct
 (seed, family, block) never give the same entropy, and the families
 (ensemble trials, bound samples, codebook draws, facilitator picks,
-fixed-code trials) never share a stream.  Uniforms keep 53 bits.  The block size is a pure
-function of the configuration's per-trial footprint and the byte budget
-``_BLOCK_BYTES``, so results are bit-for-bit reproducible for a given
-(config, seed), independent of scheduling, and memory stays bounded.
+fixed-code trials) never share a stream.  Uniforms keep 53 bits.  The block
+size is a pure function of the configuration's per-trial footprint and the
+byte budget ``_BLOCK_BYTES``, so results are bit-for-bit reproducible for a
+given (config, seed), independent of scheduling, and memory stays bounded.
 ``STREAM_VERSION`` names the stream layout; it changes whenever a fixed
 (config, seed) deliberately yields a different report.
 """
@@ -58,11 +58,11 @@ from .channel import (
     InputDist,
     JointDist,
     Mac,
-    _log_base,
-    _log_units,
     _field,
     _floats,
     _integer,
+    _log_base,
+    _log_units,
     _parsing,
     dump_dist,
     info_density_tables,
