@@ -139,16 +139,12 @@ class TestDistRecords:
             ({"p1": [0.5, 0.5]}, "missing field 'p2'"),
             ({"q": 1}, "missing field 'p1'"),
             ({"p1": ["a", 1], "p2": [1.0]}, "malformed distribution spec"),
+            ({"p1": [0.5, 0.5], "p2": ["a", 1]}, "distribution spec: field 'p2': could not"),
+            ({"p12": [[0.5], None]}, "distribution spec: field 'p12'"),
         ],
     )
     def test_malformed_record_is_named(self, record, match):
         with pytest.raises(SizeMismatch, match=match):
-            load_dist(record)
-
-    @pytest.mark.parametrize("field", ["p1", "p2"])
-    def test_mistyped_dist_field_is_named(self, field):
-        record = {"p1": [0.5, 0.5], "p2": [0.5, 0.5], field: ["a", 1]}
-        with pytest.raises(SizeMismatch, match=f"distribution spec: field '{field}': could not"):
             load_dist(record)
 
     @pytest.mark.parametrize(

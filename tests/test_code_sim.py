@@ -288,6 +288,15 @@ class TestConfigSerialization:
             ({**_CONFIG_DOC, "thresholds": 5}, "malformed simulation config"),
             ({**_CONFIG_DOC, "dist": {"p12": "x"}}, "malformed distribution spec"),
             ({**_CONFIG_DOC, "channel": {"x1_size": 2}}, "malformed channel spec"),
+            ({**_CONFIG_DOC, "n": None}, "config: field 'n': expected an integer, got None"),
+            ({**_CONFIG_DOC, "thresholds": 5}, "field 'thresholds': expected an object, got int"),
+            ({**_CONFIG_DOC, "thresholds": {"c12": None, "c1": 1, "c2": 1}}, "field 'c12'"),
+            ({**_CONFIG_DOC, "channel": "xor:a"}, "config: field 'channel'"),
+            ({**_CONFIG_DOC, "dist": {"p12": "x"}}, "distribution spec: field 'p12'"),
+            (
+                {**_CONFIG_DOC, "channel": {"x1_size": 2, "x2_size": 2, "y_size": 3, "kernel": "x"}},
+                "channel spec: field 'kernel'",
+            ),
         ],
     )
     def test_malformed_config_is_named(self, doc, match):
@@ -304,21 +313,6 @@ class TestConfigSerialization:
         cfg = sim_config_from_dict({**_CONFIG_DOC, "n": 20.0, "trials": 1e3, "seed": 7.0})
         assert (cfg.n, cfg.trials, cfg.seed) == (20, 1000, 7)
         assert all(type(v) is int for v in (cfg.n, cfg.trials, cfg.seed))
-
-    @pytest.mark.parametrize(
-        "doc, match",
-        [
-            ({**_CONFIG_DOC, "thresholds": {"c12": None, "c1": 1, "c2": 1}}, "field 'c12'"),
-            ({**_CONFIG_DOC, "thresholds": 5}, "field 'thresholds': expected an object, got int"),
-            ({**_CONFIG_DOC, "channel": "xor:a"}, "field 'channel'"),
-            ({**_CONFIG_DOC, "dist": {"p12": "x"}}, "field 'p12'"),
-            ({**_CONFIG_DOC, "channel": {"x1_size": 2, "x2_size": 2, "y_size": 3, "kernel": "x"}},
-             "field 'kernel'"),
-        ],
-    )
-    def test_mistyped_field_is_named(self, doc, match):
-        with pytest.raises(SizeMismatch, match=match):
-            sim_config_from_dict(doc)
 
     @pytest.mark.parametrize("field", ["n", "m1_count", "m2_count", "k"])
     def test_sizes_below_one_are_rejected(self, field):
@@ -512,7 +506,8 @@ class TestCountKernel:
     # (M1, M2, K): the first three count the facilitated words directly
     # (M1 * M2 < K * (M1 + M2)), the others take the all-K decode-count GEMM
     @pytest.mark.parametrize(
-        "shape", [(3, 2, 4), (5, 3, 2), (1, 1, 1), (4, 4, 1), (4, 4, 2), (16, 16, 4)]
+        "shape", [(3, 2, 4), (5, 3, 2), (1, 1, 1), (4, 4, 1), (4, 4, 2), (16, 16, 4)],
+        ids=lambda shape: "m{}-m{}-k{}".format(*shape),
     )
     @pytest.mark.parametrize("mode, case", [(m, c) for m in ("iid", "type") for c in sorted(_IID_CASES)])
     def test_direct_count_equals_decode_counts(self, mode, case, shape):
