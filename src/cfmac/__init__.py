@@ -65,7 +65,6 @@ from .errors import (
     RowNotStochastic,
     SizeMismatch,
     TargetOutOfRange,
-    UnreachableDensity,
 )
 from .gauss_max import (
     Lemma1Bounds,

@@ -14,16 +14,17 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import rel_entr, xlogy
 
-from .errors import (
-    NegativeEntry,
-    RowNotStochastic,
-    SizeMismatch,
-    UnreachableDensity,
-)
+from .errors import NegativeEntry, RowNotStochastic, SizeMismatch
 
 LN2 = float(np.log(2.0))
 
 _ROW_TOL = 1e-9
+# sum_capacity: starts within _CAPACITY_TOL (in the call's units) of the best
+# value are kept; each ascent stops once a step gains less than _BA_TOL nats,
+# or after _BA_MAX_ITER steps
+_CAPACITY_TOL = 1e-7
+_BA_TOL = 1e-12
+_BA_MAX_ITER = 5000
 
 
 # Units: every conversion goes through these helpers, which reject unknown names.
@@ -159,8 +160,9 @@ class InfoDensityTable:
     ``i_joint[x1, x2, y]`` compares the kernel to the output marginal,
     ``i_1``/``i_2`` condition on the other user's symbol, and ``i_bar[x1, x2]``
     is the per-pair expected density (a divergence).  Entries at kernel zeros
-    are -inf; entries flagged in ``undefined`` have zero probability under the
-    design distribution and must never be evaluated.
+    are -inf in all three tables.  An entry with a positive kernel but a zero
+    reference marginal (its input pair has probability zero, or the marginal
+    underflows) is +inf and adds nothing to ``i_bar``.
     """
 
     i_joint: np.ndarray
@@ -168,7 +170,6 @@ class InfoDensityTable:
     i_2: np.ndarray
     i_bar: np.ndarray
     p_y: np.ndarray
-    undefined: np.ndarray
     units: str = "bits"
 
 
@@ -329,43 +330,26 @@ def info_density_tables(mac: Mac, d: InputDist, units: str = "bits") -> InfoDens
     w = mac.kernel
     p12 = _joint(mac, d)
     p_y = np.einsum("ij,ijy->y", p12, w)
-    p1 = p12.sum(axis=1)
-    p2 = p12.sum(axis=0)
+    p1 = p12.sum(axis=1, keepdims=True)
+    p2 = p12.sum(axis=0, keepdims=True)
+    positive = w > 0
 
-    reachable_pair = p12 > 0
-    if np.any(reachable_pair[:, :, None] & (w > 0) & (p_y <= 0.0)[None, None, :]):
-        raise UnreachableDensity("positive-probability output has zero marginal")
-
-    # Conditional output marginals p_{Y|X1}, p_{Y|X2} under the joint input law.
+    # Conditional output marginals p_{Y|X1}, p_{Y|X2} under the joint input
+    # law, and every log with log 0 = -inf; a kernel zero's density is -inf
+    # whatever its reference marginal.
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond_2_given_1 = np.where(p1[:, None] > 0, p12 / np.where(p1[:, None] > 0, p1[:, None], 1.0), 0.0)
-        cond_1_given_2 = np.where(p2[None, :] > 0, p12 / np.where(p2[None, :] > 0, p2[None, :], 1.0), 0.0)
-    p_y_given_x1 = np.einsum("ij,ijy->iy", cond_2_given_1, w)
-    p_y_given_x2 = np.einsum("ij,ijy->jy", cond_1_given_2, w)
+        cond_2_given_1 = np.divide(p12, p1, out=np.zeros_like(p12), where=p1 > 0)
+        cond_1_given_2 = np.divide(p12, p2, out=np.zeros_like(p12), where=p2 > 0)
+        log_w = np.log(w)
+        log_py = np.log(p_y)
+        log_py1 = np.log(np.einsum("ij,ijy->iy", cond_2_given_1, w))
+        log_py2 = np.log(np.einsum("ij,ijy->jy", cond_1_given_2, w))
+        i_joint = np.where(positive, log_w - log_py[None, None, :], -np.inf)
+        i_1 = np.where(positive, log_w - log_py2[None, :, :], -np.inf)
+        i_2 = np.where(positive, log_w - log_py1[:, None, :], -np.inf)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
-        log_py = np.where(p_y > 0, np.log(np.where(p_y > 0, p_y, 1.0)), -np.inf)
-        log_py1 = np.where(p_y_given_x1 > 0, np.log(np.where(p_y_given_x1 > 0, p_y_given_x1, 1.0)), -np.inf)
-        log_py2 = np.where(p_y_given_x2 > 0, np.log(np.where(p_y_given_x2 > 0, p_y_given_x2, 1.0)), -np.inf)
-
-    with np.errstate(invalid="ignore"):
-        i_joint = log_w - log_py[None, None, :]
-        i_1 = log_w - log_py2[None, :, :]
-        i_2 = log_w - log_py1[:, None, :]
-
-    # Undefined-but-unreachable: kernel zero meeting a zero reference marginal.
-    undefined = (w == 0) & (
-        (p_y == 0)[None, None, :]
-        | (p_y_given_x1 == 0)[:, None, :]
-        | (p_y_given_x2 == 0)[None, :, :]
-    )
     # 0 * log 0 = 0 convention: only kernel-positive entries enter expectations.
-    i_joint = np.where((w == 0) & undefined, 0.0, i_joint)
-    i_1 = np.where((w == 0) & undefined, 0.0, i_1)
-    i_2 = np.where((w == 0) & undefined, 0.0, i_2)
-
-    i_bar = np.where(w > 0, w * np.where(np.isfinite(i_joint), i_joint, 0.0), 0.0).sum(axis=2)
+    i_bar = np.where(positive, w * np.where(np.isfinite(i_joint), i_joint, 0.0), 0.0).sum(axis=2)
 
     scale = _unit_scale(units)
     return InfoDensityTable(
@@ -374,7 +358,6 @@ def info_density_tables(mac: Mac, d: InputDist, units: str = "bits") -> InfoDens
         i_2=i_2 * scale,
         i_bar=i_bar * scale,
         p_y=p_y,
-        undefined=undefined,
         units=units,
     )
 
@@ -515,12 +498,7 @@ def _seed_grid(mac: Mac) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
-def sum_capacity(
-    mac: Mac,
-    tol: float = 1e-7,
-    units: str = "bits",
-    max_iter: int = 5000,
-) -> CapacityResult:
+def sum_capacity(mac: Mac, units: str = "bits") -> CapacityResult:
     """Maximize I(X1, X2; Y) over product input distributions.
 
     Alternating multiplicative updates run from a deterministic seed grid, all
@@ -531,12 +509,10 @@ def sum_capacity(
     (deduplicated at L1 distance 1e-6) and the codeword dispersion is
     maximized over them.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     kernel = mac.kernel
-    tol_nats = tol * _nats_per_unit(units)
+    tol_nats = _CAPACITY_TOL * _nats_per_unit(units)
 
-    p1s, p2s, _, iters = _ba_ascend(kernel, *_seed_grid(mac), max_iter, min(tol_nats, 1e-12))
+    p1s, p2s, _, iters = _ba_ascend(kernel, *_seed_grid(mac), _BA_MAX_ITER, _BA_TOL)
     candidates = [_polish(kernel, p1, p2) for p1, p2 in zip(p1s, p2s)]
 
     best = max(c[0] for c in candidates)

@@ -29,9 +29,9 @@ from .channel import (
 from .code_sim import (
     STREAM_VERSION,
     estimate_error,
-    fbl_bound,
     sim_config_from_dict,
     sim_config_to_dict,
+    simulate_with_bound,
 )
 from .errors import CfmacError, NonConvergence
 from .gauss_max import SkParams, lemma1_bounds, sk_inverse_cdf
@@ -187,13 +187,14 @@ def cmd_simulate(args, started: float) -> int:
         config = dataclasses.replace(config, trials=args.trials)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    report = estimate_error(config)
+    if args.validate_bound:
+        report = simulate_with_bound(config, args.bound_samples)
+    else:
+        report = estimate_error(config)
     out = report.to_dict()
     out["config"] = sim_config_to_dict(config)
     if args.validate_bound:
-        bound = fbl_bound(config, mc_samples=args.bound_samples)
-        out["fbl_bound"] = bound
-        out["bound_dominates_ci_lower"] = bool(bound >= report.ci95[0])
+        out["bound_dominates_ci_lower"] = bool(report.fbl_bound >= report.ci95[0])
     _write_outputs(args, None, out, started, extra={"stream_version": STREAM_VERSION})
     return EXIT_OK
 

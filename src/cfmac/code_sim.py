@@ -1,11 +1,17 @@
 """Monte Carlo simulation of the facilitated random-coding constructions.
 
-Two constructions are supported: i.i.d. codebooks with a score-argmax
-facilitator and threshold decoder, and constant-composition (type-class)
-codebooks with a type-matching facilitator and a type-constrained decoder.
-``estimate_error`` estimates the ensemble-average error probability (fresh
-codebooks every trial); ``fbl_bound`` evaluates the constant-free
-finite-blocklength upper bound the constructions are validated against.
+Two constructions are supported, and ``mode`` alone picks one: i.i.d.
+codebooks with a score-argmax facilitator and threshold decoder (``"iid"``),
+and constant-composition (type-class) codebooks with a type-matching
+facilitator and a type-constrained decoder (``"type"``).  The decoder's
+joint-type check follows the mode: in type mode a message pair passes only
+if its facilitated codeword pair has the joint n-type of the input law, the
+target the facilitator matches, so in the ensemble the check holds exactly
+where the facilitator found a match.  The thresholds hold only the three
+levels c12, c1 and c2.  ``estimate_error`` estimates the ensemble-average
+error probability (fresh codebooks every trial); ``fbl_bound`` evaluates the
+constant-free finite-blocklength upper bound the constructions are validated
+against.
 
 Joint-count kernel.  Every per-trial statistic is a linear function of
 joint-symbol counts: the facilitator score sum_i i_bar[x1_i, x2_i], the type
@@ -59,7 +65,6 @@ from .channel import (
     JointDist,
     Mac,
     _field,
-    _floats,
     _integer,
     _log_base,
     _log_units,
@@ -93,7 +98,6 @@ class DecoderThresholds:
     c12: float
     c1: float
     c2: float
-    type_constraint: np.ndarray | None = None
     units: str = "bits"
 
     def require_finite(self):
@@ -191,9 +195,9 @@ def default_thresholds(
     """Threshold choices from the two constructions' explicit settings."""
     half_log_n = 0.5 * _log_units(n, units)
     if mode == IID:  # no type-class counting penalty; adding 0.0 is exact
-        pairs, counting, constraint = m1_count * m2_count * k, 0.0, None
+        pairs, counting = m1_count * m2_count * k, 0.0
     elif mode == TYPE:
-        pairs, constraint = m1_count * m2_count, np.asarray(dist.joint())
+        pairs = m1_count * m2_count
         counting = mac.x1_size * mac.x2_size * _log_units(n + 1, units)
     else:
         raise ModeMismatch(f"unknown mode {mode!r}")
@@ -201,7 +205,6 @@ def default_thresholds(
         c12=_log_units(pairs, units) + half_log_n + counting,
         c1=_log_units(m1_count, units) + half_log_n + counting,
         c2=_log_units(m2_count, units) + half_log_n + counting,
-        type_constraint=constraint,
         units=units,
     )
 
@@ -404,25 +407,20 @@ class _Decoder:
     weights: np.ndarray
     infs: tuple
     c: np.ndarray  # (c12, c1, c2)
-    check: np.ndarray | None  # (A1*A2,) joint-type counts the decoder requires
     output_cdf: np.ndarray  # kernel cdf without its last column, for the channel
 
     @classmethod
-    def build(cls, mac: Mac, dist: InputDist, n: int, th: DecoderThresholds) -> "_Decoder":
+    def build(cls, mac: Mac, dist: InputDist, th: DecoderThresholds) -> "_Decoder":
         _require_uint8(mac)
-        t = info_density_tables(mac, dist, units=th.units)
-        neg = np.where(mac.kernel > 0, 0.0, -np.inf)  # zero likelihood
-        d = np.stack([t.i_joint + neg, t.i_1 + neg, t.i_2 + neg], axis=-1)
+        t = info_density_tables(mac, dist, units=th.units)  # -inf at kernel zeros
+        d = np.stack([t.i_joint, t.i_1, t.i_2], axis=-1)
         d = d.transpose(0, 2, 1, 3).reshape(-1, 3)  # rows (a1, y, a2)
         indicators = np.concatenate([d == -np.inf, d == np.inf], axis=1)
         present = np.flatnonzero(indicators.any(axis=0))
-        check = None
-        if th.type_constraint is not None:
-            check = _type_counts(JointDist(th.type_constraint), n).ravel()
         return cls(
             np.concatenate([np.where(np.isfinite(d), d, 0.0), indicators[:, present]], axis=1),
             tuple((int(c) % 3, -np.inf if c < 3 else np.inf) for c in present),
-            np.array([th.c12, th.c1, th.c2]), check,
+            np.array([th.c12, th.c1, th.c2]),
             np.cumsum(mac.kernel, axis=-1)[..., :-1],
         )
 
@@ -437,12 +435,6 @@ class _Decoder:
     def passes(self, z):
         """Weighted counts (..., columns) -> all three metrics pass (...)."""
         return (self.metrics(z) >= self.c).all(axis=-1)
-
-    def in_type(self, counts_at_e):
-        """Joint type of the facilitated pair equals the required one (or no check)."""
-        if self.check is None:
-            return None
-        return (counts_at_e == self.check).all(axis=-1)
 
     def fixed_tables(self, x1, x2):
         """Per-pair tables (Y*n, M1*M2*columns) of fixed words x1, x2 (M1, M2, n)."""
@@ -466,7 +458,8 @@ def _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec):
     """One block of fresh-codebook trials.
 
     Returns the decoder passes (B, M1, M2), the type check at the facilitated
-    words (or None), the sent messages and where no k matched the type target.
+    words (None in iid mode; it holds exactly where some k matched the type
+    target) and the sent messages.
     """
     f1 = samplers[0](rng, (b, k, m1c, n))
     f2 = samplers[1](rng, (b, k, m2c, n))
@@ -482,12 +475,12 @@ def _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec):
     k_sent = e[bb, msg1, msg2]
     y = _channel(rng, dec.output_cdf, f1[bb, k_sent, msg1], f2[bb, k_sent, msg2])
 
-    in_type = dec.in_type(np.take_along_axis(counts, e[..., None, None], axis=3)[:, :, :, 0])
     if _counts_directly(m1c, m2c, k):
         z = _facilitated_counts(f1, f2, y, e, mac.x1_size, mac.x2_size, mac.y_size)
     else:
         z = _decode_counts(l1, r2, _onehot(y, mac.y_size), e)
-    return dec.passes(z.astype(np.float64) @ dec.weights), in_type, msg1, msg2, unmatched
+    in_type = None if unmatched is None else ~unmatched
+    return dec.passes(z.astype(np.float64) @ dec.weights), in_type, msg1, msg2
 
 
 def _tally_block(tally, passes, in_type, msg1, msg2) -> int:
@@ -535,14 +528,15 @@ def _fixed_code(
     codebooks: Codebooks, e_table: FacilitatorTable, mac: Mac, dist: InputDist,
     th: DecoderThresholds,
 ):
-    """Decoder, sent words x1, x2 (M1, M2, n) and their type check (or None) of a fixed code."""
-    dec = _Decoder.build(mac, dist, codebooks.n, th)
+    """Decoder, sent words x1, x2 (M1, M2, n) and, in type mode, their type check (else None)."""
+    _, target = _construction(dist, codebooks.n, codebooks.mode)
+    dec = _Decoder.build(mac, dist, th)
     m1, m2 = e_table.e.shape
     x1 = codebooks.f1[np.arange(m1)[:, None], e_table.e]
     x2 = codebooks.f2[np.arange(m2)[None, :], e_table.e]
     in_type = None
-    if dec.check is not None:
-        in_type = dec.in_type(_word_counts(x1, x2, 0, mac.x1_size, mac.x2_size, 1))
+    if target is not None:
+        in_type = (_word_counts(x1, x2, 0, mac.x1_size, mac.x2_size, 1) == target).all(axis=-1)
     return dec, x1, x2, in_type
 
 
@@ -626,10 +620,10 @@ def estimate_error(config: SimConfig) -> SimReport:
     mac, dist = config.mac, config.dist
     n, m1c, m2c, k = config.n, config.m1_count, config.m2_count, config.k
     samplers, fac = _ensemble(mac, dist, n, config.mode)
-    dec = _Decoder.build(mac, dist, n, config.resolved_thresholds())
+    dec = _Decoder.build(mac, dist, config.resolved_thresholds())
 
     def block(rng, b):
-        return _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec)[:4]
+        return _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec)
 
     return _run_trials(config, _ENSEMBLE, _trial_bytes(mac, n, m1c, m2c, k), block)
 
@@ -642,33 +636,30 @@ def _bound_samples(config: SimConfig, th: DecoderThresholds, mc_samples: int, se
     """Monte Carlo term of the bound: (threshold fails, type-mode unmatched) counts."""
     mac, dist, n, k = config.mac, config.dist, config.n, config.k
     samplers, fac = _ensemble(mac, dist, n, config.mode)
-    # the Monte Carlo term tests the thresholds only, not the type constraint
-    dec = _Decoder.build(mac, dist, n, replace(th, type_constraint=None))
+    # the thresholds are tested alone: a type miss is counted separately
+    dec = _Decoder.build(mac, dist, th)
     fails = 0
     type_misses = 0
     for rng, b in _blocks(seed, _BOUND, mc_samples, _trial_bytes(mac, n, 1, 1, k)):
-        passes, _, _, _, unmatched = _ensemble_block(rng, b, 1, 1, k, n, mac, samplers, fac, dec)
+        passes, in_type, _, _ = _ensemble_block(rng, b, 1, 1, k, n, mac, samplers, fac, dec)
         fails += int((~passes).sum())
-        if unmatched is not None:
-            type_misses += int(unmatched.sum())
+        if in_type is not None:
+            type_misses += int((~in_type).sum())
     return fails, type_misses
 
 
-def fbl_bound(
-    config: SimConfig,
-    thresholds: DecoderThresholds | None = None,
-    mc_samples: int = 100_000,
-    seed: int | None = None,
-) -> float:
-    """Upper bound on the ensemble-average error probability.
+def fbl_bound(config: SimConfig, mc_samples: int = 100_000, seed: int | None = None) -> float:
+    """Upper bound on the ensemble-average error probability of ``config``'s decoder.
 
     The probability that the facilitated pair's density vector misses the
     thresholds is estimated by Monte Carlo (upper endpoint of its 99%
     confidence interval, keeping the bound valid with high confidence); the
     impostor union terms are exact closed forms.
     """
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
     mac = config.mac
-    th = thresholds if thresholds is not None else config.resolved_thresholds()
+    th = config.resolved_thresholds()
     th.require_finite()
     n, m1c, m2c, k = config.n, config.m1_count, config.m2_count, config.k
     base = _log_base(th.units)
@@ -703,6 +694,10 @@ def estimate_error_fixed_code(
     code = (codebooks.n, *e_table.e.shape)
     if (n, m1c, m2c) != code:
         raise SizeMismatch(f"config (n, M1, M2) = {(n, m1c, m2c)} does not match the code's {code}")
+    if config.mode != codebooks.mode:
+        raise ModeMismatch(
+            f"config mode {config.mode!r} does not match codebook mode {codebooks.mode!r}"
+        )
     dec, x1, x2, in_type = _fixed_code(
         codebooks, e_table, mac, config.dist, config.resolved_thresholds()
     )
@@ -721,9 +716,8 @@ def estimate_error_fixed_code(
 
 def simulate_with_bound(config: SimConfig, mc_samples: int = 100_000) -> SimReport:
     """estimate_error plus the finite-blocklength bound in one report."""
-    report = estimate_error(config)
-    bound = fbl_bound(config, mc_samples=mc_samples)
-    return replace(report, fbl_bound=bound)
+    bound = fbl_bound(config, mc_samples=mc_samples)  # first: a bad sample count fails fast
+    return replace(estimate_error(config), fbl_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -751,20 +745,17 @@ def sim_config_to_dict(config: SimConfig) -> dict:
     if config.thresholds is not None:
         th = config.thresholds
         out["thresholds"] = {"c12": th.c12, "c1": th.c1, "c2": th.c2}
-        if th.type_constraint is not None:
-            out["thresholds"]["type_constraint"] = np.asarray(th.type_constraint).tolist()
     return out
 
 
 def _thresholds_record(td, units: str) -> DecoderThresholds:
+    """c12, c1 and c2; other fields (such as an old ``type_constraint``) are ignored."""
     if not isinstance(td, dict):
         raise TypeError(f"expected an object, got {type(td).__name__}")
-    tc = td.get("type_constraint")
     return DecoderThresholds(
         c12=_field(td, "c12", float),
         c1=_field(td, "c1", float),
         c2=_field(td, "c2", float),
-        type_constraint=None if tc is None else _field(td, "type_constraint", _floats),
         units=units,
     )
 

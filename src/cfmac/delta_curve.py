@@ -27,6 +27,9 @@ from .channel import (
 from .errors import NonConvergence, NotCapacityAchieving
 
 _FEAS_TOL = 1e-9
+# a base law more than this (in the call's units) below the sum-capacity is
+# not capacity-achieving
+_CAPACITY_GAP = 1e-6
 _EPS = 1e-300
 
 
@@ -59,7 +62,6 @@ def perturbation_direction(
     base: ProductDist,
     a: float,
     capacity: CapacityResult | None = None,
-    tol: float = 1e-6,
     units: str = "bits",
 ) -> Perturbation:
     """Budget-scaled optimal perturbation of the joint law around ``base``."""
@@ -68,7 +70,7 @@ def perturbation_direction(
     capacity = _capacity_in(mac, units, capacity)
     mutual, _, _, _ = _stats_nats(mac, base)
     scale = _unit_scale(units)
-    if mutual * scale < capacity.c_sum - tol:
+    if mutual * scale < capacity.c_sum - _CAPACITY_GAP:
         raise NotCapacityAchieving(
             f"base achieves {mutual * scale:.6g} {units}/use, "
             f"sum-capacity is {capacity.c_sum:.6g}"

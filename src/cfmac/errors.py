@@ -18,13 +18,6 @@ class RowNotStochastic(CfmacError):
     """A kernel row or distribution does not sum to one."""
 
 
-class UnreachableDensity(CfmacError):
-    """A positive-probability symbol triple has zero output marginal.
-
-    Cannot happen for valid inputs; raised as an internal consistency check.
-    """
-
-
 class NonConvergence(CfmacError):
     """An iterative solver exhausted its budget before reaching tolerance."""
 

@@ -19,6 +19,7 @@ from .errors import DegenerateBothZero, TargetOutOfRange
 _CDF_ABS_TOL = 1e-10
 _QUANTILE_TOL = 1e-9
 _Z_CUTOFF = 12.0  # phi mass beyond |z|=12 is ~1.8e-33
+_DERIVATIVE_STEP = 1e-4  # half-width of the quantile derivative's central difference
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,9 @@ def lemma1_bounds(p: SkParams, eps: float) -> Lemma1Bounds:
     return Lemma1Bounds(lower_at_eps=lower, upper_at_one_minus_eps=upper, applicable=applicable)
 
 
-def sk_quantile_derivative(p: SkParams, eps: float, h: float = 1e-4) -> float:
-    """Central finite difference of the quantile function at eps."""
+def sk_quantile_derivative(p: SkParams, eps: float) -> float:
+    """Central finite difference of the quantile function at eps, with step ``_DERIVATIVE_STEP``."""
+    h = _DERIVATIVE_STEP
     if not (0.0 < eps - h and eps + h < 1.0):
         raise TargetOutOfRange(f"eps +/- h must lie in (0, 1), got eps={eps}, h={h}")
     hi = sk_inverse_cdf(p, eps + h).value

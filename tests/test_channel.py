@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ba_reference
@@ -212,6 +212,19 @@ class TestInfoDensities:
         assert np.allclose(t.i_joint, 0.0)
         assert np.allclose(t.i_1, 0.0)
         assert np.allclose(t.i_2, 0.0)
+
+    def test_kernel_zeros_are_minus_inf_in_every_table(self):
+        # p1 = (1, 0): the output 2 and the row x1 = 1 have zero reference
+        # marginals, which the kernel zeros there meet
+        t = info_density_tables(adder2(), ProductDist(np.array([1.0, 0.0]), np.array([0.5, 0.5])))
+        zero = adder2().kernel == 0
+        for table in (t.i_joint, t.i_1, t.i_2):
+            assert np.all(table[zero] == -np.inf)
+            assert not np.isnan(table).any()
+        # the pair (1, 1) has probability zero: its y = 2 density is +inf and
+        # is left out of i_bar
+        assert t.i_joint[1, 1, 2] == np.inf
+        assert np.array_equal(t.i_bar, [[1.0, 1.0], [1.0, 0.0]])
 
     def test_row_average_of_joint_density_is_i_bar(self):
         rng = np.random.default_rng(5)
@@ -462,6 +475,13 @@ class TestMutualInformation:
     st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12),
     st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
     st.booleans(),
+)
+# p_Y(1) = p12[0, 1] * W[0, 1, 1] = 2.7e-255 * 2.2e-308 underflows to zero
+# although both factors are positive
+@example(
+    raw=[1.0, 0.0, 0.0, 0.0, 2.2e-308, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    law=[1.0, 1.0, 1.0, 5.4e-255],
+    joint=False,
 )
 def test_mutual_information_property(raw, law, joint):
     kernel = np.array(raw).reshape(2, 2, 3)

@@ -156,6 +156,43 @@ class TestSimulate:
         assert "fbl_bound" in doc
         assert doc["bound_dominates_ci_lower"] is True
 
+    def test_a_type_constraint_field_is_ignored(self, tmp_path, capsys):
+        # an iid config whose thresholds carry a joint-type target: the decoder
+        # follows the mode, so the field changes nothing and the bound holds
+        doc = {
+            **self.CONFIG, "channel": "xor:0.11", "k": 4, "seed": 1,
+            "thresholds": {"c12": 6.160964047443681, "c1": 3.1609640474436813,
+                           "c2": 3.1609640474436813},
+        }
+        outs = []
+        for thresholds in (
+            doc["thresholds"],
+            {**doc["thresholds"], "type_constraint": [[0.25, 0.25], [0.25, 0.25]]},
+        ):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**doc, "thresholds": thresholds}))
+            code, out, _ = run(
+                capsys, "simulate", "--config", str(cfg),
+                "--validate-bound", "--bound-samples", "5000",
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        report = json.loads(outs[1])
+        assert "type_constraint" not in report["config"]["thresholds"]
+        assert report["p_hat"] < 0.5
+        assert report["bound_dominates_ci_lower"] is True
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_bound_without_samples_is_an_input_error(self, tmp_path, capsys, samples):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        code, out, err = run(
+            capsys, "simulate", "--config", str(cfg), "--validate-bound", "--bound-samples", samples,
+        )
+        assert code == 3 and out == ""
+        assert f"mc_samples must be at least 1, got {samples}" in err
+
     def test_missing_config(self, capsys):
         code, _, err = run(capsys, "simulate", "--config", "missing.json")
         assert code == 3
