@@ -21,16 +21,19 @@ D[a1, y, a2] of (codeword pair, received word).  The counts of every
 (m1, m2, k) at once come exactly from one batched float32 matmul of one-hot
 codewords, (K, M1*A1, n) @ (K, n, M2*A2), which the facilitator needs.  The
 decode counts are needed at the facilitated k = e(m1, m2) only.  Where
-M1*M2 < K*(M1 + M2), as always in the bound (M1 = M2 = 1), the (x1, y, x2)
-symbols of the M1*M2 facilitated words are counted directly; otherwise one
-GEMM with the (x1, y) one-hot on the left counts all K codewords and the
-counts at e are picked out.  Both give the same exact integers, and the rule
-reads only the shape.  Table entries that are not finite (-inf at kernel
-zeros) are counted by separate indicator columns, so 0 * inf never arises.
-With a fixed code the per-pair tables are built once and the metrics of a
-batch of received words are one GEMM of their one-hot form (the tables hold
-Y * n * M1 * M2 * columns float64 entries and are outside the block budget).
-A single received word's (x1, y, x2) symbols are counted directly.
+M1*M2 < K*(M1 + M2) the (x1, y, x2) symbols of the M1*M2 facilitated words
+are counted directly; otherwise one GEMM with the (x1, y) one-hot on the left
+counts all K codewords and the counts at e are picked out.  Both give the
+same exact integers, and the rule reads only the shape.  Table entries that
+are not finite (-inf at kernel zeros) are counted by separate indicator
+columns, so 0 * inf never arises.  With a fixed code the per-pair tables are
+built once and the metrics of a batch of received words are one GEMM of their
+one-hot form (the tables hold Y * n * M1 * M2 * columns float64 entries and
+are outside the block budget).  A single received word's (x1, y, x2) symbols
+are counted directly.  The bound (M1 = M2 = 1) draws no symbols at all: it
+samples the K pair-type counts N_k and the chosen pair's (x1, y, x2) counts
+from their exact laws, multinomial and contingency-table draws, at a cost
+that does not grow with n.
 
 Ties.  The score facilitator picks the smallest k whose score lies within
 ``_TIE_ULPS_PER_CELL`` * A1 * A2 ulps of n * max|i_bar| of the best score,
@@ -45,11 +48,15 @@ words are zero-padded to four before the spawn key is appended, so distinct
 (seed, family, block) never give the same entropy, and the families
 (ensemble trials, bound samples, codebook draws, facilitator picks,
 fixed-code trials) never share a stream.  Uniforms keep 53 bits.  The block
-size is a pure function of the configuration's per-trial footprint and the
-byte budget ``_BLOCK_BYTES``, so results are bit-for-bit reproducible for a
-given (config, seed), independent of scheduling, and memory stays bounded.
+size is a pure function of the configuration's per-trial footprint (for the
+bound, the per-sample count footprint ``_bound_sample_bytes``) and the byte
+budget ``_BLOCK_BYTES``, so results are bit-for-bit reproducible for a given
+(config, seed), independent of scheduling, and memory stays bounded.
 ``STREAM_VERSION`` names the stream layout; it changes whenever a fixed
-(config, seed) deliberately yields a different report.
+(config, seed) deliberately yields a different report.  Version 4 draws the
+bound family's samples as counts (the pair-type tables, then in type mode the
+facilitator's uniform, then the chosen pair's outputs); the other families
+draw as in version 3.
 """
 from __future__ import annotations
 
@@ -77,7 +84,7 @@ from .channel import (
 )
 from .errors import DegenerateThresholds, ModeMismatch, NotAnNType, SizeMismatch
 
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 _BLOCK_BYTES = 64 * 2**20  # per-block working-set budget; sets the trials per block
 # Facilitator scores within this many ulps of n * max|i_bar|, per joint cell
@@ -632,51 +639,128 @@ def estimate_error(config: SimConfig) -> SimReport:
 # finite-blocklength bound
 
 
+def _bound_sample_bytes(mac: Mac, k: int) -> int:
+    """Working set of one bound sample: its K pair-type tables, their float
+    copy and the facilitator's per-k values, and the chosen pair's output
+    counts with their copies."""
+    cells = mac.x1_size * mac.x2_size
+    return 8 * k * (2 * cells + 3) + 32 * cells * (mac.y_size + 1)
+
+
+def _contingency(rng, shape, t1, t2):
+    """Joint counts (*shape, A1*A2) of two independent uniform arrangements of
+    words with symbol counts t1 (A1,) and t2 (A2,).
+
+    Row a1 holds the t1[a1] positions where the first word reads a1.  Given the
+    rows above it, the second word's symbols in the positions left are a uniform
+    arrangement of what those rows did not take, so the row is a multivariate
+    hypergeometric draw, made one column at a time from univariate ones.
+    """
+    a1, a2 = len(t1), len(t2)
+    table = np.empty(shape + (a1, a2), dtype=np.int64)
+    cols = np.array(np.broadcast_to(t2, shape + (a2,)), dtype=np.int64)  # not yet taken
+    for i in range(a1 - 1):
+        left = np.full(shape, t1[i], dtype=np.int64)
+        rest = cols.sum(axis=-1)
+        for j in range(a2 - 1):
+            rest -= cols[..., j]
+            table[..., i, j] = rng.hypergeometric(cols[..., j], rest, left)
+            left -= table[..., i, j]
+        table[..., i, -1] = left
+        cols -= table[..., i, :]
+    table[..., -1, :] = cols
+    return table.reshape(shape + (a1 * a2,))
+
+
 def _bound_samples(config: SimConfig, th: DecoderThresholds, mc_samples: int, seed: int):
-    """Monte Carlo term of the bound: (threshold fails, type-mode unmatched) counts."""
+    """Monte Carlo term of the bound: (threshold fails, type-mode unmatched) counts.
+
+    With M1 = M2 = 1 a sample depends on its codewords and received word only
+    through counts, so it draws those from their exact laws: the K pair-type
+    tables N_k[a1, a2] (multinomial(n, p1 x p2) in iid mode, the contingency
+    table of two uniform arrangements in type mode), the facilitator's choice
+    e from them, then the chosen pair's outputs, multinomial(N_e[a1, a2],
+    W[a1, a2]) per cell.  A sample costs O(K*A1*A2 + A1*A2*Y), whatever n.
+    """
     mac, dist, n, k = config.mac, config.dist, config.n, config.k
-    samplers, fac = _ensemble(mac, dist, n, config.mode)
+    a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
+    _, fac = _ensemble(mac, dist, n, config.mode)
     # the thresholds are tested alone: a type miss is counted separately
     dec = _Decoder.build(mac, dist, th)
+    # laws sum to 1 within the inputs' tolerance (1e-9), multinomial's is 1e-12
+    kernel = mac.kernel.reshape(a1 * a2, ny)
+    kernel = kernel / kernel.sum(axis=-1, keepdims=True)
+    if fac.target is None:
+        p12 = np.outer(dist.p1, dist.p2).ravel()
+        p12 /= p12.sum()
+
+        def pair_types(rng, b):
+            return rng.multinomial(n, p12, size=(b, k)), None
+    else:
+        t1, t2 = (fac.target.reshape(a1, a2).sum(axis=axis) for axis in (1, 0))
+
+        def pair_types(rng, b):
+            return _contingency(rng, (b, k), t1, t2), rng.random((b, 1, 1))
+
     fails = 0
     type_misses = 0
-    for rng, b in _blocks(seed, _BOUND, mc_samples, _trial_bytes(mac, n, 1, 1, k)):
-        passes, in_type, _, _ = _ensemble_block(rng, b, 1, 1, k, n, mac, samplers, fac, dec)
-        fails += int((~passes).sum())
-        if in_type is not None:
-            type_misses += int((~in_type).sum())
+    for rng, b in _blocks(seed, _BOUND, mc_samples, _bound_sample_bytes(mac, k)):
+        counts, u_choice = pair_types(rng, b)
+        e, unmatched = fac.choose(counts[:, None, None], u_choice)
+        sent = counts[np.arange(b), e[:, 0, 0]]  # (B, A1*A2)
+        outputs = rng.multinomial(sent, kernel).reshape(b, a1, a2, ny)
+        z = outputs.transpose(0, 1, 3, 2).reshape(b, -1)  # cells (a1, y, a2)
+        fails += int((~dec.passes(z.astype(np.float64) @ dec.weights)).sum())
+        if unmatched is not None:
+            type_misses += int(unmatched.sum())
     return fails, type_misses
+
+
+def _union(config: SimConfig, th: DecoderThresholds) -> float:
+    """The impostor union terms, times (n + 1)^(A1*A2) type classes in type mode.
+
+    Summed from logarithms: with the default thresholds each term is about
+    n^(-1/2), while the class count alone overflows a float at large n.
+    """
+    type_mode = config.mode == TYPE
+    log_base = math.log(_log_base(th.units))
+    log_classes = 0.0
+    if type_mode:
+        log_classes = config.mac.x1_size * config.mac.x2_size * math.log(config.n + 1)
+    pairs = config.m1_count * config.m2_count * (1 if type_mode else config.k)
+    logs = np.array([
+        math.log(pairs) - th.c12 * log_base,
+        math.log(config.m1_count) - th.c1 * log_base,
+        math.log(config.m2_count) - th.c2 * log_base,
+    ])
+    with np.errstate(over="ignore"):  # a term past the float range is an infinite bound
+        return float(np.exp(logs + log_classes).sum())
 
 
 def fbl_bound(config: SimConfig, mc_samples: int = 100_000, seed: int | None = None) -> float:
     """Upper bound on the ensemble-average error probability of ``config``'s decoder.
 
     The probability that the facilitated pair's density vector misses the
-    thresholds is estimated by Monte Carlo (upper endpoint of its 99%
-    confidence interval, keeping the bound valid with high confidence); the
-    impostor union terms are exact closed forms.
+    thresholds (and, in type mode, that no codeword pair has the target joint
+    type) is estimated by Monte Carlo, as the upper endpoint of its 99%
+    confidence interval, keeping the bound valid with high confidence; the
+    impostor union terms are exact closed forms.  The ``mc_samples`` samples
+    are drawn from the exact laws of the joint-symbol counts they depend on,
+    so their cost does not grow with the blocklength n; ``seed`` (by default
+    the config's) keys their stream.
     """
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
-    mac = config.mac
     th = config.resolved_thresholds()
     th.require_finite()
-    n, m1c, m2c, k = config.n, config.m1_count, config.m2_count, config.k
-    base = _log_base(th.units)
     if seed is None:
         seed = config.seed
 
     fails, type_misses = _bound_samples(config, th, mc_samples, seed)
-    type_mode = config.mode == TYPE
-    union = (
-        m1c * m2c * (1 if type_mode else k) * base ** (-th.c12)
-        + m1c * base ** (-th.c1)
-        + m2c * base ** (-th.c2)
-    )
-    if not type_mode:
-        return _upper_99(fails, mc_samples) + union
-    counting = float((n + 1) ** (mac.x1_size * mac.x2_size))
-    return _upper_99(type_misses, mc_samples) + _upper_99(fails, mc_samples) + counting * union
+    bound = _upper_99(fails, mc_samples) + _union(config, th)
+    if config.mode == TYPE:
+        bound += _upper_99(type_misses, mc_samples)
+    return bound
 
 
 def estimate_error_fixed_code(

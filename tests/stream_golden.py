@@ -6,8 +6,9 @@ After a deliberate change of the random stream, bump
     PYTHONPATH=src python tests/stream_golden.py
 
 from the repository root; the output is laid out as the class's ``VERSION``,
-``CASES`` entries and the figures of
-``test_codebooks_facilitator_and_fixed_code``.
+the figure line of each ``CASES`` entry and the figures of
+``test_codebooks_facilitator_and_fixed_code``.  The block sizes come from
+``_trial_bytes`` (ensemble trials) and ``_bound_sample_bytes`` (bound samples).
 """
 from dataclasses import replace
 
@@ -28,8 +29,11 @@ def case_figures(kw: dict, samples: int) -> tuple:
     """(trials per block, errors, tally, (bound samples, fails, unmatched)) of one case."""
     cfg = SimConfig(**kw)
     blocks = tuple(
-        code_sim._BLOCK_BYTES // code_sim._trial_bytes(cfg.mac, cfg.n, m1, m2, cfg.k)
-        for m1, m2 in ((cfg.m1_count, cfg.m2_count), (1, 1))
+        code_sim._BLOCK_BYTES // per_item
+        for per_item in (
+            code_sim._trial_bytes(cfg.mac, cfg.n, cfg.m1_count, cfg.m2_count, cfg.k),
+            code_sim._bound_sample_bytes(cfg.mac, cfg.k),
+        )
     )
     rep = estimate_error(cfg)
     fails, misses = code_sim._bound_samples(cfg, cfg.resolved_thresholds(), samples, seed=3)
@@ -58,8 +62,8 @@ def code_figures() -> list[str]:
 def main() -> None:
     print(f"VERSION = {code_sim.STREAM_VERSION}")
     for name, (kw, _, _, _, (samples, _, _)) in TestStreamGolden.CASES.items():
-        blocks, errors, tally, bound = case_figures(kw, samples)
-        print(f'"{name}": {blocks}, {errors}, {tally}, {bound}')
+        blocks, errors, tally, (samples, fails, misses) = case_figures(kw, samples)
+        print(f'"{name}": {blocks}, {errors}, {tally}, ({samples:_}, {fails}, {misses}),')
     print("\n".join(code_figures()))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -5,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bound_reference
 import gather_reference
 from cfmac import code_sim
 from cfmac.channel import (
@@ -305,6 +307,29 @@ class TestFblBound:
         assert rep.fbl_bound >= rep.ci95[0]
 
 
+    def test_class_count_does_not_overflow(self):
+        # (n + 1)^(A1*A2) = 102401^64 overflows a float; the default thresholds
+        # carry the same factor, so each union term is n^(-1/2)
+        n = 102_400
+        kernel = np.random.default_rng(8).dirichlet(np.ones(2), size=(8, 8))
+        cfg = SimConfig(
+            mac=Mac(kernel), dist=JointDist(np.full((8, 8), 1 / 64)), n=n, m1_count=1,
+            m2_count=1, k=1, mode="type",
+        )
+        th = cfg.resolved_thresholds()
+        assert code_sim._union(cfg, th) == pytest.approx(3.0 / math.sqrt(n), rel=1e-9)
+        assert math.isfinite(fbl_bound(cfg, mc_samples=1))
+
+    def test_kernel_rows_within_tolerance_are_sampled(self):
+        # a kernel row may sum to 1 within 1e-9; multinomial allows only 1e-12
+        kernel = adder2().kernel.copy()
+        kernel[0, 0] = [1.0 + 5e-10, 0.0, 0.0]
+        cfg = SimConfig(mac=Mac(kernel), dist=UNIFORM, n=20, m1_count=2, m2_count=2, k=2)
+        assert fbl_bound(cfg, mc_samples=100) == pytest.approx(
+            fbl_bound(replace(cfg, mac=adder2()), mc_samples=100)
+        )
+
+
 _CONFIG_DOC = {
     "channel": "adder2", "dist": {"p1": [0.5, 0.5], "p2": [0.5, 0.5]},
     "n": 20, "m1_count": 2, "m2_count": 2, "k": 2,
@@ -451,7 +476,7 @@ class TestStreams:
             draw_codebooks(adder2(), UNIFORM, 4, 2, 2, 2, "iid", seed=seed)
 
     def test_stream_version(self):
-        assert code_sim.STREAM_VERSION == 3
+        assert code_sim.STREAM_VERSION == 4
 
 
 def _kernel_3x2x4():
@@ -640,7 +665,7 @@ def _noisy_adder():
 
 
 class TestStreamGolden:
-    """Exact results of stream version 3 for fixed (config, seed).
+    """Exact results of stream version 4 for fixed (config, seed).
 
     Anything that moves the random streams (the generator or its keys, draw
     order, the samplers, or the trials per block set by ``_trial_bytes`` and
@@ -649,7 +674,7 @@ class TestStreamGolden:
     ``PYTHONPATH=src python tests/stream_golden.py`` prints them.
     """
 
-    VERSION = 3
+    VERSION = 4
     # name: (config, trials per (ensemble, bound) block, errors,
     #        (threshold_miss, impostor_pass, ambiguity, type_miss),
     #        (bound samples, threshold fails, type-mode unmatched))
@@ -657,17 +682,17 @@ class TestStreamGolden:
         "xor-iid-blocks": (
             dict(mac=xor_channel(0.11), dist=UNIFORM, n=60, m1_count=16, m2_count=16, k=4,
                  trials=600, seed=11),
-            (197, 5336), 6, (6, 0, 0, 0), (20_000, 247, 0),
+            (197, 91180), 6, (6, 0, 0, 0), (100_000, 1194, 0),
         ),
         "noisy-adder-iid": (
             dict(mac=_noisy_adder(), dist=ProductDist(np.array([0.6, 0.4]), UNIFORM.p2), n=16,
                  m1_count=3, m2_count=2, k=3, trials=3000, seed=5),
-            (5801, 19418), 88, (70, 1, 17, 0), (20_000, 436, 0),
+            (5801, 86480), 88, (70, 1, 17, 0), (100_000, 2257, 0),
         ),
         "noisy-adder-type": (
             dict(mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=4, m2_count=4, k=16,
                  mode="type", trials=1000, seed=1),
-            (330, 1618), 505, (492, 0, 0, 13), (5000, 2512, 55),
+            (330, 34952), 505, (492, 0, 0, 13), (40_000, 19995, 430),
         ),
     }
 
@@ -680,13 +705,13 @@ class TestStreamGolden:
     def test_trials_per_block(self, case):
         kw, blocks, *_ = self.CASES[case]
         cfg = SimConfig(**kw)
-        per_trial = (
+        per_item = (
             code_sim._trial_bytes(cfg.mac, cfg.n, cfg.m1_count, cfg.m2_count, cfg.k),
-            code_sim._trial_bytes(cfg.mac, cfg.n, 1, 1, cfg.k),
+            code_sim._bound_sample_bytes(cfg.mac, cfg.k),
         )
-        assert tuple(code_sim._BLOCK_BYTES // b for b in per_trial) == blocks
-        # each case runs over more than one block of trials or of bound samples
-        assert cfg.trials > blocks[0] or self.CASES[case][4][0] > blocks[1]
+        assert tuple(code_sim._BLOCK_BYTES // b for b in per_item) == blocks
+        # each case runs over more than one block of bound samples
+        assert self.CASES[case][4][0] > blocks[1]
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_estimate_error(self, case):
@@ -718,3 +743,130 @@ class TestStreamGolden:
         table = facilitate(cb, kw["mac"], kw["dist"], "type", seed=4)
         assert table.e.tolist() == [[4, 5], [0, 5]]
         assert table.unmatched.tolist() == [[False, False], [False, False]]
+
+
+_TYPE_3X2 = JointDist(np.array([[0.2, 0.1], [0.2, 0.2], [0.1, 0.2]]))
+
+
+def _two_sample_z(count_a, count_b, samples):
+    """z statistic of two binomial counts out of ``samples`` each (0 when both are 0)."""
+    pooled = (count_a + count_b) / (2 * samples)
+    se = math.sqrt(2 * pooled * (1 - pooled) / samples)
+    return 0.0 if se == 0 else (count_a - count_b) / samples / se
+
+
+def _exact_bound_rates(cfg, th):
+    """Exact (threshold fail, type-mode unmatched) probabilities of one bound
+    sample, enumerating every codeword of every pair, each facilitator choice
+    and every received word."""
+    mac, n, k = cfg.mac, cfg.n, cfg.k
+    a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
+    _, fac = code_sim._ensemble(mac, cfg.dist, n, cfg.mode)
+    dec = code_sim._Decoder.build(mac, cfg.dist, th)
+
+    def words(size, p, margin):
+        if cfg.mode == "iid":
+            w = np.array(list(itertools.product(range(size), repeat=n)))
+            return w, np.prod(p[w], axis=-1)
+        base = np.repeat(np.arange(size), margin)
+        w = np.array(sorted(set(itertools.permutations(base))))
+        return w, np.full(len(w), 1 / len(w))
+
+    target = code_sim._type_counts(cfg.dist, n) if cfg.mode == "type" else np.ones((a1, a2))
+    w1, pw1 = words(a1, cfg.dist.p1, target.sum(axis=1))
+    w2, pw2 = words(a2, cfg.dist.p2, target.sum(axis=0))
+    x1 = np.repeat(w1, len(w2), axis=0)  # every codeword pair (P, n)
+    x2 = np.tile(w2, (len(w1), 1))
+    p_pair = np.outer(pw1, pw2).ravel()
+
+    ys = np.array(list(itertools.product(range(ny), repeat=n)))  # (Y^n, n)
+    p_y = np.prod(mac.kernel[x1[:, None], x2[:, None], ys[None]], axis=-1)  # (P, Y^n)
+    z = code_sim._word_counts(x1[:, None], x2[:, None], ys[None], a1, a2, ny)
+    fail = (p_y * ~dec.passes(z.astype(np.float64) @ dec.weights)).sum(axis=1)  # (P,)
+
+    combos = np.array(list(itertools.product(range(len(p_pair)), repeat=k)))  # (C, K)
+    p_combo = np.prod(p_pair[combos], axis=1)
+    counts = code_sim._word_counts(x1[combos], x2[combos], 0, a1, a2, 1)  # (C, K, A1*A2)
+    if cfg.mode == "iid":
+        e, _ = fac.choose(counts[:, None, None])
+        p_e = np.eye(k)[e[:, 0, 0]]
+        unmatched = 0.0
+    else:  # uniform over the matched k, or over all K when none matched
+        matched = (counts == fac.target).all(axis=-1)
+        none = ~matched.any(axis=1)
+        p_e = np.where(none[:, None], 1.0, matched) / np.where(none, k, matched.sum(axis=1))[:, None]
+        unmatched = float(p_combo @ none)
+    return float(p_combo @ (p_e * fail[combos]).sum(axis=1)), unmatched
+
+
+class TestBoundSampler:
+    """The count-law sampler of the bound's Monte Carlo term against the construction's law."""
+
+    # name: (config, thresholds or None for the defaults); fail and miss rates in [1e-3, 0.5]
+    CASES = {
+        "xor-iid": (
+            dict(mac=xor_channel(0.11), dist=UNIFORM, n=50, m1_count=4, m2_count=4, k=4),
+            None,
+        ),
+        "3x2x4-iid": (
+            dict(mac=_kernel_3x2x4(), dist=ProductDist(np.array([0.5, 0.3, 0.2]),
+                 np.array([0.6, 0.4])), n=30, m1_count=1, m2_count=1, k=8),
+            None,
+        ),
+        "noisy-adder-type": (
+            dict(mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=1, m2_count=1, k=4,
+                 mode="type"),
+            None,
+        ),
+        "3x2x4-type": (
+            dict(mac=_kernel_3x2x4(), dist=_TYPE_3X2, n=20, m1_count=1, m2_count=1, k=16,
+                 mode="type"),
+            default_thresholds(_kernel_3x2x4(), _TYPE_3X2, 20, 1, 1, 16, "iid"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_symbol_sampler(self, case):
+        kw, th = self.CASES[case]
+        cfg = SimConfig(**kw, thresholds=th)
+        th = cfg.resolved_thresholds()
+        samples = 60_000
+        counts = code_sim._bound_samples(cfg, th, samples, seed=1)
+        symbols = bound_reference.reference_bound_samples(cfg, th, samples, seed=2)
+        for got, want in zip(counts, symbols):
+            assert abs(_two_sample_z(got, want, samples)) < 4.0, (counts, symbols)
+        rates = np.array(counts + symbols) / samples
+        checked = rates if cfg.mode == "type" else rates[::2]  # iid has no type misses
+        assert np.all((checked >= 1e-3) & (checked <= 0.5)), rates
+
+    @pytest.mark.parametrize("case", [
+        ("iid", _noisy_adder(), UNIFORM, 3, 2),
+        ("iid", _kernel_3x2x4(), ProductDist(np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.4])), 3, 2),
+        ("type", _noisy_adder(), HALF_TYPE, 4, 2),
+        ("type", xor_channel(0.11), HALF_TYPE, 4, 3),
+    ], ids=["noisy-adder-iid-n3-k2", "3x2x4-iid-n3-k2", "noisy-adder-type-n4-k2", "xor-type-n4-k3"])
+    def test_exact_law_at_tiny_n(self, case):
+        mode, mac, dist, n, k = case
+        cfg = SimConfig(mac=mac, dist=dist, n=n, m1_count=1, m2_count=1, k=k, mode=mode)
+        th = replace(cfg.resolved_thresholds(), c12=0.5 * n, c1=0.25 * n, c2=0.25 * n)
+        fail, unmatched = _exact_bound_rates(cfg, th)
+        samples = 200_000
+        got = code_sim._bound_samples(cfg, th, samples, seed=4)
+        for count, p in zip(got, (fail, unmatched)):
+            se = math.sqrt(p * (1 - p) / samples)
+            assert abs(count / samples - p) <= 4.0 * se, (got, fail, unmatched)
+        assert 0.01 < fail < 0.99
+
+    def test_memory_stays_bounded_at_large_n_and_k(self):
+        cfg = SimConfig(
+            mac=xor_channel(0.11), dist=UNIFORM, n=10**5, m1_count=1, m2_count=1, k=2**10,
+        )
+        block = code_sim._BLOCK_BYTES // code_sim._bound_sample_bytes(cfg.mac, cfg.k)
+        tracemalloc.start()
+        try:
+            fbl_bound(cfg, mc_samples=block + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < code_sim._BLOCK_BYTES
+

@@ -1,4 +1,4 @@
-"""Both demos run to completion against the current library API."""
+"""Every demo runs to completion against the current library API."""
 import os
 import subprocess
 import sys
