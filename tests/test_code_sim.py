@@ -306,7 +306,6 @@ class TestFblBound:
         assert rep.fbl_bound is not None
         assert rep.fbl_bound >= rep.ci95[0]
 
-
     def test_class_count_does_not_overflow(self):
         # (n + 1)^(A1*A2) = 102401^64 overflows a float; the default thresholds
         # carry the same factor, so each union term is n^(-1/2)
@@ -765,16 +764,19 @@ def _exact_bound_rates(cfg, th):
     dec = code_sim._Decoder.build(mac, cfg.dist, th)
 
     def words(size, p, margin):
-        if cfg.mode == "iid":
+        """Every codeword of one user and its probability."""
+        if margin is None:
             w = np.array(list(itertools.product(range(size), repeat=n)))
             return w, np.prod(p[w], axis=-1)
-        base = np.repeat(np.arange(size), margin)
-        w = np.array(sorted(set(itertools.permutations(base))))
+        w = np.array(sorted(set(itertools.permutations(np.repeat(np.arange(size), margin)))))
         return w, np.full(len(w), 1 / len(w))
 
-    target = code_sim._type_counts(cfg.dist, n) if cfg.mode == "type" else np.ones((a1, a2))
-    w1, pw1 = words(a1, cfg.dist.p1, target.sum(axis=1))
-    w2, pw2 = words(a2, cfg.dist.p2, target.sum(axis=0))
+    margins = (None, None)
+    if cfg.mode == "type":
+        target = code_sim._type_counts(cfg.dist, n)
+        margins = (target.sum(axis=1), target.sum(axis=0))
+    w1, pw1 = words(a1, cfg.dist.p1, margins[0])
+    w2, pw2 = words(a2, cfg.dist.p2, margins[1])
     x1 = np.repeat(w1, len(w2), axis=0)  # every codeword pair (P, n)
     x2 = np.tile(w2, (len(w1), 1))
     p_pair = np.outer(pw1, pw2).ravel()
