@@ -28,12 +28,10 @@ TALLY = ("threshold_miss", "impostor_pass", "ambiguity", "type_miss")
 def case_figures(kw: dict, samples: int) -> tuple:
     """(trials per block, errors, tally, (bound samples, fails, unmatched)) of one case."""
     cfg = SimConfig(**kw)
-    blocks = tuple(
-        code_sim._BLOCK_BYTES // per_item
-        for per_item in (
-            code_sim._trial_bytes(cfg.mac, cfg.n, cfg.m1_count, cfg.m2_count, cfg.k),
-            code_sim._bound_sample_bytes(cfg.mac, cfg.k),
-        )
+    blocks = (
+        code_sim._BLOCK_BYTES
+        // code_sim._trial_bytes(cfg.mac, cfg.n, cfg.m1_count, cfg.m2_count, cfg.k),
+        code_sim._BLOCK_BYTES // code_sim._bound_sample_bytes(cfg.mac, cfg.k),
     )
     rep = estimate_error(cfg)
     fails, misses = code_sim._bound_samples(cfg, cfg.resolved_thresholds(), samples, seed=3)
