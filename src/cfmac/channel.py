@@ -51,11 +51,6 @@ def _log_units(x: float, units: str) -> float:
     return math.log2(x) if _is_bits(units) else math.log(x)
 
 
-def _log_base(units: str) -> float:
-    """The base of the logarithm the requested units count in."""
-    return 2.0 if _is_bits(units) else math.e
-
-
 @dataclass(frozen=True)
 class Mac:
     """Finite-alphabet MAC with transition kernel indexed [x1][x2][y]."""

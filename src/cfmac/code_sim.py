@@ -65,7 +65,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from .channel import (
     InputDist,
@@ -73,8 +73,8 @@ from .channel import (
     Mac,
     _field,
     _integer,
-    _log_base,
     _log_units,
+    _nats_per_unit,
     _parsing,
     dump_dist,
     info_density_tables,
@@ -151,6 +151,10 @@ class SimConfig:
         for name in ("n", "m1_count", "m2_count", "k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.thresholds is not None and self.thresholds.units != self.units:
+            raise ValueError(
+                f"thresholds are in {self.thresholds.units!r}, the config in {self.units!r}"
+            )
 
     def resolved_thresholds(self) -> DecoderThresholds:
         if self.thresholds is not None:
@@ -201,19 +205,23 @@ def default_thresholds(
 ) -> DecoderThresholds:
     """Threshold choices from the two constructions' explicit settings."""
     half_log_n = 0.5 * _log_units(n, units)
-    if mode == IID:  # no type-class counting penalty; adding 0.0 is exact
-        pairs, counting = m1_count * m2_count * k, 0.0
-    elif mode == TYPE:
-        pairs = m1_count * m2_count
-        counting = mac.x1_size * mac.x2_size * _log_units(n + 1, units)
-    else:
-        raise ModeMismatch(f"unknown mode {mode!r}")
+    pairs, classes = _counting(mac, m1_count, m2_count, k, mode)
+    counting = classes * _log_units(n + 1, units)  # iid: exactly 0.0, and adding it is exact
     return DecoderThresholds(
         c12=_log_units(pairs, units) + half_log_n + counting,
         c1=_log_units(m1_count, units) + half_log_n + counting,
         c2=_log_units(m2_count, units) + half_log_n + counting,
         units=units,
     )
+
+
+def _counting(mac: Mac, m1_count: int, m2_count: int, k: int, mode: str) -> tuple[int, int]:
+    """Impostor-pair count and type-class exponent: (M1*M2*K, 0) iid, (M1*M2, A1*A2) type."""
+    if mode == IID:
+        return m1_count * m2_count * k, 0
+    if mode == TYPE:
+        return m1_count * m2_count, mac.x1_size * mac.x2_size
+    raise ModeMismatch(f"unknown mode {mode!r}")
 
 
 def _type_counts(dist: JointDist, n: int) -> np.ndarray:
@@ -241,28 +249,29 @@ def _blocks(seed: int, family: int, total: int, trial_bytes: int):
         yield _stream(seed, family, block), min(size, total - start)
 
 
-def _clopper_pearson(errors: int, trials: int, conf: float = 0.95) -> tuple[float, float]:
+def _clopper_pearson(count: int, total: int, conf: float = 0.95) -> tuple[float, float]:
+    """Both endpoints of the ``conf`` Clopper-Pearson interval of count / total."""
     alpha = 1.0 - conf
-    low = 0.0 if errors == 0 else float(_beta.ppf(alpha / 2, errors, trials - errors + 1))
-    high = 1.0 if errors == trials else float(_beta.ppf(1 - alpha / 2, errors + 1, trials - errors))
+    low = 0.0 if count == 0 else float(betaincinv(count, total - count + 1, alpha / 2))
+    high = 1.0 if count == total else float(betaincinv(count + 1, total - count, 1 - alpha / 2))
     return low, high
 
 
-def _upper_99(count: int, samples: int) -> float:
-    """Upper endpoint of the 99% Clopper-Pearson interval of count / samples."""
-    return float(_beta.ppf(0.995, count + 1, samples - count)) if count < samples else 1.0
-
-
 # ---------------------------------------------------------------------------
-# sampling: symbols are counted against cdf[:-1], so a uniform that rounds
-# past the last cumulative sum still yields the last symbol
+# sampling
 
 
-def _draw_iid(rng, shape, cdf):
+def _sample(rng, shape, cdf, law=()):
+    """uint8 symbols by inverse CDF: a uniform counts the sums cdf[law][:-1] it reaches.
+
+    ``cdf`` is one law (A,) or a table (..., A) whose rows ``law`` indexes; one
+    pass per threshold keeps every temporary at ``shape``.  The last sum is never
+    compared, so a uniform that rounds past it still yields the last symbol.
+    """
     u = rng.random(shape)
     words = np.zeros(shape, dtype=np.uint8)
-    for t in cdf[:-1]:
-        words += u >= t
+    for j in range(cdf.shape[-1] - 1):
+        words += u >= cdf[..., j][law]
     return words
 
 
@@ -281,7 +290,7 @@ def _construction(dist: InputDist, n: int, mode: str):
     """The one mode dispatch: per user, a sampler (rng, shape) -> uint8 codeword
     symbols, and the joint n-type counts (A1*A2,) that type mode matches (None in iid mode)."""
     if mode == IID:
-        return [partial(_draw_iid, cdf=np.cumsum(p)) for p in (dist.p1, dist.p2)], None
+        return [partial(_sample, cdf=np.cumsum(p)) for p in (dist.p1, dist.p2)], None
     if mode != TYPE:
         raise ModeMismatch(f"unknown mode {mode!r}")
     if not isinstance(dist, JointDist):
@@ -292,12 +301,6 @@ def _construction(dist: InputDist, n: int, mode: str):
         for c in (counts.sum(axis=1), counts.sum(axis=0))
     ]
     return samplers, counts.ravel()
-
-
-def _channel(rng, output_cdf, x1, x2):
-    """Received words for input words x1, x2 (B, n); output_cdf is cdf[..., :-1]."""
-    u = rng.random(x1.shape)
-    return (u[..., None] >= output_cdf[x1, x2]).sum(axis=-1, dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +417,7 @@ class _Decoder:
     weights: np.ndarray
     infs: tuple
     c: np.ndarray  # (c12, c1, c2)
-    output_cdf: np.ndarray  # kernel cdf without its last column, for the channel
+    output_cdf: np.ndarray  # kernel cdf (A1, A2, Y), for the channel
 
     @classmethod
     def build(cls, mac: Mac, dist: InputDist, th: DecoderThresholds) -> "_Decoder":
@@ -428,7 +431,7 @@ class _Decoder:
             np.concatenate([np.where(np.isfinite(d), d, 0.0), indicators[:, present]], axis=1),
             tuple((int(c) % 3, -np.inf if c < 3 else np.inf) for c in present),
             np.array([th.c12, th.c1, th.c2]),
-            np.cumsum(mac.kernel, axis=-1)[..., :-1],
+            np.cumsum(mac.kernel, axis=-1),
         )
 
     def metrics(self, z):
@@ -480,7 +483,8 @@ def _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec):
     msg2 = rng.integers(0, m2c, size=b)
     bb = np.arange(b)
     k_sent = e[bb, msg1, msg2]
-    y = _channel(rng, dec.output_cdf, f1[bb, k_sent, msg1], f2[bb, k_sent, msg2])
+    x1, x2 = f1[bb, k_sent, msg1], f2[bb, k_sent, msg2]
+    y = _sample(rng, x1.shape, dec.output_cdf, (x1, x2))
 
     if _counts_directly(m1c, m2c, k):
         z = _facilitated_counts(f1, f2, y, e, mac.x1_size, mac.x2_size, mac.y_size)
@@ -536,11 +540,16 @@ def _fixed_code(
     th: DecoderThresholds,
 ):
     """Decoder, sent words x1, x2 (M1, M2, n) and, in type mode, their type check (else None)."""
+    e, (m1, k), m2 = e_table.e, codebooks.f1.shape[:2], len(codebooks.f2)
+    if e.shape != (m1, m2) or e.min() < 0 or e.max() >= k:
+        raise SizeMismatch(
+            f"facilitator table of shape {e.shape} with entries in [{e.min()}, {e.max()}] "
+            f"does not fit codebooks of (M1, M2) = {(m1, m2)} and K = {k}"
+        )
     _, target = _construction(dist, codebooks.n, codebooks.mode)
     dec = _Decoder.build(mac, dist, th)
-    m1, m2 = e_table.e.shape
-    x1 = codebooks.f1[np.arange(m1)[:, None], e_table.e]
-    x2 = codebooks.f2[np.arange(m2)[None, :], e_table.e]
+    x1 = codebooks.f1[np.arange(m1)[:, None], e]
+    x2 = codebooks.f2[np.arange(m2)[None, :], e]
     in_type = None
     if target is not None:
         in_type = (_word_counts(x1, x2, 0, mac.x1_size, mac.x2_size, 1) == target).all(axis=-1)
@@ -605,10 +614,10 @@ def threshold_decode(
 ):
     """Decode one received word; returns ((m1, m2), 'decoded') or (None, reason)."""
     dec, x1, x2, in_type = _fixed_code(codebooks, e_table, mac, dist, thresholds)
-    y = np.asarray(y_word, dtype=np.int64)
-    if y.shape != (codebooks.n,) or y.min() < 0 or y.max() >= mac.y_size:
-        raise SizeMismatch(f"received word must hold {codebooks.n} symbols in [0, {mac.y_size})")
-    counts = _word_counts(x1, x2, y, mac.x1_size, mac.x2_size, mac.y_size)
+    y = np.asarray(y_word)
+    if y.shape != (codebooks.n,) or not np.all((y >= 0) & (y < mac.y_size) & (np.floor(y) == y)):
+        raise SizeMismatch(f"received word must hold {codebooks.n} integers in [0, {mac.y_size})")
+    counts = _word_counts(x1, x2, y.astype(np.int64), mac.x1_size, mac.x2_size, mac.y_size)
     passes = dec.passes(counts.astype(np.float64) @ dec.weights)
     if in_type is not None:
         passes &= in_type
@@ -722,16 +731,13 @@ def _union(config: SimConfig, th: DecoderThresholds) -> float:
     Summed from logarithms: with the default thresholds each term is about
     n^(-1/2), while the class count alone overflows a float at large n.
     """
-    type_mode = config.mode == TYPE
-    log_base = math.log(_log_base(th.units))
-    log_classes = 0.0
-    if type_mode:
-        log_classes = config.mac.x1_size * config.mac.x2_size * math.log(config.n + 1)
-    pairs = config.m1_count * config.m2_count * (1 if type_mode else config.k)
+    pairs, classes = _counting(config.mac, config.m1_count, config.m2_count, config.k, config.mode)
+    log_classes = classes * math.log(config.n + 1)  # iid: exactly 0.0
+    nats_per_unit = _nats_per_unit(th.units)
     logs = np.array([
-        math.log(pairs) - th.c12 * log_base,
-        math.log(config.m1_count) - th.c1 * log_base,
-        math.log(config.m2_count) - th.c2 * log_base,
+        math.log(pairs) - th.c12 * nats_per_unit,
+        math.log(config.m1_count) - th.c1 * nats_per_unit,
+        math.log(config.m2_count) - th.c2 * nats_per_unit,
     ])
     with np.errstate(over="ignore"):  # a term past the float range is an infinite bound
         return float(np.exp(logs + log_classes).sum())
@@ -757,9 +763,9 @@ def fbl_bound(config: SimConfig, mc_samples: int = 100_000, seed: int | None = N
         seed = config.seed
 
     fails, type_misses = _bound_samples(config, th, mc_samples, seed)
-    bound = _upper_99(fails, mc_samples) + _union(config, th)
+    bound = _clopper_pearson(fails, mc_samples, 0.99)[1] + _union(config, th)
     if config.mode == TYPE:
-        bound += _upper_99(type_misses, mc_samples)
+        bound += _clopper_pearson(type_misses, mc_samples, 0.99)[1]
     return bound
 
 
@@ -790,7 +796,7 @@ def estimate_error_fixed_code(
     def block(rng, b):
         msg1 = rng.integers(0, m1c, size=b)
         msg2 = rng.integers(0, m2c, size=b)
-        y = _channel(rng, dec.output_cdf, x1[msg1, msg2], x2[msg1, msg2])
+        y = _sample(rng, (b, n), dec.output_cdf, (x1[msg1, msg2], x2[msg1, msg2]))
         z = _onehot(y, mac.y_size, np.float64).reshape(b, -1) @ tables
         return dec.passes(z.reshape(b, m1c, m2c, -1)), in_type, msg1, msg2
 

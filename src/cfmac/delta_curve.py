@@ -105,17 +105,16 @@ def delta_small_a(v1_star: float, a: float, units: str = "bits") -> float:
 # solver internals (all in nats)
 
 
+def _mi_xy_terms(kernel: np.ndarray, p12: np.ndarray) -> np.ndarray:
+    """Terms W log(W / p_Y) (A1, A2, Y), 0 where W is: I(X1X2;Y) is their p12-weighted
+    sum, and its gradient their sum over y, D(W_x || p_Y), minus a constant 1."""
+    p_y = np.einsum("ij,ijy->y", p12, kernel)
+    logt = np.log(np.maximum(kernel, _EPS)) - np.log(np.maximum(p_y, _EPS))
+    return np.where(kernel > 0, kernel * logt, 0.0)
+
+
 def _mi_xy_nats(kernel: np.ndarray, p12: np.ndarray) -> float:
-    p_y = np.einsum("ij,ijy->y", p12, kernel)
-    logt = np.log(np.maximum(kernel, _EPS)) - np.log(np.maximum(p_y, _EPS))
-    return float((p12[:, :, None] * np.where(kernel > 0, kernel * logt, 0.0)).sum())
-
-
-def _mi_xy_grad_nats(kernel: np.ndarray, p12: np.ndarray) -> np.ndarray:
-    p_y = np.einsum("ij,ijy->y", p12, kernel)
-    logt = np.log(np.maximum(kernel, _EPS)) - np.log(np.maximum(p_y, _EPS))
-    # d/dp of (sum_c p_c D(W_c || pY)): the divergence minus a constant 1.
-    return np.where(kernel > 0, kernel * logt, 0.0).sum(axis=2) - 1.0
+    return float((p12[:, :, None] * _mi_xy_terms(kernel, p12)).sum())
 
 
 def _mi_12_nats(p12: np.ndarray) -> float:
@@ -177,10 +176,10 @@ def _refine(kernel, p_start: np.ndarray, a_nats: float):
     m = p_start.size
 
     def neg_obj(x):
-        return -_mi_xy_nats(kernel, x.reshape(shape))
-
-    def neg_obj_grad(x):
-        return -_mi_xy_grad_nats(kernel, x.reshape(shape)).ravel()
+        p12 = x.reshape(shape)
+        terms = _mi_xy_terms(kernel, p12)
+        value = float((p12[:, :, None] * terms).sum())
+        return -value, -(terms.sum(axis=2) - 1.0).ravel()
 
     cons = [
         {"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(m)},
@@ -193,7 +192,7 @@ def _refine(kernel, p_start: np.ndarray, a_nats: float):
     res = minimize(
         neg_obj,
         p_start.ravel(),
-        jac=neg_obj_grad,
+        jac=True,
         method="SLSQP",
         bounds=[(0.0, 1.0)] * m,
         constraints=cons,

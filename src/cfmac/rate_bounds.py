@@ -220,8 +220,6 @@ def cooperation_gain(
     """Best-rate improvement of K-fold facilitation over no facilitation."""
     if q.k == 1:
         return {"gain_bits_per_use": 0.0, "gain_total_bits": 0.0}
-    capacity = _capacity_in(mac, q.units, capacity)
     with_cf = rate_report(mac, q, corrections, capacity)
-    without = rate_report(mac, RateQuery(q.n, q.eps, 1, q.units), corrections, capacity)
-    gain = with_cf.best_rate - without.best_rate
+    gain = with_cf.best_rate - with_cf.baseline_rate
     return {"gain_bits_per_use": gain, "gain_total_bits": gain * q.n}

@@ -1,0 +1,202 @@
+"""Print one ``name sha256`` line per CLI and library output of cfmac.
+
+A refactor must keep every output byte-identical.  Run this script on two
+trees and compare the results with ``diff``:
+
+    PYTHONPATH=src python tests/output_digest.py > after.txt
+    (cd ../parent && PYTHONPATH=src python tests/output_digest.py) > before.txt
+    diff before.txt after.txt
+
+The CLI runs in-process through ``cfmac.cli.main`` and writes to stdout: no
+``--out``, so no manifest and no wall time enters a digest.  Library results
+are hashed from exact forms: array bytes with their dtype and shape, floats by
+``repr``, reports as sorted JSON.  Covered:
+
+- CLI ``stats`` (also with ``--dist``, a product and a joint law), ``delta``
+  and ``rates`` (``--n 100,1000 --k 1,2,16``), in bits and nats, on adder2,
+  xor:0.11 and Dirichlet 2x2x3 and 4x4x5 kernels drawn from a fixed seed;
+- CLI ``fig1``, three ``invcdf`` calls, and ``simulate`` with and without
+  ``--validate-bound`` on the README config, an iid config and a type-mode
+  config;
+- per config: ``draw_codebooks``, ``facilitate``, 8 ``threshold_decode``
+  results, ``estimate_error_fixed_code``, ``estimate_error``, ``fbl_bound``
+  and ``cooperation_gain``.
+
+It takes about 20 s on a 2-core host.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import cfmac
+import cfmac.cli
+
+# the benchmark's fixed kernel seed: the same 2x2x3 and 4x4x5 draws, in order
+KERNEL_SEED = 210201247
+DIRICHLET_SHAPES = {"dir2x2x3": (2, 2, 3), "dir4x4x5": (4, 4, 5)}
+LAW_SEED = 7
+
+README_CONFIG = {
+    "channel": "adder2",
+    "dist": {"p1": [0.5, 0.5], "p2": [0.5, 0.5]},
+    "n": 20, "m1_count": 2, "m2_count": 2, "k": 2,
+    "mode": "iid", "trials": 100000, "seed": 7,
+}
+SIM_CONFIGS = {
+    "readme": README_CONFIG,
+    "iid": {
+        "channel": "xor:0.11", "dist": {"p1": [0.5, 0.5], "p2": [0.4, 0.6]},
+        "n": 50, "m1_count": 4, "m2_count": 3, "k": 4,
+        "mode": "iid", "trials": 20000, "seed": 3, "units": "nats",
+    },
+    "type": {
+        "channel": "adder2", "dist": {"p12": [[0.25, 0.25], [0.25, 0.25]]},
+        "n": 40, "m1_count": 2, "m2_count": 2, "k": 8,
+        "mode": "type", "trials": 20000, "seed": 1,
+    },
+}
+INVCDF = [
+    ("1", "1", "1024", "0.01"),
+    ("0.25", "0", "16", "0.1"),
+    ("0.7", "1.3", "1099511627776", "0.001"),
+]
+BOUND_SAMPLES = "20000"
+DECODES = 8
+
+
+def _sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _array(a) -> bytes:
+    a = np.ascontiguousarray(a)
+    return f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
+
+
+def _cli(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cfmac.cli.main(argv)
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def _write(name: str, doc) -> str:
+    """Write ``doc`` to ``name`` in the working directory; the CLI echoes the name."""
+    Path(name).write_text(json.dumps(doc))
+    return name
+
+
+def _channels() -> dict:
+    """Label -> (CLI channel reference, product law file, joint law file)."""
+    refs = {"adder2": ("adder2", 2, 2), "xor0.11": ("xor:0.11", 2, 2)}
+    rng = np.random.default_rng(KERNEL_SEED)
+    for label, (a1, a2, ny) in DIRICHLET_SHAPES.items():
+        kernel = rng.dirichlet(np.ones(ny), size=(a1, a2))
+        doc = {"x1_size": a1, "x2_size": a2, "y_size": ny, "kernel": kernel.tolist()}
+        refs[label] = (_write(f"{label}.json", doc), a1, a2)
+    laws = np.random.default_rng(LAW_SEED)
+    out = {}
+    for label, (ref, a1, a2) in refs.items():
+        p1, p2 = laws.dirichlet(np.ones(a1)), laws.dirichlet(np.ones(a2))
+        p12 = laws.dirichlet(np.ones(a1 * a2)).reshape(a1, a2)
+        product = _write(f"{label}.product.json", {"p1": p1.tolist(), "p2": p2.tolist()})
+        joint = _write(f"{label}.joint.json", {"p12": p12.tolist()})
+        out[label] = (ref, product, joint)
+    return out
+
+
+def cli_digests():
+    for label, (ref, product, joint) in _channels().items():
+        for units in ("bits", "nats"):
+            u = ["--units", units]
+            yield f"stats.{label}.{units}", _cli(u + ["stats", "--channel", ref])
+            yield f"stats.{label}.{units}.product", _cli(
+                u + ["stats", "--channel", ref, "--dist", product]
+            )
+            yield f"stats.{label}.{units}.joint", _cli(
+                u + ["stats", "--channel", ref, "--dist", joint]
+            )
+            yield f"delta.{label}.{units}", _cli(u + ["delta", "--channel", ref])
+            yield f"rates.{label}.{units}", _cli(
+                u + ["rates", "--channel", ref, "--n", "100,1000", "--k", "1,2,16"]
+            )
+    yield "fig1", _cli(["fig1"])
+    for v1, v2, k, eps in INVCDF:
+        yield f"invcdf.{v1}.{v2}.{k}.{eps}", _cli(
+            ["invcdf", "--v1", v1, "--v2", v2, "--k", k, "--eps", eps]
+        )
+    for name, doc in SIM_CONFIGS.items():
+        path = _write(f"sim.{name}.json", doc)
+        yield f"simulate.{name}", _cli(["simulate", "--config", path])
+        yield f"simulate.{name}.validate-bound", _cli(
+            ["simulate", "--config", path, "--validate-bound", "--bound-samples", BOUND_SAMPLES]
+        )
+
+
+def _received_words(cb, table, mac, rng):
+    """Words sent through the channel by a few message pairs, then uniform words."""
+    cdf = np.cumsum(mac.kernel, axis=-1)
+    m1c, m2c = table.e.shape
+    for i in range(DECODES):
+        if i < DECODES // 2:
+            m1, m2 = i % m1c, (i // 2) % m2c
+            k = table.e[m1, m2]
+            x1, x2 = cb.f1[m1, k], cb.f2[m2, k]
+            yield (rng.random(cb.n)[:, None] >= cdf[x1, x2][:, :-1]).sum(axis=-1)
+        else:
+            yield rng.integers(0, mac.y_size, size=cb.n)
+
+
+def library_digests():
+    for name, doc in SIM_CONFIGS.items():
+        cfg = cfmac.sim_config_from_dict(doc)
+        cb = cfmac.draw_codebooks(
+            cfg.mac, cfg.dist, cfg.n, cfg.m1_count, cfg.m2_count, cfg.k, cfg.mode, cfg.seed
+        )
+        yield f"lib.{name}.draw_codebooks", _array(cb.f1) + _array(cb.f2)
+        table = cfmac.facilitate(cb, cfg.mac, cfg.dist, cfg.mode, cfg.seed)
+        unmatched = b"" if table.unmatched is None else _array(table.unmatched)
+        yield f"lib.{name}.facilitate", _array(table.e) + unmatched
+        th = cfg.resolved_thresholds()
+        rng = np.random.default_rng(cfg.seed)
+        for i, y in enumerate(_received_words(cb, table, cfg.mac, rng)):
+            result = cfmac.threshold_decode(y, cb, table, th, cfg.mac, cfg.dist)
+            yield f"lib.{name}.threshold_decode.{i}", repr(result)
+        report = cfmac.estimate_error_fixed_code(cb, table, cfg)
+        yield f"lib.{name}.estimate_error_fixed_code", json.dumps(report.to_dict(), sort_keys=True)
+        report = cfmac.estimate_error(cfg)
+        yield f"lib.{name}.estimate_error", json.dumps(report.to_dict(), sort_keys=True)
+        yield f"lib.{name}.fbl_bound", repr(cfmac.fbl_bound(cfg, mc_samples=int(BOUND_SAMPLES)))
+        q = cfmac.RateQuery(cfg.n, 0.01, cfg.k, cfg.units)
+        yield f"lib.{name}.cooperation_gain", json.dumps(
+            cfmac.cooperation_gain(cfg.mac, q), sort_keys=True
+        )
+
+
+def main() -> int:
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative file names: ``stats`` echoes its channel reference
+        try:
+            for name, data in cli_digests():
+                print(name, _sha(data), flush=True)
+        finally:
+            os.chdir(home)
+    for name, data in library_digests():
+        print(name, _sha(data), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from cfmac.code_sim import (
 )
 from cfmac.errors import DegenerateThresholds, ModeMismatch, NotAnNType, SizeMismatch
 
+ROOT = Path(__file__).resolve().parents[1]
 UNIFORM = ProductDist(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 HALF_TYPE = JointDist(np.array([[0.25, 0.25], [0.25, 0.25]]))
 
@@ -164,6 +169,35 @@ class TestThresholdDecode:
         th = DecoderThresholds(c12=-math.inf, c1=-math.inf, c2=-math.inf)
         with pytest.raises(SizeMismatch):
             threshold_decode(np.array([0, 1, 3, 0, 0]), cb, table, th, mac, UNIFORM)
+
+    def test_rejects_fractional_word_and_accepts_integral_floats(self):
+        mac = adder2()
+        cb = draw_codebooks(mac, UNIFORM, 5, 1, 1, 1, "iid", seed=2)
+        table = facilitate(cb, mac, UNIFORM, "iid")
+        th = DecoderThresholds(c12=-math.inf, c1=-math.inf, c2=-math.inf)
+        with pytest.raises(SizeMismatch, match="5 integers in"):
+            threshold_decode(np.array([0.9, 1.5, 0.2, 1.9, 0.0]), cb, table, th, mac, UNIFORM)
+        y = cb.f1[0, 0] + cb.f2[0, 0]
+        assert threshold_decode(y.astype(float), cb, table, th, mac, UNIFORM) == (
+            threshold_decode(y, cb, table, th, mac, UNIFORM)
+        )
+
+    def test_rejects_a_table_that_does_not_fit_the_codebooks(self):
+        # codebooks with M = 2, K = 2, against the table of an M = 4, K = 3 code
+        # and against a 2 x 2 table with an entry past K
+        mac = adder2()
+        cb = draw_codebooks(mac, UNIFORM, 8, 2, 2, 2, "iid", seed=2)
+        other = facilitate(draw_codebooks(mac, UNIFORM, 8, 4, 4, 3, "iid", seed=2), mac, UNIFORM)
+        past_k = replace(other, e=np.full((2, 2), 2))
+        th = DecoderThresholds(c12=-math.inf, c1=-math.inf, c2=-math.inf)
+        for table in (other, past_k):
+            m = len(table.e)  # a config of the table's sizes passes the config check
+            cfg = SimConfig(mac=mac, dist=UNIFORM, n=8, m1_count=m, m2_count=m, k=2, trials=100)
+            match = rf"table of shape \({m}, {m}\) .* codebooks of \(M1, M2\) = \(2, 2\)"
+            with pytest.raises(SizeMismatch, match=match):
+                threshold_decode(np.zeros(8), cb, table, th, mac, UNIFORM)
+            with pytest.raises(SizeMismatch, match=match):
+                estimate_error_fixed_code(cb, table, cfg)
 
     def test_none_pass_with_closed_thresholds(self):
         mac = adder2()
@@ -352,6 +386,19 @@ class TestConfigSerialization:
         assert (back.trials, back.seed, back.mode) == (123, 42, "iid")
         assert estimate_error(back) == estimate_error(cfg)
 
+    def test_thresholds_in_other_units_are_rejected(self):
+        th = DecoderThresholds(2.0, 1.0, 1.0, units="bits")
+        with pytest.raises(ValueError, match="thresholds are in 'bits', the config in 'nats'"):
+            SimConfig(
+                mac=adder2(), dist=UNIFORM, n=20, m1_count=2, m2_count=2, k=2,
+                units="nats", thresholds=th,
+            )
+        cfg = SimConfig(
+            mac=adder2(), dist=UNIFORM, n=20, m1_count=2, m2_count=2, k=2,
+            units="nats", thresholds=replace(th, units="nats"),
+        )
+        assert sim_config_from_dict(sim_config_to_dict(cfg)).thresholds == cfg.thresholds
+
     def test_joint_dist_round_trip(self):
         cfg = SimConfig(
             mac=adder2(), dist=HALF_TYPE, n=8, m1_count=2, m2_count=2, k=4, mode="type",
@@ -425,17 +472,43 @@ class TestSamplers:
 
     def test_codeword_draw_maps_top_uniform_to_last_symbol(self):
         assert self.TOP >= self.CDF[-1]
-        words = code_sim._draw_iid(_ConstantRng(self.TOP), (2, 3), self.CDF)
+        words = code_sim._sample(_ConstantRng(self.TOP), (2, 3), self.CDF)
         assert np.all(words == 2)
-        assert np.all(code_sim._draw_iid(_ConstantRng(0.0), (2, 3), self.CDF) == 0)
+        assert np.all(code_sim._sample(_ConstantRng(0.0), (2, 3), self.CDF) == 0)
 
     def test_channel_maps_top_uniform_to_last_symbol(self):
         mac = Mac(np.tile([0.7, 0.2, 0.1], (2, 2, 1)))
-        output_cdf = np.cumsum(mac.kernel, axis=-1)[..., :-1]
+        output_cdf = np.cumsum(mac.kernel, axis=-1)
         x = np.zeros((3, 4), dtype=np.uint8)
-        y = code_sim._channel(_ConstantRng(self.TOP), output_cdf, x, x + 1)
+        y = code_sim._sample(_ConstantRng(self.TOP), x.shape, output_cdf, (x, x + 1))
         assert np.all(y == 2)
-        assert np.all(code_sim._channel(_ConstantRng(0.0), output_cdf, x, x) == 0)
+        assert np.all(code_sim._sample(_ConstantRng(0.0), x.shape, output_cdf, (x, x)) == 0)
+
+
+class TestClopperPearson:
+    @pytest.mark.parametrize("conf", [0.95, 0.99])
+    def test_equals_the_beta_quantiles(self, conf):
+        from scipy.stats import beta  # the reference; the package itself does not load it
+        rng = np.random.default_rng(5)
+        alpha = 1.0 - conf
+        for total in (1, 2, 3, 10, 1000, 10**5, 10**7, 10**9):
+            counts = {0, 1, total // 2, total - 1, total, *rng.integers(0, total + 1, 20).tolist()}
+            for count in sorted(counts):
+                low = 0.0 if count == 0 else float(beta.ppf(alpha / 2, count, total - count + 1))
+                high = 1.0 if count == total else float(
+                    beta.ppf(1 - alpha / 2, count + 1, total - count)
+                )
+                assert code_sim._clopper_pearson(count, total, conf) == (low, high)
+
+    def test_import_loads_no_scipy_stats(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        code = "import sys, cfmac, cfmac.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestStreams:
