@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
+from .channel import _integer
 from .errors import DegenerateBothZero, TargetOutOfRange
 
 _CDF_ABS_TOL = 1e-10
@@ -31,6 +32,7 @@ class SkParams:
     k: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer(self.k))
         if self.v1 < 0 or self.v2 < 0:
             raise ValueError("variance components must be nonnegative")
         if self.k < 1:

@@ -1,20 +1,35 @@
 """Achievable sum-rate curves for the facilitated MAC at finite blocklength.
 
-Two lower bounds are evaluated: a dispersion-style bound built on the
-max-of-Gaussians quantile (valid for moderate facilitator alphabets) and a
-type-based bound built on the correlation-benefit curve (valid for large
-ones), together with the non-facilitated K=1 baseline.  Asymptotically
-unspecified constants default to the values traceable in the constructions
-and to zero elsewhere; every applied constant is echoed in the report.
+Two lower bounds are evaluated next to the non-facilitated K=1 baseline:
+
+- Thm 2, a dispersion-style bound built on the max-of-Gaussians quantile
+  (valid for moderate facilitator alphabets): C + Q_{S_K}(eps)/sqrt(n).  The
+  paper's third-order term theta_n has unspecified constants and is taken as
+  0, the normal-approximation convention; ``theta_regime`` names the regime
+  its shape would follow.
+- Thm 3, a type-based bound built on the correlation-benefit curve (valid for
+  large ones): C + delta(log(K)/n - c_a log(n)/n) - sqrt(V2/n) Q^{-1}(eps), with
+  c_a = A1*A2 + 1, the construction's type-class counting penalty.
+
+The baseline is the K=1 Thm-2 rate.  ``rate_report`` owns it: it is the only
+place the baseline stands in for a Thm-3 bound whose budget is exhausted.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy.special import ndtri
 
-from .channel import CapacityResult, ChannelStats, Mac, _capacity_in, _log_units, channel_stats
+from .channel import (
+    CapacityResult,
+    ChannelStats,
+    Mac,
+    _capacity_in,
+    _integer,
+    _log_units,
+    channel_stats,
+)
 from .delta_curve import delta
 from .gauss_max import SkParams, sk_inverse_cdf
 
@@ -27,6 +42,8 @@ class RateQuery:
     units: str = "bits"
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n))
+        object.__setattr__(self, "k", _integer(self.k))
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if not 0.0 < self.eps < 1.0:
@@ -39,18 +56,15 @@ class RateQuery:
 class Thm2Result:
     rate: float
     regime: str
-    theta_n: float
     quantile: float
-    corrections_used: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class Thm3Result:
-    rate: float
+    rate: float | None  # None when the budget is exhausted: the bound does not apply
     budget: float
     delta_value: float
     budget_exhausted: bool
-    corrections_used: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -60,166 +74,106 @@ class RateReport:
     baseline_rate: float
     best_rate: float
     regime: str
-    corrections_used: dict
     flags: list[str]
     units: str = "bits"
 
 
-def theta_regime(n: int, k: int, units: str = "bits") -> tuple[str, str]:
-    """Regime tag and the matching correction shape for the dispersion bound."""
+def theta_regime(n: int, k: int, units: str = "bits") -> str:
+    """Regime of the dispersion bound's theta_n: K against log n, log^1.5 n and n."""
     ln = _log_units(n, units)
     if k <= ln:
-        return "theta1", "log(n)/n"
+        return "theta1"
     if k <= ln ** 1.5:
-        return "theta2", "K/n"
+        return "theta2"
     if k <= n:
-        return "theta3", "log^{3/2}(n)/n"
-    return "theta4", "log^{3/2}(K)/n"
+        return "theta3"
+    return "theta4"
 
 
-def _theta_value(n: int, k: int, regime: str, coeff: float, units: str) -> float:
-    ln = _log_units(n, units)
-    if regime == "theta1":
-        return coeff * ln / n
-    if regime == "theta2":
-        return coeff * k / n
-    if regime == "theta3":
-        return coeff * ln ** 1.5 / n
-    return coeff * _log_units(k, units) ** 1.5 / n
-
-
-def thm2_sum_rate(
-    stats: ChannelStats,
-    q: RateQuery,
-    corrections: dict | None = None,
-    c_sum: float | None = None,
-) -> Thm2Result:
+def thm2_sum_rate(stats: ChannelStats, q: RateQuery, c_sum: float | None = None) -> Thm2Result:
     """Dispersion-style achievable sum-rate at a capacity-achieving product law.
 
-    rate = C_sum + quantile(eps) / sqrt(n) - theta_n; theta_n defaults to 0
-    (normal-approximation convention) with the regime shape selected by K
-    versus n and scaled by a user-supplied constant.
+    rate = C_sum + quantile(eps) / sqrt(n), with theta_n = 0.
     """
-    corrections = dict(corrections or {})
     if stats.units != q.units:
         raise ValueError("stats and query use different units")
     c = stats.mutual_info if c_sum is None else c_sum
     quantile = sk_inverse_cdf(SkParams(stats.v1, stats.v2, q.k), q.eps).value
-    regime, shape = theta_regime(q.n, q.k, q.units)
-    coeff = float(corrections.get(regime, 0.0))
-    theta = _theta_value(q.n, q.k, regime, coeff, q.units)
-    used = {"regime": regime, "theta_shape": shape, "theta_coeff": coeff, "theta_n": theta}
     return Thm2Result(
-        rate=c + quantile / math.sqrt(q.n) - theta,
-        regime=regime,
-        theta_n=theta,
+        rate=c + quantile / math.sqrt(q.n),
+        regime=theta_regime(q.n, q.k, q.units),
         quantile=quantile,
-        corrections_used=used,
     )
 
 
-def _baseline(
-    mac: Mac, q: RateQuery, corrections: dict | None, capacity: CapacityResult
-) -> tuple[ChannelStats, Thm2Result]:
-    """The K=1 rate, with the caller's corrections, at the dispersion-maximizing
-    member of the capacity-achieving set, and that member's stats."""
-    best = max(
-        (channel_stats(mac, d, units=q.units) for d in capacity.argmax_dists),
-        key=lambda s: s.v1,
-    )
-    k1 = RateQuery(q.n, q.eps, 1, q.units)
-    return best, thm2_sum_rate(best, k1, corrections, c_sum=capacity.c_sum)
-
-
-def thm3_sum_rate(
-    mac: Mac,
-    q: RateQuery,
-    corrections: dict | None = None,
-    capacity: CapacityResult | None = None,
-) -> Thm3Result:
+def thm3_sum_rate(mac: Mac, q: RateQuery, capacity: CapacityResult | None = None) -> Thm3Result:
     """Type-construction achievable sum-rate using the correlation benefit.
 
-    rate = C_sum + delta(budget) - c_b * sqrt(V2/n) * Q^{-1}(eps), with
-    budget = log(K)/n - c_a log(n)/n.  The default c_a covers the type-class
-    counting penalty; c_b defaults to 1, matching the explicit message-size
-    choice in the construction.  A non-positive budget means the facilitator
-    alphabet is too small for this construction; the K=1 baseline rate is
-    returned, flagged.
+    rate = C_sum + delta(budget) - sqrt(V2/n) * Q^{-1}(eps), with
+    budget = log(K)/n - c_a log(n)/n and c_a = A1*A2 + 1, which covers the
+    type-class counting penalty.  A non-positive budget means the facilitator
+    alphabet is too small for this construction: the result has rate None and
+    budget_exhausted set, and ``rate_report`` decides what stands in for it.
     """
     if q.k < 2:
         raise ValueError("the type construction needs k >= 2")
-    corrections = dict(corrections or {})
     capacity = _capacity_in(mac, q.units, capacity)
-    c_a = float(corrections.get("c_a", mac.x1_size * mac.x2_size + 1))
-    c_b = float(corrections.get("c_b", 1.0))
+    c_a = mac.x1_size * mac.x2_size + 1
     budget = _log_units(q.k, q.units) / q.n - c_a * _log_units(q.n, q.units) / q.n
-    used = {"c_a": c_a, "c_b": c_b, "budget": budget}
     if budget <= 0.0:
-        rate, delta_value = _baseline(mac, q, corrections, capacity)[1].rate, 0.0
-    else:
-        point = delta(mac, budget, units=q.units, capacity=capacity)
-        stats_joint = channel_stats(mac, point.argmax_joint, units=q.units)
-        q_inv = float(ndtri(1.0 - q.eps))
-        rate = capacity.c_sum + point.delta - c_b * math.sqrt(stats_joint.v2 / q.n) * q_inv
-        delta_value = point.delta
+        return Thm3Result(rate=None, budget=budget, delta_value=0.0, budget_exhausted=True)
+    point = delta(mac, budget, units=q.units, capacity=capacity)
+    v2 = channel_stats(mac, point.argmax_joint, units=q.units).v2
+    q_inv = float(ndtri(1.0 - q.eps))
     return Thm3Result(
-        rate=rate,
+        rate=capacity.c_sum + point.delta - math.sqrt(v2 / q.n) * q_inv,
         budget=budget,
-        delta_value=delta_value,
-        budget_exhausted=budget <= 0.0,
-        corrections_used=used,
+        delta_value=point.delta,
+        budget_exhausted=False,
     )
 
 
-def rate_report(
-    mac: Mac,
-    q: RateQuery,
-    corrections: dict | None = None,
-    capacity: CapacityResult | None = None,
-) -> RateReport:
-    """Evaluate both bounds plus the K=1 baseline and record the best."""
+def rate_report(mac: Mac, q: RateQuery, capacity: CapacityResult | None = None) -> RateReport:
+    """Evaluate both bounds plus the K=1 baseline and record the best.
+
+    The baseline is the K=1 Thm-2 rate at the dispersion-maximizing member of
+    the capacity-achieving set.  At K=1 it is the only rate.  When the Thm-3
+    budget is exhausted, the baseline is reported as ``thm3_rate`` and the
+    flag ``thm3_budget_exhausted`` is set.
+    """
     capacity = _capacity_in(mac, q.units, capacity)
-    stats, baseline = _baseline(mac, q, corrections, capacity)
+    stats = max(
+        (channel_stats(mac, d, units=q.units) for d in capacity.argmax_dists),
+        key=lambda s: s.v1,
+    )
+    baseline = thm2_sum_rate(stats, RateQuery(q.n, q.eps, 1, q.units), c_sum=capacity.c_sum)
+    thm2_rate = thm3_rate = None
+    regime = baseline.regime
     flags: list[str] = []
-    corrections_used: dict = {"baseline": baseline.corrections_used}
-    if q.k == 1:
-        return RateReport(
-            thm2_rate=None,
-            thm3_rate=None,
-            baseline_rate=baseline.rate,
-            best_rate=baseline.rate,
-            regime=baseline.regime,
-            corrections_used=corrections_used,
-            flags=flags,
-            units=q.units,
-        )
-    t2 = thm2_sum_rate(stats, q, corrections, c_sum=capacity.c_sum)
-    t3 = thm3_sum_rate(mac, q, corrections, capacity=capacity)
-    corrections_used["thm2"] = t2.corrections_used
-    corrections_used["thm3"] = t3.corrections_used
-    if t3.budget_exhausted:
-        flags.append("thm3_budget_exhausted")
+    if q.k > 1:
+        t2 = thm2_sum_rate(stats, q, c_sum=capacity.c_sum)
+        t3 = thm3_sum_rate(mac, q, capacity=capacity)
+        thm2_rate, thm3_rate, regime = t2.rate, t3.rate, t2.regime
+        if t3.budget_exhausted:
+            thm3_rate = baseline.rate
+            flags.append("thm3_budget_exhausted")
     return RateReport(
-        thm2_rate=t2.rate,
-        thm3_rate=t3.rate,
+        thm2_rate=thm2_rate,
+        thm3_rate=thm3_rate,
         baseline_rate=baseline.rate,
-        best_rate=max(t2.rate, t3.rate, baseline.rate),
-        regime=t2.regime,
-        corrections_used=corrections_used,
+        best_rate=max(r for r in (thm2_rate, thm3_rate, baseline.rate) if r is not None),
+        regime=regime,
         flags=flags,
         units=q.units,
     )
 
 
-def cooperation_gain(
-    mac: Mac,
-    q: RateQuery,
-    corrections: dict | None = None,
-    capacity: CapacityResult | None = None,
-) -> dict:
-    """Best-rate improvement of K-fold facilitation over no facilitation."""
-    if q.k == 1:
-        return {"gain_bits_per_use": 0.0, "gain_total_bits": 0.0}
-    with_cf = rate_report(mac, q, corrections, capacity)
-    gain = with_cf.best_rate - with_cf.baseline_rate
-    return {"gain_bits_per_use": gain, "gain_total_bits": gain * q.n}
+def cooperation_gain(mac: Mac, q: RateQuery, capacity: CapacityResult | None = None) -> dict:
+    """Best-rate improvement of K-fold facilitation over no facilitation.
+
+    The keys name the query's units: ``gain_bits_per_use`` and
+    ``gain_total_bits``, or ``gain_nats_per_use`` and ``gain_total_nats``.
+    """
+    rep = rate_report(mac, q, capacity)
+    gain = rep.best_rate - rep.baseline_rate
+    return {f"gain_{q.units}_per_use": gain, f"gain_total_{q.units}": gain * q.n}

@@ -13,8 +13,10 @@ are hashed from exact forms: array bytes with their dtype and shape, floats by
 ``repr``, reports as sorted JSON.  Covered:
 
 - CLI ``stats`` (also with ``--dist``, a product and a joint law), ``delta``
-  and ``rates`` (``--n 100,1000 --k 1,2,16``), in bits and nats, on adder2,
-  xor:0.11 and Dirichlet 2x2x3 and 4x4x5 kernels drawn from a fixed seed;
+  and ``rates`` (``--n 100,1000 --k 1,2,16,1099511627776``), in bits and
+  nats, on adder2, xor:0.11 and Dirichlet 2x2x3 and 4x4x5 kernels drawn from
+  a fixed seed.  K = 2^40 at n = 100 gives the 2x2 kernels a positive Thm-3
+  budget, so the rates hash the delta path as well as the fallback;
 - CLI ``fig1``, three ``invcdf`` calls, and ``simulate`` with and without
   ``--validate-bound`` on the README config, an iid config and a type-mode
   config;
@@ -69,6 +71,7 @@ INVCDF = [
     ("0.25", "0", "16", "0.1"),
     ("0.7", "1.3", "1099511627776", "0.001"),
 ]
+RATE_KS = "1,2,16,1099511627776"
 BOUND_SAMPLES = "20000"
 DECODES = 8
 
@@ -129,7 +132,7 @@ def cli_digests():
             )
             yield f"delta.{label}.{units}", _cli(u + ["delta", "--channel", ref])
             yield f"rates.{label}.{units}", _cli(
-                u + ["rates", "--channel", ref, "--n", "100,1000", "--k", "1,2,16"]
+                u + ["rates", "--channel", ref, "--n", "100,1000", "--k", RATE_KS]
             )
     yield "fig1", _cli(["fig1"])
     for v1, v2, k, eps in INVCDF:

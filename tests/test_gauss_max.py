@@ -22,6 +22,19 @@ MC_PARAMS = SkParams(v1=0.7, v2=0.3, k=8)
 MC_QUANTILE_05 = -0.015060  # empirical 0.05-quantile of the same sample
 
 
+class TestParams:
+    @pytest.mark.parametrize("k", [2.5, True, False, "2", None])
+    def test_non_integer_k_is_rejected(self, k):
+        with pytest.raises(ValueError, match="expected an integer"):
+            SkParams(1.0, 1.0, k)
+
+    def test_integral_k_is_an_int(self):
+        assert SkParams(1.0, 1.0, 2**1000).k == 2**1000
+        for k in (np.int64(16), np.uint8(16), 16.0):
+            p = SkParams(1.0, 1.0, k)
+            assert p.k == 16 and type(p.k) is int
+
+
 class TestCdf:
     def test_matches_monte_carlo_oracle(self):
         for s, target in MC_ORACLE.items():

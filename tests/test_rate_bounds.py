@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.special import ndtri, ndtri_exp
 
+import cfmac.rate_bounds
 from cfmac.channel import adder2, channel_stats, sum_capacity, uniform_product, xor_channel
 from cfmac.rate_bounds import (
     RateQuery,
@@ -22,15 +24,15 @@ def adder_rate_closed_form(n, eps, k):
 class TestThetaRegimes:
     def test_boundaries(self):
         n = 1024  # log2 n = 10
-        assert theta_regime(n, 8)[0] == "theta1"
-        assert theta_regime(n, 11)[0] == "theta2"  # between log n and log^1.5 n
-        assert theta_regime(n, 40)[0] == "theta3"  # between log^1.5 n and n
-        assert theta_regime(n, 2 * n)[0] == "theta4"
+        assert theta_regime(n, 8) == "theta1"
+        assert theta_regime(n, 11) == "theta2"  # between log n and log^1.5 n
+        assert theta_regime(n, 40) == "theta3"  # between log^1.5 n and n
+        assert theta_regime(n, 2 * n) == "theta4"
 
     def test_coefficients_default_to_zero(self):
         stats = channel_stats(adder2(), uniform_product(adder2()))
         r = thm2_sum_rate(stats, RateQuery(1000, 0.01, 4))
-        assert r.theta_n == 0.0
+        assert r.rate == stats.mutual_info + r.quantile / math.sqrt(1000)
 
 
 class TestDispersionRate:
@@ -48,23 +50,15 @@ class TestDispersionRate:
         rates = [thm2_sum_rate(stats, RateQuery(1000, 0.01, k)).rate for k in (1, 2, 8, 64)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
-    def test_theta_correction_subtracts(self):
-        stats = channel_stats(adder2(), uniform_product(adder2()))
-        q = RateQuery(1000, 0.01, 4)
-        plain = thm2_sum_rate(stats, q)
-        with_theta = thm2_sum_rate(stats, q, corrections={"theta1": 2.0})
-        assert with_theta.rate < plain.rate
-        assert with_theta.corrections_used["theta_coeff"] == 2.0
-
 
 class TestTypeRate:
     def test_budget_exhausted_falls_back_to_baseline(self):
         mac = adder2()
         q = RateQuery(1000, 0.01, 2)  # log2(2)/n well below 5 log2(n)/n
         r = thm3_sum_rate(mac, q)
-        assert r.budget_exhausted
-        baseline = rate_report(mac, RateQuery(1000, 0.01, 1)).baseline_rate
-        assert r.rate == pytest.approx(baseline, abs=1e-12)
+        assert r.budget_exhausted and r.rate is None
+        rep = rate_report(mac, q)
+        assert rep.thm3_rate == rep.baseline_rate
 
     def test_large_k_beats_baseline(self):
         mac = adder2()
@@ -76,13 +70,14 @@ class TestTypeRate:
 
     def test_agreement_with_dispersion_rate_at_huge_n(self):
         # both bounds should land close together deep in the asymptotic regime;
-        # the type-class counting constant is set to zero so the dependence
-        # budget log2(K)/n survives at this K
+        # at K = 2^1000 the dependence budget log2(K)/n outgrows the type-class
+        # counting penalty 5 log2(n)/n
         mac = adder2()
-        q = RateQuery(10**6, 0.01, 2**63)
+        q = RateQuery(10**6, 0.01, 2**1000)
         stats = channel_stats(mac, uniform_product(mac))
         t2 = thm2_sum_rate(stats, q)
-        t3 = thm3_sum_rate(mac, q, corrections={"c_a": 0.0})
+        t3 = thm3_sum_rate(mac, q)
+        assert not t3.budget_exhausted
         gap2 = t2.rate - 1.5
         gap3 = t3.rate - 1.5
         assert abs(gap2 - gap3) <= 0.15 * max(abs(gap2), abs(gap3))
@@ -105,6 +100,23 @@ class TestRateReport:
     def test_exhausted_budget_flagged(self):
         rep = rate_report(adder2(), RateQuery(1000, 0.01, 2))
         assert "thm3_budget_exhausted" in rep.flags
+
+    def test_exhausted_budget_computes_the_baseline_once(self, monkeypatch):
+        # one quantile for the K = 1 baseline, one for Thm 2 at K = 2; the
+        # exhausted Thm-3 bound reuses the baseline instead of recomputing it
+        calls = []
+        quantile = cfmac.rate_bounds.sk_inverse_cdf
+
+        def counted(p, eps):
+            calls.append(p.k)
+            return quantile(p, eps)
+
+        monkeypatch.setattr(cfmac.rate_bounds, "sk_inverse_cdf", counted)
+        rep = rate_report(adder2(), RateQuery(100, 0.01, 2))
+        assert rep.flags == ["thm3_budget_exhausted"]
+        assert rep.thm3_rate == rep.baseline_rate
+        assert rep.best_rate == max(rep.thm2_rate, rep.baseline_rate)
+        assert sorted(calls) == [1, 2]
 
     def test_xor_best_rate_constant_in_k(self):
         # flat expected density: facilitation cannot help, v1 = 0
@@ -133,11 +145,38 @@ class TestRateReport:
         with pytest.raises(ValueError):
             RateQuery(100, 0.01, 0)
 
+    @pytest.mark.parametrize(
+        "n, k", [(1000.5, 2), (1000, 2.5), (1000, True), (True, 2), ("1000", 2), (1000, None)]
+    )
+    def test_non_integer_sizes_are_rejected(self, n, k):
+        with pytest.raises(ValueError, match="expected an integer"):
+            RateQuery(n, 0.01, k)
+
+    def test_integral_sizes_are_ints(self):
+        big = RateQuery(np.int64(1000), 0.01, 2**1000)
+        assert big.k == 2**1000 and type(big.n) is int and big.n == 1000
+        q = RateQuery(1000.0, 0.01, np.uint8(16))
+        assert (q.n, q.k) == (1000, 16) and type(q.n) is int and type(q.k) is int
+
 
 class TestCooperationGain:
     def test_k1_no_gain(self):
         g = cooperation_gain(adder2(), RateQuery(1000, 0.01, 1))
         assert g == {"gain_bits_per_use": 0.0, "gain_total_bits": 0.0}
+
+    def test_keys_name_the_query_units(self):
+        mac = adder2()
+        bits = cooperation_gain(mac, RateQuery(1000, 0.01, 16))
+        nats = cooperation_gain(mac, RateQuery(1000, 0.01, 16, "nats"))
+        assert set(nats) == {"gain_nats_per_use", "gain_total_nats"}
+        assert nats["gain_nats_per_use"] == pytest.approx(
+            bits["gain_bits_per_use"] * math.log(2), rel=1e-9
+        )
+        assert nats["gain_total_nats"] == nats["gain_nats_per_use"] * 1000
+        assert cooperation_gain(mac, RateQuery(1000, 0.01, 1, "nats")) == {
+            "gain_nats_per_use": 0.0,
+            "gain_total_nats": 0.0,
+        }
 
     def test_one_facilitator_bit_buys_order_sqrt_n_bits(self):
         # K=2 on the adder: gain per use times sqrt(n) converges to
@@ -155,18 +194,6 @@ class TestCooperationGain:
 
 
 class TestBaselineAndUnits:
-    THETA = {"theta1": 5.0, "theta2": 5.0, "theta3": 5.0, "theta4": 5.0}
-
-    def test_thm3_fallback_keeps_the_corrections(self):
-        # at n = 100, K = 2 the type-construction budget is negative, so thm3
-        # falls back to the K = 1 baseline, which must carry the same theta
-        rep = rate_report(adder2(), RateQuery(100, 0.01, 2), corrections=self.THETA)
-        assert rep.flags == ["thm3_budget_exhausted"]
-        assert rep.thm3_rate == rep.baseline_rate
-        assert rep.best_rate == max(rep.thm2_rate, rep.baseline_rate)
-        t3 = thm3_sum_rate(adder2(), RateQuery(100, 0.01, 2), corrections=self.THETA)
-        assert t3.budget_exhausted and t3.rate == rep.baseline_rate
-
     def test_unknown_units_are_rejected(self):
         with pytest.raises(ValueError, match="unknown units 'bitz'"):
             theta_regime(1000, 8, units="bitz")
