@@ -4,6 +4,18 @@ delta(a) maximizes I(X1,X2;Y) over joint input distributions whose input
 mutual information I(X1;X2) stays below ``a``.  The solver combines an
 analytic perturbation start around each capacity-achieving product
 distribution with multi-start SLSQP refinement over the joint simplex.
+
+Capacity-achieving laws often put zero mass on some input pairs.  At such a
+cell the budget's gradient log(p12 / (p1 p2)) - 1 is unbounded: with its logs
+floored at 1e-300, a cell whose row and column are empty too gets about +690.
+SLSQP's linearised budget then says nothing useful, the refinement stalls at
+its iteration limit and the curve is not monotone.  The gradient alone
+therefore floors its logs at a bounded constant; the value, the projection
+and the budget check keep the 1e-300 floor, so every returned law meets the
+budget as computed exactly.
+
+For a > 0 a result is certified: at least one refinement must end with
+SLSQP status 0 and meet the budget, or ``delta`` raises ``NonConvergence``.
 """
 from __future__ import annotations
 
@@ -31,6 +43,9 @@ _FEAS_TOL = 1e-9
 # not capacity-achieving
 _CAPACITY_GAP = 1e-6
 _EPS = 1e-300
+# floor of the logs in the budget gradient only: at _EPS an empty cell in an
+# empty row and column gets ~+690 and SLSQP's linearised budget stalls
+_GRAD_LOG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,9 +144,9 @@ def _mi_12_grad_nats(p12: np.ndarray) -> np.ndarray:
     p1 = p12.sum(axis=1)
     p2 = p12.sum(axis=0)
     return (
-        np.log(np.maximum(p12, _EPS))
-        - np.log(np.maximum(p1, _EPS))[:, None]
-        - np.log(np.maximum(p2, _EPS))[None, :]
+        np.log(np.maximum(p12, _GRAD_LOG_FLOOR))
+        - np.log(np.maximum(p1, _GRAD_LOG_FLOOR))[:, None]
+        - np.log(np.maximum(p2, _GRAD_LOG_FLOOR))[None, :]
         - 1.0
     )
 
@@ -171,7 +186,8 @@ def _line_search_start(kernel, base: ProductDist, r: np.ndarray, a_nats: float) 
     return p / p.sum()
 
 
-def _refine(kernel, p_start: np.ndarray, a_nats: float):
+def _refine(kernel, p_start: np.ndarray, a_nats: float) -> tuple[np.ndarray | None, int]:
+    """SLSQP from ``p_start``: the projected law (None if it vanished) and the SLSQP status."""
     shape = p_start.shape
     m = p_start.size
 
@@ -201,8 +217,8 @@ def _refine(kernel, p_start: np.ndarray, a_nats: float):
     p = np.clip(res.x.reshape(shape), 0.0, None)
     total = p.sum()
     if total <= 0:
-        return None
-    return _project_feasible(p / total, a_nats)
+        return None, res.status
+    return _project_feasible(p / total, a_nats), res.status
 
 
 def _joint_ba_unconstrained(kernel: np.ndarray, iters: int = 400) -> np.ndarray:
@@ -250,18 +266,23 @@ def delta(
 
     best_val = -np.inf
     best_p: np.ndarray | None = None
+    converged = a == 0  # a zero budget admits the product starts only: nothing to refine
     for p0 in starts:
-        candidates = [p0] if a == 0 else [p0, _refine(kernel, p0, a_nats)]
-        for p in candidates:
-            if p is None:
+        candidates = [(p0, False)]
+        if a > 0:
+            p, status = _refine(kernel, p0, a_nats)
+            candidates.append((p, status == 0))
+        for p, refined_ok in candidates:
+            if p is None or _mi_12_nats(p) > a_nats + _FEAS_TOL:
                 continue
-            if _mi_12_nats(p) > a_nats + _FEAS_TOL:
-                continue
+            converged = converged or refined_ok
             val = _mi_xy_nats(kernel, p)
             if val > best_val:
                 best_val, best_p = val, p
     if best_p is None:
         raise NonConvergence("no feasible candidate found")
+    if not converged:
+        raise NonConvergence(f"no SLSQP refinement converged within the budget at a={a!r}")
 
     return DeltaPoint(
         a=a,

@@ -78,12 +78,16 @@ class RateReport:
     units: str = "bits"
 
 
-def theta_regime(n: int, k: int, units: str = "bits") -> str:
-    """Regime of the dispersion bound's theta_n: K against log n, log^1.5 n and n."""
-    ln = _log_units(n, units)
-    if k <= ln:
+def theta_regime(n: int, k: int) -> str:
+    """Regime of the dispersion bound's theta_n: K against log n, log^1.5 n and n.
+
+    The regimes are orders of growth, so log n is log2 n whatever the units of
+    the rates: the tag of one (n, K) is the same in bits and nats.
+    """
+    log_n = math.log2(n)
+    if k <= log_n:
         return "theta1"
-    if k <= ln ** 1.5:
+    if k <= log_n ** 1.5:
         return "theta2"
     if k <= n:
         return "theta3"
@@ -101,7 +105,7 @@ def thm2_sum_rate(stats: ChannelStats, q: RateQuery, c_sum: float | None = None)
     quantile = sk_inverse_cdf(SkParams(stats.v1, stats.v2, q.k), q.eps).value
     return Thm2Result(
         rate=c + quantile / math.sqrt(q.n),
-        regime=theta_regime(q.n, q.k, q.units),
+        regime=theta_regime(q.n, q.k),
         quantile=quantile,
     )
 
@@ -114,12 +118,14 @@ def thm3_sum_rate(mac: Mac, q: RateQuery, capacity: CapacityResult | None = None
     type-class counting penalty.  A non-positive budget means the facilitator
     alphabet is too small for this construction: the result has rate None and
     budget_exhausted set, and ``rate_report`` decides what stands in for it.
+    An exhausted budget solves no sum-capacity.
     """
     if q.k < 2:
         raise ValueError("the type construction needs k >= 2")
-    capacity = _capacity_in(mac, q.units, capacity)
     c_a = mac.x1_size * mac.x2_size + 1
     budget = _log_units(q.k, q.units) / q.n - c_a * _log_units(q.n, q.units) / q.n
+    if capacity is not None or budget > 0.0:  # a passed capacity's units are checked either way
+        capacity = _capacity_in(mac, q.units, capacity)
     if budget <= 0.0:
         return Thm3Result(rate=None, budget=budget, delta_value=0.0, budget_exhausted=True)
     point = delta(mac, budget, units=q.units, capacity=capacity)

@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import cfmac.delta_curve
 from cfmac.cli import main
 
 
@@ -104,6 +107,18 @@ class TestFig1:
         code, _, err = run(capsys, "fig1", "--eps", "1.5")
         assert code == 3
         assert err
+
+
+class TestDelta:
+    def test_unconverged_refinement_exits_4(self, capsys, monkeypatch):
+        def stalled(fun, x0, **kwargs):
+            return OptimizeResult(x=np.array(x0), status=9, success=False)
+
+        monkeypatch.setattr(cfmac.delta_curve, "minimize", stalled)
+        code, out, err = run(capsys, "delta", "--channel", "adder2", "--a-grid", "0.1")
+        assert code == 4
+        assert out == ""
+        assert "numeric failure" in err
 
 
 class TestRates:

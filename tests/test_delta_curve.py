@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import cfmac.delta_curve
 from cfmac.channel import JointDist, Mac, ProductDist, adder2, sum_capacity, xor_channel
 from cfmac.delta_curve import delta, delta_small_a, perturbation_direction
-from cfmac.errors import NotCapacityAchieving
+from cfmac.errors import NonConvergence, NotCapacityAchieving
 
 
 def brute_force_gain(mac, a, resolution=100):
@@ -71,6 +74,49 @@ class TestDelta:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             delta(adder2(), -0.1)
+
+
+@pytest.fixture(scope="module")
+def dir4x4x5():
+    """The 4x4x5 Dirichlet kernel of the benchmark: the draw after the 2x2x3 one."""
+    rng = np.random.default_rng(210201247)
+    rng.dirichlet(np.ones(3), size=(2, 2))
+    mac = Mac(rng.dirichlet(np.ones(5), size=(4, 4)))
+    return mac, sum_capacity(mac)
+
+
+class TestDirichlet4x4x5:
+    """A kernel whose capacity maximizer puts zero mass on 12 of its 16 input pairs."""
+
+    def test_curve_nondecreasing(self, dir4x4x5):
+        mac, cap = dir4x4x5
+        grid = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0)
+        vals = [delta(mac, a, capacity=cap).delta for a in grid]
+        assert all(b >= a for a, b in zip(vals, vals[1:])), vals
+
+    def test_tiny_shift_of_the_maximizer_keeps_delta(self, dir4x4x5):
+        mac, cap = dir4x4x5
+        base = cap.argmax_dists[0]
+        p1 = base.p1.copy()
+        p1[0] += 1.3e-8
+        p1[1] -= 1.3e-8  # 2.6e-8 in L1
+        shifted = dataclasses.replace(
+            cap, argmax_dists=[ProductDist(p1, base.p2)] + list(cap.argmax_dists[1:])
+        )
+        got = delta(mac, 0.01, capacity=shifted).delta
+        assert got == pytest.approx(delta(mac, 0.01, capacity=cap).delta, abs=1e-9)
+
+
+class TestCertificate:
+    def test_no_converged_refinement_raises(self, monkeypatch):
+        def stalled(fun, x0, **kwargs):
+            return OptimizeResult(x=np.array(x0), status=9, success=False)
+
+        monkeypatch.setattr(cfmac.delta_curve, "minimize", stalled)
+        with pytest.raises(NonConvergence, match="converged"):
+            delta(adder2(), 0.1)
+        # a zero budget refines nothing, so it needs no certificate
+        assert delta(adder2(), 0.0).delta == pytest.approx(0.0, abs=1e-7)
 
 
 class TestSmallBudgetAsymptote:

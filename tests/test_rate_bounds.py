@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri, ndtri_exp
 
+import cfmac.channel
 import cfmac.rate_bounds
 from cfmac.channel import adder2, channel_stats, sum_capacity, uniform_product, xor_channel
 from cfmac.rate_bounds import (
@@ -28,6 +29,15 @@ class TestThetaRegimes:
         assert theta_regime(n, 11) == "theta2"  # between log n and log^1.5 n
         assert theta_regime(n, 40) == "theta3"  # between log^1.5 n and n
         assert theta_regime(n, 2 * n) == "theta4"
+
+    def test_tag_does_not_depend_on_units(self):
+        # 16 lies between log2(100) = 6.6 and log2(100)^1.5 = 17.1, and above
+        # ln(100)^1.5 = 9.9: the tag follows log2 in nats too
+        tags = {
+            units: rate_report(adder2(), RateQuery(100, 0.01, 16, units)).regime
+            for units in ("bits", "nats")
+        }
+        assert tags == {"bits": "theta2", "nats": "theta2"}
 
     def test_coefficients_default_to_zero(self):
         stats = channel_stats(adder2(), uniform_product(adder2()))
@@ -59,6 +69,19 @@ class TestTypeRate:
         assert r.budget_exhausted and r.rate is None
         rep = rate_report(mac, q)
         assert rep.thm3_rate == rep.baseline_rate
+
+    def test_exhausted_budget_solves_no_capacity(self, monkeypatch):
+        calls = []
+        solve = cfmac.channel.sum_capacity
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cfmac.channel, "sum_capacity", counted)
+        r = thm3_sum_rate(adder2(), RateQuery(1000, 0.01, 2))
+        assert r.budget_exhausted and r.rate is None
+        assert calls == []
 
     def test_large_k_beats_baseline(self):
         mac = adder2()
@@ -196,7 +219,7 @@ class TestCooperationGain:
 class TestBaselineAndUnits:
     def test_unknown_units_are_rejected(self):
         with pytest.raises(ValueError, match="unknown units 'bitz'"):
-            theta_regime(1000, 8, units="bitz")
+            thm3_sum_rate(adder2(), RateQuery(1000, 0.01, 2, "bitz"))
         with pytest.raises(ValueError, match="unknown units"):
             rate_report(adder2(), RateQuery(1000, 0.01, 2, "Bits"))
 
