@@ -26,14 +26,24 @@ are counted directly; otherwise one GEMM with the (x1, y) one-hot on the left
 counts all K codewords and the counts at e are picked out.  Both give the
 same exact integers, and the rule reads only the shape.  Table entries that
 are not finite (-inf at kernel zeros) are counted by separate indicator
-columns, so 0 * inf never arises.  With a fixed code the per-pair tables are
-built once and the metrics of a batch of received words are one GEMM of their
-one-hot form (the tables hold Y * n * M1 * M2 * columns float64 entries and
-are outside the block budget).  A single received word's (x1, y, x2) symbols
-are counted directly.  The bound (M1 = M2 = 1) draws no symbols at all: it
-samples the K pair-type counts N_k and the chosen pair's (x1, y, x2) counts
-from their exact laws, multinomial and contingency-table draws, at a cost
-that does not grow with n.
+columns, so 0 * inf never arises.  The bound (M1 = M2 = 1) draws no symbols
+at all: it samples the K pair-type counts N_k and the chosen pair's
+(x1, y, x2) counts from their exact laws, multinomial and contingency-table
+draws, at a cost that does not grow with n.
+
+Fixed codes.  ``_fixed_code`` prepares a code once: its decoder, the
+facilitated words of every message pair and, in type mode, their type check.
+``threshold_decode`` keeps the last prepared code in a one-slot memo.  The
+memo's key holds the values the code is built from: the bytes, shape and
+dtype of the codebooks, the facilitator table and the kernel, the mode, the
+thresholds and the input law.  So an array changed in place misses, where
+its ``id`` would not.  One word's counts for all M1 * M2 pairs are then one
+bincount of the pairs' cell codes (x1 * Y) * A2 + x2 + row * cells, each
+shifted by y * A2.  ``estimate_error_fixed_code`` takes a block's metrics as
+one GEMM of its received words' one-hot form with per-pair tables of Y * n
+rows and M1 * M2 * columns float64 entries, built once.  Where those tables
+would pass the block budget, they are built per block in chunks of message
+pairs that fit half of it, for the same received words.
 
 Ties.  The score facilitator picks the smallest k whose score lies within
 ``_TIE_ULPS_PER_CELL`` * A1 * A2 ulps of n * max|i_bar| of the best score,
@@ -61,8 +71,8 @@ draw as in version 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass, fields, replace
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.special import betaincinv
@@ -339,19 +349,25 @@ def _decode_counts(l1, r2, y1h, e):
     return sel.reshape(b, m1, m2, a1 * ny * a2)
 
 
-def _word_counts(x1, x2, y, a1, a2, ny):
-    """Counts (..., A1*Y*A2) of (x1, y, x2) in given words x1, x2, y (..., n)."""
-    cells = a1 * ny * a2
+def _cell_codes(x1, x2, y, a1, a2, ny):
+    """Cell codes (rows, n) intp of words x1, x2, y (..., n): (x1 * Y + y) * A2 + x2,
+    plus a disjoint range of A1*Y*A2 cells per row."""
     code = np.empty(np.broadcast_shapes(x1.shape, np.shape(y), x2.shape), dtype=np.intp)
-    code[...] = x1  # one cell index per symbol, built in place: (x1 * Y + y) * A2 + x2
+    code[...] = x1  # built in place
     code *= ny
     code += y
     code *= a2
     code += x2
-    rows = code.size // code.shape[-1]
-    flat = code.reshape(rows, -1)
-    flat += cells * np.arange(rows)[:, None]  # a disjoint range of cells per row
-    return np.bincount(code.ravel(), minlength=rows * cells).reshape(code.shape[:-1] + (cells,))
+    code = code.reshape(-1, code.shape[-1])
+    code += a1 * ny * a2 * np.arange(len(code))[:, None]
+    return code
+
+
+def _word_counts(x1, x2, y, a1, a2, ny):
+    """Counts (..., A1*Y*A2) of (x1, y, x2) in given words x1, x2, y (..., n)."""
+    shape = np.broadcast_shapes(x1.shape, np.shape(y), x2.shape)[:-1] + (a1 * ny * a2,)
+    code = _cell_codes(x1, x2, y, a1, a2, ny)
+    return np.bincount(code.ravel(), minlength=math.prod(shape)).reshape(shape)
 
 
 def _facilitated_counts(f1, f2, y, e, a1, a2, ny):
@@ -434,25 +450,45 @@ class _Decoder:
             np.cumsum(mac.kernel, axis=-1),
         )
 
-    def metrics(self, z):
-        """Weighted counts (..., columns) -> (d12, d1, d2) sums (..., 3)."""
-        metrics = z[..., :3].copy()
-        with np.errstate(invalid="ignore"):  # -inf + inf = nan, as in a sum
-            for col, (j, v) in enumerate(self.infs, start=3):
-                metrics[..., j] += np.where(z[..., col] > 0, v, 0.0)
-        return metrics
-
     def passes(self, z):
-        """Weighted counts (..., columns) -> all three metrics pass (...)."""
-        return (self.metrics(z) >= self.c).all(axis=-1)
+        """Weighted counts (..., columns) -> all three metrics pass (...).
+
+        A metric is its finite part plus its infinite terms, and it passes when
+        the sum reaches its threshold.  The sum is not formed: a +inf term
+        passes the metric (unless the threshold is nan), a -inf term fails it
+        unless the threshold is itself -inf, and both (nan) fail it.
+        """
+        ok = z[..., :3] >= self.c
+        cols = {key: col for col, key in enumerate(self.infs, start=3)}
+        for j, c in enumerate(self.c):
+            pos, neg = cols.get((j, np.inf)), cols.get((j, -np.inf))
+            if pos is not None and np.inf >= c:
+                ok[..., j] |= z[..., pos] > 0
+            if neg is not None and (c > -np.inf or pos is not None):
+                fails = z[..., neg] > 0
+                if c == -np.inf:  # -inf passes; only -inf + inf fails
+                    fails &= z[..., pos] > 0
+                ok[..., j] &= ~fails
+        return ok.all(axis=-1)
 
     def fixed_tables(self, x1, x2):
-        """Per-pair tables (Y*n, M1*M2*columns) of fixed words x1, x2 (M1, M2, n)."""
-        a1, a2 = self.output_cdf.shape[:2]
-        ny = self.weights.shape[0] // (a1 * a2)
-        w = self.weights.reshape(a1, ny, a2, -1)
-        t = w[x1, :, x2, :]  # (M1, M2, n, Y, columns)
-        return np.ascontiguousarray(t.transpose(3, 2, 0, 1, 4)).reshape(ny * x1.shape[2], -1)
+        """Per-pair tables (Y*n, P*columns) of fixed word pairs x1, x2 (P, n)."""
+        a2, ny = self.output_cdf.shape[1:]
+        cell = x1.T.astype(np.intp) * (ny * a2) + x2.T  # (n, P) weight rows at y = 0
+        rows = cell + a2 * np.arange(ny)[:, None, None]
+        return self.weights[rows].reshape(ny * x1.shape[1], -1)  # rows (y, i), columns (pair, col)
+
+
+def _pair_chunk(rows: int, columns: int, pairs: int) -> int:
+    """Message pairs per chunk of the fixed-code tables, ``rows`` = Y*n each.
+
+    All of them when the whole tables fit ``_BLOCK_BYTES``; else chunks whose
+    tables and index take at most half the budget, the rest left to the
+    block's received words and sums.
+    """
+    if 8 * rows * columns * pairs <= _BLOCK_BYTES:
+        return pairs
+    return max(1, _BLOCK_BYTES // (2 * 8 * rows * (columns + 1)))
 
 
 def _trial_bytes(mac: Mac, n: int, m1: int, m2: int, k: int) -> int:
@@ -535,11 +571,31 @@ def _run_trials(config: SimConfig, family: int, trial_bytes: int, block) -> SimR
     )
 
 
+@dataclass(frozen=True)
+class _FixedCode:
+    """One fixed code, prepared once for many received words.
+
+    Holds the decoder, the facilitated words x1, x2 (M1, M2, n) and, in type
+    mode, their type check (else None).  ``cells`` is built on first use.
+    """
+
+    dec: _Decoder
+    x1: np.ndarray
+    x2: np.ndarray
+    in_type: np.ndarray | None
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """The pairs' cell codes (M1*M2, n) at y = 0: a received word adds y * A2,
+        and one bincount gives every pair's (x1, y, x2) counts."""
+        return _cell_codes(self.x1, self.x2, 0, *self.dec.output_cdf.shape)
+
+
 def _fixed_code(
     codebooks: Codebooks, e_table: FacilitatorTable, mac: Mac, dist: InputDist,
     th: DecoderThresholds,
-):
-    """Decoder, sent words x1, x2 (M1, M2, n) and, in type mode, their type check (else None)."""
+) -> _FixedCode:
+    """The prepared code of codebooks, facilitator table and thresholds."""
     e, (m1, k), m2 = e_table.e, codebooks.f1.shape[:2], len(codebooks.f2)
     if e.shape != (m1, m2) or e.min() < 0 or e.max() >= k:
         raise SizeMismatch(
@@ -553,7 +609,29 @@ def _fixed_code(
     in_type = None
     if target is not None:
         in_type = (_word_counts(x1, x2, 0, mac.x1_size, mac.x2_size, 1) == target).all(axis=-1)
-    return dec, x1, x2, in_type
+    return _FixedCode(dec, x1, x2, in_type)
+
+
+def _value_key(*arrays) -> tuple:
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays))
+
+
+def _fixed_code_key(codebooks, e_table, mac, dist, th) -> tuple:
+    """Everything a prepared code is built from, by value: an array changed in
+    place gives another key, where its ``id`` would not."""
+    return (
+        _value_key(codebooks.f1, codebooks.f2, e_table.e, mac.kernel),
+        codebooks.mode,
+        th,
+        type(dist),
+        _value_key(*(getattr(dist, f.name) for f in fields(dist))),
+    )
+
+
+# threshold_decode's memo, (key, prepared code) in one assignment.  One slot,
+# so a process holds at most one code's set-up; a caller alternating two
+# codes pays a set-up at every switch.
+_decode_slot: tuple = ((), None)
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +690,25 @@ def threshold_decode(
     mac: Mac,
     dist: InputDist,
 ):
-    """Decode one received word; returns ((m1, m2), 'decoded') or (None, reason)."""
-    dec, x1, x2, in_type = _fixed_code(codebooks, e_table, mac, dist, thresholds)
+    """Decode one received word; returns ((m1, m2), 'decoded') or (None, reason).
+
+    The code's set-up is kept for the next call with the same values.
+    """
+    global _decode_slot
+    key = _fixed_code_key(codebooks, e_table, mac, dist, thresholds)
+    slot_key, code = _decode_slot
+    if slot_key != key:
+        code = _fixed_code(codebooks, e_table, mac, dist, thresholds)
+        _decode_slot = key, code
     y = np.asarray(y_word)
     if y.shape != (codebooks.n,) or not np.all((y >= 0) & (y < mac.y_size) & (np.floor(y) == y)):
         raise SizeMismatch(f"received word must hold {codebooks.n} integers in [0, {mac.y_size})")
-    counts = _word_counts(x1, x2, y.astype(np.int64), mac.x1_size, mac.x2_size, mac.y_size)
-    passes = dec.passes(counts.astype(np.float64) @ dec.weights)
-    if in_type is not None:
-        passes &= in_type
+    cells = code.cells + y.astype(np.intp) * mac.x2_size  # (M1*M2, n)
+    counts = np.bincount(cells.ravel(), minlength=len(cells) * len(code.dec.weights))
+    z = counts.reshape(*code.x1.shape[:2], -1).astype(np.float64) @ code.dec.weights
+    passes = code.dec.passes(z)
+    if code.in_type is not None:
+        passes &= code.in_type
     hits = np.argwhere(passes)
     if len(hits) == 1:
         return (int(hits[0][0]), int(hits[0][1])), "decoded"
@@ -788,19 +876,26 @@ def estimate_error_fixed_code(
         raise ModeMismatch(
             f"config mode {config.mode!r} does not match codebook mode {codebooks.mode!r}"
         )
-    dec, x1, x2, in_type = _fixed_code(
-        codebooks, e_table, mac, config.dist, config.resolved_thresholds()
-    )
-    tables = dec.fixed_tables(x1, x2)
+    code = _fixed_code(codebooks, e_table, mac, config.dist, config.resolved_thresholds())
+    dec, pairs, columns = code.dec, m1c * m2c, code.dec.weights.shape[1]
+    x1, x2 = code.x1.reshape(pairs, n), code.x2.reshape(pairs, n)
+    chunk = _pair_chunk(mac.y_size * n, columns, pairs)
+    whole = dec.fixed_tables(x1, x2) if chunk == pairs else None  # built once
 
     def block(rng, b):
         msg1 = rng.integers(0, m1c, size=b)
         msg2 = rng.integers(0, m2c, size=b)
-        y = _sample(rng, (b, n), dec.output_cdf, (x1[msg1, msg2], x2[msg1, msg2]))
-        z = _onehot(y, mac.y_size, np.float64).reshape(b, -1) @ tables
-        return dec.passes(z.reshape(b, m1c, m2c, -1)), in_type, msg1, msg2
+        y = _sample(rng, (b, n), dec.output_cdf, (code.x1[msg1, msg2], code.x2[msg1, msg2]))
+        y1h = _onehot(y, mac.y_size, np.float64).reshape(b, -1)
+        passes = np.empty((b, pairs), dtype=bool)
+        for start in range(0, pairs, chunk):
+            part = slice(start, start + chunk)
+            # a chunk's tables live for its product only
+            z = y1h @ (whole if whole is not None else dec.fixed_tables(x1[part], x2[part]))
+            passes[:, part] = dec.passes(z.reshape(b, -1, columns))
+        return passes.reshape(b, m1c, m2c), code.in_type, msg1, msg2
 
-    trial_bytes = 8 * (mac.y_size * n + tables.shape[1]) + 16 * n
+    trial_bytes = 8 * (mac.y_size * n + pairs * columns) + 16 * n
     return _run_trials(config, _FIXED_CODE, trial_bytes, block)
 
 

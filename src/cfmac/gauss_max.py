@@ -2,8 +2,10 @@
 
 The CDF is evaluated by adaptive Gaussian quadrature on the mixing variable,
 with the K-th power of the normal CDF kept in log space so very large
-K (2^60 and beyond) stays accurate.  Closed forms take over when one of the
-variance components vanishes.
+K (2^60 and beyond) stays accurate.  A K past the float range (2^1024 and
+beyond) enters through ln K: there Phi(u)^K = exp(-K * Q(u)) to float precision,
+since the transition sits where the tail Q(u) is about 1/K.  Closed forms take
+over when one of the variance components vanishes.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ _CDF_ABS_TOL = 1e-10
 _QUANTILE_TOL = 1e-9
 _Z_CUTOFF = 12.0  # phi mass beyond |z|=12 is ~1.8e-33
 _DERIVATIVE_STEP = 1e-4  # half-width of the quantile derivative's central difference
+_FLOAT_K = 2**1024  # the smallest K that a float cannot hold
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,28 @@ class Lemma1Bounds:
     applicable: bool
 
 
-def _max_cdf_pow(log_phi: float, k: int) -> float:
+def _phi_pow(u: float, k: float) -> float:
     """Phi(u)^k via exp(k * log Phi(u))."""
-    v = k * log_phi
+    v = k * float(log_ndtr(u))
     return math.exp(v) if v > -745.0 else 0.0
+
+
+def _phi_pow_log_k(u: float, log_k: float) -> float:
+    """Phi(u)^K via exp(-K * Q(u)), from ln K: exact to float precision for K >= 2^1024."""
+    v = log_k + float(log_ndtr(-u))
+    return math.exp(-math.exp(v)) if v < 7.0 else 0.0
+
+
+def _max_cdf(k: int):
+    """(f, a) with f(u, a) = Phi(u)^K: the product form while K is a float, else from ln K."""
+    return (_phi_pow, float(k)) if k < _FLOAT_K else (_phi_pow_log_k, math.log(k))
+
+
+def _max_quantile(log_p: float, k: int) -> float:
+    """The u with Phi(u)^K = p, from log p < 0."""
+    if k < _FLOAT_K:
+        return float(ndtri_exp(log_p / k))
+    return -float(ndtri_exp(math.log(-log_p) - math.log(k)))  # Q(u) = -log(p) / K
 
 
 def sk_cdf(p: SkParams, s: float) -> float:
@@ -73,22 +94,21 @@ def sk_cdf(p: SkParams, s: float) -> float:
     if p.v1 == 0.0:
         return float(ndtr(s / math.sqrt(p.v2)))
     sq1 = math.sqrt(p.v1)
+    power, k_arg = _max_cdf(p.k)
     if p.v2 == 0.0:
-        return _max_cdf_pow(float(log_ndtr(s / sq1)), p.k)
+        return power(s / sq1, k_arg)
     sq2 = math.sqrt(p.v2)
     k = p.k
 
     def integrand(z: float) -> float:
         u = (s - sq2 * z) / sq1
-        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * _max_cdf_pow(
-            float(log_ndtr(u)), k
-        )
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * power(u, k_arg)
 
     # The inner factor transitions from 1 to 0 near the median of the max term;
     # hint the adaptive rule at that location.
-    u_half = float(ndtri_exp(-math.log(2.0) / k))
+    u_half = _max_quantile(-math.log(2.0), k)
     z_center = (s - sq1 * u_half) / sq2
-    spread = (sq1 / sq2) * 3.0 / math.sqrt(2.0 * math.log(k + 2.0))
+    spread = (sq1 / sq2) * 3.0 / math.sqrt(2.0 * math.log(k + 2.0 if k < _FLOAT_K else k))
     pts = sorted(
         {
             min(max(z, -_Z_CUTOFF), _Z_CUTOFF)
@@ -133,7 +153,7 @@ def sk_inverse_cdf(p: SkParams, eps: float) -> QuantileResult:
         value = math.sqrt(p.v2) * float(ndtri(eps))
         return QuantileResult(value, sk_cdf(p, value), _QUANTILE_TOL)
     if p.v2 == 0.0:
-        value = math.sqrt(p.v1) * float(ndtri_exp(math.log(eps) / p.k))
+        value = math.sqrt(p.v1) * _max_quantile(math.log(eps), p.k)
         return QuantileResult(value, sk_cdf(p, value), _QUANTILE_TOL)
     lo, hi = _bracket(p, eps)
     value = float(brentq(lambda s: sk_cdf(p, s) - eps, lo, hi, xtol=1e-13, rtol=8.9e-16))

@@ -22,7 +22,10 @@ are hashed from exact forms: array bytes with their dtype and shape, floats by
   config;
 - per config: ``draw_codebooks``, ``facilitate``, 8 ``threshold_decode``
   results, ``estimate_error_fixed_code``, ``estimate_error``, ``fbl_bound``
-  and ``cooperation_gain``.
+  and ``cooperation_gain``;
+- ``threshold_decode`` calls that switch between the configs' codes (A, B,
+  A, C, C, B, A), so a code decoded right after another and a code decoded
+  twice in a row are both hashed.
 
 It takes about 20 s on a 2-core host.
 """
@@ -74,6 +77,7 @@ INVCDF = [
 RATE_KS = "1,2,16,1099511627776"
 BOUND_SAMPLES = "20000"
 DECODES = 8
+SWITCHES = ("readme", "iid", "readme", "type", "type", "iid", "readme")
 
 
 def _sha(data) -> str:
@@ -161,14 +165,18 @@ def _received_words(cb, table, mac, rng):
             yield rng.integers(0, mac.y_size, size=cb.n)
 
 
+def _code(doc):
+    cfg = cfmac.sim_config_from_dict(doc)
+    cb = cfmac.draw_codebooks(
+        cfg.mac, cfg.dist, cfg.n, cfg.m1_count, cfg.m2_count, cfg.k, cfg.mode, cfg.seed
+    )
+    return cfg, cb, cfmac.facilitate(cb, cfg.mac, cfg.dist, cfg.mode, cfg.seed)
+
+
 def library_digests():
     for name, doc in SIM_CONFIGS.items():
-        cfg = cfmac.sim_config_from_dict(doc)
-        cb = cfmac.draw_codebooks(
-            cfg.mac, cfg.dist, cfg.n, cfg.m1_count, cfg.m2_count, cfg.k, cfg.mode, cfg.seed
-        )
+        cfg, cb, table = _code(doc)
         yield f"lib.{name}.draw_codebooks", _array(cb.f1) + _array(cb.f2)
-        table = cfmac.facilitate(cb, cfg.mac, cfg.dist, cfg.mode, cfg.seed)
         unmatched = b"" if table.unmatched is None else _array(table.unmatched)
         yield f"lib.{name}.facilitate", _array(table.e) + unmatched
         th = cfg.resolved_thresholds()
@@ -187,6 +195,19 @@ def library_digests():
         )
 
 
+def switching_decodes():
+    """Each step decodes the next of its config's received words."""
+    codes, words = {}, {}
+    for name, doc in SIM_CONFIGS.items():
+        cfg, cb, table = _code(doc)
+        codes[name] = cfg.resolved_thresholds(), cb, table, cfg.mac, cfg.dist
+        words[name] = _received_words(cb, table, cfg.mac, np.random.default_rng(cfg.seed))
+    for step, name in enumerate(SWITCHES):
+        th, cb, table, mac, dist = codes[name]
+        result = cfmac.threshold_decode(next(words[name]), cb, table, th, mac, dist)
+        yield f"lib.switching.{step}.{name}.threshold_decode", repr(result)
+
+
 def main() -> int:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -196,7 +217,7 @@ def main() -> int:
                 print(name, _sha(data), flush=True)
         finally:
             os.chdir(home)
-    for name, data in library_digests():
+    for name, data in [*library_digests(), *switching_decodes()]:
         print(name, _sha(data), flush=True)
     return 0
 

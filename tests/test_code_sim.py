@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bound_reference
 import gather_reference
@@ -207,6 +209,85 @@ class TestThresholdDecode:
         y = np.zeros(5, dtype=int)
         decoded, reason = threshold_decode(y, cb, table, th, mac, UNIFORM)
         assert decoded is None and reason == "none-pass"
+
+
+def _decode_from_scratch(y, cb, table, th, mac, dist):
+    """threshold_decode by ``_word_counts`` and a freshly built decoder, no memo."""
+    dec = code_sim._Decoder.build(mac, dist, th)
+    m1, m2 = table.e.shape
+    x1 = cb.f1[np.arange(m1)[:, None], table.e]
+    x2 = cb.f2[np.arange(m2)[None, :], table.e]
+    sizes = (mac.x1_size, mac.x2_size, mac.y_size)
+    z = code_sim._word_counts(x1, x2, np.asarray(y, dtype=np.int64), *sizes)
+    passes = dec.passes(z.astype(np.float64) @ dec.weights)
+    if cb.mode == "type":
+        target = code_sim._type_counts(dist, cb.n).ravel()
+        passes &= (code_sim._word_counts(x1, x2, 0, *sizes[:2], 1) == target).all(axis=-1)
+    hits = np.argwhere(passes)
+    if len(hits) == 1:
+        return (int(hits[0][0]), int(hits[0][1])), "decoded"
+    return None, ("none-pass" if len(hits) == 0 else "multiple-pass")
+
+
+class TestThresholdDecodeMemo:
+    """threshold_decode keeps one prepared code, keyed by the values it is built from."""
+
+    N, M, K = 12, 3, 4
+    # type mode: the n-type of the words, and another joint type of the same marginals
+    TYPES = (HALF_TYPE, JointDist(np.array([[4, 2], [2, 4]]) / 12.0))
+    # below the iid defaults (7.0, 3.4, 3.4): most sent words decode, in both modes
+    TH = DecoderThresholds(c12=6.0, c1=2.4, c2=2.4)
+
+    def code(self, mode, seed=4):
+        mac = _noisy_adder()
+        dist = UNIFORM if mode == "iid" else self.TYPES[0]
+        cb = draw_codebooks(mac, dist, self.N, self.M, self.M, self.K, mode, seed=seed)
+        return [cb, facilitate(cb, mac, dist, mode, seed=seed), self.TH, mac, dist]
+
+    def words(self, cb, table, mac):
+        """Each message pair's words sent through the channel, then uniform words."""
+        rng = np.random.default_rng(8)
+        cdf = np.cumsum(mac.kernel, axis=-1)
+        for m1, m2 in np.ndindex(table.e.shape):
+            k = table.e[m1, m2]
+            yield (rng.random(self.N)[:, None] >= cdf[cb.f1[m1, k], cb.f2[m2, k]][:, :-1]).sum(-1)
+        yield from rng.integers(0, mac.y_size, size=(6, self.N))
+
+    def change(self, what, mode, code):
+        cb, table, th, mac, dist = code
+        if what == "codeword in place":
+            cb.f1[[0, 1]] = cb.f1[[1, 0]]  # messages 0 and 1 of user 1 trade words
+        elif what == "table":
+            code[1] = replace(table, e=(table.e + 1) % self.K)
+        elif what == "thresholds":
+            code[2] = replace(th, c12=math.inf)
+        elif mode == "iid":  # a JointDist, correlated, of the same marginals
+            code[4] = JointDist(np.array([[0.4, 0.1], [0.1, 0.4]]))
+        else:
+            code[4] = self.TYPES[1]
+
+    @pytest.mark.parametrize("what", ["codeword in place", "table", "thresholds", "dist"])
+    @pytest.mark.parametrize("mode", ["iid", "type"])
+    def test_a_changed_code_is_decoded_afresh(self, mode, what):
+        code = self.code(mode)
+        words = list(self.words(*code[:2], code[3]))
+        before = [threshold_decode(y, *code) for y in words]
+        assert before == [_decode_from_scratch(y, *code) for y in words]
+        self.change(what, mode, code)
+        after = [_decode_from_scratch(y, *code) for y in words]
+        assert after != before  # a stale code would show
+        assert [threshold_decode(y, *code) for y in words] == after
+
+    @pytest.mark.parametrize("mode", ["iid", "type"])
+    def test_switching_codes_keeps_each_codes_answers(self, mode):
+        a, b = self.code(mode, seed=4), self.code(mode, seed=5)
+        words = list(self.words(*a[:2], a[3]))
+        want = [_decode_from_scratch(y, *a) for y in words]
+        assert want != [_decode_from_scratch(y, *b) for y in words]
+        for y, answer in zip(words, want):
+            assert threshold_decode(y, *a) == answer
+            threshold_decode(y, *b)
+            assert threshold_decode(y, *a) == answer
 
 
 class TestEstimateError:
@@ -575,6 +656,38 @@ _TYPE_CASES = {
 }
 
 
+def _summed_metrics(dec, z):
+    """Weighted counts (..., columns) -> the (d12, d1, d2) sums (..., 3), infinite terms included."""
+    metrics = z[..., :3].copy()
+    with np.errstate(invalid="ignore"):  # -inf + inf = nan, as in a sum
+        for col, (j, v) in enumerate(dec.infs, start=3):
+            metrics[..., j] += np.where(z[..., col] > 0, v, 0.0)
+    return metrics
+
+
+# threshold values around the finite sums drawn below, so some sums meet them exactly
+_LEVELS = [-np.inf, -1.0, 0.0, 0.5, np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.booleans(), min_size=6, max_size=6),
+    st.lists(st.sampled_from(_LEVELS), min_size=3, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_passes_decides_as_the_summed_metrics(present, c, seed):
+    # present[i]: an indicator column for (metric i % 3, -inf if i < 3 else +inf)
+    infs = tuple((i % 3, -np.inf if i < 3 else np.inf) for i in range(6) if present[i])
+    dec = code_sim._Decoder(np.empty((0, 3 + len(infs))), infs, np.array(c), np.empty((1, 1, 1)))
+    rng = np.random.default_rng(seed)
+    finite = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0], size=(40, 3))
+    counts = rng.integers(0, 3, size=(40, len(infs))).astype(np.float64)
+    z = np.concatenate([finite, counts], axis=1).reshape(8, 5, -1)
+    with np.errstate(invalid="ignore"):  # nan thresholds
+        want = (_summed_metrics(dec, z) >= dec.c).all(axis=-1)
+    assert np.array_equal(dec.passes(z), want)
+
+
 class TestCountKernel:
     """The joint-count kernel against the gather-based reference."""
 
@@ -604,7 +717,7 @@ class TestCountKernel:
         th = default_thresholds(mac, dist, n, self.M1, self.M2, self.K, mode)
         dec = code_sim._Decoder.build(mac, dist, th)
         z = code_sim._decode_counts(l1, r2, code_sim._onehot(y, mac.y_size), e)
-        got = dec.metrics(z.astype(np.float64) @ dec.weights)
+        got = _summed_metrics(dec, z.astype(np.float64) @ dec.weights)
         x1, x2 = gather_reference.selected_words(f1, f2, e)
         tables = gather_reference.decode_tables(mac, dist, th.units)
         want = np.stack(gather_reference.decode_metrics(tables, x1, x2, y), axis=-1)
@@ -724,6 +837,38 @@ def test_memory_stays_bounded_where_facilitated_words_are_counted_directly():
         tracemalloc.stop()
     assert rep.trials == 40 and sum(rep.decomposition.values()) == rep.errors
     assert peak_mb < bound_mb, peak_mb
+
+
+def test_fixed_code_memory_stays_bounded_at_m64_n1000():
+    # The whole per-pair tables would take 3 * 1000 * 64 * 64 * 6 * 8 B = 562 MB;
+    # they are built in chunks of at most half the byte budget
+    cfg = SimConfig(
+        mac=adder2(), dist=UNIFORM, n=1000, m1_count=64, m2_count=64, k=4,
+        mode="iid", trials=64, seed=3,
+    )
+    cb = draw_codebooks(cfg.mac, cfg.dist, cfg.n, 64, 64, 4, "iid", seed=3)
+    table = facilitate(cb, cfg.mac, cfg.dist, "iid")
+    tracemalloc.start()
+    try:
+        rep = estimate_error_fixed_code(cb, table, cfg)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == 64 and sum(rep.decomposition.values()) == rep.errors
+    assert peak_mb < code_sim._BLOCK_BYTES / 2**20, peak_mb
+
+
+@pytest.mark.parametrize("mode, dist", [("iid", UNIFORM), ("type", HALF_TYPE)])
+def test_fixed_code_tables_in_chunks_give_the_same_report(monkeypatch, mode, dist):
+    mac = _noisy_adder()
+    cfg = SimConfig(mac=mac, dist=dist, n=16, m1_count=4, m2_count=3, k=4, mode=mode,
+                    thresholds=TestThresholdDecodeMemo.TH, trials=3000, seed=2)
+    cb = draw_codebooks(mac, dist, 16, 4, 3, 4, mode, seed=2)
+    table = facilitate(cb, mac, dist, mode, seed=2)
+    whole = estimate_error_fixed_code(cb, table, cfg)
+    assert 0 < whole.errors < whole.trials
+    monkeypatch.setattr(code_sim, "_pair_chunk", lambda rows, columns, pairs: 5)
+    assert estimate_error_fixed_code(cb, table, cfg) == whole
 
 
 def _noisy_adder():

@@ -106,6 +106,31 @@ class TestInverseCdf:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+class TestKPastTheFloatRange:
+    """K >= 2^1024 is no float: the law takes it through ln K."""
+
+    def test_cdf_squares_when_k_doubles(self):
+        # V2 = 0: F_2K = F_K^2, with K = 2^1023 a float and 2K = 2^1024 not
+        low, high = (sk_cdf(SkParams(1.0, 0.0, 2**j), 37.5) for j in (1023, 1024))
+        assert 0.0 < high < low < 1.0
+        assert high == pytest.approx(low**2, rel=1e-9)
+
+    def test_closed_form_quantile_of_2k_at_eps_is_that_of_k_at_root_eps(self):
+        q = sk_inverse_cdf(SkParams(1.0, 0.0, 2**1024), 0.01).value
+        assert q == pytest.approx(sk_inverse_cdf(SkParams(1.0, 0.0, 2**1023), 0.1).value, rel=1e-12)
+
+    @pytest.mark.parametrize("v2", [0.0, 1.0])
+    @pytest.mark.parametrize("log2_k", [1024, 2000])
+    def test_quantiles_round_trip_within_lemma1_bounds(self, v2, log2_k):
+        p = SkParams(1.0, v2, 2**log2_k)
+        low, high = sk_inverse_cdf(p, 0.01), sk_inverse_cdf(p, 0.99)
+        for q, eps in ((low, 0.01), (high, 0.99)):
+            assert abs(q.achieved_probability - eps) <= q.tolerance
+        bounds = lemma1_bounds(p, 0.01)
+        assert bounds.lower_at_eps <= low.value < high.value <= bounds.upper_at_one_minus_eps
+        assert low.value > sk_inverse_cdf(SkParams(1.0, v2, 2 ** (log2_k - 1)), 0.01).value
+
+
 class TestLemma1Bounds:
     def test_inapplicable_for_small_k(self):
         b = lemma1_bounds(SkParams(1, 1, 2), 0.01)

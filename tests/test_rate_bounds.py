@@ -60,6 +60,16 @@ class TestDispersionRate:
         rates = [thm2_sum_rate(stats, RateQuery(1000, 0.01, k)).rate for k in (1, 2, 8, 64)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
+    def test_k_past_the_float_range(self):
+        # Thm 3's regime K = 2^(na) passes 2^1023 at n*a > 1023.  Phi^(2K) = eps
+        # where Phi^K = sqrt(eps), so K = 2^1024 at eps has the 2^1023 rate at sqrt(eps)
+        rates = [
+            rate_report(adder2(), RateQuery(2000, 0.01, k)).thm2_rate
+            for k in (2**1023, 2**1024, 2**2000)
+        ]
+        assert rates[1] == pytest.approx(adder_rate_closed_form(2000, 0.1, 2**1023), abs=1e-12)
+        assert rates[0] < rates[1] < rates[2]
+
 
 class TestTypeRate:
     def test_budget_exhausted_falls_back_to_baseline(self):
