@@ -39,11 +39,14 @@ dtype of the codebooks, the facilitator table and the kernel, the mode, the
 thresholds and the input law.  So an array changed in place misses, where
 its ``id`` would not.  One word's counts for all M1 * M2 pairs are then one
 bincount of the pairs' cell codes (x1 * Y) * A2 + x2 + row * cells, each
-shifted by y * A2.  ``estimate_error_fixed_code`` takes a block's metrics as
-one GEMM of its received words' one-hot form with per-pair tables of Y * n
-rows and M1 * M2 * columns float64 entries, built once.  Where those tables
-would pass the block budget, they are built per block in chunks of message
-pairs that fit half of it, for the same received words.
+shifted by y * A2.  The slot keeps its code after the call, outside the block
+budget: about 16 MB at M1 = M2 = 64, n = 1000, half of it the cell codes,
+which are stored in the smallest unsigned type that holds them (uint16 there).
+``estimate_error_fixed_code`` takes a block's metrics as GEMMs of its received
+words' one-hot form with per-pair tables of Y * n rows and M1 * M2 * columns
+float64 entries.  Each block builds the tables for its products: all pairs in
+one when they fit the block budget, else chunks of message pairs that fit
+half of it.
 
 Ties.  The score facilitator picks the smallest k whose score lies within
 ``_TIE_ULPS_PER_CELL`` * A1 * A2 ulps of n * max|i_bar| of the best score,
@@ -587,8 +590,16 @@ class _FixedCode:
     @cached_property
     def cells(self) -> np.ndarray:
         """The pairs' cell codes (M1*M2, n) at y = 0: a received word adds y * A2,
-        and one bincount gives every pair's (x1, y, x2) counts."""
-        return _cell_codes(self.x1, self.x2, 0, *self.dec.output_cdf.shape)
+        and one bincount gives every pair's (x1, y, x2) counts.
+
+        Kept in the smallest unsigned type that holds them (uint16 up to 2^16
+        codes), so the slot stays small and a switch of codes does not
+        page-fault, as glibc's allocator did with intp cells beside the
+        word's intp sum.
+        """
+        a1, a2, ny = self.dec.output_cdf.shape
+        cells = _cell_codes(self.x1, self.x2, 0, a1, a2, ny)
+        return cells.astype(np.min_scalar_type(len(cells) * a1 * ny * a2))
 
 
 def _fixed_code(
@@ -880,7 +891,6 @@ def estimate_error_fixed_code(
     dec, pairs, columns = code.dec, m1c * m2c, code.dec.weights.shape[1]
     x1, x2 = code.x1.reshape(pairs, n), code.x2.reshape(pairs, n)
     chunk = _pair_chunk(mac.y_size * n, columns, pairs)
-    whole = dec.fixed_tables(x1, x2) if chunk == pairs else None  # built once
 
     def block(rng, b):
         msg1 = rng.integers(0, m1c, size=b)
@@ -890,8 +900,7 @@ def estimate_error_fixed_code(
         passes = np.empty((b, pairs), dtype=bool)
         for start in range(0, pairs, chunk):
             part = slice(start, start + chunk)
-            # a chunk's tables live for its product only
-            z = y1h @ (whole if whole is not None else dec.fixed_tables(x1[part], x2[part]))
+            z = y1h @ dec.fixed_tables(x1[part], x2[part])  # live for this product only
             passes[:, part] = dec.passes(z.reshape(b, -1, columns))
         return passes.reshape(b, m1c, m2c), code.in_type, msg1, msg2
 

@@ -2,10 +2,11 @@
 
 The CDF is evaluated by adaptive Gaussian quadrature on the mixing variable,
 with the K-th power of the normal CDF kept in log space so very large
-K (2^60 and beyond) stays accurate.  A K past the float range (2^1024 and
-beyond) enters through ln K: there Phi(u)^K = exp(-K * Q(u)) to float precision,
-since the transition sits where the tail Q(u) is about 1/K.  Closed forms take
-over when one of the variance components vanishes.
+K (2^60 and beyond) stays accurate.  A K past the float range (from
+2^1024 - 2^970, which float() rounds up to 2^1024) enters through ln K: there
+Phi(u)^K = exp(-K * Q(u)) to float precision, since the transition sits where
+the tail Q(u) is about 1/K.  Closed forms take over when one of the variance
+components vanishes.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ _CDF_ABS_TOL = 1e-10
 _QUANTILE_TOL = 1e-9
 _Z_CUTOFF = 12.0  # phi mass beyond |z|=12 is ~1.8e-33
 _DERIVATIVE_STEP = 1e-4  # half-width of the quantile derivative's central difference
-_FLOAT_K = 2**1024  # the smallest K that a float cannot hold
+_FLOAT_K = 2**1024 - 2**970  # the smallest K that float() cannot convert: it rounds up to 2^1024
 
 
 @dataclass(frozen=True)

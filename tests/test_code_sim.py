@@ -289,6 +289,16 @@ class TestThresholdDecodeMemo:
             threshold_decode(y, *b)
             assert threshold_decode(y, *a) == answer
 
+    @pytest.mark.parametrize("m, dtype", [(4, np.uint8), (5, np.uint16), (76, np.uint32)])
+    def test_cell_codes_keep_their_values_in_a_compact_type(self, m, dtype):
+        # M^2 rows of A1*Y*A2 = 12 cells: codes below 2^8, below 2^16, and past 2^16
+        mac = _noisy_adder()
+        cb = draw_codebooks(mac, UNIFORM, 6, m, m, 2, "iid", seed=3)
+        code = code_sim._fixed_code(cb, facilitate(cb, mac, UNIFORM, "iid"), mac, UNIFORM, self.TH)
+        assert code.cells.dtype == dtype
+        sizes = (mac.x1_size, mac.x2_size, mac.y_size)
+        assert np.array_equal(code.cells, code_sim._cell_codes(code.x1, code.x2, 0, *sizes))
+
 
 class TestEstimateError:
     def config(self, **kw):

@@ -130,6 +130,16 @@ class TestKPastTheFloatRange:
         assert bounds.lower_at_eps <= low.value < high.value <= bounds.upper_at_one_minus_eps
         assert low.value > sk_inverse_cdf(SkParams(1.0, v2, 2 ** (log2_k - 1)), 0.01).value
 
+    @pytest.mark.parametrize("v2", [0.0, 1.0])
+    @pytest.mark.parametrize("k", [2**1024 - 2**970, 2**1024 - 1])
+    def test_k_that_float_rounds_up_to_2_1024(self, v2, k):
+        # float() rounds every int from 2^1024 - 2^970 up to 2^1024 and raises,
+        # so these K take the ln K form
+        p, top = SkParams(1.0, v2, k), SkParams(1.0, v2, 2**1024)
+        q = sk_inverse_cdf(p, 0.01)
+        assert q.value == pytest.approx(sk_inverse_cdf(top, 0.01).value, rel=1e-9)
+        assert sk_cdf(p, q.value) == pytest.approx(sk_cdf(top, q.value), abs=1e-8)
+
 
 class TestLemma1Bounds:
     def test_inapplicable_for_small_k(self):

@@ -65,10 +65,11 @@ class TestDispersionRate:
         # where Phi^K = sqrt(eps), so K = 2^1024 at eps has the 2^1023 rate at sqrt(eps)
         rates = [
             rate_report(adder2(), RateQuery(2000, 0.01, k)).thm2_rate
-            for k in (2**1023, 2**1024, 2**2000)
+            for k in (2**1023, 2**1024, 2**2000, 2**1024 - 1)
         ]
         assert rates[1] == pytest.approx(adder_rate_closed_form(2000, 0.1, 2**1023), abs=1e-12)
         assert rates[0] < rates[1] < rates[2]
+        assert rates[3] == pytest.approx(rates[1], abs=1e-9)  # float(K) would round up and raise
 
 
 class TestTypeRate:
