@@ -414,10 +414,15 @@ def _mi_nats(kernel: np.ndarray, p12: np.ndarray) -> np.ndarray:
     return h_y - h_y_given_x
 
 
+def _letter_div_nats(kernel: np.ndarray, p12: np.ndarray) -> np.ndarray:
+    """D(W_{x1,x2} || p_Y) per law of the stack p12 (S, |X1|, |X2|); p_Y floored at 1e-300."""
+    p_y = np.einsum("sij,ijy->sy", p12, kernel)
+    return rel_entr(kernel, np.maximum(p_y, 1e-300)[:, None, None, :]).sum(axis=3)
+
+
 def _dbar_nats(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
     """Per-letter divergences D(W_{x1,x2} || p_Y) and their p2/p1 averages, per start."""
-    p_y = np.einsum("sij,ijy->sy", _outer(p1, p2), kernel)
-    div = rel_entr(kernel, p_y[:, None, None, :]).sum(axis=3)
+    div = _letter_div_nats(kernel, _outer(p1, p2))
     return div, (div @ p2[..., None])[..., 0], (p1[:, None, :] @ div)[:, 0]
 
 

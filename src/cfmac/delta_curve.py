@@ -31,6 +31,8 @@ from .channel import (
     Mac,
     ProductDist,
     _capacity_in,
+    _letter_div_nats,
+    _mi_nats,
     _nats_per_unit,
     _stats_nats,
     _unit_scale,
@@ -120,18 +122,6 @@ def delta_small_a(v1_star: float, a: float, units: str = "bits") -> float:
 # solver internals (all in nats)
 
 
-def _mi_xy_terms(kernel: np.ndarray, p12: np.ndarray) -> np.ndarray:
-    """Terms W log(W / p_Y) (A1, A2, Y), 0 where W is: I(X1X2;Y) is their p12-weighted
-    sum, and its gradient their sum over y, D(W_x || p_Y), minus a constant 1."""
-    p_y = np.einsum("ij,ijy->y", p12, kernel)
-    logt = np.log(np.maximum(kernel, _EPS)) - np.log(np.maximum(p_y, _EPS))
-    return np.where(kernel > 0, kernel * logt, 0.0)
-
-
-def _mi_xy_nats(kernel: np.ndarray, p12: np.ndarray) -> float:
-    return float((p12[:, :, None] * _mi_xy_terms(kernel, p12)).sum())
-
-
 def _mi_12_nats(p12: np.ndarray) -> float:
     p1 = p12.sum(axis=1)
     p2 = p12.sum(axis=0)
@@ -192,10 +182,8 @@ def _refine(kernel, p_start: np.ndarray, a_nats: float) -> tuple[np.ndarray | No
     m = p_start.size
 
     def neg_obj(x):
-        p12 = x.reshape(shape)
-        terms = _mi_xy_terms(kernel, p12)
-        value = float((p12[:, :, None] * terms).sum())
-        return -value, -(terms.sum(axis=2) - 1.0).ravel()
+        p12 = x.reshape(1, *shape)
+        return -_mi_nats(kernel, p12)[0], 1.0 - _letter_div_nats(kernel, p12).ravel()
 
     cons = [
         {"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(m)},
@@ -223,20 +211,17 @@ def _refine(kernel, p_start: np.ndarray, a_nats: float) -> tuple[np.ndarray | No
 
 def _joint_ba_unconstrained(kernel: np.ndarray, iters: int = 400) -> np.ndarray:
     """Blahut-Arimoto over the composite input alphabet X1 x X2 (no budget)."""
-    n1, n2, ny = kernel.shape
-    w = kernel.reshape(n1 * n2, ny)
-    p = np.full(n1 * n2, 1.0 / (n1 * n2))
+    n1, n2, _ = kernel.shape
+    p = np.full((n1, n2), 1.0 / (n1 * n2))
     for _ in range(iters):
-        p_y = p @ w
-        logt = np.log(np.maximum(w, _EPS)) - np.log(np.maximum(p_y, _EPS))[None, :]
-        d = np.where(w > 0, w * logt, 0.0).sum(axis=1)
+        d = _letter_div_nats(kernel, p[None])[0]
         new_p = p * np.exp(d - d.max())
         new_p /= new_p.sum()
         if np.abs(new_p - p).sum() < 1e-14:
             p = new_p
             break
         p = new_p
-    return p.reshape(n1, n2)
+    return p
 
 
 def delta(
@@ -276,7 +261,7 @@ def delta(
             if p is None or _mi_12_nats(p) > a_nats + _FEAS_TOL:
                 continue
             converged = converged or refined_ok
-            val = _mi_xy_nats(kernel, p)
+            val = float(_mi_nats(kernel, p[None])[0])
             if val > best_val:
                 best_val, best_p = val, p
     if best_p is None:
