@@ -1,9 +1,20 @@
 """Correlation-benefit curve: the best sum-rate gain under an input-dependence budget.
 
 delta(a) maximizes I(X1,X2;Y) over joint input distributions whose input
-mutual information I(X1;X2) stays below ``a``.  The solver combines an
-analytic perturbation start around each capacity-achieving product
-distribution with multi-start SLSQP refinement over the joint simplex.
+mutual information I(X1;X2) stays below ``a``.  The objective and its
+gradient come from the channel's mutual-information core (``_mi_nats`` and
+the letter divergences D(W_x || p_Y)), the functions the sum-capacity C is
+computed from.  SLSQP refines three kinds of start over the joint simplex:
+each capacity-achieving product law, its analytic perturbation along the
+first-order optimal direction (a line search to the budget), and the
+unconstrained joint Blahut-Arimoto law shrunk into the budget.
+
+Every feasible start and refinement is a candidate, and the best one wins
+even when its refinement did not converge: for a maximization each feasible
+law's value is achievable, so a stalled refinement can only understate
+delta.  The top capacity maximizer is the first candidate, so delta =
+max(best - C, 0) >= 0, and at a = 0 the maximizer is returned with delta
+exactly 0.
 
 Capacity-achieving laws often put zero mass on some input pairs.  At such a
 cell the budget's gradient log(p12 / (p1 p2)) - 1 is unbounded: with its logs
@@ -237,41 +248,35 @@ def delta(
     scale = _unit_scale(units)
     a_nats = a * _nats_per_unit(units)
     kernel = mac.kernel
-    c_sum_nats = capacity.c_sum / scale
+    best_p = capacity.argmax_dists[0].joint()
+    if a == 0:  # only product laws meet a zero budget: the maximizer is optimal
+        return DeltaPoint(a, 0.0, JointDist(best_p), _mi_12_nats(best_p) * scale, units)
 
     starts: list[np.ndarray] = []
     for base in capacity.argmax_dists:
         starts.append(base.joint())
-        if a > 0:
-            pert = perturbation_direction(mac, base, a, capacity=capacity, units=units)
-            if np.any(pert.r_table != 0):
-                starts.append(_line_search_start(kernel, base, pert.r_table, a_nats))
-    starts.append(np.full((mac.x1_size, mac.x2_size), 1.0 / (mac.x1_size * mac.x2_size)))
+        pert = perturbation_direction(mac, base, a, capacity=capacity, units=units)
+        if np.any(pert.r_table != 0):
+            starts.append(_line_search_start(kernel, base, pert.r_table, a_nats))
     starts.append(_project_feasible(_joint_ba_unconstrained(kernel), a_nats))
 
-    best_val = -np.inf
-    best_p: np.ndarray | None = None
-    converged = a == 0  # a zero budget admits the product starts only: nothing to refine
+    best_val = float(_mi_nats(kernel, best_p[None])[0])
+    converged = False
     for p0 in starts:
-        candidates = [(p0, False)]
-        if a > 0:
-            p, status = _refine(kernel, p0, a_nats)
-            candidates.append((p, status == 0))
-        for p, refined_ok in candidates:
-            if p is None or _mi_12_nats(p) > a_nats + _FEAS_TOL:
+        p, status = _refine(kernel, p0, a_nats)
+        for cand, refined_ok in ((p0, False), (p, status == 0)):
+            if cand is None or _mi_12_nats(cand) > a_nats + _FEAS_TOL:
                 continue
             converged = converged or refined_ok
-            val = float(_mi_nats(kernel, p[None])[0])
+            val = float(_mi_nats(kernel, cand[None])[0])
             if val > best_val:
-                best_val, best_p = val, p
-    if best_p is None:
-        raise NonConvergence("no feasible candidate found")
+                best_val, best_p = val, cand
     if not converged:
         raise NonConvergence(f"no SLSQP refinement converged within the budget at a={a!r}")
 
     return DeltaPoint(
         a=a,
-        delta=(best_val - c_sum_nats) * scale,
+        delta=max((best_val - capacity.c_sum / scale) * scale, 0.0),
         argmax_joint=JointDist(best_p),
         achieved_mi_budget=_mi_12_nats(best_p) * scale,
         units=units,
