@@ -1,12 +1,13 @@
 """Law of S_K = sqrt(V2) Z0 + sqrt(V1) max_{k<=K} Z_k: CDF, quantiles, bounds.
 
 The CDF is evaluated by adaptive Gaussian quadrature on the mixing variable,
-with the K-th power of the normal CDF kept in log space so very large
-K (2^60 and beyond) stays accurate.  A K past the float range (from
-2^1024 - 2^970, which float() rounds up to 2^1024) enters through ln K: there
+with the K-th power of the normal CDF kept in log space.  From K = 2^53, the
+largest K a float holds exactly, K enters through ln K: there
 Phi(u)^K = exp(-K * Q(u)) to float precision, since the transition sits where
-the tail Q(u) is about 1/K.  Closed forms take over when one of the variance
-components vanishes.
+the tail Q(u) is about 1/K and the dropped K * Q(u)^2 / 2 is about 1/(2K).
+The product form exp(K * log Phi(u)) would lose that tail as K nears 2^1024,
+where log Phi(u) ~ -1/K turns subnormal, and float(K) overflows beyond.
+Closed forms take over when one of the variance components vanishes.
 """
 from __future__ import annotations
 
@@ -24,7 +25,9 @@ _CDF_ABS_TOL = 1e-10
 _QUANTILE_TOL = 1e-9
 _Z_CUTOFF = 12.0  # phi mass beyond |z|=12 is ~1.8e-33
 _DERIVATIVE_STEP = 1e-4  # half-width of the quantile derivative's central difference
-_FLOAT_K = 2**1024 - 2**970  # the smallest K that float() cannot convert: it rounds up to 2^1024
+# from this K on, Phi(u)^K comes from ln K: float(K) is no longer exact, and the
+# ln K form's relative error ~1/(2K) is below float precision
+_LOG_K_FROM = 2**53
 
 
 @dataclass(frozen=True)
@@ -70,19 +73,19 @@ def _phi_pow(u: float, k: float) -> float:
 
 
 def _phi_pow_log_k(u: float, log_k: float) -> float:
-    """Phi(u)^K via exp(-K * Q(u)), from ln K: exact to float precision for K >= 2^1024."""
+    """Phi(u)^K via exp(-K * Q(u)), from ln K: exact to float precision for K >= 2^53."""
     v = log_k + float(log_ndtr(-u))
     return math.exp(-math.exp(v)) if v < 7.0 else 0.0
 
 
 def _max_cdf(k: int):
-    """(f, a) with f(u, a) = Phi(u)^K: the product form while K is a float, else from ln K."""
-    return (_phi_pow, float(k)) if k < _FLOAT_K else (_phi_pow_log_k, math.log(k))
+    """(f, a) with f(u, a) = Phi(u)^K: the product form below 2^53, else from ln K."""
+    return (_phi_pow, float(k)) if k < _LOG_K_FROM else (_phi_pow_log_k, math.log(k))
 
 
 def _max_quantile(log_p: float, k: int) -> float:
     """The u with Phi(u)^K = p, from log p < 0."""
-    if k < _FLOAT_K:
+    if k < _LOG_K_FROM:
         return float(ndtri_exp(log_p / k))
     return -float(ndtri_exp(math.log(-log_p) - math.log(k)))  # Q(u) = -log(p) / K
 
@@ -109,7 +112,7 @@ def sk_cdf(p: SkParams, s: float) -> float:
     # hint the adaptive rule at that location.
     u_half = _max_quantile(-math.log(2.0), k)
     z_center = (s - sq1 * u_half) / sq2
-    spread = (sq1 / sq2) * 3.0 / math.sqrt(2.0 * math.log(k + 2.0 if k < _FLOAT_K else k))
+    spread = (sq1 / sq2) * 3.0 / math.sqrt(2.0 * math.log(k + 2.0 if k < _LOG_K_FROM else k))
     pts = sorted(
         {
             min(max(z, -_Z_CUTOFF), _Z_CUTOFF)

@@ -141,6 +141,29 @@ class TestKPastTheFloatRange:
         assert sk_cdf(p, q.value) == pytest.approx(sk_cdf(top, q.value), abs=1e-8)
 
 
+class TestLnKFromTwoTo53:
+    """From K = 2^53 the law takes K through ln K, well before float(K) overflows."""
+
+    @pytest.mark.parametrize("log2_k", [1022, 1023])
+    @pytest.mark.parametrize("s", [37.5, 38.0])
+    def test_cdf_squares_when_k_doubles_below_2_1024(self, log2_k, s):
+        # V2 = 0: F_2K = F_K^2; the product form lost this tail as log Phi turned subnormal
+        low, high = (sk_cdf(SkParams(1.0, 0.0, 2**j), s) for j in (log2_k, log2_k + 1))
+        assert high == pytest.approx(low**2, abs=1e-12)
+
+    @pytest.mark.parametrize("v2", [0.0, 1.0])
+    def test_quantile_is_continuous_across_2_53(self, v2):
+        q = [sk_inverse_cdf(SkParams(1.0, v2, k), 0.01).value for k in (2**53 - 1, 2**53, 2**53 + 2)]
+        assert q[0] == q[1] == q[2]
+
+    def test_quantile_is_continuous_where_float_k_overflows(self):
+        below, at = (
+            sk_inverse_cdf(SkParams(1.0, 1.0, k), 0.01).value
+            for k in (2**1024 - 2**970 - 1, 2**1024 - 2**970)
+        )
+        assert below == pytest.approx(at, rel=1e-12)
+
+
 class TestLemma1Bounds:
     def test_inapplicable_for_small_k(self):
         b = lemma1_bounds(SkParams(1, 1, 2), 0.01)
