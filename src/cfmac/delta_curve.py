@@ -211,7 +211,7 @@ def _refine(kernel, p_start: np.ndarray, a_nats: float) -> tuple[np.ndarray | No
         method="SLSQP",
         bounds=[(0.0, 1.0)] * m,
         constraints=cons,
-        options={"ftol": 1e-14, "maxiter": 400},
+        options={"ftol": 1e-13, "maxiter": 400},
     )
     p = np.clip(res.x.reshape(shape), 0.0, None)
     total = p.sum()

@@ -6,7 +6,15 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 import cfmac.delta_curve
-from cfmac.channel import JointDist, Mac, ProductDist, adder2, sum_capacity, xor_channel
+from cfmac.channel import (
+    JointDist,
+    Mac,
+    ProductDist,
+    adder2,
+    mutual_information,
+    sum_capacity,
+    xor_channel,
+)
 from cfmac.delta_curve import delta, delta_small_a, perturbation_direction
 from cfmac.errors import NonConvergence, NotCapacityAchieving
 
@@ -105,6 +113,45 @@ class TestDirichlet4x4x5:
         )
         got = delta(mac, 0.01, capacity=shifted).delta
         assert got == pytest.approx(delta(mac, 0.01, capacity=cap).delta, abs=1e-9)
+
+    @pytest.mark.parametrize("units", ["bits", "nats"])
+    def test_uniform_start_finds_nothing_better(self, dir4x4x5, units):
+        # delta refines no uniform start: on this kernel that start mostly
+        # stalled, and its refinement never beat the others
+        mac, _ = dir4x4x5
+        cap = sum_capacity(mac, units=units)
+        uniform = np.full((4, 4), 1.0 / 16)
+        for a in (0.001, 0.01, 0.03, 0.1, 0.5, 1.0):
+            a_nats = a * (math.log(2.0) if units == "bits" else 1.0)
+            p, _ = cfmac.delta_curve._refine(mac.kernel, uniform, a_nats)
+            gain = mutual_information(mac, JointDist(p), units=units) - cap.c_sum
+            assert gain <= delta(mac, a, units=units, capacity=cap).delta + 1e-9, a
+
+
+RANDOM_SHAPES = [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (3, 3, 4), (4, 4, 5)]
+PROPERTY_GRID = (0.0, 0.001, 0.01, 0.1, 0.5, 1.0)
+
+
+def random_kernels(seed=20211):
+    """adder2, then seeded Dirichlet(1) and sparse Dirichlet(0.3) kernels up to 4x4x5."""
+    yield "adder2", adder2()
+    rng = np.random.default_rng(seed)
+    for shape in RANDOM_SHAPES:
+        for alpha in (1.0, 0.3):
+            yield f"{shape} alpha={alpha}", Mac(rng.dirichlet(np.full(shape[2], alpha), size=shape[:2]))
+
+
+class TestDeltaProperties:
+    def test_zero_at_zero_nonnegative_and_nondecreasing(self):
+        for i, (label, mac) in enumerate(random_kernels()):
+            units = ("bits", "nats")[i % 2]
+            cap = sum_capacity(mac, units=units)
+            vals = [delta(mac, a, units=units, capacity=cap).delta for a in PROPERTY_GRID]
+            assert vals[0] == 0.0, label
+            assert min(vals) >= 0.0, (label, vals)
+            # once the budget stops binding every refinement reaches the same law,
+            # up to SLSQP's rounding
+            assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), (label, vals)
 
 
 class TestCertificate:
