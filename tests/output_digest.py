@@ -13,13 +13,15 @@ are hashed from exact forms: array bytes with their dtype and shape, floats by
 ``repr``, reports as sorted JSON.  Covered:
 
 - CLI ``stats`` (also with ``--dist``, a product and a joint law), ``delta``
-  and ``rates`` (``--n 100,1000 --k 1,2,16,1099511627776``), in bits and
-  nats, on adder2, xor:0.11 and Dirichlet 2x2x3 and 4x4x5 kernels drawn from
-  a fixed seed.  K = 2^40 at n = 100 gives the 2x2 kernels a positive Thm-3
-  budget, so the rates hash the delta path as well as the fallback;
-- CLI ``fig1``, three ``invcdf`` calls, and ``simulate`` with and without
-  ``--validate-bound`` on the README config, an iid config and a type-mode
-  config;
+  (the default grid, and a = 0 alone) and ``rates`` (``--n 100,1000 --k
+  1,2,16,1099511627776``), in bits and nats, on adder2, xor:0.11 and
+  Dirichlet 2x2x3 and 4x4x5 kernels drawn from a fixed seed.  K = 2^40 at
+  n = 100 gives the 2x2 kernels a positive Thm-3 budget, so the rates hash
+  the delta path as well as the fallback;
+- CLI ``fig1`` (the default K range, and up to K = 2^60, past the 2^53 from
+  which the S_K law takes K through ln K), three ``invcdf`` calls, and
+  ``simulate`` with and without ``--validate-bound`` on the README config, an
+  iid config and a type-mode config;
 - per config: ``draw_codebooks``, ``facilitate``, 8 ``threshold_decode``
   results, ``estimate_error_fixed_code``, ``estimate_error``, ``fbl_bound``
   and ``cooperation_gain``;
@@ -135,10 +137,14 @@ def cli_digests():
                 u + ["stats", "--channel", ref, "--dist", joint]
             )
             yield f"delta.{label}.{units}", _cli(u + ["delta", "--channel", ref])
+            yield f"delta.{label}.{units}.a0", _cli(
+                u + ["delta", "--channel", ref, "--a-grid", "0"]
+            )
             yield f"rates.{label}.{units}", _cli(
                 u + ["rates", "--channel", ref, "--n", "100,1000", "--k", RATE_KS]
             )
     yield "fig1", _cli(["fig1"])
+    yield "fig1.kmax60", _cli(["fig1", "--kmax-log2", "60"])
     for v1, v2, k, eps in INVCDF:
         yield f"invcdf.{v1}.{v2}.{k}.{eps}", _cli(
             ["invcdf", "--v1", v1, "--v2", v2, "--k", k, "--eps", eps]
