@@ -2,19 +2,15 @@
 
 delta(a) maximizes I(X1,X2;Y) over joint input distributions whose input
 mutual information I(X1;X2) stays below ``a``.  The objective and its
-gradient come from the channel's mutual-information core (``_mi_nats`` and
-the letter divergences D(W_x || p_Y)), the functions the sum-capacity C is
-computed from.  SLSQP refines three kinds of start over the joint simplex:
+gradient come from ``channel``, whose ``_mi_nats`` also gives the
+sum-capacity C.  SLSQP refines three kinds of start over the joint simplex:
 each capacity-achieving product law, its analytic perturbation along the
-first-order optimal direction (a line search to the budget), and the
-unconstrained joint Blahut-Arimoto law shrunk into the budget.
-
-Every feasible start and refinement is a candidate, and the best one wins
-even when its refinement did not converge: for a maximization each feasible
-law's value is achievable, so a stalled refinement can only understate
-delta.  The top capacity maximizer is the first candidate, so delta =
-max(best - C, 0) >= 0, and at a = 0 the maximizer is returned with delta
-exactly 0.
+first-order optimal direction, and the unconstrained joint Blahut-Arimoto
+law shrunk into the budget.  Every feasible start and refinement is a
+candidate, converged or not: in a maximization each feasible law's value is
+achievable, so a stalled refinement can only understate delta.  The top
+capacity maximizer is the first candidate, so delta = max(best - C, 0) >= 0,
+and at a = 0 it is returned with delta exactly 0.
 
 Capacity-achieving laws often put zero mass on some input pairs.  At such a
 cell the budget's gradient log(p12 / (p1 p2)) - 1 is unbounded: with its logs

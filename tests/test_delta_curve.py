@@ -116,8 +116,8 @@ class TestDirichlet4x4x5:
 
     @pytest.mark.parametrize("units", ["bits", "nats"])
     def test_uniform_start_finds_nothing_better(self, dir4x4x5, units):
-        # delta refines no uniform start: on this kernel that start mostly
-        # stalled, and its refinement never beat the others
+        # delta refines no uniform start: on this kernel it finds nothing the
+        # other starts miss
         mac, _ = dir4x4x5
         cap = sum_capacity(mac, units=units)
         uniform = np.full((4, 4), 1.0 / 16)
@@ -138,7 +138,8 @@ def random_kernels(seed=20211):
     rng = np.random.default_rng(seed)
     for shape in RANDOM_SHAPES:
         for alpha in (1.0, 0.3):
-            yield f"{shape} alpha={alpha}", Mac(rng.dirichlet(np.full(shape[2], alpha), size=shape[:2]))
+            kernel = rng.dirichlet(np.full(shape[2], alpha), size=shape[:2])
+            yield f"{shape} alpha={alpha}", Mac(kernel)
 
 
 class TestDeltaProperties:

@@ -153,7 +153,8 @@ class TestLnKFromTwoTo53:
 
     @pytest.mark.parametrize("v2", [0.0, 1.0])
     def test_quantile_is_continuous_across_2_53(self, v2):
-        q = [sk_inverse_cdf(SkParams(1.0, v2, k), 0.01).value for k in (2**53 - 1, 2**53, 2**53 + 2)]
+        ks = (2**53 - 1, 2**53, 2**53 + 2)
+        q = [sk_inverse_cdf(SkParams(1.0, v2, k), 0.01).value for k in ks]
         assert q[0] == q[1] == q[2]
 
     def test_quantile_is_continuous_where_float_k_overflows(self):
