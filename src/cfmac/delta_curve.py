@@ -3,10 +3,13 @@
 delta(a) maximizes I(X1,X2;Y) over joint input distributions whose input
 mutual information I(X1;X2) stays below ``a``.  The objective and its
 gradient come from ``channel``, whose ``_mi_nats`` also gives the
-sum-capacity C.  SLSQP refines three kinds of start over the joint simplex:
+sum-capacity C.  SLSQP refines four kinds of start over the joint simplex:
 each capacity-achieving product law, its analytic perturbation along the
-first-order optimal direction, and the unconstrained joint Blahut-Arimoto
-law shrunk into the budget.  Every feasible start and refinement is a
+first-order optimal direction, the uniform law, and the unconstrained joint
+Blahut-Arimoto law shrunk into the budget.  The problem is not concave and
+the starts end in different basins: where the maximizer fixes one input its
+perturbation is zero, and on such a 3x3x3 kernel only the uniform start
+reaches the better basin.  Every feasible start and refinement is a
 candidate, converged or not: in a maximization each feasible law's value is
 achievable, so a stalled refinement can only understate delta.  The top
 capacity maximizer is the first candidate, so delta = max(best - C, 0) >= 0,
@@ -254,6 +257,7 @@ def delta(
         pert = perturbation_direction(mac, base, a, capacity=capacity, units=units)
         if np.any(pert.r_table != 0):
             starts.append(_line_search_start(kernel, base, pert.r_table, a_nats))
+    starts.append(np.full((mac.x1_size, mac.x2_size), 1.0 / (mac.x1_size * mac.x2_size)))
     starts.append(_project_feasible(_joint_ba_unconstrained(kernel), a_nats))
 
     best_val = float(_mi_nats(kernel, best_p[None])[0])

@@ -114,18 +114,49 @@ class TestDirichlet4x4x5:
         got = delta(mac, 0.01, capacity=shifted).delta
         assert got == pytest.approx(delta(mac, 0.01, capacity=cap).delta, abs=1e-9)
 
-    @pytest.mark.parametrize("units", ["bits", "nats"])
-    def test_uniform_start_finds_nothing_better(self, dir4x4x5, units):
-        # delta refines no uniform start: on this kernel it finds nothing the
-        # other starts miss
-        mac, _ = dir4x4x5
+
+SWEEP_SHAPES = [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (3, 3, 4), (3, 4, 4), (4, 4, 4), (4, 4, 5)]
+
+
+@pytest.fixture(scope="module")
+def fixed_x2_3x3x3():
+    """A 3x3x3 Dirichlet(0.3) kernel whose capacity maximizer fixes X2.
+
+    The 12th draw of a seeded sweep that cycles through SWEEP_SHAPES with the
+    Dirichlet parameter alternating 1 and 0.3.
+    """
+    rng = np.random.default_rng(12345)
+    for i in range(12):
+        shape = SWEEP_SHAPES[i % len(SWEEP_SHAPES)]
+        kernel = rng.dirichlet(np.full(shape[2], (1.0, 0.3)[i % 2]), size=shape[:2])
+    mac = Mac(kernel)
+    return mac, sum_capacity(mac)
+
+
+class TestStarts:
+    @pytest.mark.parametrize(
+        "kernel, units", [("dir4x4x5", "bits"), ("dir4x4x5", "nats"), ("fixed_x2_3x3x3", "bits")]
+    )
+    def test_uniform_start_finds_nothing_better(self, request, kernel, units):
+        # guards the uniform start: without it delta loses 1.7e-4 bits on the
+        # 3x3x3 kernel at a = 0.1
+        mac, _ = request.getfixturevalue(kernel)
         cap = sum_capacity(mac, units=units)
-        uniform = np.full((4, 4), 1.0 / 16)
+        uniform = np.full((mac.x1_size, mac.x2_size), 1.0 / (mac.x1_size * mac.x2_size))
         for a in (0.001, 0.01, 0.03, 0.1, 0.5, 1.0):
             a_nats = a * (math.log(2.0) if units == "bits" else 1.0)
             p, _ = cfmac.delta_curve._refine(mac.kernel, uniform, a_nats)
             gain = mutual_information(mac, JointDist(p), units=units) - cap.c_sum
             assert gain <= delta(mac, a, units=units, capacity=cap).delta + 1e-9, a
+
+    def test_reaches_the_basin_only_the_uniform_start_finds(self, fixed_x2_3x3x3):
+        # the maximizer's perturbation is zero, and its refinement and the joint
+        # Blahut-Arimoto start both end at delta = 0.0031335 bits
+        mac, cap = fixed_x2_3x3x3
+        (base,) = cap.argmax_dists
+        assert base.p2.max() > 1.0 - 1e-12
+        assert not np.any(perturbation_direction(mac, base, 0.1, capacity=cap).r_table)
+        assert delta(mac, 0.1, capacity=cap).delta == pytest.approx(0.0033064499, abs=1e-9)
 
 
 RANDOM_SHAPES = [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (3, 3, 4), (4, 4, 5)]
