@@ -178,7 +178,16 @@ class TestDeltaProperties:
         for i, (label, mac) in enumerate(random_kernels()):
             units = ("bits", "nats")[i % 2]
             cap = sum_capacity(mac, units=units)
-            vals = [delta(mac, a, units=units, capacity=cap).delta for a in PROPERTY_GRID]
+            points = [delta(mac, a, units=units, capacity=cap) for a in PROPERTY_GRID]
+            # I(X1,X2;Y) of each returned law, the value before delta's clamp at
+            # 0: c_sum comes from the same MI core, so it is exact at a = 0 and
+            # a law that wins over the maximizer never falls below it
+            mis = [mutual_information(mac, p.argmax_joint, units=units) for p in points]
+            assert mis[0] == cap.c_sum, label
+            assert min(mis) >= cap.c_sum, (label, mis)
+            vals = [p.delta for p in points]
+            for mi, val in zip(mis, vals):
+                assert val == pytest.approx(mi - cap.c_sum, abs=4 * math.ulp(cap.c_sum)), label
             assert vals[0] == 0.0, label
             assert min(vals) >= 0.0, (label, vals)
             # once the budget stops binding every refinement reaches the same law,
