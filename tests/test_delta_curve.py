@@ -122,8 +122,11 @@ SWEEP_SHAPES = [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (3, 3, 4), (3, 4, 4)
 def fixed_x2_3x3x3():
     """A 3x3x3 Dirichlet(0.3) kernel whose capacity maximizer fixes X2.
 
-    The 12th draw of a seeded sweep that cycles through SWEEP_SHAPES with the
-    Dirichlet parameter alternating 1 and 0.3.
+    The maximizer's perturbation is zero; its refinement and the joint
+    Blahut-Arimoto start both end at delta = 0.0031335 bits at a = 0.1, where
+    the uniform start reaches 0.0033064.  The 12th draw of a seeded sweep that
+    cycles through SWEEP_SHAPES with the Dirichlet parameter alternating 1 and
+    0.3.
     """
     rng = np.random.default_rng(12345)
     for i in range(12):
@@ -148,15 +151,6 @@ class TestStarts:
             p, _ = cfmac.delta_curve._refine(mac.kernel, uniform, a_nats)
             gain = mutual_information(mac, JointDist(p), units=units) - cap.c_sum
             assert gain <= delta(mac, a, units=units, capacity=cap).delta + 1e-9, a
-
-    def test_reaches_the_basin_only_the_uniform_start_finds(self, fixed_x2_3x3x3):
-        # the maximizer's perturbation is zero, and its refinement and the joint
-        # Blahut-Arimoto start both end at delta = 0.0031335 bits
-        mac, cap = fixed_x2_3x3x3
-        (base,) = cap.argmax_dists
-        assert base.p2.max() > 1.0 - 1e-12
-        assert not np.any(perturbation_direction(mac, base, 0.1, capacity=cap).r_table)
-        assert delta(mac, 0.1, capacity=cap).delta == pytest.approx(0.0033064499, abs=1e-9)
 
 
 RANDOM_SHAPES = [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (3, 3, 4), (4, 4, 5)]
