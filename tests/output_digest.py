@@ -19,7 +19,8 @@ are hashed from exact forms: array bytes with their dtype and shape, floats by
   n = 100 gives the 2x2 kernels a positive Thm-3 budget, so the rates hash
   the delta path as well as the fallback;
 - CLI ``fig1`` (the default K range, and up to K = 2^60, past the 2^53 from
-  which the S_K law takes K through ln K), three ``invcdf`` calls, and
+  which the S_K law takes K through ln K), five ``invcdf`` calls (one where
+  the max term's step is sharp, one at K = 2^1100), and
   ``simulate`` with and without ``--validate-bound`` on the README config, an
   iid config and a type-mode config;
 - per config: ``draw_codebooks``, ``facilitate``, 8 ``threshold_decode``
@@ -75,6 +76,9 @@ INVCDF = [
     ("1", "1", "1024", "0.01"),
     ("0.25", "0", "16", "0.1"),
     ("0.7", "1.3", "1099511627776", "0.001"),
+    # V1 << V2 at K = 2^60: the max term's step is sharp against phi
+    ("0.002354875604694378", "7.124048492005976", str(2**60), "0.5"),
+    ("1", "1", str(2**1100), "0.01"),  # K past the float range
 ]
 RATE_KS = "1,2,16,1099511627776"
 BOUND_SAMPLES = "20000"
@@ -146,7 +150,8 @@ def cli_digests():
     yield "fig1", _cli(["fig1"])
     yield "fig1.kmax60", _cli(["fig1", "--kmax-log2", "60"])
     for v1, v2, k, eps in INVCDF:
-        yield f"invcdf.{v1}.{v2}.{k}.{eps}", _cli(
+        k_name = k if len(k) < 30 else f"2^{int(k).bit_length() - 1}"
+        yield f"invcdf.{v1}.{v2}.{k_name}.{eps}", _cli(
             ["invcdf", "--v1", v1, "--v2", v2, "--k", k, "--eps", eps]
         )
     for name, doc in SIM_CONFIGS.items():

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
+from sk_reference import reference_cdf
 
-from cfmac.errors import DegenerateBothZero, TargetOutOfRange
+import cfmac.gauss_max
+from cfmac.cli import main
+from cfmac.errors import DegenerateBothZero, NonConvergence, TargetOutOfRange
 from cfmac.gauss_max import (
     SkParams,
     lemma1_bounds,
@@ -20,6 +23,39 @@ from cfmac.gauss_max import (
 MC_ORACLE = {0.5: 0.177905, 1.5: 0.666876, 2.5: 0.956380}
 MC_PARAMS = SkParams(v1=0.7, v2=0.3, k=8)
 MC_QUANTILE_05 = -0.015060  # empirical 0.05-quantile of the same sample
+
+# V1 << V2 at large K: the max term's step is sharp, and adaptive quadrature at
+# 1e-10 put F at 0.49999999999999994 where it is 0.4999999987528
+SHARP_STEP = SkParams(0.002354875604694378, 7.124048492005976, 2**60)
+
+
+def _sweep(seed: int, count: int):
+    """(params, s, eps): V1 and V2 log-uniform on [1e-4, 30], log2 K uniform on
+    [0, 1100] or [0, 64] in turn, s within 6 standard deviations of the law."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        v1, v2 = (float(v) for v in np.exp(rng.uniform(math.log(1e-4), math.log(30.0), 2)))
+        log2_k = rng.uniform(0.0, 64.0) if i % 2 else rng.uniform(0.0, 1100.0)
+        if log2_k < 60:
+            k = max(1, round(2.0**log2_k))
+        else:
+            k = 2 ** int(log2_k) + int(rng.integers(0, 2**20))
+        u_half = cfmac.gauss_max._max_quantile(-math.log(2.0), k)
+        sd = math.sqrt(v2 + v1 / (2.0 * math.log(k + 2)))
+        s = math.sqrt(v1) * u_half + sd * float(rng.uniform(-6.0, 6.0))
+        yield SkParams(v1, v2, k), s, float(rng.uniform(1e-3, 1.0 - 1e-3))
+
+
+SWEEP = [
+    *_sweep(20261019, 240),
+    (SHARP_STEP, 0.42883076781399415, 0.5),
+    (SkParams(1.0, 1.0, 2**1100), 30.0, 0.01),
+    (SkParams(0.5, 3.0, 2**1024), 25.0, 0.3),
+    (SkParams(20.0, 1e-4, 2**1024 - 1), 167.0, 0.9),
+    (SkParams(1e-4, 25.0, 2**1099 + 12345), -3.0, 0.001),
+    (SkParams(1.3, 0.6, 1), 0.5, 0.2),
+    (SkParams(1.3, 0.6, 2), 0.5, 0.2),
+]
 
 
 class TestParams:
@@ -69,6 +105,58 @@ class TestCdf:
         assert sk_cdf(SkParams(1.0, 1.0, 64), 2.0) <= sk_cdf(p, 2.0)
 
 
+class TestAgainstReference:
+    """The panel rule against ``tests/sk_reference.py`` on a seeded sweep."""
+
+    def test_cdf_within_1e_12_and_certified(self):
+        for p, s, _ in SWEEP:
+            value, error = cfmac.gauss_max._cdf_and_error(p, s)
+            assert abs(value - reference_cdf(p.v1, p.v2, p.k, s)) <= 1e-12, (p, s)
+            assert error <= 1e-9, (p, s)
+
+    def test_quantile_hits_eps_within_1e_9(self):
+        for p, _, eps in SWEEP[::6] + SWEEP[-7:]:
+            q = sk_inverse_cdf(p, eps)
+            assert abs(reference_cdf(p.v1, p.v2, p.k, q.value) - eps) <= 1e-9, (p, eps)
+
+    def test_sharp_step(self):
+        q = sk_inverse_cdf(SHARP_STEP, 0.5)
+        assert abs(reference_cdf(SHARP_STEP.v1, SHARP_STEP.v2, SHARP_STEP.k, q.value) - 0.5) <= 1e-12
+
+    def test_kronrod_table(self):
+        nodes, weights = cfmac.gauss_max._RULE
+        kronrod, embedded = weights[:, 0], weights[:, 0] - weights[:, 1]
+        for d in range(32):  # the 21-point Kronrod rule is exact to degree 31
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert kronrod @ nodes**d == pytest.approx(exact, abs=1e-14)
+        gauss_x, gauss_w = np.polynomial.legendre.leggauss(10)
+        on = embedded != 0.0
+        np.testing.assert_allclose(nodes[on], gauss_x, atol=1e-15)
+        np.testing.assert_allclose(embedded[on], gauss_w, atol=1e-15)
+
+
+class TestQuadratureCertificate:
+    # the 3-point Kronrod extension of the 1-point Gauss rule: far too coarse
+    COARSE = cfmac.gauss_max._gauss_kronrod((math.sqrt(0.6), 0.0), (5.0 / 9.0, 8.0 / 9.0), (2.0,))
+
+    def test_coarse_rule_raises(self, monkeypatch):
+        monkeypatch.setattr(cfmac.gauss_max, "_RULE", self.COARSE)
+        with pytest.raises(NonConvergence, match="quadrature error estimate"):
+            sk_inverse_cdf(SkParams(1.0, 1.0, 1024), 0.01)
+
+    def test_coarse_rule_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(cfmac.gauss_max, "_RULE", self.COARSE)
+        code = main(["invcdf", "--v1", "1", "--v2", "1", "--k", "1024", "--eps", "0.01"])
+        out, err = capsys.readouterr()
+        assert code == 4 and out == ""
+        assert "quadrature error estimate" in err
+
+    def test_closed_forms_need_no_rule(self, monkeypatch):
+        monkeypatch.setattr(cfmac.gauss_max, "_RULE", self.COARSE)
+        for p in (SkParams(1.0, 1.0, 1), SkParams(0.0, 1.0, 8), SkParams(1.0, 0.0, 8)):
+            assert sk_inverse_cdf(p, 0.01).achieved_probability == pytest.approx(0.01, abs=1e-12)
+
+
 class TestInverseCdf:
     def test_baseline_k1_closed_form(self):
         rng = np.random.default_rng(0)
@@ -78,6 +166,12 @@ class TestInverseCdf:
             got = sk_inverse_cdf(SkParams(v1, v2, 1), eps).value
             want = math.sqrt(v1 + v2) * float(ndtri(eps))
             assert got == pytest.approx(want, abs=1e-7)
+
+    def test_k1_is_exactly_the_normal_law(self):
+        p = SkParams(0.4, 0.6, 1)
+        for s in (-1.0, 0.0, 2.0):
+            assert sk_cdf(p, s) == float(ndtr(s))
+        assert sk_inverse_cdf(SkParams(0.7, 1.8, 1), 0.01).value == math.sqrt(2.5) * float(ndtri(0.01))
 
     def test_matches_monte_carlo_quantile(self):
         got = sk_inverse_cdf(MC_PARAMS, 0.05).value
