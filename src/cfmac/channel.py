@@ -99,9 +99,14 @@ def _check_entries(p: np.ndarray, name: str) -> None:
 
 def _check_prob(p: np.ndarray, name: str) -> np.ndarray:
     p = np.array(p, dtype=float)  # a copy: the caller's array stays writable
-    _check_entries(p, name)
-    if abs(p.sum() - 1.0) > _ROW_TOL:
-        raise RowNotStochastic(f"{name} sums to {p.sum():.12g}")
+    # quick check: a NaN minimum fails the comparison, and a finite sum of
+    # nonnegative entries has no infinite one; the entry search names the culprit
+    total = p.sum() if p.size and p.min() >= 0.0 else math.nan
+    if not math.isfinite(total):
+        _check_entries(p, name)
+        total = p.sum()
+    if abs(total - 1.0) > _ROW_TOL:
+        raise RowNotStochastic(f"{name} sums to {total:.12g}")
     p.setflags(write=False)
     return p
 

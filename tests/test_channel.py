@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,11 +26,22 @@ from cfmac.channel import (
     uniform_product,
     xor_channel,
     _ba_ascend,
+    _check_entries,
+    _check_prob,
     _seed_grid,
 )
 from cfmac.errors import NegativeEntry, RowNotStochastic, SizeMismatch
 
 UNIFORM = ProductDist(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+
+
+def _reference_check_prob(p, name):
+    """The input-law check that searches every entry first: the reference for
+    ``_check_prob``, which searches only when its quick check fails."""
+    p = np.array(p, dtype=float)
+    _check_entries(p, name)
+    if abs(p.sum() - 1.0) > 1e-9:
+        raise RowNotStochastic(f"{name} sums to {p.sum():.12g}")
 
 
 def random_mac(rng, x1, x2, y):
@@ -102,6 +114,30 @@ class TestConstruction:
             JointDist(np.array([[0.5, 0.25], [0.25, np.nan]]))
         with pytest.raises(NegativeEntry):
             mutual_information(adder2(), ProductDist([np.nan, 0.5], [0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [], [[]], 1.0, 0.5, [0.5, 0.5], [-0.0, 1.0], [0.3, 0.3], [1.0 + 2e-9],
+            [np.nan, 1.0], [0.5, np.nan], [np.inf, 0.0], [0.5, -np.inf], [np.inf, -np.inf],
+            [-0.1, 1.1], [0.7, -1e-300, 0.3], [1e308, 1e308], [-1e308, 1e308, 1.0],
+            [[0.5, np.nan], [-1.0, 0.5]], [[0.25, 0.25], [0.25, 0.25]], [[0.5, 0.6]],
+            ["a", 1.0],
+        ],
+    )
+    def test_law_check_raises_as_the_entry_search(self, p):
+        def outcome(check):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    check(p, "p1")
+                except Exception as exc:
+                    raised = type(exc), str(exc)
+                else:
+                    raised = None
+            return raised, [(w.category, str(w.message)) for w in caught]
+
+        assert outcome(_check_prob) == outcome(_reference_check_prob)
 
     def test_joint_dist_marginals(self):
         p12 = np.array([[0.4, 0.1], [0.2, 0.3]])
