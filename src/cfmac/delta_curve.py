@@ -138,7 +138,8 @@ def _mi_12_nats(p12: np.ndarray) -> float:
     p2 = p12.sum(axis=0)
     prod = np.outer(p1, p2)
     ratio = np.log(np.maximum(p12, _EPS)) - np.log(np.maximum(prod, _EPS))
-    return float(np.where(p12 > 0, p12 * ratio, 0.0).sum())
+    # never negative: a product law's recomputed marginals can leave -1e-16
+    return max(float(np.where(p12 > 0, p12 * ratio, 0.0).sum()), 0.0)
 
 
 def _mi_12_grad_nats(p12: np.ndarray) -> np.ndarray:

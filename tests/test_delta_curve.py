@@ -153,6 +153,16 @@ class TestStarts:
             assert gain <= delta(mac, a, units=units, capacity=cap).delta + 1e-9, a
 
 
+@pytest.mark.parametrize("units", ["bits", "nats"])
+def test_input_mi_is_never_negative_at_zero_budget(units):
+    # the benchmark's 2x2x3 and 4x4x5 kernels; the 2x2x3 one's product law
+    # read -2.0e-16 bits before the input MI was clamped at 0
+    rng = np.random.default_rng(210201247)
+    for shape in ((2, 2, 3), (4, 4, 5)):
+        point = delta(Mac(rng.dirichlet(np.ones(shape[2]), size=shape[:2])), 0.0, units=units)
+        assert point.delta == 0.0 and point.achieved_mi_budget >= 0.0, shape
+
+
 RANDOM_SHAPES = [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (3, 3, 4), (4, 4, 5)]
 PROPERTY_GRID = (0.0, 0.001, 0.01, 0.1, 0.5, 1.0)
 
