@@ -55,8 +55,8 @@ def _gauss_kronrod(half_nodes, kronrod, gauss) -> tuple[np.ndarray, np.ndarray]:
     their weights, and the embedded Gauss rule's weights at the odd-indexed nodes.
 
     Returns the nodes and an (n, 2) weight matrix: the Kronrod weights, and the
-    Kronrod minus the Gauss weights, whose sum estimates the Gauss rule's error
-    and so bounds the Kronrod rule's.
+    Kronrod minus the Gauss weights, whose sum estimates the Gauss rule's error,
+    a conservative estimate of the more accurate Kronrod rule's.
     """
     x, wk = np.array(half_nodes, dtype=float), np.array(kronrod, dtype=float)
     wg = np.zeros_like(wk)
@@ -177,7 +177,7 @@ def _cdf_and_error(p: SkParams, s: float) -> tuple[float, float]:
     edges = np.sort(np.concatenate(((lo, hi), inner[(inner > lo) & (inner < hi)])))
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes, weights = _RULE
-    z = np.multiply.outer(half, nodes)
+    z = np.multiply.outer(half, nodes)  # one row of nodes per panel
     z += (edges[:-1] + half)[:, None]
     u = z * (-sq2 / sq1)
     u += s / sq1
@@ -189,7 +189,7 @@ def _cdf_and_error(p: SkParams, s: float) -> tuple[float, float]:
 
 
 def sk_cdf(p: SkParams, s: float) -> float:
-    """F_{S_K}(s) = Pr(S_K <= s); the panel rule errs by ~1e-14 (see the module docstring)."""
+    """F_{S_K}(s) = Pr(S_K <= s); the panel rule errs by a few 1e-14 (module docstring)."""
     return _cdf_and_error(p, s)[0]
 
 
