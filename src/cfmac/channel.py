@@ -2,6 +2,12 @@
 
 All internal computation is in nats; public containers carry a units flag
 (default bits) and conversion happens once at the boundary.
+
+The sum-capacity is one mutual-information core: ``_mi_nats`` gives the
+value and ``_letter_div_nats`` the letter divergences D(W_x || p_Y), from
+which ``_dbar_nats`` forms the gradient over each input.  ``sum_capacity``
+runs SLSQP on them from a fixed seed grid and certifies the result by the
+SLSQP status; ``delta_curve`` uses the same functions.
 """
 from __future__ import annotations
 
@@ -14,17 +20,13 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import rel_entr, xlogy
 
-from .errors import NegativeEntry, RowNotStochastic, SizeMismatch
+from .errors import NegativeEntry, NonConvergence, RowNotStochastic, SizeMismatch
 
 LN2 = float(np.log(2.0))
 
 _ROW_TOL = 1e-9
-# sum_capacity: starts within _CAPACITY_TOL (in the call's units) of the best
-# value are kept; each ascent stops once a step gains less than _BA_TOL nats,
-# or after _BA_MAX_ITER steps
+# sum_capacity keeps the starts within _CAPACITY_TOL (in the call's units) of the best value
 _CAPACITY_TOL = 1e-7
-_BA_TOL = 1e-12
-_BA_MAX_ITER = 5000
 
 
 # Units: every conversion goes through these helpers, which reject unknown names.
@@ -184,6 +186,12 @@ class ChannelStats:
 
 @dataclass(frozen=True)
 class CapacityResult:
+    """Sum-capacity, its kept maximizers and the largest V1 over them.
+
+    ``iterations`` is the total SLSQP iteration count over the seed-grid
+    starts; ``kkt_residual`` is measured at the first maximizer.
+    """
+
     c_sum: float
     argmax_dists: list[ProductDist]
     v1_star: float
@@ -438,57 +446,37 @@ def _ba_step(p: np.ndarray, dbar: np.ndarray) -> np.ndarray:
     return np.divide(new, total, out=p.copy(), where=total > 0)
 
 
-def _ba_ascend(kernel, p1, p2, max_iter, tol):
-    """Alternating multiplicative ascent on the product-input objective.
+def _ascend(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
+    """SLSQP on I(p1 x p2) from one start, with the analytic gradient.
 
-    Rows of p1 (S, |X1|) and p2 (S, |X2|) are independent starts.  Each stops
-    on its own test and is then frozen; the rest continue as a smaller batch.
+    Returns (value, p1, p2, status, iterations); the law is clipped to the
+    simplex and renormalized before its value is taken.
     """
-    p1, p2 = p1.copy(), p2.copy()
-    value = _mi_nats(kernel, _outer(p1, p2))
-    iters = np.full(len(p1), max_iter)
-    live, a1, a2, v = np.arange(len(p1)), p1, p2, value
-    for it in range(1, max_iter + 1):
-        a1 = _ba_step(a1, _dbar_nats(kernel, a1, a2)[1])
-        a2 = _ba_step(a2, _dbar_nats(kernel, a1, a2)[2])
-        new_v = _mi_nats(kernel, _outer(a1, a2))
-        done = new_v - v < tol
-        if done.any():
-            rows, keep = live[done], ~done
-            p1[rows], p2[rows], iters[rows] = a1[done], a2[done], it
-            value[rows] = np.where(new_v[done] > v[done], new_v[done], v[done])
-            live, a1, a2, new_v = live[keep], a1[keep], a2[keep], new_v[keep]
-        v = new_v
-        if live.size == 0:
-            break
-    p1[live], p2[live], value[live] = a1, a2, v
-    return p1, p2, value, iters
-
-
-def _polish(kernel, p1, p2):
-    """Joint local refinement of (p1, p2) with SLSQP: returns (value, p1, p2)."""
     n1 = len(p1)
 
-    def mi(a, b):
-        return float(_mi_nats(kernel, np.outer(a, b)[None])[0])
+    def neg_mi(x):
+        a, b = x[None, :n1], x[None, n1:]
+        _, dbar1, dbar2 = _dbar_nats(kernel, a, b)
+        # dI/dp12 = D(W_x || p_Y) - 1, averaged over the other input
+        grad = np.concatenate([dbar1[0] - b.sum(), dbar2[0] - a.sum()])
+        return -_mi_nats(kernel, _outer(a, b))[0], -grad
 
-    cons = [
-        {"type": "eq", "fun": lambda x: x[:n1].sum() - 1.0},
-        {"type": "eq", "fun": lambda x: x[n1:].sum() - 1.0},
-    ]
+    sums = np.zeros((2, n1 + len(p2)))
+    sums[0, :n1] = sums[1, n1:] = 1.0
     res = minimize(
-        lambda x: -mi(np.abs(x[:n1]), np.abs(x[n1:])),
+        neg_mi,
         np.concatenate([p1, p2]),
+        jac=True,
         method="SLSQP",
         bounds=[(0.0, 1.0)] * (n1 + len(p2)),
-        constraints=cons,
+        constraints={"type": "eq", "fun": lambda x: sums @ x - 1.0, "jac": lambda x: sums},
         options={"ftol": 1e-14, "maxiter": 500},
     )
     a = np.clip(res.x[:n1], 0.0, None)
     b = np.clip(res.x[n1:], 0.0, None)
     a /= a.sum()
     b /= b.sum()
-    return mi(a, b), a, b
+    return float(_mi_nats(kernel, np.outer(a, b)[None])[0]), a, b, res.status, res.nit
 
 
 def _seed_grid(mac: Mac) -> tuple[np.ndarray, np.ndarray]:
@@ -506,27 +494,25 @@ def _seed_grid(mac: Mac) -> tuple[np.ndarray, np.ndarray]:
 def sum_capacity(mac: Mac, units: str = "bits") -> CapacityResult:
     """Maximize I(X1, X2; Y) over product input distributions.
 
-    Alternating multiplicative updates run from a deterministic seed grid, all
-    starts as one batch: each start keeps its own stopping test and its own
-    arithmetic, so the result equals that of running the starts one by one,
-    and ``iterations`` is the sum of the per-start counts.  Each start is then
-    polished with a local constrained optimizer; near-maximizers are kept
-    (deduplicated at L1 distance 1e-6) and the codeword dispersion is
-    maximized over them.
+    SLSQP runs from each start of a deterministic seed grid, on the mutual
+    information with its analytic gradient; ``iterations`` is the sum of the
+    SLSQP iteration counts.  Near-maximizers are kept (deduplicated at L1
+    distance 1e-6) and the codeword dispersion is maximized over them.
+    Raises ``NonConvergence`` unless at least one start that reached a kept
+    maximizer ended with SLSQP status 0.
     """
     kernel = mac.kernel
     tol_nats = _CAPACITY_TOL * _nats_per_unit(units)
 
-    p1s, p2s, _, iters = _ba_ascend(kernel, *_seed_grid(mac), _BA_MAX_ITER, _BA_TOL)
-    candidates = [_polish(kernel, p1, p2) for p1, p2 in zip(p1s, p2s)]
-
+    candidates = [_ascend(kernel, p1, p2) for p1, p2 in zip(*_seed_grid(mac))]
     best = max(c[0] for c in candidates)
+    near_best = [c for c in candidates if c[0] >= best - tol_nats]
+    if not any(c[3] == 0 for c in near_best):
+        raise NonConvergence("no SLSQP run that reached the sum-capacity converged")
 
-    # Keep every start that landed within tolerance of the best value.
+    # Keep the starts within tolerance of the best value, deduplicated.
     keepers: list[tuple[np.ndarray, np.ndarray]] = []
-    for value, p1, p2 in sorted(candidates, key=lambda c: (-c[0], tuple(c[1]), tuple(c[2]))):
-        if value < best - tol_nats:
-            continue
+    for _, p1, p2, _, _ in sorted(near_best, key=lambda c: (-c[0], tuple(c[1]), tuple(c[2]))):
         if not any(np.abs(p1 - q1).sum() + np.abs(p2 - q2).sum() < 1e-6 for q1, q2 in keepers):
             keepers.append((p1, p2))
 
@@ -548,7 +534,7 @@ def sum_capacity(mac: Mac, units: str = "bits") -> CapacityResult:
         c_sum=best * scale,
         argmax_dists=dists,
         v1_star=v1_star * scale * scale,
-        iterations=int(iters.sum()),
+        iterations=sum(c[4] for c in candidates),
         kkt_residual=resid * scale,
         units=units,
     )

@@ -93,8 +93,8 @@ def perturbation_direction(
     units: str = "bits",
 ) -> Perturbation:
     """Budget-scaled optimal perturbation of the joint law around ``base``."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be positive and finite, got {a!r}")
     capacity = _capacity_in(mac, units, capacity)
     mutual, _, _, _ = _stats_nats(mac, base)
     scale = _unit_scale(units)
@@ -124,8 +124,10 @@ def perturbation_direction(
 
 def delta_small_a(v1_star: float, a: float, units: str = "bits") -> float:
     """Small-budget closed form sqrt(2 a V1* ln 2) (ln 2 dropped in nats mode)."""
-    if a < 0 or v1_star < 0:
-        raise ValueError("a and v1_star must be nonnegative")
+    if not 0 <= a < math.inf or v1_star < 0:
+        raise ValueError(
+            f"a must be finite and nonnegative and v1_star nonnegative, got {a!r}, {v1_star!r}"
+        )
     return math.sqrt(a * (2.0 * _nats_per_unit(units)) * v1_star)
 
 
@@ -242,8 +244,8 @@ def delta(
     capacity: CapacityResult | None = None,
 ) -> DeltaPoint:
     """Constrained maximum sum-rate gain at dependence budget ``a``."""
-    if a < 0:
-        raise ValueError("a must be nonnegative")
+    if not 0 <= a < math.inf:
+        raise ValueError(f"a must be finite and nonnegative, got {a!r}")
     capacity = _capacity_in(mac, units, capacity)
     scale = _unit_scale(units)
     a_nats = a * _nats_per_unit(units)

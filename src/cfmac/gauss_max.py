@@ -104,8 +104,10 @@ class SkParams:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _integer(self.k))
-        if self.v1 < 0 or self.v2 < 0:
-            raise ValueError("variance components must be nonnegative")
+        if not (0.0 <= self.v1 < math.inf and 0.0 <= self.v2 < math.inf):
+            raise ValueError(
+                f"variance components must be finite and nonnegative, got {self.v1!r}, {self.v2!r}"
+            )
         if self.k < 1:
             raise ValueError("k must be a positive integer")
 

@@ -1,11 +1,13 @@
-"""Per-start reference for the batched Blahut–Arimoto solver of ``sum_capacity``.
+"""Oracle: the retired two-stage solver of ``sum_capacity``, one start at a time.
 
-``_mi_nats``, ``_dbar_nats`` and ``_ba_ascend`` run one start at a time on
-1-D input laws, and ``_seed_grid`` lists the starts as pairs, as the solver
-did before its starts were batched.
-``reference_sum_capacity`` drives the same seed grid, polish, keeper dedup,
-dispersion and KKT residual through them.  The tests require the batched
-solver in ``cfmac.channel`` to reproduce these results bit for bit.
+Before ``sum_capacity`` became one SLSQP run per start on the analytic
+gradient, it ran a Blahut-Arimoto ascent from each start of the seed grid and
+then polished each start with SLSQP on a finite-difference gradient.
+``_mi_nats``, ``_dbar_nats`` and ``_ba_ascend`` run that ascent on 1-D input
+laws, and ``_seed_grid`` lists the starts as pairs.  ``reference_sum_capacity``
+drives the same seed grid, polish, keeper dedup, dispersion and KKT residual
+through them.  The tests hold the one-stage solver to its sum-capacity and
+dispersion.
 """
 import itertools
 

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ba_reference
+import cfmac.channel
 from cfmac.channel import (
-    LN2,
     JointDist,
     Mac,
     ProductDist,
@@ -25,12 +25,12 @@ from cfmac.channel import (
     sum_capacity,
     uniform_product,
     xor_channel,
-    _ba_ascend,
+    _CAPACITY_TOL,
     _check_entries,
     _check_prob,
     _seed_grid,
 )
-from cfmac.errors import NegativeEntry, RowNotStochastic, SizeMismatch
+from cfmac.errors import NegativeEntry, NonConvergence, RowNotStochastic, SizeMismatch
 
 UNIFORM = ProductDist(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
@@ -403,8 +403,24 @@ BA_CASES = {
 }
 
 
+def _seeded_kernels():
+    """12 Dirichlet kernels from 2x2x2 to 4x4x5, concentration alternating 1 and 0.3."""
+    shapes = [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3)]
+    shapes += [(3, 3, 4), (3, 4, 4), (4, 4, 4), (4, 4, 5)]
+    rng = np.random.default_rng(12345)
+    cases = {}
+    for i in range(12):
+        shape, alpha = shapes[i % len(shapes)], (1.0, 0.3)[i % 2]
+        name = f"dir{i}-{'x'.join(map(str, shape))}-{alpha}"
+        cases[name] = Mac(rng.dirichlet(np.full(shape[2], alpha), size=shape[:2]))
+    return cases
+
+
+SEEDED = _seeded_kernels()
+
+
 class TestBatchedAscent:
-    """The batched multi-start ascent against the per-start reference, bit for bit."""
+    """The one-stage SLSQP solver against the retired two-stage solver of ``ba_reference``."""
 
     def test_seed_grid_matches_reference(self):
         for make in BA_CASES.values():
@@ -415,37 +431,52 @@ class TestBatchedAscent:
             for p1, p2, (q1, q2) in zip(p1s, p2s, want):
                 assert np.array_equal(p1, q1) and np.array_equal(p2, q2)
 
-    @pytest.mark.parametrize("case", sorted(BA_CASES))
-    @pytest.mark.parametrize("max_iter", [0, 7, 5000])
-    def test_every_start_is_bit_identical(self, case, max_iter):
-        mac = BA_CASES[case]()
-        tol = min(1e-7 * LN2, 1e-12)
-        p1s, p2s, values, iters = _ba_ascend(mac.kernel, *_seed_grid(mac), max_iter, tol)
-        want = [
-            ba_reference._ba_ascend(mac.kernel, q1, q2, max_iter, tol)
-            for q1, q2 in ba_reference._seed_grid(mac)
-        ]
-        assert len(want) == len(iters)
-        for s, (q1, q2, value, it) in enumerate(want):
-            assert np.array_equal(p1s[s], q1) and np.array_equal(p2s[s], q2), (case, s)
-            assert values[s] == value and iters[s] == it, (case, s)
-        if max_iter == 5000:
-            assert len(set(iters.tolist())) > 1
-
-    @pytest.mark.parametrize("case", sorted(BA_CASES))
+    @pytest.mark.parametrize("case", sorted(BA_CASES) + sorted(SEEDED))
     def test_sum_capacity_equals_reference_solve(self, case):
-        mac = BA_CASES[case]()
+        mac = BA_CASES[case]() if case in BA_CASES else SEEDED[case]
         for units in ("bits", "nats"):
             got = sum_capacity(mac, units=units)
             want = ba_reference.reference_sum_capacity(mac, units=units)
-            assert got.c_sum == want.c_sum
-            assert got.v1_star == want.v1_star
-            assert got.iterations == want.iterations
-            assert got.kkt_residual == want.kkt_residual
-            assert got.units == want.units
-            assert len(got.argmax_dists) == len(want.argmax_dists)
-            for d, e in zip(got.argmax_dists, want.argmax_dists):
-                assert np.array_equal(d.p1, e.p1) and np.array_equal(d.p2, e.p2)
+            assert got.units == want.units == units
+            assert abs(got.c_sum - want.c_sum) <= 1e-12
+            # V1 varies along a flat optimum, so the maximizers' V1 may move a little
+            assert abs(got.v1_star - want.v1_star) <= 1e-8
+            for d in got.argmax_dists:
+                assert abs(mutual_information(mac, d, units) - got.c_sum) <= _CAPACITY_TOL
+
+
+class TestCertificate:
+    @staticmethod
+    def _stall(monkeypatch):
+        real = cfmac.channel.minimize
+
+        def stalled(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.status, res.success = 9, False
+            return res
+
+        monkeypatch.setattr(cfmac.channel, "minimize", stalled)
+
+    def test_no_converged_start_raises(self, monkeypatch):
+        self._stall(monkeypatch)
+        with pytest.raises(NonConvergence, match="converged"):
+            sum_capacity(adder2())
+
+    def test_cli_exits_4(self, monkeypatch, capsys):
+        from cfmac.cli import main
+
+        self._stall(monkeypatch)
+        assert main(["stats", "--channel", "adder2"]) == 4
+        out = capsys.readouterr()
+        assert out.out == "" and "numeric failure" in out.err
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kkt_residual_is_small_on_random_kernels(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (rng.integers(2, 5), rng.integers(2, 5), rng.integers(2, 6))
+        mac = Mac(rng.dirichlet(np.full(shape[2], (1.0, 0.3)[seed % 2]), size=shape[:2]))
+        for units in ("bits", "nats"):
+            assert sum_capacity(mac, units=units).kkt_residual <= 1e-6, (shape, units)
 
 
 def _random_law(rng, x1, x2, joint, zeros):

@@ -121,6 +121,14 @@ class TestDelta:
         assert "numeric failure" in err
 
 
+    @pytest.mark.parametrize("a", ["nan", "inf"])
+    def test_non_finite_budget_exits_3(self, capsys, a):
+        code, out, err = run(capsys, "delta", "--channel", "adder2", "--a-grid", a)
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
+
+
 class TestRates:
     def test_adder_examples(self, capsys):
         code, out, _ = run(capsys, "rates", "--channel", "adder2", "--n", "1000", "--k", "2")

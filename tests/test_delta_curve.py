@@ -83,6 +83,11 @@ class TestDelta:
         with pytest.raises(ValueError):
             delta(adder2(), -0.1)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            delta(adder2(), a)
+
 
 @pytest.fixture(scope="module")
 def dir4x4x5():
@@ -222,6 +227,11 @@ class TestSmallBudgetAsymptote:
             math.sqrt(1e-4 * 2.0 * 0.25), abs=1e-15
         )
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            delta_small_a(0.25, a)
+
     def test_ratio_near_one_at_small_budget(self):
         mac = adder2()
         cap = sum_capacity(mac)
@@ -256,6 +266,12 @@ class TestPerturbation:
         )
         assert np.allclose(pert.r_table, 0.0)
         assert pert.lambda_scale == 0.0
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, a):
+        base = ProductDist(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            perturbation_direction(adder2(), base, a)
 
     def test_rejects_suboptimal_base(self):
         skew = ProductDist(np.array([0.9, 0.1]), np.array([0.5, 0.5]))

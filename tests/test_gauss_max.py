@@ -63,6 +63,13 @@ class TestParams:
         with pytest.raises(ValueError, match="expected an integer"):
             SkParams(1.0, 1.0, k)
 
+    @pytest.mark.parametrize(
+        "v1, v2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]
+    )
+    def test_non_finite_variance_is_rejected(self, v1, v2):
+        with pytest.raises(ValueError, match="finite"):
+            SkParams(v1, v2, 4)
+
     def test_integral_k_is_an_int(self):
         assert SkParams(1.0, 1.0, 2**1000).k == 2**1000
         for k in (np.int64(16), np.uint8(16), 16.0):
