@@ -434,16 +434,9 @@ def _letter_div_nats(kernel: np.ndarray, p12: np.ndarray) -> np.ndarray:
 
 
 def _dbar_nats(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
-    """Per-letter divergences D(W_{x1,x2} || p_Y) and their p2/p1 averages, per start."""
+    """The p2 and p1 averages of the letter divergences D(W_{x1,x2} || p_Y), per start."""
     div = _letter_div_nats(kernel, _outer(p1, p2))
-    return div, (div @ p2[..., None])[..., 0], (p1[:, None, :] @ div)[:, 0]
-
-
-def _ba_step(p: np.ndarray, dbar: np.ndarray) -> np.ndarray:
-    """Multiplicative update of each row of p; a row whose mass vanishes stays put."""
-    new = p * np.exp(dbar - dbar.max(axis=1, keepdims=True))
-    total = new.sum(axis=1, keepdims=True)
-    return np.divide(new, total, out=p.copy(), where=total > 0)
+    return (div @ p2[..., None])[..., 0], (p1[:, None, :] @ div)[:, 0]
 
 
 def _ascend(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
@@ -456,7 +449,7 @@ def _ascend(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
 
     def neg_mi(x):
         a, b = x[None, :n1], x[None, n1:]
-        _, dbar1, dbar2 = _dbar_nats(kernel, a, b)
+        dbar1, dbar2 = _dbar_nats(kernel, a, b)
         # dI/dp12 = D(W_x || p_Y) - 1, averaged over the other input
         grad = np.concatenate([dbar1[0] - b.sum(), dbar2[0] - a.sum()])
         return -_mi_nats(kernel, _outer(a, b))[0], -grad
@@ -523,7 +516,7 @@ def sum_capacity(mac: Mac, units: str = "bits") -> CapacityResult:
     # KKT residual at the top maximizer: E[i_bar(x1, X2)] <= C with equality
     # on the support, and symmetrically for x2.
     p1, p2 = keepers[0]
-    _, (dbar1,), (dbar2,) = _dbar_nats(kernel, p1[None], p2[None])
+    (dbar1,), (dbar2,) = _dbar_nats(kernel, p1[None], p2[None])
     resid = max(
         float(np.max(dbar1 - best)),
         float(np.max(dbar2 - best)),

@@ -33,6 +33,7 @@ from .code_sim import (
     sim_config_to_dict,
     simulate_with_bound,
 )
+from .delta_curve import delta
 from .errors import CfmacError, NonConvergence
 from .gauss_max import SkParams, lemma1_bounds, sk_inverse_cdf
 from .rate_bounds import RateQuery, rate_report
@@ -79,18 +80,14 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_outputs(
-    args, rows: list[str] | None, doc: dict | None, started: float, extra: dict | None = None
-) -> None:
-    """Emit CSV rows or a JSON document, with a manifest when --out is set.
+def _write_outputs(args, output: list[str] | dict, extra: dict, started: float) -> None:
+    """Emit CSV rows (a list) or a JSON document (a dict), with a manifest when --out is set.
 
     ``extra`` holds further manifest fields of the subcommand.
     """
+    rows = output if isinstance(output, list) else None
     if args.out is None:
-        if rows is not None:
-            sys.stdout.write("\n".join(rows) + "\n")
-        else:
-            sys.stdout.write(_json_text(doc))
+        sys.stdout.write(_json_text(output) if rows is None else "\n".join(rows) + "\n")
         return
     out_path = Path(args.out)
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
@@ -103,23 +100,22 @@ def _write_outputs(
         "seed": args.seed,
         "wall_time_s": round(time.monotonic() - started, 6),
         "outputs": [str(out_path)],
-        **(extra or {}),
+        **extra,
     }
     if rows is not None:
         body = f"# manifest: {manifest_path.name}\n" + "\n".join(rows) + "\n"
     else:
-        doc = dict(doc)
-        doc["manifest"] = manifest_path.name
-        body = _json_text(doc)
+        body = _json_text({**output, "manifest": manifest_path.name})
     out_path.write_text(body)
     manifest_path.write_text(_json_text(manifest))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its CSV rows or JSON document; ``simulate`` also
+# returns its extra manifest fields
 
 
-def cmd_stats(args, started: float) -> int:
+def cmd_stats(args) -> dict:
     mac = _resolve_channel(args.channel)
     cap = sum_capacity(mac, units=args.units)
     dist = load_dist(_read_json(args.dist, "distribution")) if args.dist else cap.argmax_dists[0]
@@ -135,11 +131,10 @@ def cmd_stats(args, started: float) -> int:
         "v2": stats.v2,
         "v_max": stats.v_max,
     }
-    _write_outputs(args, None, doc, started)
-    return EXIT_OK
+    return doc
 
 
-def cmd_fig1(args, started: float) -> int:
+def cmd_fig1(args) -> list[str]:
     rows = ["log2_k,quantile,lemma1_lower,lemma1_upper"]
     for log2_k in range(args.kmin_log2, args.kmax_log2 + 1):
         p = SkParams(args.v1, args.v2, 2 ** log2_k)
@@ -148,24 +143,20 @@ def cmd_fig1(args, started: float) -> int:
         rows.append(
             f"{log2_k},{_fmt(q)},{_fmt(b.lower_at_eps)},{_fmt(b.upper_at_one_minus_eps)}"
         )
-    _write_outputs(args, rows, None, started)
-    return EXIT_OK
+    return rows
 
 
-def cmd_delta(args, started: float) -> int:
-    from .delta_curve import delta
-
+def cmd_delta(args) -> list[str]:
     mac = _resolve_channel(args.channel)
     cap = sum_capacity(mac, units=args.units)
     rows = ["a,delta,achieved_mi_budget"]
     for a in args.a_grid:
         point = delta(mac, a, units=args.units, capacity=cap)
         rows.append(f"{_fmt(a)},{_fmt(point.delta)},{_fmt(point.achieved_mi_budget)}")
-    _write_outputs(args, rows, None, started)
-    return EXIT_OK
+    return rows
 
 
-def cmd_rates(args, started: float) -> int:
+def cmd_rates(args) -> list[str]:
     mac = _resolve_channel(args.channel)
     cap = sum_capacity(mac, units=args.units)
     k_grid = sorted(set(args.k) | {1})  # baseline K=1 always included
@@ -177,11 +168,10 @@ def cmd_rates(args, started: float) -> int:
                 f"{n},{k},{_fmt(args.eps)},{_fmt(rep.thm2_rate)},{_fmt(rep.thm3_rate)},"
                 f"{_fmt(rep.baseline_rate)},{_fmt(rep.best_rate)},{rep.regime}"
             )
-    _write_outputs(args, rows, None, started)
-    return EXIT_OK
+    return rows
 
 
-def cmd_simulate(args, started: float) -> int:
+def cmd_simulate(args) -> tuple[dict, dict]:
     config = sim_config_from_dict(_read_json(args.config, "config"))
     if args.trials is not None:
         config = dataclasses.replace(config, trials=args.trials)
@@ -195,11 +185,10 @@ def cmd_simulate(args, started: float) -> int:
     out["config"] = sim_config_to_dict(config)
     if args.validate_bound:
         out["bound_dominates_ci_lower"] = bool(report.fbl_bound >= report.ci95[0])
-    _write_outputs(args, None, out, started, extra={"stream_version": STREAM_VERSION})
-    return EXIT_OK
+    return out, {"stream_version": STREAM_VERSION}
 
 
-def cmd_invcdf(args, started: float) -> int:
+def cmd_invcdf(args) -> dict:
     result = sk_inverse_cdf(SkParams(args.v1, args.v2, args.k), args.eps)
     doc = {
         "v1": args.v1,
@@ -209,8 +198,7 @@ def cmd_invcdf(args, started: float) -> int:
         "quantile": result.value,
         "achieved_probability": result.achieved_probability,
     }
-    _write_outputs(args, None, doc, started)
-    return EXIT_OK
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +267,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, started)
+        output = args.func(args)
+        output, extra = output if isinstance(output, tuple) else (output, {})
+        _write_outputs(args, output, extra, started)
     except NonConvergence as exc:
         print(f"cfmac: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CfmacError, FileNotFoundError, ValueError, KeyError) as exc:
         print(f"cfmac: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -74,7 +74,7 @@ draw as in version 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -189,16 +189,10 @@ class SimReport:
     fbl_bound: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "trials": self.trials,
-            "errors": self.errors,
-            "p_hat": self.p_hat,
-            "ci95": list(self.ci95),
-            "decomposition": dict(self.decomposition),
-            "seed": self.seed,
-        }
-        if self.fbl_bound is not None:
-            out["fbl_bound"] = self.fbl_bound
+        out = asdict(self)
+        out["ci95"] = list(self.ci95)
+        if self.fbl_bound is None:
+            del out["fbl_bound"]
         return out
 
 
@@ -399,15 +393,20 @@ class _Facilitator:
     tol: float
     target: np.ndarray | None  # (A1*A2,) target joint-type counts, type mode
 
-    def choose(self, counts, u_choice=None):
-        """e (B, M1, M2) and, in type mode, where no k matched the target."""
+    def choose(self, counts, rng=None):
+        """e (B, M1, M2) and, in type mode, where no k matched the target.
+
+        Type mode picks uniformly among the matched k, or over [K] when none
+        matched, with one uniform per (b, m1, m2) drawn from ``rng``; iid mode
+        draws nothing, and ``rng`` may be None.
+        """
         if self.target is None:
             scores = counts.astype(np.float64) @ self.i_bar
             best = scores.max(axis=-1, keepdims=True)
             return (scores >= best - self.tol).argmax(axis=-1), None
         matched = (counts == self.target).all(axis=-1)
-        # uniform pick among matched k; uniform over [K] when none matched
         n_match = matched.sum(axis=-1)
+        u_choice = rng.random(n_match.shape)
         pool = np.where(n_match > 0, n_match, matched.shape[-1])
         pick = np.minimum(np.floor(u_choice * pool).astype(np.int64), pool - 1)
         order = np.argsort(~matched, axis=-1, kind="stable")  # matched ks first
@@ -514,9 +513,7 @@ def _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec):
     f2 = samplers[1](rng, (b, k, m2c, n))
     l1 = _onehot(f1, mac.x1_size)
     r2 = _onehot(f2, mac.x2_size)
-    counts = _pair_counts(l1, r2)
-    u_choice = rng.random((b, m1c, m2c)) if fac.target is not None else None
-    e, unmatched = fac.choose(counts, u_choice)
+    e, unmatched = fac.choose(_pair_counts(l1, r2), rng)
 
     msg1 = rng.integers(0, m1c, size=b)
     msg2 = rng.integers(0, m2c, size=b)
@@ -684,10 +681,7 @@ def facilitate(
     f1 = codebooks.f1.transpose(1, 0, 2)[None]  # kernel layout (1, K, M, n)
     f2 = codebooks.f2.transpose(1, 0, 2)[None]
     counts = _pair_counts(_onehot(f1, mac.x1_size), _onehot(f2, mac.x2_size))
-    u_choice = None
-    if fac.target is not None:
-        u_choice = _stream(seed, _FACILITATOR, 0).random(counts.shape[:3])
-    e, unmatched = fac.choose(counts, u_choice)
+    e, unmatched = fac.choose(counts, _stream(seed, _FACILITATOR, 0))
     return FacilitatorTable(
         e=e[0], mode=mode, unmatched=None if unmatched is None else unmatched[0]
     )
@@ -803,18 +797,18 @@ def _bound_samples(config: SimConfig, th: DecoderThresholds, mc_samples: int, se
         p12 /= p12.sum()
 
         def pair_types(rng, b):
-            return rng.multinomial(n, p12, size=(b, k)), None
+            return rng.multinomial(n, p12, size=(b, k))
     else:
         t1, t2 = (fac.target.reshape(a1, a2).sum(axis=axis) for axis in (1, 0))
 
         def pair_types(rng, b):
-            return _contingency(rng, (b, k), t1, t2), rng.random((b, 1, 1))
+            return _contingency(rng, (b, k), t1, t2)
 
     fails = 0
     type_misses = 0
     for rng, b in _blocks(seed, _BOUND, mc_samples, _bound_sample_bytes(mac, k)):
-        counts, u_choice = pair_types(rng, b)
-        e, unmatched = fac.choose(counts[:, None, None], u_choice)
+        counts = pair_types(rng, b)
+        e, unmatched = fac.choose(counts[:, None, None], rng)
         sent = counts[np.arange(b), e[:, 0, 0]]  # (B, A1*A2)
         outputs = rng.multinomial(sent, kernel).reshape(b, a1, a2, ny)
         z = outputs.transpose(0, 1, 3, 2).reshape(b, -1)  # cells (a1, y, a2)

@@ -40,7 +40,6 @@ from .channel import (
     JointDist,
     Mac,
     ProductDist,
-    _ba_step,
     _capacity_in,
     _letter_div_nats,
     _mi_nats,
@@ -225,16 +224,18 @@ def _refine(kernel, p_start: np.ndarray, a_nats: float) -> tuple[np.ndarray | No
 
 def _joint_ba_unconstrained(kernel: np.ndarray, iters: int = 400) -> np.ndarray:
     """Blahut-Arimoto over the composite input alphabet X1 x X2 (no budget)."""
-    n1, n2, _ = kernel.shape
-    p = np.full((1, n1 * n2), 1.0 / (n1 * n2))
+    p = np.full(kernel.shape[:2], 1.0 / (kernel.shape[0] * kernel.shape[1]))
     for _ in range(iters):
-        d = _letter_div_nats(kernel, p.reshape(1, n1, n2))
-        new_p = _ba_step(p, d.reshape(1, -1))
-        if np.abs(new_p - p).sum() < 1e-14:
-            p = new_p
-            break
+        # the multiplicative update; the mass stays positive, since the largest
+        # entry of p is at least 1/(A1*A2) and no divergence exceeds ~690 nats
+        d = _letter_div_nats(kernel, p[None])[0]
+        new_p = p * np.exp(d - d.max())
+        new_p /= new_p.sum()
+        done = np.abs(new_p - p).sum() < 1e-14
         p = new_p
-    return p.reshape(n1, n2)
+        if done:
+            break
+    return p
 
 
 def delta(

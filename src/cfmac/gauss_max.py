@@ -164,11 +164,9 @@ def _cdf_and_error(p: SkParams, s: float) -> tuple[float, float]:
     if p.degenerate:
         # Point mass at 0; callers can detect this case via p.degenerate.
         return (0.0 if s < 0.0 else 1.0), 0.0
-    if p.v1 == 0.0:
-        return float(ndtr(s / math.sqrt(p.v2))), 0.0
     if p.v2 == 0.0:
         return _max_cdf(s / math.sqrt(p.v1), p.k), 0.0
-    if p.k == 1:
+    if p.v1 == 0.0 or p.k == 1:
         return float(ndtr(s / math.sqrt(p.v1 + p.v2))), 0.0
     sq1, sq2, k = math.sqrt(p.v1), math.sqrt(p.v2), p.k
     center = (s - sq1 * _max_quantile(-math.log(2.0), k)) / sq2
@@ -221,17 +219,13 @@ def sk_inverse_cdf(p: SkParams, eps: float) -> QuantileResult:
         raise TargetOutOfRange(f"eps must lie in (0, 1), got {eps}")
     if p.degenerate:
         raise DegenerateBothZero("quantile undefined for the point mass at 0")
-    if p.v1 == 0.0:
-        value = math.sqrt(p.v2) * float(ndtri(eps))
-        return QuantileResult(value, sk_cdf(p, value), _QUANTILE_TOL)
     if p.v2 == 0.0:
         value = math.sqrt(p.v1) * _max_quantile(math.log(eps), p.k)
-        return QuantileResult(value, sk_cdf(p, value), _QUANTILE_TOL)
-    if p.k == 1:
+    elif p.v1 == 0.0 or p.k == 1:
         value = math.sqrt(p.v1 + p.v2) * float(ndtri(eps))
-        return QuantileResult(value, sk_cdf(p, value), _QUANTILE_TOL)
-    lo, hi = _bracket(p, eps)
-    value = float(brentq(lambda s: sk_cdf(p, s) - eps, lo, hi, xtol=1e-13, rtol=8.9e-16))
+    else:
+        lo, hi = _bracket(p, eps)
+        value = float(brentq(lambda s: sk_cdf(p, s) - eps, lo, hi, xtol=1e-13, rtol=8.9e-16))
     achieved, error = _cdf_and_error(p, value)
     if error > _QUANTILE_TOL:
         raise NonConvergence(

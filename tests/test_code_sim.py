@@ -766,8 +766,7 @@ class TestCountKernel:
         for seed in range(5):
             f1, f2, y = self.draw(mac, dist, n, "type", seed)
             l1, r2, counts = self.kernel_parts(mac, f1, f2)
-            u = np.random.default_rng(seed).random((self.B, self.M1, self.M2))
-            e, unmatched = fac.choose(counts, u)
+            e, unmatched = fac.choose(counts, np.random.default_rng(seed))
             matched = gather_reference.joint_type_match(f1, f2, target)
             assert np.array_equal(unmatched, ~matched.any(axis=-1))
             chosen = np.take_along_axis(matched, e[..., None], axis=-1)[..., 0]
@@ -790,8 +789,7 @@ class TestCountKernel:
         for seed in range(3):
             f1, f2, y = self.draw(mac, dist, n, mode, seed, shape)
             l1, r2, counts = self.kernel_parts(mac, f1, f2)
-            u = np.random.default_rng(seed).random((self.B, m1, m2))
-            e, _ = fac.choose(counts, u)
+            e, _ = fac.choose(counts, np.random.default_rng(seed))
             want = code_sim._decode_counts(l1, r2, code_sim._onehot(y, mac.y_size), e)
             got = code_sim._facilitated_counts(
                 f1.transpose(0, 2, 1, 3), f2.transpose(0, 2, 1, 3), y, e, *sizes
