@@ -7,7 +7,10 @@ The sum-capacity is one mutual-information core: ``_mi_nats`` gives the
 value and ``_letter_div_nats`` the letter divergences D(W_x || p_Y), from
 which ``_dbar_nats`` forms the gradient over each input.  ``sum_capacity``
 runs SLSQP on them from a fixed seed grid and certifies the result by the
-SLSQP status; ``delta_curve`` uses the same functions.
+SLSQP status and the KKT residual; a kernel whose rows are all one law has
+capacity exactly 0.  ``delta_curve`` uses the same core, and its joint
+Blahut-Arimoto start takes its multiplicative step from ``_letter_div_nats``
+itself.
 """
 from __future__ import annotations
 
@@ -27,6 +30,8 @@ LN2 = float(np.log(2.0))
 _ROW_TOL = 1e-9
 # sum_capacity keeps the starts within _CAPACITY_TOL (in the call's units) of the best value
 _CAPACITY_TOL = 1e-7
+# largest KKT residual, in nats, that sum_capacity certifies
+_KKT_TOL = 1e-6
 
 
 # Units: every conversion goes through these helpers, which reject unknown names.
@@ -492,9 +497,14 @@ def sum_capacity(mac: Mac, units: str = "bits") -> CapacityResult:
     SLSQP iteration counts.  Near-maximizers are kept (deduplicated at L1
     distance 1e-6) and the codeword dispersion is maximized over them.
     Raises ``NonConvergence`` unless at least one start that reached a kept
-    maximizer ended with SLSQP status 0.
+    maximizer ended with SLSQP status 0, and when the KKT residual exceeds
+    1e-6 nats.  A kernel whose rows are all one law has capacity 0 under
+    every input: it returns 0 with the uniform product as its one maximizer,
+    and runs no solver.
     """
     kernel = mac.kernel
+    if np.all(kernel == kernel[:1, :1]):
+        return CapacityResult(0.0, [uniform_product(mac)], 0.0, 0, 0.0, units)
     tol_nats = _CAPACITY_TOL * _nats_per_unit(units)
 
     candidates = [_ascend(kernel, p1, p2) for p1, p2 in zip(*_seed_grid(mac))]
@@ -523,6 +533,8 @@ def sum_capacity(mac: Mac, units: str = "bits") -> CapacityResult:
         float(np.max(np.abs(dbar1[p1 > 1e-9] - best))) if np.any(p1 > 1e-9) else 0.0,
         float(np.max(np.abs(dbar2[p2 > 1e-9] - best))) if np.any(p2 > 1e-9) else 0.0,
     )
+    if resid > _KKT_TOL:
+        raise NonConvergence(f"sum-capacity KKT residual {resid:.3g} nats exceeds {_KKT_TOL:g}")
     return CapacityResult(
         c_sum=best * scale,
         argmax_dists=dists,

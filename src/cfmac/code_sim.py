@@ -35,11 +35,12 @@ Fixed codes.  ``_fixed_code`` prepares a code once: its decoder, the
 facilitated words of every message pair and, in type mode, their type check.
 ``threshold_decode`` keeps the last prepared code in a one-slot memo.  The
 memo's key holds the values the code is built from: the bytes, shape and
-dtype of the codebooks, the facilitator table and the kernel, the mode, the
-thresholds and the input law.  So an array changed in place misses, where
-its ``id`` would not.  One word's counts for all M1 * M2 pairs are then one
-bincount of the pairs' cell codes (x1 * Y) * A2 + x2 + row * cells, each
-shifted by y * A2.  The slot keeps its code after the call, outside the block
+dtype of the codebooks, the facilitator table and the kernel, the codebooks'
+and the table's modes, the thresholds and the input law.  So an array
+changed in place misses, where its ``id`` would not, and a table of another
+mode than the codebooks' reaches the mode check.  One word's counts for all
+M1 * M2 pairs are then one bincount of the pairs' cell codes
+(x1 * Y) * A2 + x2 + row * cells, each shifted by y * A2.  The slot keeps its code after the call, outside the block
 budget: about 16 MB at M1 = M2 = 64, n = 1000, half of it the cell codes,
 which are stored in the smallest unsigned type that holds them (uint16 there).
 ``estimate_error_fixed_code`` takes a block's metrics as GEMMs of its received
@@ -66,10 +67,13 @@ bound, the per-sample count footprint ``_bound_sample_bytes``) and the byte
 budget ``_BLOCK_BYTES``, so results are bit-for-bit reproducible for a given
 (config, seed), independent of scheduling, and memory stays bounded.
 ``STREAM_VERSION`` names the stream layout; it changes whenever a fixed
-(config, seed) deliberately yields a different report.  Version 4 draws the
-bound family's samples as counts (the pair-type tables, then in type mode the
-facilitator's uniform, then the chosen pair's outputs); the other families
-draw as in version 3.
+(config, seed) deliberately yields a different report.  The facilitator
+draws type mode's pick itself: one uniform per message pair, right after the
+pair counts, from the stream it is given (the block's, or in ``facilitate``
+the facilitator family's, which iid mode builds too, so the seed is checked
+there as well).  Version 4 draws the bound family's samples as counts (the
+pair-type tables, then in type mode the facilitator's uniform, then the
+chosen pair's outputs); the other families draw as in version 3.
 """
 from __future__ import annotations
 
@@ -604,6 +608,11 @@ def _fixed_code(
     th: DecoderThresholds,
 ) -> _FixedCode:
     """The prepared code of codebooks, facilitator table and thresholds."""
+    if e_table.mode != codebooks.mode:
+        raise ModeMismatch(
+            f"facilitator table mode {e_table.mode!r} does not match codebook mode "
+            f"{codebooks.mode!r}"
+        )
     e, (m1, k), m2 = e_table.e, codebooks.f1.shape[:2], len(codebooks.f2)
     if e.shape != (m1, m2) or e.min() < 0 or e.max() >= k:
         raise SizeMismatch(
@@ -630,6 +639,7 @@ def _fixed_code_key(codebooks, e_table, mac, dist, th) -> tuple:
     return (
         _value_key(codebooks.f1, codebooks.f2, e_table.e, mac.kernel),
         codebooks.mode,
+        e_table.mode,
         th,
         type(dist),
         _value_key(*(getattr(dist, f.name) for f in fields(dist))),
@@ -697,7 +707,8 @@ def threshold_decode(
 ):
     """Decode one received word; returns ((m1, m2), 'decoded') or (None, reason).
 
-    The code's set-up is kept for the next call with the same values.
+    The code's set-up is kept for the next call with the same values.  A
+    facilitator table of another mode than the codebooks' raises ``ModeMismatch``.
     """
     global _decode_slot
     key = _fixed_code_key(codebooks, e_table, mac, dist, thresholds)

@@ -6,10 +6,11 @@ gradient come from ``channel``, whose ``_mi_nats`` also gives the
 sum-capacity C.  SLSQP refines four kinds of start over the joint simplex:
 each capacity-achieving product law, its analytic perturbation along the
 first-order optimal direction, the uniform law, and the unconstrained joint
-Blahut-Arimoto law shrunk into the budget.  The problem is not concave and
-the starts end in different basins: where the maximizer fixes one input its
-perturbation is zero, and on such a 3x3x3 kernel only the uniform start
-reaches the better basin.  Every feasible start and refinement is a
+Blahut-Arimoto law (``_joint_ba_unconstrained``, which holds the BA step)
+shrunk into the budget.  The problem is not concave and the starts end in
+different basins: where the maximizer fixes one input its perturbation is
+zero, and on such a 3x3x3 kernel only the uniform start reaches the better
+basin.  Every feasible start and refinement is a
 candidate, converged or not: in a maximization each feasible law's value is
 achievable, so a stalled refinement can only understate delta.  The top
 capacity maximizer is the first candidate, so delta = max(best - C, 0) >= 0,
@@ -21,8 +22,10 @@ floored at 1e-300, a cell whose row and column are empty too gets about +690.
 SLSQP's linearised budget then says nothing useful, the refinement stalls at
 its iteration limit and the curve is not monotone.  The gradient alone
 therefore floors its logs at a bounded constant; the value, the projection
-and the budget check keep the 1e-300 floor, so every returned law meets the
-budget as computed exactly.
+and the budget check keep the 1e-300 floor.  A law is kept only when its
+computed I(X1;X2) is at most the budget in nats, with no tolerance, so for
+a > 0 every returned law meets the budget as computed exactly.  At a = 0 the
+product maximizer is returned, whose computed I(X1;X2) is 0 up to rounding.
 
 For a > 0 a result is certified: at least one refinement must end with
 SLSQP status 0 and meet the budget, or ``delta`` raises ``NonConvergence``.
@@ -50,7 +53,6 @@ from .channel import (
 )
 from .errors import NonConvergence, NotCapacityAchieving
 
-_FEAS_TOL = 1e-9
 # a base law more than this (in the call's units) below the sum-capacity is
 # not capacity-achieving
 _CAPACITY_GAP = 1e-6
@@ -156,7 +158,7 @@ def _mi_12_grad_nats(p12: np.ndarray) -> np.ndarray:
 
 def _project_feasible(p12: np.ndarray, a_nats: float) -> np.ndarray:
     """Shrink toward the product of marginals until the budget constraint holds."""
-    if _mi_12_nats(p12) <= a_nats + _FEAS_TOL:
+    if _mi_12_nats(p12) <= a_nats:
         return p12
     prod = np.outer(p12.sum(axis=1), p12.sum(axis=0))
     lo, hi = 0.0, 1.0  # theta=1 is the fully independent (feasible) endpoint
@@ -231,9 +233,8 @@ def _joint_ba_unconstrained(kernel: np.ndarray, iters: int = 400) -> np.ndarray:
         d = _letter_div_nats(kernel, p[None])[0]
         new_p = p * np.exp(d - d.max())
         new_p /= new_p.sum()
-        done = np.abs(new_p - p).sum() < 1e-14
-        p = new_p
-        if done:
+        p, old = new_p, p
+        if np.abs(p - old).sum() < 1e-14:
             break
     return p
 
@@ -269,7 +270,7 @@ def delta(
     for p0 in starts:
         p, status = _refine(kernel, p0, a_nats)
         for cand, refined_ok in ((p0, False), (p, status == 0)):
-            if cand is None or _mi_12_nats(cand) > a_nats + _FEAS_TOL:
+            if cand is None or _mi_12_nats(cand) > a_nats:
                 continue
             converged = converged or refined_ok
             val = float(_mi_nats(kernel, cand[None])[0])

@@ -470,6 +470,41 @@ class TestCertificate:
         out = capsys.readouterr()
         assert out.out == "" and "numeric failure" in out.err
 
+    @staticmethod
+    def _shift_row_averages(monkeypatch):
+        # a constant added to every dbar1 leaves the ascent's projected
+        # gradient alone but puts the KKT residual near 1 nat
+        real = cfmac.channel._dbar_nats
+
+        def shifted(*args):
+            dbar1, dbar2 = real(*args)
+            return dbar1 + 1.0, dbar2
+
+        monkeypatch.setattr(cfmac.channel, "_dbar_nats", shifted)
+
+    def test_large_kkt_residual_raises(self, monkeypatch):
+        self._shift_row_averages(monkeypatch)
+        with pytest.raises(NonConvergence, match="KKT residual"):
+            sum_capacity(adder2())
+
+    def test_large_kkt_residual_exits_4(self, monkeypatch, capsys):
+        from cfmac.cli import main
+
+        self._shift_row_averages(monkeypatch)
+        assert main(["stats", "--channel", "adder2"]) == 4
+        out = capsys.readouterr()
+        assert out.out == "" and "KKT residual" in out.err
+
+    @pytest.mark.parametrize("units", ["bits", "nats"])
+    def test_zero_capacity_is_exact(self, units):
+        mac = Mac(np.full((2, 3, 2), 0.5))  # every row the same law
+        got = sum_capacity(mac, units=units)
+        assert got.c_sum == 0.0 and got.v1_star == 0.0 and got.kkt_residual == 0.0
+        assert len(got.argmax_dists) == 1
+        want = uniform_product(mac)
+        assert np.array_equal(got.argmax_dists[0].p1, want.p1)
+        assert np.array_equal(got.argmax_dists[0].p2, want.p2)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_kkt_residual_is_small_on_random_kernels(self, seed):
         rng = np.random.default_rng(seed)

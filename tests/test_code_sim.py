@@ -118,6 +118,23 @@ class TestFacilitate:
         with pytest.raises(ModeMismatch):
             facilitate(cb, adder2(), UNIFORM, "type")
 
+    @pytest.mark.parametrize("mode", ["iid", "type"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_range_is_rejected(self, mode, seed):
+        cb = draw_codebooks(adder2(), HALF_TYPE, 4, 2, 2, 2, mode, seed=0)
+        with pytest.raises(ValueError, match="outside"):
+            facilitate(cb, adder2(), HALF_TYPE, mode, seed)
+
+    @pytest.mark.parametrize("mode, uniforms", [("iid", 0), ("type", 3 * 2 * 4)])
+    def test_choice_takes_one_uniform_per_message_pair_in_type_mode(self, mode, uniforms):
+        fac = code_sim._ensemble(adder2(), HALF_TYPE, 8, mode)[1]
+        # pair counts (B, M1, M2, K, A1*A2); only their matches to the target matter
+        counts = np.random.default_rng(1).integers(0, 3, size=(3, 2, 4, 5, 4))
+        rng, fresh = np.random.default_rng(7), np.random.default_rng(7)
+        fac.choose(counts, rng)
+        fresh.random(uniforms)
+        assert rng.random() == fresh.random()
+
 
 class TestThresholdDecode:
     def test_single_pair_with_open_thresholds(self):
@@ -373,6 +390,28 @@ class TestEstimateError:
         )
         with pytest.raises(ModeMismatch, match=f"config mode '{config_mode}' does not match"):
             estimate_error_fixed_code(cb, table, cfg)
+
+    @pytest.mark.parametrize("code_mode, table_mode", [("iid", "type"), ("type", "iid")])
+    def test_fixed_code_rejects_a_table_of_other_mode(self, code_mode, table_mode):
+        mac = adder2()
+        cb = draw_codebooks(mac, HALF_TYPE, 8, 2, 2, 2, code_mode, seed=3)
+        other = draw_codebooks(mac, HALF_TYPE, 8, 2, 2, 2, table_mode, seed=3)
+        table = facilitate(other, mac, HALF_TYPE, table_mode)  # same shape, other mode
+        cfg = SimConfig(
+            mac=mac, dist=HALF_TYPE, n=8, m1_count=2, m2_count=2, k=2,
+            mode=code_mode, trials=100,
+        )
+        match = f"table mode '{table_mode}' does not match codebook mode '{code_mode}'"
+        with pytest.raises(ModeMismatch, match=match):
+            estimate_error_fixed_code(cb, table, cfg)
+        th, y = cfg.resolved_thresholds(), np.zeros(8, dtype=np.uint8)
+        with pytest.raises(ModeMismatch, match=match):
+            threshold_decode(y, cb, table, th, mac, HALF_TYPE)
+        # a table equal to the code's own but for its mode misses the memo slot
+        own = facilitate(cb, mac, HALF_TYPE, code_mode)
+        threshold_decode(y, cb, own, th, mac, HALF_TYPE)
+        with pytest.raises(ModeMismatch, match=match):
+            threshold_decode(y, cb, replace(own, mode=table_mode), th, mac, HALF_TYPE)
 
     @pytest.mark.parametrize("mode", ["iid", "type"])
     def test_type_check_follows_the_mode(self, mode):

@@ -15,7 +15,8 @@ from cfmac.channel import (
     sum_capacity,
     xor_channel,
 )
-from cfmac.delta_curve import delta, delta_small_a, perturbation_direction
+from cfmac.channel import _nats_per_unit
+from cfmac.delta_curve import _mi_12_nats, delta, delta_small_a, perturbation_direction
 from cfmac.errors import NonConvergence, NotCapacityAchieving
 
 
@@ -199,6 +200,12 @@ class TestDeltaProperties:
                 assert val == pytest.approx(mi - cap.c_sum, abs=4 * math.ulp(cap.c_sum)), label
             assert vals[0] == 0.0, label
             assert min(vals) >= 0.0, (label, vals)
+            # for a > 0 every returned law meets its budget exactly, in nats
+            # (the bits value may round an ulp past a); a = 0 returns the
+            # product maximizer, whose input MI is 0 up to rounding
+            for a, p in zip(PROPERTY_GRID[1:], points[1:]):
+                a_nats = a * _nats_per_unit(units)
+                assert _mi_12_nats(p.argmax_joint.p12) <= a_nats, (label, a)
             # once the budget stops binding every refinement reaches the same law,
             # up to SLSQP's rounding
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), (label, vals)
