@@ -10,12 +10,12 @@ from cfmac.channel import (
     JointDist,
     Mac,
     ProductDist,
+    _nats_per_unit,
     adder2,
     mutual_information,
     sum_capacity,
     xor_channel,
 )
-from cfmac.channel import _nats_per_unit
 from cfmac.delta_curve import _mi_12_nats, delta, delta_small_a, perturbation_direction
 from cfmac.errors import NonConvergence, NotCapacityAchieving
 
