@@ -17,14 +17,18 @@ Joint-count kernel.  Every per-trial statistic is a linear function of
 joint-symbol counts: the facilitator score sum_i i_bar[x1_i, x2_i], the type
 match and the type check compare or contract the counts N[a1, a2] of a
 codeword pair, and the three decoding metrics contract the counts
-D[a1, y, a2] of (codeword pair, received word).  The counts of every
-(m1, m2, k) at once come exactly from one batched float32 matmul of one-hot
-codewords, (K, M1*A1, n) @ (K, n, M2*A2), which the facilitator needs.  The
+D[a1, y, a2] of (codeword pair, received word).  The facilitator needs the
+pair counts of every (m1, m2, k) at once.  One batched float32 matmul of the
+indicator rows of symbols 1..A-1 only, (K, M1*(A1-1), n) @ (K, n, M2*(A2-1)),
+gives N[a1, a2] for a1, a2 >= 1; a binary word is its own indicator row.
+Each word's symbol counts and n give the dropped row a1 = 0 and column
+a2 = 0.  The counts are integers below 2^24, so all of this is exact.  The
 decode counts are needed at the facilitated k = e(m1, m2) only.  Where
 M1*M2 < K*(M1 + M2) the (x1, y, x2) symbols of the M1*M2 facilitated words
 are counted directly; otherwise one GEMM with the (x1, y) one-hot on the left
-counts all K codewords and the counts at e are picked out.  Both give the
-same exact integers, and the rule reads only the shape.  Table entries that
+counts all K codewords and the counts at e are picked out, and the pair
+counts take their indicator rows from these full one-hot operands.  Both give
+the same exact integers, and the rule reads only the shape.  Table entries that
 are not finite (-inf at kernel zeros) are counted by separate indicator
 columns, so 0 * inf never arises.  The bound (M1 = M2 = 1) draws no symbols
 at all: it samples the K pair-type counts N_k and the chosen pair's
@@ -323,13 +327,44 @@ def _onehot(symbols, size, dtype=np.float32):
     return (symbols[..., None, :] == np.arange(size, dtype=np.uint8)[:, None]).astype(dtype)
 
 
-def _pair_counts(l1, r2):
-    """One-hot words (B, K, M1, A1, n) and (B, K, M2, A2, n) -> N (B, M1, M2, K, A1*A2)."""
-    b, k, m1, a1, n = l1.shape
-    m2, a2 = r2.shape[2:4]
-    prod = l1.reshape(b, k, m1 * a1, n) @ r2.reshape(b, k, m2 * a2, n).swapaxes(-1, -2)
-    prod = prod.reshape(b, k, m1, a1, m2, a2).transpose(0, 2, 4, 1, 3, 5)
-    return prod.reshape(b, m1, m2, k, a1 * a2)
+def _reduced_rows(words, size, onehot=None):
+    """(B, K, M, n) words -> (B, K, M*(size-1), n) float32 indicators of symbols 1..size-1.
+
+    Binary words are their own indicator row.  Given the words' one-hot form
+    (B, K, M, size, n), its rows 1.. are taken instead of built again.
+    """
+    b, k, m, n = words.shape
+    if onehot is not None:
+        return onehot[:, :, :, 1:].reshape(b, k, m * (size - 1), n)
+    if size == 2:
+        return words.astype(np.float32)
+    rows = words[..., None, :] == np.arange(1, size, dtype=np.uint8)[:, None]
+    return rows.astype(np.float32).reshape(b, k, m * (size - 1), n)
+
+
+def _pair_counts(f1, f2, a1, a2, onehots=(None, None)):
+    """Words (B, K, M1, n) and (B, K, M2, n) -> N (B, M1, M2, K, A1*A2) float32.
+
+    One GEMM of the indicator rows of symbols 1.. gives N[a1, a2] for a1, a2 >= 1;
+    each word's symbol counts give row a1 = 0 and column a2 = 0, and n gives
+    N[0, 0].  All are integers below 2^24, so exact in float32.  ``onehots``
+    holds the words' one-hot forms where the caller has built them.
+    """
+    b, k, m1, n = f1.shape
+    m2 = f2.shape[2]
+    r1 = _reduced_rows(f1, a1, onehots[0])
+    r2 = _reduced_rows(f2, a2, onehots[1])
+    inner = (r1 @ r2.swapaxes(-1, -2)).reshape(b, k, m1, a1 - 1, m2, a2 - 1)
+    inner = inner.transpose(0, 2, 4, 1, 3, 5)  # (B, M1, M2, K, A1-1, A2-1)
+    ones = np.ones(n, dtype=np.float32)  # a row sum as one GEMV is faster than sum()
+    c1 = (r1.reshape(-1, n) @ ones).reshape(b, k, m1, a1 - 1).transpose(0, 2, 1, 3)[:, :, None]
+    c2 = (r2.reshape(-1, n) @ ones).reshape(b, k, m2, a2 - 1).transpose(0, 2, 1, 3)[:, None]
+    out = np.empty((b, m1, m2, k, a1, a2), dtype=np.float32)
+    out[..., 1:, 1:] = inner
+    out[..., 1:, 0] = c1 - inner.sum(axis=-1)
+    out[..., 0, 1:] = c2 - inner.sum(axis=-2)
+    out[..., 0, 0] = n - c1.sum(axis=-1) - out[..., 0, 1:].sum(axis=-1)
+    return out.reshape(b, m1, m2, k, a1 * a2)
 
 
 def _decode_counts(l1, r2, y1h, e):
@@ -513,11 +548,13 @@ def _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec):
     words (None in iid mode; it holds exactly where some k matched the type
     target) and the sent messages.
     """
+    a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
     f1 = samplers[0](rng, (b, k, m1c, n))
     f2 = samplers[1](rng, (b, k, m2c, n))
-    l1 = _onehot(f1, mac.x1_size)
-    r2 = _onehot(f2, mac.x2_size)
-    e, unmatched = fac.choose(_pair_counts(l1, r2), rng)
+    directly = _counts_directly(m1c, m2c, k)
+    # the all-K decode GEMM needs the full one-hot words; the pair counts share them
+    onehots = (None, None) if directly else (_onehot(f1, a1), _onehot(f2, a2))
+    e, unmatched = fac.choose(_pair_counts(f1, f2, a1, a2, onehots), rng)
 
     msg1 = rng.integers(0, m1c, size=b)
     msg2 = rng.integers(0, m2c, size=b)
@@ -526,10 +563,10 @@ def _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec):
     x1, x2 = f1[bb, k_sent, msg1], f2[bb, k_sent, msg2]
     y = _sample(rng, x1.shape, dec.output_cdf, (x1, x2))
 
-    if _counts_directly(m1c, m2c, k):
-        z = _facilitated_counts(f1, f2, y, e, mac.x1_size, mac.x2_size, mac.y_size)
+    if directly:
+        z = _facilitated_counts(f1, f2, y, e, a1, a2, ny)
     else:
-        z = _decode_counts(l1, r2, _onehot(y, mac.y_size), e)
+        z = _decode_counts(*onehots, _onehot(y, ny), e)
     in_type = None if unmatched is None else ~unmatched
     return dec.passes(z.astype(np.float64) @ dec.weights), in_type, msg1, msg2
 
@@ -690,7 +727,7 @@ def facilitate(
     _, fac = _ensemble(mac, dist, codebooks.n, mode)
     f1 = codebooks.f1.transpose(1, 0, 2)[None]  # kernel layout (1, K, M, n)
     f2 = codebooks.f2.transpose(1, 0, 2)[None]
-    counts = _pair_counts(_onehot(f1, mac.x1_size), _onehot(f2, mac.x2_size))
+    counts = _pair_counts(f1, f2, mac.x1_size, mac.x2_size)
     e, unmatched = fac.choose(counts, _stream(seed, _FACILITATOR, 0))
     return FacilitatorTable(
         e=e[0], mode=mode, unmatched=None if unmatched is None else unmatched[0]

@@ -758,9 +758,14 @@ class TestCountKernel:
         return f1.astype(np.uint8), f2.astype(np.uint8), y.astype(np.uint8)
 
     def kernel_parts(self, mac, f1, f2):
-        l1 = code_sim._onehot(f1.transpose(0, 2, 1, 3), mac.x1_size)
-        r2 = code_sim._onehot(f2.transpose(0, 2, 1, 3), mac.x2_size)
-        return l1, r2, code_sim._pair_counts(l1, r2)
+        """The words' one-hot forms and their pair counts, the same with and without them."""
+        w1, w2 = f1.transpose(0, 2, 1, 3), f2.transpose(0, 2, 1, 3)  # kernel layout (B, K, M, n)
+        l1 = code_sim._onehot(w1, mac.x1_size)
+        r2 = code_sim._onehot(w2, mac.x2_size)
+        counts = code_sim._pair_counts(w1, w2, mac.x1_size, mac.x2_size)
+        shared = code_sim._pair_counts(w1, w2, mac.x1_size, mac.x2_size, (l1, r2))
+        assert np.array_equal(shared, counts)
+        return l1, r2, counts
 
     def check_decode(self, mac, dist, n, mode, f1, f2, y, e, l1, r2):
         th = default_thresholds(mac, dist, n, self.M1, self.M2, self.K, mode)
@@ -843,6 +848,45 @@ class TestCountKernel:
         _, _, counts = self.kernel_parts(mac, f1, f2)
         e, _ = code_sim._ensemble(mac, dist, n, "iid")[1].choose(counts)
         assert np.all(e == 0)
+
+
+def _onehot_pair_counts(f1, f2, a1, a2):
+    """The full one-hot GEMM: N (B, M1, M2, K, A1*A2) of words (B, K, M1, n), (B, K, M2, n)."""
+    l1, r2 = code_sim._onehot(f1, a1), code_sim._onehot(f2, a2)
+    b, k, m1, _, n = l1.shape
+    m2 = f2.shape[2]
+    prod = l1.reshape(b, k, m1 * a1, n) @ r2.reshape(b, k, m2 * a2, n).swapaxes(-1, -2)
+    prod = prod.reshape(b, k, m1, a1, m2, a2).transpose(0, 2, 4, 1, 3, 5)
+    return prod.reshape(b, m1, m2, k, a1 * a2)
+
+
+def _words_lacking_symbols(rng, shape, size):
+    """uint8 words (..., n) in [0, size), each over a run of ``width`` <= size
+    consecutive symbols (mod size), so many words lack a symbol or are constant."""
+    width = rng.integers(1, size + 1, size=shape[:-1] + (1,))
+    shift = rng.integers(0, size, size=shape[:-1] + (1,))
+    return ((rng.integers(0, 2**16, size=shape) % width + shift) % size).astype(np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4]), st.sampled_from([2, 3, 4]),
+    st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_reduced_pair_counts_equal_the_onehot_gemm(a1, a2, m1, m2, k, n, seed):
+    rng = np.random.default_rng(seed)
+    b = 3
+    f1 = _words_lacking_symbols(rng, (b, k, m1, n), a1)
+    f2 = _words_lacking_symbols(rng, (b, k, m2, n), a2)
+    want = _onehot_pair_counts(f1, f2, a1, a2)
+    got = code_sim._pair_counts(f1, f2, a1, a2)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    onehots = (code_sim._onehot(f1, a1), code_sim._onehot(f2, a2))
+    assert np.array_equal(code_sim._pair_counts(f1, f2, a1, a2, onehots), want)
+    # the codebooks' (M, K, n) layout, as ``facilitate`` passes it
+    v1, v2 = (np.ascontiguousarray(f.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3) for f in (f1, f2))
+    assert np.array_equal(code_sim._pair_counts(v1, v2, a1, a2), want)
 
 
 def test_memory_stays_bounded_at_m64_n1000():
