@@ -65,7 +65,9 @@ for the seed, the stream family and the block index.  The seed's 32-bit
 words are zero-padded to four before the spawn key is appended, so distinct
 (seed, family, block) never give the same entropy, and the families
 (ensemble trials, bound samples, codebook draws, facilitator picks,
-fixed-code trials) never share a stream.  Uniforms keep 53 bits.  The block
+fixed-code trials) never share a stream.  A symbol of a dyadic law, one
+whose cumulative sums are all multiples of 1/256, is one raw byte; every
+other uniform keeps 53 bits.  The block
 size is a pure function of the configuration's per-trial footprint (for the
 bound, the per-sample count footprint ``_bound_sample_bytes``) and the byte
 budget ``_BLOCK_BYTES``, so results are bit-for-bit reproducible for a given
@@ -77,7 +79,10 @@ pair counts, from the stream it is given (the block's, or in ``facilitate``
 the facilitator family's, which iid mode builds too, so the seed is checked
 there as well).  Version 4 draws the bound family's samples as counts (the
 pair-type tables, then in type mode the facilitator's uniform, then the
-chosen pair's outputs); the other families draw as in version 3.
+chosen pair's outputs); the other families draw as in version 3.  Version 5
+draws the symbols of dyadic laws (uniform binary inputs, adder2's 0/1 output
+rows) from one raw byte each; type-class words, other laws and the bound
+family draw as in version 4.
 """
 from __future__ import annotations
 
@@ -105,7 +110,7 @@ from .channel import (
 )
 from .errors import DegenerateThresholds, ModeMismatch, NotAnNType, SizeMismatch
 
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 _BLOCK_BYTES = 64 * 2**20  # per-block working-set budget; sets the trials per block
 # Facilitator scores within this many ulps of n * max|i_bar|, per joint cell
@@ -282,11 +287,25 @@ def _sample(rng, shape, cdf, law=()):
     ``cdf`` is one law (A,) or a table (..., A) whose rows ``law`` indexes; one
     pass per threshold keeps every temporary at ``shape``.  The last sum is never
     compared, so a uniform that rounds past it still yields the last symbol.
+    When every compared sum of the table is a multiple of 1/256 (a dyadic law),
+    the uniform is one raw byte and the thresholds are the integers 256 * cdf:
+    P(byte >= t) = 1 - t/256 = 1 - cdf, so the law is exact.  The bytes are
+    the generator's raw 64-bit outputs read little-endian, eight symbols each;
+    the unused bytes of the last output are dropped.  Other laws draw 53-bit
+    float uniforms.
     """
-    u = rng.random(shape)
+    thresholds = cdf[..., :-1] * 256
+    if np.array_equal(thresholds, np.rint(thresholds)):
+        count = math.prod(shape)
+        raw = rng.bit_generator.random_raw(-(-count // 8)).astype("<u8", copy=False)
+        u = raw.view(np.uint8)[:count].reshape(shape)
+        thresholds = thresholds.astype(np.int16)  # 0..256: 256 is never reached
+    else:
+        u = rng.random(shape)
+        thresholds = cdf[..., :-1]
     words = np.zeros(shape, dtype=np.uint8)
-    for j in range(cdf.shape[-1] - 1):
-        words += u >= cdf[..., j][law]
+    for j in range(thresholds.shape[-1]):
+        words += u >= thresholds[..., j][law]
     return words
 
 
@@ -533,7 +552,13 @@ def _pair_chunk(rows: int, columns: int, pairs: int) -> int:
 
 
 def _trial_bytes(mac: Mac, n: int, m1: int, m2: int, k: int) -> int:
-    """Working set of one ensemble trial: draw, one-hot words, counts."""
+    """Working set of one ensemble trial: draw, one-hot words, counts.
+
+    The draw is charged a float64 uniform per symbol.  A dyadic law draws a
+    byte instead and the pair counts build no one-hot words unless the decode
+    GEMM needs them, so this is an upper bound; it is kept as it was because
+    it sets the trials per block, and so the stream.
+    """
     a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
     draw = k * n * (8 * max(m1, m2) + m1 + m2)
     onehot = 5 * k * n * (m1 * a1 * (1 + ny) + m2 * a2)

@@ -278,8 +278,8 @@ class TestThresholdDecodeMemo:
             code[1] = replace(table, e=(table.e + 1) % self.K)
         elif what == "thresholds":
             code[2] = replace(th, c12=math.inf)
-        elif mode == "iid":  # a JointDist, correlated, of the same marginals
-            code[4] = JointDist(np.array([[0.4, 0.1], [0.1, 0.4]]))
+        elif mode == "iid":  # a JointDist, strongly correlated, of the same marginals
+            code[4] = JointDist(np.array([[0.45, 0.05], [0.05, 0.45]]))
         else:
             code[4] = self.TYPES[1]
 
@@ -615,6 +615,60 @@ class TestSamplers:
         assert np.all(code_sim._sample(_ConstantRng(0.0), x.shape, output_cdf, (x, x)) == 0)
 
 
+class _AllBytesRng:
+    """Stub generator whose raw output bytes are 0, 1, ..., 255; it has no float uniforms."""
+
+    class bit_generator:
+        @staticmethod
+        def random_raw(size):
+            assert size == 32  # 256 bytes, eight to a 64-bit output
+            return np.arange(256, dtype=np.uint8).view("<u8")
+
+
+def _v4_sample(rng, shape, cdf, law=()):
+    """Stream version 4's sampler: one 53-bit uniform per symbol for every law."""
+    u = rng.random(shape)
+    return sum((u >= cdf[..., j][law]).astype(np.uint8) for j in range(cdf.shape[-1] - 1))
+
+
+class TestByteSampler:
+    """Dyadic laws draw one raw byte per symbol; the law is exact."""
+
+    @pytest.mark.parametrize("p", [(1 / 2, 1 / 2), (1 / 4, 3 / 4), (1 / 8, 1 / 8, 3 / 4)])
+    def test_every_byte_value_gives_the_exact_law(self, p):
+        words = code_sim._sample(_AllBytesRng(), (256,), np.cumsum(p))
+        assert words.dtype == np.uint8
+        assert np.bincount(words, minlength=len(p)).tolist() == [256 * q for q in p]
+
+    def test_adder2_rows_map_every_byte_to_the_kernel_symbol(self):
+        mac = adder2()
+        output_cdf = np.cumsum(mac.kernel, axis=-1)
+        for a1, a2 in itertools.product(range(2), repeat=2):
+            law = (np.full(256, a1, dtype=np.uint8), np.full(256, a2, dtype=np.uint8))
+            y = code_sim._sample(_AllBytesRng(), (256,), output_cdf, law)
+            assert np.all(y == a1 + a2)
+
+    def test_draws_one_byte_per_symbol(self):
+        got, want = (np.random.Generator(np.random.PCG64DXSM(3)) for _ in range(2))
+        code_sim._sample(got, (7, 5), np.cumsum([0.5, 0.5]))
+        want.bit_generator.random_raw(5)  # 35 bytes in whole 64-bit outputs
+        assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("law", ["0.3-0.7", "xor0.11"])
+    def test_other_laws_keep_the_v4_float_path(self, law):
+        got, want = (np.random.Generator(np.random.PCG64DXSM(5)) for _ in range(2))
+        shape = (40, 30)
+        if law == "xor0.11":
+            cdf = np.cumsum(xor_channel(0.11).kernel, axis=-1)
+            x = np.random.default_rng(1).integers(0, 2, size=(2,) + shape).astype(np.uint8)
+            rows = (x[0], x[1])
+        else:
+            cdf, rows = np.cumsum([0.3, 0.7]), ()
+        words = code_sim._sample(got, shape, cdf, rows)
+        assert np.array_equal(words, _v4_sample(want, shape, cdf, rows))
+        assert got.bit_generator.state == want.bit_generator.state
+
+
 class TestClopperPearson:
     @pytest.mark.parametrize("conf", [0.95, 0.99])
     def test_equals_the_beta_quantiles(self, conf):
@@ -678,7 +732,7 @@ class TestStreams:
             draw_codebooks(adder2(), UNIFORM, 4, 2, 2, 2, "iid", seed=seed)
 
     def test_stream_version(self):
-        assert code_sim.STREAM_VERSION == 4
+        assert code_sim.STREAM_VERSION == 5
 
 
 def _kernel_3x2x4():
@@ -973,7 +1027,7 @@ def _noisy_adder():
 
 
 class TestStreamGolden:
-    """Exact results of stream version 4 for fixed (config, seed).
+    """Exact results of stream version 5 for fixed (config, seed).
 
     Anything that moves the random streams (the generator or its keys, draw
     order, the samplers, or the trials per block set by ``_trial_bytes`` and
@@ -982,7 +1036,7 @@ class TestStreamGolden:
     ``PYTHONPATH=src python tests/stream_golden.py`` prints them.
     """
 
-    VERSION = 4
+    VERSION = 5
     # name: (config, trials per (ensemble, bound) block, errors,
     #        (threshold_miss, impostor_pass, ambiguity, type_miss),
     #        (bound samples, threshold fails, type-mode unmatched))
@@ -990,12 +1044,12 @@ class TestStreamGolden:
         "xor-iid-blocks": (
             dict(mac=xor_channel(0.11), dist=UNIFORM, n=60, m1_count=16, m2_count=16, k=4,
                  trials=600, seed=11),
-            (197, 91180), 6, (6, 0, 0, 0), (100_000, 1194, 0),
+            (197, 91180), 10, (10, 0, 0, 0), (100_000, 1194, 0),
         ),
         "noisy-adder-iid": (
             dict(mac=_noisy_adder(), dist=ProductDist(np.array([0.6, 0.4]), UNIFORM.p2), n=16,
                  m1_count=3, m2_count=2, k=3, trials=3000, seed=5),
-            (5801, 86480), 88, (70, 1, 17, 0), (100_000, 2257, 0),
+            (5801, 86480), 74, (58, 0, 16, 0), (100_000, 2257, 0),
         ),
         "noisy-adder-type": (
             dict(mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=4, m2_count=4, k=16,
@@ -1041,11 +1095,11 @@ class TestStreamGolden:
         cfg = SimConfig(**kw)
         cb = draw_codebooks(cfg.mac, cfg.dist, cfg.n, 3, 2, 3, "iid", seed=9)
         assert "".join(map(str, cb.f1[0, 0])) == "0100000000011100"
-        assert "".join(map(str, cb.f2[1, 2])) == "0101110110011110"
+        assert "".join(map(str, cb.f2[1, 2])) == "0100101000101010"
         table = facilitate(cb, cfg.mac, cfg.dist, "iid")
-        assert table.e.tolist() == [[2, 0], [1, 1], [0, 2]]
+        assert table.e.tolist() == [[1, 2], [2, 0], [2, 2]]
         rep = estimate_error_fixed_code(cb, table, replace(cfg, trials=2000))
-        assert (rep.errors, rep.decomposition["threshold_miss"]) == (47, 41)
+        assert (rep.errors, rep.decomposition["threshold_miss"]) == (69, 69)
         kw = self.CASES["noisy-adder-type"][0]
         cb = draw_codebooks(kw["mac"], kw["dist"], kw["n"], 2, 2, 8, "type", seed=9)
         table = facilitate(cb, kw["mac"], kw["dist"], "type", seed=4)
