@@ -67,8 +67,8 @@ words are zero-padded to four before the spawn key is appended, so distinct
 (ensemble trials, bound samples, codebook draws, facilitator picks,
 fixed-code trials) never share a stream.  A symbol of a dyadic law, one
 whose cumulative sums are all multiples of 1/256, is one raw byte; every
-other uniform keeps 53 bits.  The block
-size is a pure function of the configuration's per-trial footprint (for the
+other uniform keeps 53 bits.  The block size is a pure function of the
+configuration's per-trial footprint (for the
 bound, the per-sample count footprint ``_bound_sample_bytes``) and the byte
 budget ``_BLOCK_BYTES``, so results are bit-for-bit reproducible for a given
 (config, seed), independent of scheduling, and memory stays bounded.
