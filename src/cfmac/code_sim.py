@@ -352,13 +352,12 @@ def _reduced_rows(words, size, onehot=None):
     Binary words are their own indicator row.  Given the words' one-hot form
     (B, K, M, size, n), its rows 1.. are taken instead of built again.
     """
-    b, k, m, n = words.shape
-    if onehot is not None:
-        return onehot[:, :, :, 1:].reshape(b, k, m * (size - 1), n)
-    if size == 2:
+    if onehot is None and size == 2:
         return words.astype(np.float32)
-    rows = words[..., None, :] == np.arange(1, size, dtype=np.uint8)[:, None]
-    return rows.astype(np.float32).reshape(b, k, m * (size - 1), n)
+    if onehot is None:
+        onehot = _onehot(words, size)
+    b, k, m, n = words.shape
+    return onehot[:, :, :, 1:].reshape(b, k, m * (size - 1), n)
 
 
 def _pair_counts(f1, f2, a1, a2, onehots=(None, None)):
