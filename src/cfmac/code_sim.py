@@ -17,23 +17,24 @@ Joint-count kernel.  Every per-trial statistic is a linear function of
 joint-symbol counts: the facilitator score sum_i i_bar[x1_i, x2_i], the type
 match and the type check compare or contract the counts N[a1, a2] of a
 codeword pair, and the three decoding metrics contract the counts
-D[a1, y, a2] of (codeword pair, received word).  The facilitator needs the
-pair counts of every (m1, m2, k) at once.  One batched float32 matmul of the
-indicator rows of symbols 1..A-1 only, (K, M1*(A1-1), n) @ (K, n, M2*(A2-1)),
-gives N[a1, a2] for a1, a2 >= 1; a binary word is its own indicator row.
-Each word's symbol counts and n give the dropped row a1 = 0 and column
-a2 = 0.  The counts are integers below 2^24, so all of this is exact.  The
-decode counts are needed at the facilitated k = e(m1, m2) only.  Where
-M1*M2 < K*(M1 + M2) the (x1, y, x2) symbols of the M1*M2 facilitated words
-are counted directly; otherwise one GEMM with the (x1, y) one-hot on the left
-counts all K codewords and the counts at e are picked out, and the pair
-counts take their indicator rows from these full one-hot operands.  Both give
-the same exact integers, and the rule reads only the shape.  Table entries that
-are not finite (-inf at kernel zeros) are counted by separate indicator
-columns, so 0 * inf never arises.  The bound (M1 = M2 = 1) draws no symbols
-at all: it samples the K pair-type counts N_k and the chosen pair's
-(x1, y, x2) counts from their exact laws, multinomial and contingency-table
-draws, at a cost that does not grow with n.
+D[a1, y, a2] of (codeword pair, received word).  Every count is a popcount of
+ANDed bit planes: a word's plane for symbol a holds one bit per position, set
+where the word reads a, packed into W = ceil(n/64) uint64 words with the
+padding bits zero.  The facilitator needs the pair counts of every
+(m1, m2, k) at once; the planes of symbols 1..A-1 give N[a1, a2] for
+a1, a2 >= 1 (a binary word is its own plane), and each word's symbol counts
+and n give the row a1 = 0 and the column a2 = 0.  The decode counts are
+needed at the facilitated k = e(m1, m2) only: those words' planes are picked
+and ANDed with the planes of every symbol of the received word, and the cells
+with a1 = 0 or a2 = 0 follow from the counts of x1 AND y, of y AND x2 and of
+y.  The counts are exact integers, held in the smallest unsigned type that
+holds 64 * W (their differences, taken in that type, are exact too), and
+every shape takes this one path.  Table entries that are not finite (-inf
+at kernel zeros) are counted by separate indicator columns, so 0 * inf never
+arises.  The bound (M1 = M2 = 1) draws no symbols at all: it samples the K
+pair-type counts N_k and the chosen pair's (x1, y, x2) counts from their
+exact laws, multinomial and contingency-table draws, at a cost that does not
+grow with n.
 
 Fixed codes.  ``_fixed_code`` prepares a code once: its decoder, the
 facilitated words of every message pair and, in type mode, their type check.
@@ -341,66 +342,86 @@ def _construction(dist: InputDist, n: int, mode: str):
 # joint-count kernel; codewords are laid out (B, K, M, n)
 
 
-def _onehot(symbols, size, dtype=np.float32):
-    """(..., n) symbols -> (..., size, n) indicators."""
-    return (symbols[..., None, :] == np.arange(size, dtype=np.uint8)[:, None]).astype(dtype)
+def _planes(words, size, first=1):
+    """(..., n) uint8 words -> (W, size-first, ...) uint64 bit planes of symbols first..size-1.
 
-
-def _reduced_rows(words, size, onehot=None):
-    """(B, K, M, n) words -> (B, K, M*(size-1), n) float32 indicators of symbols 1..size-1.
-
-    Binary words are their own indicator row.  Given the words' one-hot form
-    (B, K, M, size, n), its rows 1.. are taken instead of built again.
+    Bit i of a word's plane for symbol a is set where the word reads a, and
+    the padding bits past n are zero.  The W = ceil(n/64) plane words lead the
+    shape, the symbols come next, so the counts of a cell are one long array.
+    A binary word is its own plane of symbol 1.
     """
-    if onehot is None and size == 2:
-        return words.astype(np.float32)
-    if onehot is None:
-        onehot = _onehot(words, size)
-    b, k, m, n = words.shape
-    return onehot[:, :, :, 1:].reshape(b, k, m * (size - 1), n)
+    bits = words[..., None, :]
+    if (first, size) != (1, 2):
+        bits = bits == np.arange(first, size, dtype=np.uint8)[:, None]
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    pad = -packed.shape[-1] % 8
+    if pad:
+        packed = np.concatenate([packed, np.zeros(packed.shape[:-1] + (pad,), np.uint8)], axis=-1)
+    return np.ascontiguousarray(np.moveaxis(packed.view(np.uint64), (-1, -2), (0, 1)))
 
 
-def _pair_counts(f1, f2, a1, a2, onehots=(None, None)):
-    """Words (B, K, M1, n) and (B, K, M2, n) -> N (B, M1, M2, K, A1*A2) float32.
+def _bit_count(words, w):
+    """Set bits summed over the w plane words that ``words`` yields one at a time,
+    so a product of planes never exists whole; exact in the smallest unsigned
+    type that holds 64 * w >= n, as are the differences of such counts."""
+    total = None
+    for word in words:
+        bits = np.bitwise_count(word)
+        if total is None:
+            total = bits.astype(np.min_scalar_type(64 * w), copy=False)
+        else:
+            total += bits
+    return total
 
-    One GEMM of the indicator rows of symbols 1.. gives N[a1, a2] for a1, a2 >= 1;
-    each word's symbol counts give row a1 = 0 and column a2 = 0, and n gives
-    N[0, 0].  All are integers below 2^24, so exact in float32.  ``onehots``
-    holds the words' one-hot forms where the caller has built them.
+
+def _pair_counts(p1, p2, n):
+    """Planes (W, A1-1, B, K, M1), (W, A2-1, B, K, M2) -> N (B, M1, M2, K, A1*A2) float64.
+
+    The popcounts of ANDed planes give N[a1, a2] for a1, a2 >= 1; each word's
+    symbol counts give row a1 = 0 and column a2 = 0, and n gives N[0, 0].
     """
-    b, k, m1, n = f1.shape
-    m2 = f2.shape[2]
-    r1 = _reduced_rows(f1, a1, onehots[0])
-    r2 = _reduced_rows(f2, a2, onehots[1])
-    inner = (r1 @ r2.swapaxes(-1, -2)).reshape(b, k, m1, a1 - 1, m2, a2 - 1)
-    inner = inner.transpose(0, 2, 4, 1, 3, 5)  # (B, M1, M2, K, A1-1, A2-1)
-    ones = np.ones(n, dtype=np.float32)  # a row sum as one GEMV is faster than sum()
-    c1 = (r1.reshape(-1, n) @ ones).reshape(b, k, m1, a1 - 1).transpose(0, 2, 1, 3)[:, :, None]
-    c2 = (r2.reshape(-1, n) @ ones).reshape(b, k, m2, a2 - 1).transpose(0, 2, 1, 3)[:, None]
-    out = np.empty((b, m1, m2, k, a1, a2), dtype=np.float32)
-    out[..., 1:, 1:] = inner
-    out[..., 1:, 0] = c1 - inner.sum(axis=-1)
-    out[..., 0, 1:] = c2 - inner.sum(axis=-2)
-    out[..., 0, 0] = n - c1.sum(axis=-1) - out[..., 0, 1:].sum(axis=-1)
-    return out.reshape(b, m1, m2, k, a1 * a2)
+    w, s1, b, k, m1 = p1.shape
+    s2, m2 = p2.shape[1], p2.shape[-1]
+    q1 = p1.transpose(0, 1, 2, 4, 3)[:, :, None, :, :, None]  # (W, A1-1, 1, B, M1, 1, K)
+    q2 = p2.transpose(0, 1, 2, 4, 3)[:, None, :, :, None]  # (W, 1, A2-1, B, 1, M2, K)
+    c1, c2 = _bit_count(q1[:, :, 0], w), _bit_count(q2[:, 0], w)  # symbol counts
+    dt = c1.dtype
+    out = np.empty((s1 + 1, s2 + 1, b, m1, m2, k), dtype=dt)  # cells first
+    out[1:, 1:] = _bit_count((q1[i] & q2[i] for i in range(w)), w)
+    out[1:, 0] = c1 - out[1:, 1:].sum(axis=1, dtype=dt)
+    out[0, 1:] = c2 - out[1:, 1:].sum(axis=0, dtype=dt)
+    out[0, 0] = n - c1.sum(axis=0, dtype=dt) - out[0, 1:].sum(axis=0, dtype=dt)
+    return _cells_last(out, (b, m1, m2, k))
 
 
-def _decode_counts(l1, r2, y1h, e):
-    """Counts D (B, M1, M2, A1*Y*A2) of (x1, y, x2) for codeword k = e[b, m1, m2]."""
-    b, k, m1, a1, n = l1.shape
-    m2, a2 = r2.shape[2:4]
-    ny = y1h.shape[1]
-    left = (l1[:, :, :, :, None, :] * y1h[:, None, None, None]).reshape(b, k, m1, a1 * ny, n)
-    # one GEMM per (trial, k, m1) keeps each product small enough for BLAS to
-    # run it on one thread: threaded small GEMMs stall when a core is busy
-    prod = (left @ r2.reshape(b, k, 1, m2 * a2, n).swapaxes(-1, -2)).reshape(
-        b, k, m1, a1 * ny, m2, a2
-    )
-    sel = prod[
-        np.arange(b)[:, None, None], e, np.arange(m1)[None, :, None], :,
-        np.arange(m2)[None, None, :], :,
-    ]  # advanced indices first: (B, M1, M2, A1*Y, A2)
-    return sel.reshape(b, m1, m2, a1 * ny * a2)
+def _cells_last(counts, shape):
+    """Counts (*cells, *shape) -> float64 (*shape, cells), C-ordered for the GEMMs."""
+    table = counts.reshape(-1, math.prod(shape)).T
+    return table.astype(np.float64, order="C").reshape(*shape, -1)
+
+
+def _decode_counts(p1, p2, py, e):
+    """Counts D (B, M1, M2, A1*Y*A2) float64 of (x1, y, x2) in the words k = e (B, M1, M2).
+
+    The codewords' planes at e, one row r per (b, m1, m2), are ANDed with the
+    planes ``py`` (W, Y, B) of every symbol of their trial's received word.
+    """
+    w, s1, b, k, m1 = p1.shape
+    s2, m2 = p2.shape[1], p2.shape[-1]
+    at_e = np.arange(b)[:, None, None] * k + e  # each r's row of (B, K)
+    r1, r2 = (at_e * m1 + np.arange(m1)[:, None]).ravel(), (at_e * m2 + np.arange(m2)).ravel()
+    x1 = np.take(p1.reshape(w, s1, b * k * m1), r1, axis=2)  # (W, A1-1, R)
+    x2 = np.take(p2.reshape(w, s2, b * k * m2), r2, axis=2)
+    y = np.repeat(py, m1 * m2, axis=2)  # (W, Y, R)
+    c1y = _bit_count((x1[i][:, None] & y[i] for i in range(w)), w)  # (A1-1, Y, R)
+    dt = c1y.dtype
+    d = np.empty((s1 + 1, y.shape[1], s2 + 1, y.shape[2]), dtype=dt)  # cells first
+    d[1:, :, 1:] = _bit_count(((x1[i][:, None] & y[i])[:, :, None] & x2[i] for i in range(w)), w)
+    d[1:, :, 0] = c1y - d[1:, :, 1:].sum(axis=2, dtype=dt)
+    c2y = _bit_count((y[i][:, None] & x2[i] for i in range(w)), w)  # (Y, A2-1, R)
+    d[0, :, 1:] = c2y - d[1:, :, 1:].sum(axis=0, dtype=dt)
+    d[0, :, 0] = _bit_count(y, w) - c1y.sum(axis=0, dtype=dt) - d[0, :, 1:].sum(axis=1, dtype=dt)
+    return _cells_last(d, (b, m1, m2))
 
 
 def _cell_codes(x1, x2, y, a1, a2, ny):
@@ -424,24 +445,6 @@ def _word_counts(x1, x2, y, a1, a2, ny):
     return np.bincount(code.ravel(), minlength=math.prod(shape)).reshape(shape)
 
 
-def _facilitated_counts(f1, f2, y, e, a1, a2, ny):
-    """Counts D (B, M1, M2, A1*Y*A2) of (x1, y, x2) in the words f1[b, e, m1], f2[b, e, m2]."""
-    bb = np.arange(len(e))[:, None, None]
-    x1 = f1[bb, e, np.arange(e.shape[1])[:, None]]  # (B, M1, M2, n)
-    x2 = f2[bb, e, np.arange(e.shape[2])]
-    return _word_counts(x1, x2, y[:, None, None], a1, a2, ny)
-
-
-def _counts_directly(m1, m2, k) -> bool:
-    """Count the facilitated words' symbols directly rather than by the all-K GEMM.
-
-    The direct count touches M1*M2 words per trial, the GEMM's one-hot
-    operands K*(M1 + M2); the shape alone decides, so the counts (exact
-    integers either way) never depend on the data.
-    """
-    return m1 * m2 < k * (m1 + m2)
-
-
 @dataclass(frozen=True)
 class _Facilitator:
     """Score argmax (iid) or type match (type) on pair counts."""
@@ -458,7 +461,7 @@ class _Facilitator:
         draws nothing, and ``rng`` may be None.
         """
         if self.target is None:
-            scores = counts.astype(np.float64) @ self.i_bar
+            scores = np.asarray(counts, dtype=np.float64) @ self.i_bar
             best = scores.max(axis=-1, keepdims=True)
             return (scores >= best - self.tol).argmax(axis=-1), None
         matched = (counts == self.target).all(axis=-1)
@@ -553,10 +556,9 @@ def _pair_chunk(rows: int, columns: int, pairs: int) -> int:
 def _trial_bytes(mac: Mac, n: int, m1: int, m2: int, k: int) -> int:
     """Working set of one ensemble trial: draw, one-hot words, counts.
 
-    The draw is charged a float64 uniform per symbol.  A dyadic law draws a
-    byte instead and the pair counts build no one-hot words unless the decode
-    GEMM needs them, so this is an upper bound; it is kept as it was because
-    it sets the trials per block, and so the stream.
+    An upper bound, kept as it was because it sets the trials per block, and
+    so the stream: a dyadic law draws a byte per symbol, not a float64, and
+    the count kernel's bit planes take 1/64 byte per symbol, not float32s.
     """
     a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
     draw = k * n * (8 * max(m1, m2) + m1 + m2)
@@ -575,10 +577,8 @@ def _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec):
     a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
     f1 = samplers[0](rng, (b, k, m1c, n))
     f2 = samplers[1](rng, (b, k, m2c, n))
-    directly = _counts_directly(m1c, m2c, k)
-    # the all-K decode GEMM needs the full one-hot words; the pair counts share them
-    onehots = (None, None) if directly else (_onehot(f1, a1), _onehot(f2, a2))
-    e, unmatched = fac.choose(_pair_counts(f1, f2, a1, a2, onehots), rng)
+    p1, p2 = _planes(f1, a1), _planes(f2, a2)
+    e, unmatched = fac.choose(_pair_counts(p1, p2, n), rng)
 
     msg1 = rng.integers(0, m1c, size=b)
     msg2 = rng.integers(0, m2c, size=b)
@@ -587,12 +587,9 @@ def _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec):
     x1, x2 = f1[bb, k_sent, msg1], f2[bb, k_sent, msg2]
     y = _sample(rng, x1.shape, dec.output_cdf, (x1, x2))
 
-    if directly:
-        z = _facilitated_counts(f1, f2, y, e, a1, a2, ny)
-    else:
-        z = _decode_counts(*onehots, _onehot(y, ny), e)
+    z = _decode_counts(p1, p2, _planes(y, ny, first=0), e)
     in_type = None if unmatched is None else ~unmatched
-    return dec.passes(z.astype(np.float64) @ dec.weights), in_type, msg1, msg2
+    return dec.passes(z @ dec.weights), in_type, msg1, msg2
 
 
 def _tally_block(tally, passes, in_type, msg1, msg2) -> int:
@@ -749,10 +746,9 @@ def facilitate(
             f"facilitator mode {mode!r} does not match codebook mode {codebooks.mode!r}"
         )
     _, fac = _ensemble(mac, dist, codebooks.n, mode)
-    f1 = codebooks.f1.transpose(1, 0, 2)[None]  # kernel layout (1, K, M, n)
-    f2 = codebooks.f2.transpose(1, 0, 2)[None]
-    counts = _pair_counts(f1, f2, mac.x1_size, mac.x2_size)
-    e, unmatched = fac.choose(counts, _stream(seed, _FACILITATOR, 0))
+    p1 = _planes(codebooks.f1.transpose(1, 0, 2)[None], mac.x1_size)  # kernel layout (1, K, M, n)
+    p2 = _planes(codebooks.f2.transpose(1, 0, 2)[None], mac.x2_size)
+    e, unmatched = fac.choose(_pair_counts(p1, p2, codebooks.n), _stream(seed, _FACILITATOR, 0))
     return FacilitatorTable(
         e=e[0], mode=mode, unmatched=None if unmatched is None else unmatched[0]
     )
@@ -962,7 +958,8 @@ def estimate_error_fixed_code(
         msg1 = rng.integers(0, m1c, size=b)
         msg2 = rng.integers(0, m2c, size=b)
         y = _sample(rng, (b, n), dec.output_cdf, (code.x1[msg1, msg2], code.x2[msg1, msg2]))
-        y1h = _onehot(y, mac.y_size, np.float64).reshape(b, -1)
+        onehot = y[:, None] == np.arange(mac.y_size, dtype=np.uint8)[:, None]  # (B, Y, n)
+        y1h = onehot.reshape(b, -1).astype(np.float64)
         passes = np.empty((b, pairs), dtype=bool)
         for start in range(0, pairs, chunk):
             part = slice(start, start + chunk)

@@ -1,7 +1,8 @@
 """Gather-based reference for the simulator's joint-count kernel.
 
-Computes the facilitator choice, the type checks and the three decoding
-metrics the direct way: index the density tables with the codeword symbols
+Computes the facilitator choice, the type checks, the three decoding metrics
+and the joint-symbol counts behind them the direct way: index the density
+tables with the codeword symbols, or compare the symbols with each cell's,
 over (B, M1, M2, K, n) and sum along the blocklength.  Memory grows with
 B*M1*M2*K*n, so it serves only small cases; the tests compare the kernel in
 ``cfmac.code_sim`` against it.
@@ -31,15 +32,16 @@ def score_argmax(i_bar, f1, f2):
     return (scores >= scores.max(axis=-1, keepdims=True) - tol).argmax(axis=-1)
 
 
+def pair_counts(f1, f2, a1, a2):
+    """Joint counts (B, M1, M2, K, A1*A2) of the pairs of f1 (B, M1, K, n) and f2 (B, M2, K, n)."""
+    x1, x2 = f1[:, :, None], f2[:, None, :]
+    cells = [((x1 == i) & (x2 == j)).sum(axis=-1) for i in range(a1) for j in range(a2)]
+    return np.stack(cells, axis=-1)
+
+
 def joint_type_match(f1, f2, target):
     """Whether each (B, M1, M2, K) pair has joint-type counts ``target`` (A1, A2)."""
-    x1 = f1[:, :, None].astype(np.int64)
-    x2 = f2[:, None, :].astype(np.int64)
-    match = np.ones(np.broadcast_shapes(x1.shape, x2.shape)[:-1], dtype=bool)
-    for a1 in range(target.shape[0]):
-        for a2 in range(target.shape[1]):
-            match &= ((x1 == a1) & (x2 == a2)).sum(axis=-1) == target[a1, a2]
-    return match
+    return (pair_counts(f1, f2, *target.shape) == target.ravel()).all(axis=-1)
 
 
 def selected_words(f1, f2, e):
@@ -50,6 +52,16 @@ def selected_words(f1, f2, e):
     x1 = f1[bb, np.arange(m1)[None, :, None], e]
     x2 = f2[bb, np.arange(m2)[None, None, :], e]
     return x1, x2
+
+
+def decode_counts(x1, x2, y, a1, ny, a2):
+    """Counts (B, M1, M2, A1*Y*A2) of (x1, y, x2) in words x1, x2 (B, M1, M2, n) and y (B, n)."""
+    yy = y[:, None, None]
+    cells = [
+        ((x1 == i) & (yy == j) & (x2 == l)).sum(axis=-1)
+        for i in range(a1) for j in range(ny) for l in range(a2)
+    ]
+    return np.stack(cells, axis=-1)
 
 
 def decode_metrics(tables, x1, x2, y):

@@ -228,18 +228,28 @@ class TestThresholdDecode:
         assert decoded is None and reason == "none-pass"
 
 
+def _facilitated(cb, table):
+    """The facilitated words x1, x2 (M1, M2, n) of a fixed code."""
+    m1, m2 = table.e.shape
+    return cb.f1[np.arange(m1)[:, None], table.e], cb.f2[np.arange(m2)[None, :], table.e]
+
+
+def _pair_metrics(y, cb, table, th, mac, dist):
+    """A freshly built decoder and its weighted counts (M1, M2, columns) of word y."""
+    dec = code_sim._Decoder.build(mac, dist, th)
+    sizes = (mac.x1_size, mac.x2_size, mac.y_size)
+    z = code_sim._word_counts(*_facilitated(cb, table), np.asarray(y, dtype=np.int64), *sizes)
+    return dec, z.astype(np.float64) @ dec.weights
+
+
 def _decode_from_scratch(y, cb, table, th, mac, dist):
     """threshold_decode by ``_word_counts`` and a freshly built decoder, no memo."""
-    dec = code_sim._Decoder.build(mac, dist, th)
-    m1, m2 = table.e.shape
-    x1 = cb.f1[np.arange(m1)[:, None], table.e]
-    x2 = cb.f2[np.arange(m2)[None, :], table.e]
-    sizes = (mac.x1_size, mac.x2_size, mac.y_size)
-    z = code_sim._word_counts(x1, x2, np.asarray(y, dtype=np.int64), *sizes)
-    passes = dec.passes(z.astype(np.float64) @ dec.weights)
+    dec, z = _pair_metrics(y, cb, table, th, mac, dist)
+    passes = dec.passes(z)
     if cb.mode == "type":
         target = code_sim._type_counts(dist, cb.n).ravel()
-        passes &= (code_sim._word_counts(x1, x2, 0, *sizes[:2], 1) == target).all(axis=-1)
+        counts = code_sim._word_counts(*_facilitated(cb, table), 0, mac.x1_size, mac.x2_size, 1)
+        passes &= (counts == target).all(axis=-1)
     hits = np.argwhere(passes)
     if len(hits) == 1:
         return (int(hits[0][0]), int(hits[0][1])), "decoded"
@@ -261,14 +271,35 @@ class TestThresholdDecodeMemo:
         cb = draw_codebooks(mac, dist, self.N, self.M, self.M, self.K, mode, seed=seed)
         return [cb, facilitate(cb, mac, dist, mode, seed=seed), self.TH, mac, dist]
 
+    def sent(self, rng, cb, table, mac, m1, m2):
+        """Message pair (m1, m2)'s words sent through the channel."""
+        k = table.e[m1, m2]
+        cdf = np.cumsum(mac.kernel, axis=-1)[cb.f1[m1, k], cb.f2[m2, k]]
+        return (rng.random(self.N)[:, None] >= cdf[:, :-1]).sum(-1)
+
     def words(self, cb, table, mac):
         """Each message pair's words sent through the channel, then uniform words."""
         rng = np.random.default_rng(8)
-        cdf = np.cumsum(mac.kernel, axis=-1)
         for m1, m2 in np.ndindex(table.e.shape):
-            k = table.e[m1, m2]
-            yield (rng.random(self.N)[:, None] >= cdf[cb.f1[m1, k], cb.f2[m2, k]][:, :-1]).sum(-1)
+            yield self.sent(rng, cb, table, mac, m1, m2)
         yield from rng.integers(0, mac.y_size, size=(6, self.N))
+
+    def near_thresholds(self, code, count=15):
+        """The ``count`` distinct channel outputs whose d1 or d2 sits nearest c1 or c2 at
+        a facilitated pair that passes c12, so that a changed code flips several."""
+        cb, table, th, mac, _ = code
+        rng = np.random.default_rng(9)
+        pairs = np.ndindex(table.e.shape)
+        outputs = [self.sent(rng, cb, table, mac, *pair) for pair in pairs for _ in range(50)]
+        words = np.unique(outputs, axis=0)
+
+        def gap(y):
+            _, z = _pair_metrics(y, *code)
+            near = np.abs(np.min(z[..., 1:3] - [th.c1, th.c2], axis=-1))
+            finite = (z[..., 3:] == 0).all(axis=-1)  # no infinite term decides the pair
+            return np.where(finite & (z[..., 0] >= th.c12), near, np.inf).min()
+
+        return list(words[np.argsort([gap(y) for y in words], kind="stable")[:count]])
 
     def change(self, what, mode, code):
         cb, table, th, mac, dist = code
@@ -287,7 +318,7 @@ class TestThresholdDecodeMemo:
     @pytest.mark.parametrize("mode", ["iid", "type"])
     def test_a_changed_code_is_decoded_afresh(self, mode, what):
         code = self.code(mode)
-        words = list(self.words(*code[:2], code[3]))
+        words = list(self.words(*code[:2], code[3])) + self.near_thresholds(code)
         before = [threshold_decode(y, *code) for y in words]
         assert before == [_decode_from_scratch(y, *code) for y in words]
         self.change(what, mode, code)
@@ -812,20 +843,22 @@ class TestCountKernel:
         return f1.astype(np.uint8), f2.astype(np.uint8), y.astype(np.uint8)
 
     def kernel_parts(self, mac, f1, f2):
-        """The words' one-hot forms and their pair counts, the same with and without them."""
+        """The words' bit planes and their pair counts, checked against the gather reference."""
         w1, w2 = f1.transpose(0, 2, 1, 3), f2.transpose(0, 2, 1, 3)  # kernel layout (B, K, M, n)
-        l1 = code_sim._onehot(w1, mac.x1_size)
-        r2 = code_sim._onehot(w2, mac.x2_size)
-        counts = code_sim._pair_counts(w1, w2, mac.x1_size, mac.x2_size)
-        shared = code_sim._pair_counts(w1, w2, mac.x1_size, mac.x2_size, (l1, r2))
-        assert np.array_equal(shared, counts)
-        return l1, r2, counts
+        p1, p2 = code_sim._planes(w1, mac.x1_size), code_sim._planes(w2, mac.x2_size)
+        counts = code_sim._pair_counts(p1, p2, f1.shape[-1])
+        want = gather_reference.pair_counts(f1, f2, mac.x1_size, mac.x2_size)
+        assert np.array_equal(counts, want)
+        return p1, p2, counts
 
-    def check_decode(self, mac, dist, n, mode, f1, f2, y, e, l1, r2):
+    def decode_counts(self, mac, p1, p2, y, e):
+        return code_sim._decode_counts(p1, p2, code_sim._planes(y, mac.y_size, first=0), e)
+
+    def check_decode(self, mac, dist, n, mode, f1, f2, y, e, p1, p2):
         th = default_thresholds(mac, dist, n, self.M1, self.M2, self.K, mode)
         dec = code_sim._Decoder.build(mac, dist, th)
-        z = code_sim._decode_counts(l1, r2, code_sim._onehot(y, mac.y_size), e)
-        got = _summed_metrics(dec, z.astype(np.float64) @ dec.weights)
+        z = self.decode_counts(mac, p1, p2, y, e)
+        got = _summed_metrics(dec, z @ dec.weights)
         x1, x2 = gather_reference.selected_words(f1, f2, e)
         tables = gather_reference.decode_tables(mac, dist, th.units)
         want = np.stack(gather_reference.decode_metrics(tables, x1, x2, y), axis=-1)
@@ -849,11 +882,11 @@ class TestCountKernel:
         saw_neg_inf = False
         for seed in range(5):
             f1, f2, y = self.draw(mac, dist, n, "iid", seed)
-            l1, r2, counts = self.kernel_parts(mac, f1, f2)
+            p1, p2, counts = self.kernel_parts(mac, f1, f2)
             e, unmatched = fac.choose(counts)
             assert unmatched is None
             assert np.array_equal(e, gather_reference.score_argmax(i_bar, f1, f2))
-            saw_neg_inf |= self.check_decode(mac, dist, n, "iid", f1, f2, y, e, l1, r2)
+            saw_neg_inf |= self.check_decode(mac, dist, n, "iid", f1, f2, y, e, p1, p2)
         assert saw_neg_inf == (case != "xor0.11")  # xor:0.11 has no kernel zeros
 
     @pytest.mark.parametrize("case", sorted(_TYPE_CASES))
@@ -863,16 +896,15 @@ class TestCountKernel:
         target = np.rint(dist.p12 * n).astype(int)
         for seed in range(5):
             f1, f2, y = self.draw(mac, dist, n, "type", seed)
-            l1, r2, counts = self.kernel_parts(mac, f1, f2)
+            p1, p2, counts = self.kernel_parts(mac, f1, f2)
             e, unmatched = fac.choose(counts, np.random.default_rng(seed))
             matched = gather_reference.joint_type_match(f1, f2, target)
             assert np.array_equal(unmatched, ~matched.any(axis=-1))
             chosen = np.take_along_axis(matched, e[..., None], axis=-1)[..., 0]
             assert np.array_equal(chosen, ~unmatched)
-            self.check_decode(mac, dist, n, "type", f1, f2, y, e, l1, r2)
+            self.check_decode(mac, dist, n, "type", f1, f2, y, e, p1, p2)
 
-    # (M1, M2, K): the first three count the facilitated words directly
-    # (M1 * M2 < K * (M1 + M2)), the others take the all-K decode-count GEMM
+    # (M1, M2, K) from one message pair and K = 1 up to M1 = M2 = 16
     @pytest.mark.parametrize(
         "shape", [(3, 2, 4), (5, 3, 2), (1, 1, 1), (4, 4, 1), (4, 4, 2), (16, 16, 4)],
         ids=lambda shape: "m{}-m{}-k{}".format(*shape),
@@ -880,18 +912,16 @@ class TestCountKernel:
     @pytest.mark.parametrize("mode, case", [(m, c) for m in ("iid", "type") for c in sorted(_IID_CASES)])
     def test_direct_count_equals_decode_counts(self, mode, case, shape):
         mac, dist, n = (_IID_CASES if mode == "iid" else _TYPE_CASES)[case]
-        m1, m2, k = shape
-        assert code_sim._counts_directly(m1, m2, k) == (shape in [(3, 2, 4), (5, 3, 2), (1, 1, 1)])
+        m1, m2, _ = shape
         fac = code_sim._ensemble(mac, dist, n, mode)[1]
-        sizes = (mac.x1_size, mac.x2_size, mac.y_size)
+        sizes = (mac.x1_size, mac.y_size, mac.x2_size)
         for seed in range(3):
             f1, f2, y = self.draw(mac, dist, n, mode, seed, shape)
-            l1, r2, counts = self.kernel_parts(mac, f1, f2)
+            p1, p2, counts = self.kernel_parts(mac, f1, f2)
             e, _ = fac.choose(counts, np.random.default_rng(seed))
-            want = code_sim._decode_counts(l1, r2, code_sim._onehot(y, mac.y_size), e)
-            got = code_sim._facilitated_counts(
-                f1.transpose(0, 2, 1, 3), f2.transpose(0, 2, 1, 3), y, e, *sizes
-            )
+            x1, x2 = gather_reference.selected_words(f1, f2, e)
+            want = gather_reference.decode_counts(x1, x2, y, *sizes)
+            got = self.decode_counts(mac, p1, p2, y, e)
             assert got.shape == want.shape == (self.B, m1, m2, np.prod(sizes))
             assert np.array_equal(got, want)
 
@@ -904,16 +934,6 @@ class TestCountKernel:
         assert np.all(e == 0)
 
 
-def _onehot_pair_counts(f1, f2, a1, a2):
-    """The full one-hot GEMM: N (B, M1, M2, K, A1*A2) of words (B, K, M1, n), (B, K, M2, n)."""
-    l1, r2 = code_sim._onehot(f1, a1), code_sim._onehot(f2, a2)
-    b, k, m1, _, n = l1.shape
-    m2 = f2.shape[2]
-    prod = l1.reshape(b, k, m1 * a1, n) @ r2.reshape(b, k, m2 * a2, n).swapaxes(-1, -2)
-    prod = prod.reshape(b, k, m1, a1, m2, a2).transpose(0, 2, 4, 1, 3, 5)
-    return prod.reshape(b, m1, m2, k, a1 * a2)
-
-
 def _words_lacking_symbols(rng, shape, size):
     """uint8 words (..., n) in [0, size), each over a run of ``width`` <= size
     consecutive symbols (mod size), so many words lack a symbol or are constant."""
@@ -924,23 +944,29 @@ def _words_lacking_symbols(rng, shape, size):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([2, 3, 4]), st.sampled_from([2, 3, 4]),
-    st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(1, 40),
-    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3, 4]), st.sampled_from([2, 3, 4]), st.integers(2, 5),
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+    st.sampled_from([1, 63, 64, 65, 129]), st.integers(0, 2**32 - 1),
 )
-def test_reduced_pair_counts_equal_the_onehot_gemm(a1, a2, m1, m2, k, n, seed):
+def test_plane_counts_equal_the_gather_reference(a1, a2, ny, m1, m2, k, n, seed):
     rng = np.random.default_rng(seed)
-    b = 3
-    f1 = _words_lacking_symbols(rng, (b, k, m1, n), a1)
+    b = 2
+    f1 = _words_lacking_symbols(rng, (b, k, m1, n), a1)  # kernel layout (B, K, M, n)
     f2 = _words_lacking_symbols(rng, (b, k, m2, n), a2)
-    want = _onehot_pair_counts(f1, f2, a1, a2)
-    got = code_sim._pair_counts(f1, f2, a1, a2)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    onehots = (code_sim._onehot(f1, a1), code_sim._onehot(f2, a2))
-    assert np.array_equal(code_sim._pair_counts(f1, f2, a1, a2, onehots), want)
+    y = _words_lacking_symbols(rng, (b, n), ny)
+    g1, g2 = f1.transpose(0, 2, 1, 3), f2.transpose(0, 2, 1, 3)  # reference layout (B, M, K, n)
+    p1, p2 = code_sim._planes(f1, a1), code_sim._planes(f2, a2)
+    want = gather_reference.pair_counts(g1, g2, a1, a2)
+    assert np.array_equal(code_sim._pair_counts(p1, p2, n), want)
     # the codebooks' (M, K, n) layout, as ``facilitate`` passes it
-    v1, v2 = (np.ascontiguousarray(f.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3) for f in (f1, f2))
-    assert np.array_equal(code_sim._pair_counts(v1, v2, a1, a2), want)
+    v1, v2 = (np.ascontiguousarray(g).transpose(0, 2, 1, 3) for g in (g1, g2))
+    planes = code_sim._planes(v1, a1), code_sim._planes(v2, a2)
+    assert np.array_equal(code_sim._pair_counts(*planes, n), want)
+    # the decode counts at any choice of k, not only the facilitator's
+    e = rng.integers(0, k, size=(b, m1, m2))
+    x1, x2 = gather_reference.selected_words(g1, g2, e)
+    got = code_sim._decode_counts(p1, p2, code_sim._planes(y, ny, first=0), e)
+    assert np.array_equal(got, gather_reference.decode_counts(x1, x2, y, a1, ny, a2))
 
 
 def test_memory_stays_bounded_at_m64_n1000():
@@ -964,15 +990,12 @@ def test_memory_stays_bounded_at_m64_n1000():
 
 
 def test_memory_stays_bounded_where_facilitated_words_are_counted_directly():
-    # M1 * M2 = 49 < K * (M1 + M2) = 56: the largest M1 = M2 at K = 4 that
-    # counts the facilitated words directly; 40 trials fill one block and start
-    # a second
+    # M1 = M2 = 7, K = 4 at n = 1000: 40 trials fill one block and start a second
     bound_mb = code_sim._BLOCK_BYTES / 2**20
     cfg = SimConfig(
         mac=adder2(), dist=UNIFORM, n=1000, m1_count=7, m2_count=7, k=4,
         mode="iid", trials=40, seed=3,
     )
-    assert code_sim._counts_directly(7, 7, 4) and not code_sim._counts_directly(8, 8, 4)
     assert code_sim._BLOCK_BYTES // code_sim._trial_bytes(cfg.mac, 1000, 7, 7, 4) < cfg.trials
     tracemalloc.start()
     try:
