@@ -253,8 +253,8 @@ def delta(
     a_nats = a * _nats_per_unit(units)
     kernel = mac.kernel
     best_p = capacity.argmax_dists[0].joint()
-    if a == 0:  # only product laws meet a zero budget: the maximizer is optimal
-        return DeltaPoint(a, 0.0, JointDist(best_p), _mi_12_nats(best_p) * scale, units)
+    if a == 0:  # only product laws meet a zero budget: the maximizer, of I(X1;X2) = 0, is optimal
+        return DeltaPoint(a, 0.0, JointDist(best_p), 0.0, units)
 
     starts: list[np.ndarray] = []
     for base in capacity.argmax_dists:

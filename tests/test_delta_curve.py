@@ -200,9 +200,10 @@ class TestDeltaProperties:
                 assert val == pytest.approx(mi - cap.c_sum, abs=4 * math.ulp(cap.c_sum)), label
             assert vals[0] == 0.0, label
             assert min(vals) >= 0.0, (label, vals)
-            # for a > 0 every returned law meets its budget exactly, in nats
-            # (the bits value may round an ulp past a); a = 0 returns the
-            # product maximizer, whose input MI is 0 up to rounding
+            # a = 0 returns the product maximizer and reports its input MI as
+            # exactly 0; for a > 0 every returned law meets its budget exactly,
+            # in nats (the bits value may round an ulp past a)
+            assert PROPERTY_GRID[0] == 0 and points[0].achieved_mi_budget == 0.0, label
             for a, p in zip(PROPERTY_GRID[1:], points[1:]):
                 a_nats = a * _nats_per_unit(units)
                 assert _mi_12_nats(p.argmax_joint.p12) <= a_nats, (label, a)
