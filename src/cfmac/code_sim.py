@@ -348,16 +348,17 @@ def _planes(words, size, first=1):
     Bit i of a word's plane for symbol a is set where the word reads a, and
     the padding bits past n are zero.  The W = ceil(n/64) plane words lead the
     shape, the symbols come next, so the counts of a cell are one long array.
-    A binary word is its own plane of symbol 1.
+    The indicators are padded to whole plane words first, so that one flat
+    ``packbits`` packs them all.
     """
-    bits = words[..., None, :]
-    if (first, size) != (1, 2):
-        bits = bits == np.arange(first, size, dtype=np.uint8)[:, None]
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    pad = -packed.shape[-1] % 8
-    if pad:
-        packed = np.concatenate([packed, np.zeros(packed.shape[:-1] + (pad,), np.uint8)], axis=-1)
-    return np.ascontiguousarray(np.moveaxis(packed.view(np.uint64), (-1, -2), (0, 1)))
+    *lead, n = words.shape
+    w = -(-n // 64)
+    symbols = np.arange(first, size, dtype=np.uint8)[:, None]
+    bits = np.zeros((*lead, len(symbols), 64 * w), dtype=bool)
+    np.equal(words[..., None, :], symbols, out=bits[..., :n])
+    packed = np.packbits(bits.reshape(-1), bitorder="little").view(np.uint64)
+    planes = packed.reshape(*lead, len(symbols), w)
+    return np.ascontiguousarray(np.moveaxis(planes, (-1, -2), (0, 1)))
 
 
 def _bit_count(words, w):
