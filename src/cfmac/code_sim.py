@@ -18,23 +18,19 @@ joint-symbol counts: the facilitator score sum_i i_bar[x1_i, x2_i], the type
 match and the type check compare or contract the counts N[a1, a2] of a
 codeword pair, and the three decoding metrics contract the counts
 D[a1, y, a2] of (codeword pair, received word).  Every count is a popcount of
-ANDed bit planes: a word's plane for symbol a holds one bit per position, set
-where the word reads a, packed into W = ceil(n/64) uint64 words with the
-padding bits zero.  The facilitator needs the pair counts of every
-(m1, m2, k) at once; the planes of symbols 1..A-1 give N[a1, a2] for
-a1, a2 >= 1 (a binary word is its own plane), and each word's symbol counts
-and n give the row a1 = 0 and the column a2 = 0.  The decode counts are
-needed at the facilitated k = e(m1, m2) only: those words' planes are picked
-and ANDed with the planes of every symbol of the received word, and the cells
-with a1 = 0 or a2 = 0 follow from the counts of x1 AND y, of y AND x2 and of
-y.  The counts are exact integers, held in the smallest unsigned type that
-holds 64 * W (their differences, taken in that type, are exact too), and
-every shape takes this one path.  Table entries that are not finite (-inf
-at kernel zeros) are counted by separate indicator columns, so 0 * inf never
-arises.  The bound (M1 = M2 = 1) draws no symbols at all: it samples the K
-pair-type counts N_k and the chosen pair's (x1, y, x2) counts from their
-exact laws, multinomial and contingency-table draws, at a cost that does not
-grow with n.
+ANDed bit planes, one bit per position and symbol, packed into W = ceil(n/64)
+uint64 words.  The pair counts of every (m1, m2, k) AND the planes of symbols
+1..A-1 (a binary word is its own plane); each word's symbol counts and n give
+the row a1 = 0 and the column a2 = 0.  The decode counts are formed at the
+facilitated k = e(m1, m2) only, from those words' planes ANDed with the
+received word's, and their cells with a1 = 0 or a2 = 0 by difference.  The
+counts are exact integers in the smallest unsigned type that holds 64 * W,
+and every shape takes this one path.  Table entries that are not finite
+(-inf at kernel zeros) are counted by separate indicator columns, so
+0 * inf never arises.  The bound (M1 = M2 = 1) draws no symbols at all: it
+samples the K pair-type counts N_k and the chosen pair's (x1, y, x2) counts
+from their exact laws, multinomial and contingency-table draws, at a cost
+that does not grow with n.
 
 Fixed codes.  ``_fixed_code`` prepares a code once: its decoder, the
 facilitated words of every message pair and, in type mode, their type check.
@@ -311,9 +307,16 @@ def _sample(rng, shape, cdf, law=()):
 
 
 def _draw_type(rng, shape, base):
-    # a uniform arrangement of the type's base word: ranks of uniform keys
-    # (distinct keys have one sorted order, so the sort algorithm is free)
-    return base[np.argsort(rng.random(shape), axis=-1)]
+    # a uniform arrangement of the type's base word: ranks of uniform keys (distinct
+    # keys have one sorted order, so the sort algorithm is free), in chunks of about
+    # 2^16 keys: one draw's stream, with temporaries that stay in cache and heap
+    words = np.empty(shape, dtype=np.uint8)
+    rows = words.reshape(-1, shape[-1])
+    step = max(1, 2**16 // shape[-1])
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        part[...] = base[np.argsort(rng.random(part.shape), axis=-1)]
+    return words
 
 
 def _require_uint8(mac: Mac) -> None:
@@ -345,11 +348,10 @@ def _construction(dist: InputDist, n: int, mode: str):
 def _planes(words, size, first=1):
     """(..., n) uint8 words -> (W, size-first, ...) uint64 bit planes of symbols first..size-1.
 
-    Bit i of a word's plane for symbol a is set where the word reads a, and
-    the padding bits past n are zero.  The W = ceil(n/64) plane words lead the
-    shape, the symbols come next, so the counts of a cell are one long array.
-    The indicators are padded to whole plane words first, so that one flat
-    ``packbits`` packs them all.
+    Bit i of a word's plane for symbol a is set where the word reads a; the bits
+    past n are zero.  The W = ceil(n/64) plane words lead, then the symbols, so
+    a cell's counts are one long array.  The indicators are padded to whole
+    plane words first, so that one flat ``packbits`` packs them all.
     """
     *lead, n = words.shape
     w = -(-n // 64)
