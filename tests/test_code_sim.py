@@ -973,7 +973,7 @@ def test_memory_stays_bounded_at_m64_n1000():
     # The former (B, M1, M2, K, n) float64 score gather alone would take
     # 64 * 64 * 4 * 1000 * 8 B = 131 MB per trial.  The kernel keeps a block's
     # working set within the module's byte budget (64 MB) whatever
-    # M1 * M2 * K * n is; this case peaks near 35 MB.
+    # M1 * M2 * K * n is; this case peaks near 11 MB.
     bound_mb = code_sim._BLOCK_BYTES / 2**20
     cfg = SimConfig(
         mac=adder2(), dist=UNIFORM, n=1000, m1_count=64, m2_count=64, k=4,
