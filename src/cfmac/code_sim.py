@@ -28,9 +28,12 @@ counts are exact integers in the smallest unsigned type that holds 64 * W,
 and every shape takes this one path.  Table entries that are not finite
 (-inf at kernel zeros) are counted by separate indicator columns, so
 0 * inf never arises.  The bound (M1 = M2 = 1) draws no symbols at all: it
-samples the K pair-type counts N_k and the chosen pair's (x1, y, x2) counts
-from their exact laws, multinomial and contingency-table draws, at a cost
-that does not grow with n.
+samples only what the facilitator and decoder read, from exact laws.  In iid
+mode that is the K pairs' totals over the cells of equal i_bar, which fix the
+scores, and the chosen pair's cells; in type mode whether any of the K pairs
+matched, from the closed form (1 - q)^K, and the chosen pair's table.  Then
+come the chosen pair's (x1, y, x2) counts.  The cost grows with neither n
+nor, in type mode or when i_bar takes one value, K.
 
 Fixed codes.  ``_fixed_code`` prepares a code once: its decoder, the
 facilitated words of every message pair and, in type mode, their type check.
@@ -79,7 +82,11 @@ pair-type tables, then in type mode the facilitator's uniform, then the
 chosen pair's outputs); the other families draw as in version 3.  Version 5
 draws the symbols of dyadic laws (uniform binary inputs, adder2's 0/1 output
 rows) from one raw byte each; type-class words, other laws and the bound
-family draw as in version 4.
+family draw as in version 4.  Version 6 changes the bound family only: iid
+samples draw the K pairs' score-group totals, then split the chosen pair's
+into cells (a kernel whose i_bar values are all distinct draws as in version
+5), and type-mode samples draw one uniform for the match, then a contingency
+table only where none matched; a type-mode sample's footprint has no K term.
 """
 from __future__ import annotations
 
@@ -88,7 +95,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special import betaincinv, gammaln
 
 from .channel import (
     InputDist,
@@ -107,7 +114,7 @@ from .channel import (
 )
 from .errors import DegenerateThresholds, ModeMismatch, NotAnNType, SizeMismatch
 
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
 _BLOCK_BYTES = 64 * 2**20  # per-block working-set budget; sets the trials per block
 # Facilitator scores within this many ulps of n * max|i_bar|, per joint cell
@@ -378,10 +385,11 @@ def _bit_count(words, w):
 
 
 def _pair_counts(p1, p2, n):
-    """Planes (W, A1-1, B, K, M1), (W, A2-1, B, K, M2) -> N (B, M1, M2, K, A1*A2) float64.
+    """Planes (W, A1-1, B, K, M1), (W, A2-1, B, K, M2) -> N (A1*A2, B, M1, M2, K), cells first.
 
     The popcounts of ANDed planes give N[a1, a2] for a1, a2 >= 1; each word's
-    symbol counts give row a1 = 0 and column a2 = 0, and n gives N[0, 0].
+    symbol counts give row a1 = 0 and column a2 = 0, and n gives N[0, 0].  The
+    counts stay in the popcounts' unsigned type.
     """
     w, s1, b, k, m1 = p1.shape
     s2, m2 = p2.shape[1], p2.shape[-1]
@@ -394,7 +402,7 @@ def _pair_counts(p1, p2, n):
     out[1:, 0] = c1 - out[1:, 1:].sum(axis=1, dtype=dt)
     out[0, 1:] = c2 - out[1:, 1:].sum(axis=0, dtype=dt)
     out[0, 0] = n - c1.sum(axis=0, dtype=dt) - out[0, 1:].sum(axis=0, dtype=dt)
-    return _cells_last(out, (b, m1, m2, k))
+    return out.reshape(-1, b, m1, m2, k)
 
 
 def _cells_last(counts, shape):
@@ -459,15 +467,18 @@ class _Facilitator:
     def choose(self, counts, rng=None):
         """e (B, M1, M2) and, in type mode, where no k matched the target.
 
-        Type mode picks uniformly among the matched k, or over [K] when none
-        matched, with one uniform per (b, m1, m2) drawn from ``rng``; iid mode
-        draws nothing, and ``rng`` may be None.
+        ``counts`` are the pair counts (A1*A2, B, M1, M2, K), cells first.  Type
+        mode compares them with the target cell by cell in that layout, and
+        picks uniformly among the matched k, or over [K] when none matched,
+        with one uniform per (b, m1, m2) drawn from ``rng``; iid mode draws
+        nothing, and ``rng`` may be None.
         """
         if self.target is None:
-            scores = np.asarray(counts, dtype=np.float64) @ self.i_bar
+            scores = _cells_last(counts, counts.shape[1:]) @ self.i_bar
             best = scores.max(axis=-1, keepdims=True)
             return (scores >= best - self.tol).argmax(axis=-1), None
-        matched = (counts == self.target).all(axis=-1)
+        target = self.target.astype(counts.dtype)  # counts <= n: the type holds them
+        matched = (counts == target.reshape(-1, *[1] * (counts.ndim - 1))).all(axis=0)
         n_match = matched.sum(axis=-1)
         u_choice = rng.random(n_match.shape)
         pool = np.where(n_match > 0, n_match, matched.shape[-1])
@@ -812,12 +823,65 @@ def estimate_error(config: SimConfig) -> SimReport:
 # finite-blocklength bound
 
 
-def _bound_sample_bytes(mac: Mac, k: int) -> int:
-    """Working set of one bound sample: its K pair-type tables, their float
-    copy and the facilitator's per-k values, and the chosen pair's output
-    counts with their copies."""
+def _bound_sample_bytes(mac: Mac, k: int, groups: int | None = None) -> int:
+    """Working set of one bound sample.
+
+    With ``groups`` > 1 score groups (iid mode, see ``_score_groups``) a sample
+    holds its K group totals, their float copy and the facilitator's per-k
+    values; with one group, or none (type mode), it holds nothing per k.  The
+    default charges a group per cell, the most there can be.  Every sample
+    also holds the chosen pair's cell and output counts with their copies.
+    """
     cells = mac.x1_size * mac.x2_size
-    return 8 * k * (2 * cells + 3) + 32 * cells * (mac.y_size + 1)
+    groups = cells if groups is None else groups
+    per_k = 8 * k * (2 * groups + 3) if groups > 1 else 0
+    return per_k + 32 * cells * (mac.y_size + 1)
+
+
+def _score_groups(i_bar) -> list[np.ndarray]:
+    """The cells (A1*A2,) whose ``i_bar`` values are exactly equal, one index
+    array per group, ordered by first cell; none in type mode (``i_bar`` None).
+
+    A score N_k . i_bar is the group totals times the groups' values, so the
+    facilitator's choice depends on the totals alone.
+    """
+    if i_bar is None:
+        return []
+    _, first, label = np.unique(i_bar, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    label = rank[label.ravel()]  # groups numbered in first-cell order
+    cells = np.argsort(label, kind="stable")
+    return np.split(cells, np.cumsum(np.bincount(label))[:-1])
+
+
+def _log_miss_rate(t12) -> float:
+    """ln(-ln(1 - q)), where q is the probability that two independent uniform
+    words with the marginal types of the joint type counts ``t12`` (A1, A2)
+    have joint type t12: q = prod t1! prod t2! / (n! prod t12!).
+
+    Then (1 - q)^K = exp(-exp(ln K + this)), for any K.  When q is below 2^-60
+    this is ln q, within an ulp; when only one joint type has these marginals
+    (q = 1), it is +inf.
+    """
+    t12 = np.asarray(t12)
+    t1, t2 = t12.sum(axis=1), t12.sum(axis=0)
+    if min(np.count_nonzero(t1), np.count_nonzero(t2)) < 2:
+        return math.inf
+    log_q = float(
+        gammaln(t1 + 1).sum() + gammaln(t2 + 1).sum()
+        - gammaln(t12.sum() + 1) - gammaln(t12 + 1).sum()
+    )
+    q = math.exp(log_q)
+    # q < 1 here; rounding must not take it to 1, where log1p(-q) is -inf
+    return log_q if q < 2**-60 else math.log(-math.log1p(-min(q, 1.0 - 2**-53)))
+
+
+def _unmatched_probability(t12, k: int) -> float:
+    """(1 - q)^K: none of K independent word pairs of uniform type-class words
+    has the joint type ``t12``; see ``_log_miss_rate``."""
+    # past e^709 the inner exp would overflow; the probability is 0.0 from there on
+    return math.exp(-math.exp(min(math.log(k) + _log_miss_rate(t12), 709.0)))
 
 
 def _contingency(rng, shape, t1, t2):
@@ -845,15 +909,75 @@ def _contingency(rng, shape, t1, t2):
     return table.reshape(shape + (a1 * a2,))
 
 
+def _pooled_scores(dist: InputDist, fac: _Facilitator, groups, n: int, k: int):
+    """iid mode's sampler (rng, B) -> (the chosen pairs' counts (B, A1*A2), None).
+
+    It draws the K pairs' totals T_k over the score ``groups``, multinomial(n,
+    p_g) for all K; the facilitator's tie rule picks e from the scores T_k . v;
+    then only T_e is split into cells, multinomial(T_g, p_c / p_g) per group
+    of more than one cell.  This is exact, because the choice depends on the
+    totals alone.  With one group every score ties and e = 0, so nothing is
+    drawn per k; when every cell is its own group the draws are version 5's.
+    """
+    p12 = np.outer(dist.p1, dist.p2).ravel()
+    p12 /= p12.sum()
+    score = _Facilitator(fac.i_bar[[g[0] for g in groups]], fac.tol, None)
+    p_group = np.array([p12[g].sum() for g in groups])
+    alone = [g for g, cells in enumerate(groups) if len(cells) == 1]
+    alone_cells = [groups[g][0] for g in alone]
+    pooled = [(g, cells) for g, cells in enumerate(groups) if len(cells) > 1]
+
+    def sent_counts(rng, b):
+        if len(groups) == 1:
+            totals = np.full((b, 1), n, dtype=np.int64)
+        else:
+            totals = rng.multinomial(n, p_group, size=(b, k))
+            e, _ = score.choose(np.moveaxis(totals, -1, 0)[:, :, None, None])
+            totals = totals[np.arange(b), e[:, 0, 0]]
+        sent = np.empty((b, len(p12)), dtype=np.int64)
+        sent[:, alone_cells] = totals[:, alone]
+        for g, cells in pooled:
+            sent[:, cells] = rng.multinomial(totals[:, g], p12[cells] / p_group[g])
+        return sent, None
+
+    return sent_counts
+
+
+def _type_match(t12, k: int):
+    """Type mode's sampler (rng, B) -> (the chosen pairs' counts (B, A1*A2), unmatched (B,)).
+
+    A sample is unmatched with probability (1 - q)^K (``_unmatched_probability``),
+    one uniform each.  A matched sample sends the target table ``t12``; an
+    unmatched one a contingency table of two uniform arrangements, redrawn
+    while it equals the target.
+    """
+    target = t12.ravel()
+    t1, t2 = t12.sum(axis=1), t12.sum(axis=0)
+    p_unmatched = _unmatched_probability(t12, k)
+
+    def sent_counts(rng, b):
+        unmatched = rng.random(b) < p_unmatched
+        sent = np.tile(target, (b, 1))
+        redraw = np.flatnonzero(unmatched)
+        while len(redraw):
+            sent[redraw] = _contingency(rng, (len(redraw),), t1, t2)
+            redraw = redraw[(sent[redraw] == target).all(axis=-1)]
+        return sent, unmatched
+
+    return sent_counts
+
+
 def _bound_samples(config: SimConfig, th: DecoderThresholds, mc_samples: int, seed: int):
     """Monte Carlo term of the bound: (threshold fails, type-mode unmatched) counts.
 
     With M1 = M2 = 1 a sample depends on its codewords and received word only
-    through counts, so it draws those from their exact laws: the K pair-type
-    tables N_k[a1, a2] (multinomial(n, p1 x p2) in iid mode, the contingency
-    table of two uniform arrangements in type mode), the facilitator's choice
-    e from them, then the chosen pair's outputs, multinomial(N_e[a1, a2],
-    W[a1, a2]) per cell.  A sample costs O(K*A1*A2 + A1*A2*Y), whatever n.
+    through counts, and the facilitator reads fewer still, so a sample draws
+    only what it reads, each from its exact law (``_pooled_scores`` in iid
+    mode, ``_type_match`` in type mode), then the chosen pair's outputs,
+    multinomial(N_e[a1, a2], W[a1, a2]) per cell.  A sample costs
+    O(K*G + A1*A2*Y) with G > 1 score groups, else O(A1*A2*(1 + Y)), whatever
+    n.  Raises ``ValueError`` when one sample's K group totals do not fit the
+    block budget.
     """
     mac, dist, n, k = config.mac, config.dist, config.n, config.k
     a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
@@ -863,24 +987,22 @@ def _bound_samples(config: SimConfig, th: DecoderThresholds, mc_samples: int, se
     # laws sum to 1 within the inputs' tolerance (1e-9), multinomial's is 1e-12
     kernel = mac.kernel.reshape(a1 * a2, ny)
     kernel = kernel / kernel.sum(axis=-1, keepdims=True)
+    groups = _score_groups(fac.i_bar)
+    sample_bytes = _bound_sample_bytes(mac, k, len(groups))
+    if sample_bytes > _BLOCK_BYTES:
+        raise ValueError(
+            f"a bound sample's K = {k} totals of {len(groups)} score groups take "
+            f"{sample_bytes} bytes, over the {_BLOCK_BYTES}-byte block budget"
+        )
     if fac.target is None:
-        p12 = np.outer(dist.p1, dist.p2).ravel()
-        p12 /= p12.sum()
-
-        def pair_types(rng, b):
-            return rng.multinomial(n, p12, size=(b, k))
+        sent_counts = _pooled_scores(dist, fac, groups, n, k)
     else:
-        t1, t2 = (fac.target.reshape(a1, a2).sum(axis=axis) for axis in (1, 0))
-
-        def pair_types(rng, b):
-            return _contingency(rng, (b, k), t1, t2)
+        sent_counts = _type_match(fac.target.reshape(a1, a2), k)
 
     fails = 0
     type_misses = 0
-    for rng, b in _blocks(seed, _BOUND, mc_samples, _bound_sample_bytes(mac, k)):
-        counts = pair_types(rng, b)
-        e, unmatched = fac.choose(counts[:, None, None], rng)
-        sent = counts[np.arange(b), e[:, 0, 0]]  # (B, A1*A2)
+    for rng, b in _blocks(seed, _BOUND, mc_samples, sample_bytes):
+        sent, unmatched = sent_counts(rng, b)  # (B, A1*A2)
         outputs = rng.multinomial(sent, kernel).reshape(b, a1, a2, ny)
         z = outputs.transpose(0, 1, 3, 2).reshape(b, -1)  # cells (a1, y, a2)
         fails += int((~dec.passes(z.astype(np.float64) @ dec.weights)).sum())
@@ -911,13 +1033,14 @@ def fbl_bound(config: SimConfig, mc_samples: int = 100_000, seed: int | None = N
     """Upper bound on the ensemble-average error probability of ``config``'s decoder.
 
     The probability that the facilitated pair's density vector misses the
-    thresholds (and, in type mode, that no codeword pair has the target joint
-    type) is estimated by Monte Carlo, as the upper endpoint of its 99%
+    thresholds is estimated by Monte Carlo, as the upper endpoint of its 99%
     confidence interval, keeping the bound valid with high confidence; the
-    impostor union terms are exact closed forms.  The ``mc_samples`` samples
-    are drawn from the exact laws of the joint-symbol counts they depend on,
-    so their cost does not grow with the blocklength n; ``seed`` (by default
-    the config's) keys their stream.
+    impostor union terms and, in type mode, the probability (1 - q)^K that no
+    codeword pair has the target joint type are exact closed forms.  The
+    ``mc_samples`` samples are drawn from the exact laws of the counts the
+    facilitator and decoder read, so their cost grows neither with the
+    blocklength n nor, in type mode or with one score group, with K; ``seed``
+    (by default the config's) keys their stream.
     """
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
@@ -926,10 +1049,11 @@ def fbl_bound(config: SimConfig, mc_samples: int = 100_000, seed: int | None = N
     if seed is None:
         seed = config.seed
 
-    fails, type_misses = _bound_samples(config, th, mc_samples, seed)
+    fails, _ = _bound_samples(config, th, mc_samples, seed)
     bound = _clopper_pearson(fails, mc_samples, 0.99)[1] + _union(config, th)
     if config.mode == TYPE:
-        bound += _clopper_pearson(type_misses, mc_samples, 0.99)[1]
+        t12 = _type_counts(config.dist, config.n)
+        bound += _unmatched_probability(t12, config.k)
     return bound
 
 

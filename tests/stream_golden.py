@@ -8,7 +8,8 @@ After a deliberate change of the random stream, bump
 from the repository root; the output is laid out as the class's ``VERSION``,
 the figure line of each ``CASES`` entry and the figures of
 ``test_codebooks_facilitator_and_fixed_code``.  The block sizes come from
-``_trial_bytes`` (ensemble trials) and ``_bound_sample_bytes`` (bound samples).
+``_trial_bytes`` (ensemble trials) and ``_bound_sample_bytes`` (bound samples,
+with the configuration's score groups).
 """
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from cfmac.code_sim import (
     estimate_error_fixed_code,
     facilitate,
 )
-from test_code_sim import TestStreamGolden
+from test_code_sim import TestStreamGolden, _bound_bytes
 
 TALLY = ("threshold_miss", "impostor_pass", "ambiguity", "type_miss")
 
@@ -31,7 +32,7 @@ def case_figures(kw: dict, samples: int) -> tuple:
     blocks = (
         code_sim._BLOCK_BYTES
         // code_sim._trial_bytes(cfg.mac, cfg.n, cfg.m1_count, cfg.m2_count, cfg.k),
-        code_sim._BLOCK_BYTES // code_sim._bound_sample_bytes(cfg.mac, cfg.k),
+        code_sim._BLOCK_BYTES // _bound_bytes(cfg),
     )
     rep = estimate_error(cfg)
     fails, misses = code_sim._bound_samples(cfg, cfg.resolved_thresholds(), samples, seed=3)

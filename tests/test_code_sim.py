@@ -128,8 +128,8 @@ class TestFacilitate:
     @pytest.mark.parametrize("mode, uniforms", [("iid", 0), ("type", 3 * 2 * 4)])
     def test_choice_takes_one_uniform_per_message_pair_in_type_mode(self, mode, uniforms):
         fac = code_sim._ensemble(adder2(), HALF_TYPE, 8, mode)[1]
-        # pair counts (B, M1, M2, K, A1*A2); only their matches to the target matter
-        counts = np.random.default_rng(1).integers(0, 3, size=(3, 2, 4, 5, 4))
+        # pair counts (A1*A2, B, M1, M2, K); only their matches to the target matter
+        counts = np.random.default_rng(1).integers(0, 3, size=(4, 3, 2, 4, 5))
         rng, fresh = np.random.default_rng(7), np.random.default_rng(7)
         fac.choose(counts, rng)
         fresh.random(uniforms)
@@ -763,7 +763,7 @@ class TestStreams:
             draw_codebooks(adder2(), UNIFORM, 4, 2, 2, 2, "iid", seed=seed)
 
     def test_stream_version(self):
-        assert code_sim.STREAM_VERSION == 5
+        assert code_sim.STREAM_VERSION == 6
 
 
 def _kernel_3x2x4():
@@ -846,9 +846,9 @@ class TestCountKernel:
         """The words' bit planes and their pair counts, checked against the gather reference."""
         w1, w2 = f1.transpose(0, 2, 1, 3), f2.transpose(0, 2, 1, 3)  # kernel layout (B, K, M, n)
         p1, p2 = code_sim._planes(w1, mac.x1_size), code_sim._planes(w2, mac.x2_size)
-        counts = code_sim._pair_counts(p1, p2, f1.shape[-1])
+        counts = code_sim._pair_counts(p1, p2, f1.shape[-1])  # cells first
         want = gather_reference.pair_counts(f1, f2, mac.x1_size, mac.x2_size)
-        assert np.array_equal(counts, want)
+        assert np.array_equal(np.moveaxis(counts, 0, -1), want)
         return p1, p2, counts
 
     def decode_counts(self, mac, p1, p2, y, e):
@@ -957,11 +957,11 @@ def test_plane_counts_equal_the_gather_reference(a1, a2, ny, m1, m2, k, n, seed)
     g1, g2 = f1.transpose(0, 2, 1, 3), f2.transpose(0, 2, 1, 3)  # reference layout (B, M, K, n)
     p1, p2 = code_sim._planes(f1, a1), code_sim._planes(f2, a2)
     want = gather_reference.pair_counts(g1, g2, a1, a2)
-    assert np.array_equal(code_sim._pair_counts(p1, p2, n), want)
+    assert np.array_equal(np.moveaxis(code_sim._pair_counts(p1, p2, n), 0, -1), want)
     # the codebooks' (M, K, n) layout, as ``facilitate`` passes it
     v1, v2 = (np.ascontiguousarray(g).transpose(0, 2, 1, 3) for g in (g1, g2))
     planes = code_sim._planes(v1, a1), code_sim._planes(v2, a2)
-    assert np.array_equal(code_sim._pair_counts(*planes, n), want)
+    assert np.array_equal(np.moveaxis(code_sim._pair_counts(*planes, n), 0, -1), want)
     # the decode counts at any choice of k, not only the facilitator's
     e = rng.integers(0, k, size=(b, m1, m2))
     x1, x2 = gather_reference.selected_words(g1, g2, e)
@@ -1049,8 +1049,14 @@ def _noisy_adder():
     return Mac(kernel)
 
 
+def _bound_bytes(cfg):
+    """The working set ``_bound_samples`` charges a bound sample of ``cfg``."""
+    fac = code_sim._ensemble(cfg.mac, cfg.dist, cfg.n, cfg.mode)[1]
+    return code_sim._bound_sample_bytes(cfg.mac, cfg.k, len(code_sim._score_groups(fac.i_bar)))
+
+
 class TestStreamGolden:
-    """Exact results of stream version 5 for fixed (config, seed).
+    """Exact results of stream version 6 for fixed (config, seed).
 
     Anything that moves the random streams (the generator or its keys, draw
     order, the samplers, or the trials per block set by ``_trial_bytes`` and
@@ -1059,7 +1065,7 @@ class TestStreamGolden:
     ``PYTHONPATH=src python tests/stream_golden.py`` prints them.
     """
 
-    VERSION = 5
+    VERSION = 6
     # name: (config, trials per (ensemble, bound) block, errors,
     #        (threshold_miss, impostor_pass, ambiguity, type_miss),
     #        (bound samples, threshold fails, type-mode unmatched))
@@ -1067,17 +1073,17 @@ class TestStreamGolden:
         "xor-iid-blocks": (
             dict(mac=xor_channel(0.11), dist=UNIFORM, n=60, m1_count=16, m2_count=16, k=4,
                  trials=600, seed=11),
-            (197, 91180), 10, (10, 0, 0, 0), (100_000, 1194, 0),
+            (197, 174762), 10, (10, 0, 0, 0), (200_000, 2472, 0),
         ),
         "noisy-adder-iid": (
             dict(mac=_noisy_adder(), dist=ProductDist(np.array([0.6, 0.4]), UNIFORM.p2), n=16,
                  m1_count=3, m2_count=2, k=3, trials=3000, seed=5),
-            (5801, 86480), 74, (58, 0, 16, 0), (100_000, 2257, 0),
+            (5801, 92182), 74, (58, 0, 16, 0), (200_000, 4390, 0),
         ),
         "noisy-adder-type": (
             dict(mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=4, m2_count=4, k=16,
                  mode="type", trials=1000, seed=1),
-            (330, 34952), 505, (492, 0, 0, 13), (40_000, 19995, 430),
+            (330, 131072), 505, (492, 0, 0, 13), (200_000, 100184, 2101),
         ),
     }
 
@@ -1092,7 +1098,7 @@ class TestStreamGolden:
         cfg = SimConfig(**kw)
         per_item = (
             code_sim._trial_bytes(cfg.mac, cfg.n, cfg.m1_count, cfg.m2_count, cfg.k),
-            code_sim._bound_sample_bytes(cfg.mac, cfg.k),
+            _bound_bytes(cfg),
         )
         assert tuple(code_sim._BLOCK_BYTES // b for b in per_item) == blocks
         # each case runs over more than one block of bound samples
@@ -1176,7 +1182,7 @@ def _exact_bound_rates(cfg, th):
     p_combo = np.prod(p_pair[combos], axis=1)
     counts = code_sim._word_counts(x1[combos], x2[combos], 0, a1, a2, 1)  # (C, K, A1*A2)
     if cfg.mode == "iid":
-        e, _ = fac.choose(counts[:, None, None])
+        e, _ = fac.choose(np.moveaxis(counts, -1, 0)[:, :, None, None])  # cells first
         p_e = np.eye(k)[e[:, 0, 0]]
         unmatched = 0.0
     else:  # uniform over the matched k, or over all K when none matched
@@ -1232,7 +1238,9 @@ class TestBoundSampler:
         ("iid", _kernel_3x2x4(), ProductDist(np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.4])), 3, 2),
         ("type", _noisy_adder(), HALF_TYPE, 4, 2),
         ("type", xor_channel(0.11), HALF_TYPE, 4, 3),
-    ], ids=["noisy-adder-iid-n3-k2", "3x2x4-iid-n3-k2", "noisy-adder-type-n4-k2", "xor-type-n4-k3"])
+        ("iid", xor_channel(0.11), UNIFORM, 3, 2),
+    ], ids=["noisy-adder-iid-n3-k2", "3x2x4-iid-n3-k2", "noisy-adder-type-n4-k2", "xor-type-n4-k3",
+            "xor-iid-n3-k2"])
     def test_exact_law_at_tiny_n(self, case):
         mode, mac, dist, n, k = case
         cfg = SimConfig(mac=mac, dist=dist, n=n, m1_count=1, m2_count=1, k=k, mode=mode)
@@ -1258,3 +1266,129 @@ class TestBoundSampler:
             tracemalloc.stop()
         assert peak < code_sim._BLOCK_BYTES
 
+
+def _enumerated_match_law(t1, t2):
+    """Joint type (as a tuple of A1*A2 counts) -> its probability for two
+    independent uniform words of symbol counts t1 and t2, by enumerating every
+    arrangement of the second word against one fixed first word."""
+    x1 = np.repeat(np.arange(len(t1)), t1)
+    base2 = np.repeat(np.arange(len(t2)), t2)
+    words = sorted(set(itertools.permutations(base2)))
+    law = {}
+    for x2 in words:
+        table = tuple(np.bincount(x1 * len(t2) + np.array(x2), minlength=len(t1) * len(t2)))
+        law[table] = law.get(table, 0) + 1 / len(words)
+    return law
+
+
+class TestTypeMatchLaw:
+    """The closed-form match probability q of type mode and the bound's (1 - q)^K."""
+
+    @pytest.mark.parametrize("t1, t2", [
+        ((4, 4), (4, 4)), ((5, 3), (2, 6)), ((3, 3, 2), (4, 4)), ((2, 3, 3), (1, 3, 4)),
+        ((1, 2), (2, 1)), ((2, 2, 2), (3, 3)), ((6, 0, 2), (3, 5)), ((8,), (5, 3)),
+    ], ids=str)
+    def test_q_equals_exhaustive_enumeration(self, t1, t2):
+        law = _enumerated_match_law(t1, t2)
+        assert sum(law.values()) == pytest.approx(1.0)
+        for table, q in law.items():
+            t12 = np.array(table).reshape(len(t1), len(t2))
+            assert 1.0 - code_sim._unmatched_probability(t12, 1) == pytest.approx(q, rel=1e-12)
+            for k in (2, 7, 2**20):
+                assert code_sim._unmatched_probability(t12, k) == pytest.approx(
+                    (1.0 - q) ** k, rel=1e-9, abs=1e-12
+                )
+
+    def test_q_at_n12(self):
+        # the check quoted for t12 = [[4, 2], [2, 4]]
+        q = 1.0 - code_sim._unmatched_probability(np.array([[4, 2], [2, 4]]), 1)
+        assert round(q, 5) == 0.24351
+
+    def test_k_may_be_any_python_int(self):
+        # q = 1 / C(20000, 10000) underflows a float; K = 2^20000 pairs nearly cover the type
+        t12 = np.array([[10**4, 0], [0, 10**4]])
+        log_q = 2 * math.lgamma(10**4 + 1) - math.lgamma(2 * 10**4 + 1)
+        assert code_sim._log_miss_rate(t12) == pytest.approx(log_q, rel=1e-12)
+        for k in (2**1100, 2**20_000):
+            want = math.exp(-math.exp(math.log(k) + log_q))
+            assert code_sim._unmatched_probability(t12, k) == pytest.approx(want, rel=1e-4)
+        assert 0.0 < code_sim._unmatched_probability(t12, 2**20_000) < 1e-70
+        assert code_sim._unmatched_probability(t12, 2**30_000) == 0.0
+
+    @pytest.mark.parametrize("t12, k", [([[4, 2], [2, 4]], 4), ([[3, 1, 0], [1, 2, 3]], 3)])
+    def test_unmatched_probability_equals_counted_misses(self, t12, k):
+        t12 = np.array(t12)
+        t1, t2 = t12.sum(axis=1), t12.sum(axis=0)
+        samples = 100_000
+        tables = code_sim._contingency(np.random.default_rng(5), (samples, k), t1, t2)
+        misses = int((~(tables == t12.ravel()).all(axis=-1).any(axis=-1)).sum())
+        p = code_sim._unmatched_probability(t12, k)
+        assert abs(misses / samples - p) <= 4.0 * math.sqrt(p * (1 - p) / samples), (misses, p)
+
+    def test_bound_samples_miss_at_the_exact_rate(self):
+        cfg = SimConfig(
+            mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=1, m2_count=1, k=16, mode="type",
+        )
+        samples = 100_000
+        _, misses = code_sim._bound_samples(cfg, cfg.resolved_thresholds(), samples, seed=6)
+        p = code_sim._unmatched_probability(code_sim._type_counts(HALF_TYPE, 40), 16)
+        assert 0.01 < p < 0.5
+        assert abs(misses / samples - p) <= 4.0 * math.sqrt(p * (1 - p) / samples), (misses, p)
+
+    def test_type_miss_term_is_exact(self):
+        cfg = SimConfig(
+            mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=2, m2_count=2, k=16, mode="type",
+        )
+        th = cfg.resolved_thresholds()
+        fails, _ = code_sim._bound_samples(cfg, th, 1000, seed=cfg.seed)
+        p = code_sim._unmatched_probability(code_sim._type_counts(HALF_TYPE, 40), 16)
+        want = code_sim._clopper_pearson(fails, 1000, 0.99)[1] + code_sim._union(cfg, th) + p
+        assert fbl_bound(cfg, mc_samples=1000) == want
+
+
+_3X2X4_IID = dict(
+    mac=_kernel_3x2x4(), dist=ProductDist(np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.4])),
+    m1_count=1, m2_count=1,
+)
+
+
+class TestPooledScores:
+    """iid bound samples draw the facilitator's score-group totals, not K full tables."""
+
+    def test_groups_pool_exactly_equal_values_in_first_cell_order(self):
+        groups = code_sim._score_groups(np.array([0.5, 0.2, 0.5, 0.1, 0.2, -0.0, 0.0]))
+        assert [g.tolist() for g in groups] == [[0, 2], [1, 4], [3], [5, 6]]
+        assert code_sim._score_groups(None) == []
+
+    # version-5 figures (fails, unmatched) of _bound_samples(cfg, th, 100_000, seed=3)
+    @pytest.mark.parametrize("n, k, figures", [(30, 8, (4947, 0)), (50, 2, (784, 0))])
+    def test_distinct_scores_draw_the_version_5_stream(self, n, k, figures):
+        cfg = SimConfig(**_3X2X4_IID, n=n, k=k)
+        fac = code_sim._ensemble(cfg.mac, cfg.dist, n, "iid")[1]
+        assert len(code_sim._score_groups(fac.i_bar)) == 6  # every cell its own group
+        assert _bound_bytes(cfg) == code_sim._bound_sample_bytes(cfg.mac, k)  # version 5's
+        assert code_sim._bound_samples(cfg, cfg.resolved_thresholds(), 100_000, seed=3) == figures
+
+    def test_group_totals_past_the_block_budget_are_named(self):
+        cfg = SimConfig(mac=adder2(), dist=UNIFORM, n=100, m1_count=1, m2_count=1, k=2**40)
+        with pytest.raises(ValueError, match="score groups take .* over the .*block budget"):
+            fbl_bound(cfg, mc_samples=10)
+
+
+@pytest.mark.parametrize("mode, k", [("type", 2**40), ("type", 2**1100), ("iid", 2**40)])
+def test_bound_memory_stays_bounded_at_the_papers_k(mode, k):
+    # type mode holds nothing per k, nor does iid mode with one score group (xor:0.11)
+    kernel = np.random.default_rng(3).dirichlet(np.ones(5), size=(4, 4))
+    mac, dist = Mac(kernel), JointDist(np.full((4, 4), 1 / 16))
+    if mode == "iid":
+        mac, dist = xor_channel(0.11), UNIFORM
+    cfg = SimConfig(mac=mac, dist=dist, n=160, m1_count=4, m2_count=4, k=k, mode=mode)
+    block = code_sim._BLOCK_BYTES // _bound_bytes(cfg)
+    tracemalloc.start()
+    try:
+        bound = fbl_bound(cfg, mc_samples=block + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(bound)
+    assert peak < code_sim._BLOCK_BYTES
