@@ -30,6 +30,10 @@ are hashed from exact forms: array bytes with their dtype and shape, floats by
   A, C, C, B, A), so a code decoded right after another and a code decoded
   twice in a row are both hashed.
 
+The tool pins BLAS to one thread before numpy is imported: the thread count
+changes the summation order of BLAS products, so the ``stats``, ``delta`` and
+``rates`` lines would move in the last digit between hosts or settings.
+
 It takes about 20 s on a 2-core host.
 """
 from __future__ import annotations
@@ -42,6 +46,10 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+# before numpy loads BLAS, which reads these once
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 
