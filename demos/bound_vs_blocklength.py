@@ -10,7 +10,8 @@ joint-symbol counts, not symbols, so its time does not grow with n.
 
 On this channel the expected information density is flat and the facilitator
 has nothing to choose between: K = 16 only raises the threshold by 4 bits,
-and the bound with it.
+and the bound with it.  Every score ties, so a bound sample draws nothing per
+k and its time does not grow with K either.
 
 Run:  python3 demos/bound_vs_blocklength.py
 """
