@@ -1325,6 +1325,24 @@ class TestTypeMatchLaw:
         p = code_sim._unmatched_probability(t12, k)
         assert abs(misses / samples - p) <= 4.0 * math.sqrt(p * (1 - p) / samples), (misses, p)
 
+    def test_unmatched_tables_follow_the_law_off_the_target(self):
+        # K = 1: a sample is unmatched with probability 1 - q, and then its
+        # table follows the joint-type law conditioned on not being the target
+        t12 = np.array([[2, 1, 0], [0, 1, 2]])
+        law = _enumerated_match_law(t12.sum(axis=1), t12.sum(axis=0))
+        target = tuple(t12.ravel())
+        samples = 100_000
+        sent, unmatched = code_sim._type_match(t12, 1)(np.random.default_rng(8), samples)
+        assert np.all(sent[~unmatched] == t12.ravel())
+        assert abs(unmatched.mean() - (1 - law[target])) <= 4.0 * math.sqrt(
+            law[target] * (1 - law[target]) / samples
+        )
+        drawn = sent[unmatched]
+        for table, prob in law.items():
+            p = 0.0 if table == target else prob / (1 - law[target])
+            got = (drawn == table).all(axis=-1).mean()
+            assert abs(got - p) <= 4.0 * math.sqrt(p * (1 - p) / len(drawn)) + 1e-12, (table, got, p)
+
     def test_bound_samples_miss_at_the_exact_rate(self):
         cfg = SimConfig(
             mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=1, m2_count=1, k=16, mode="type",
@@ -1368,6 +1386,25 @@ class TestPooledScores:
         assert len(code_sim._score_groups(fac.i_bar)) == 6  # every cell its own group
         assert _bound_bytes(cfg) == code_sim._bound_sample_bytes(cfg.mac, k)  # version 5's
         assert code_sim._bound_samples(cfg, cfg.resolved_thresholds(), 100_000, seed=3) == figures
+
+    def test_one_pair_sends_a_multinomial_table(self):
+        # K = 1: the pooled totals, split within the groups, are multinomial(n, p1 x p2);
+        # the noisy adder's cells (0, 1) and (1, 0) share an i_bar value but not a probability
+        p1, p2, n = np.array([0.6, 0.4]), np.array([0.5, 0.5]), 3
+        mac, dist = _noisy_adder(), ProductDist(p1, p2)
+        fac = code_sim._ensemble(mac, dist, n, "iid")[1]
+        groups = code_sim._score_groups(fac.i_bar)
+        assert [g.tolist() for g in groups] == [[0], [1, 2], [3]]
+        samples = 100_000
+        sampler = code_sim._pooled_scores(dist, fac, groups, n, 1)
+        sent, _ = sampler(np.random.default_rng(9), samples)
+        p12 = np.outer(p1, p2).ravel()
+        for table in itertools.product(range(n + 1), repeat=4):
+            if sum(table) != n:
+                continue
+            p = math.factorial(n) * math.prod(q**c / math.factorial(c) for q, c in zip(p12, table))
+            got = (sent == table).all(axis=-1).mean()
+            assert abs(got - p) <= 4.0 * math.sqrt(p * (1 - p) / samples), (table, got, p)
 
     def test_group_totals_past_the_block_budget_are_named(self):
         cfg = SimConfig(mac=adder2(), dist=UNIFORM, n=100, m1_count=1, m2_count=1, k=2**40)
