@@ -1300,7 +1300,7 @@ class TestTypeMatchLaw:
                 )
 
     def test_q_at_n12(self):
-        # the check quoted for t12 = [[4, 2], [2, 4]]
+        # q of t12 = [[4, 2], [2, 4]] at n = 12, which 400k contingency draws put at 0.24331 (SE 0.00068)
         q = 1.0 - code_sim._unmatched_probability(np.array([[4, 2], [2, 4]]), 1)
         assert round(q, 5) == 0.24351
 
@@ -1364,12 +1364,6 @@ class TestTypeMatchLaw:
         assert fbl_bound(cfg, mc_samples=1000) == want
 
 
-_3X2X4_IID = dict(
-    mac=_kernel_3x2x4(), dist=ProductDist(np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.4])),
-    m1_count=1, m2_count=1,
-)
-
-
 class TestPooledScores:
     """iid bound samples draw the facilitator's score-group totals, not K full tables."""
 
@@ -1381,7 +1375,8 @@ class TestPooledScores:
     # version-5 figures (fails, unmatched) of _bound_samples(cfg, th, 100_000, seed=3)
     @pytest.mark.parametrize("n, k, figures", [(30, 8, (4947, 0)), (50, 2, (784, 0))])
     def test_distinct_scores_draw_the_version_5_stream(self, n, k, figures):
-        cfg = SimConfig(**_3X2X4_IID, n=n, k=k)
+        mac, dist, _ = _IID_CASES["3x2x4"]
+        cfg = SimConfig(mac=mac, dist=dist, n=n, m1_count=1, m2_count=1, k=k)
         fac = code_sim._ensemble(cfg.mac, cfg.dist, n, "iid")[1]
         assert len(code_sim._score_groups(fac.i_bar)) == 6  # every cell its own group
         assert _bound_bytes(cfg) == code_sim._bound_sample_bytes(cfg.mac, k)  # version 5's
