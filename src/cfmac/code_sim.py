@@ -823,17 +823,16 @@ def estimate_error(config: SimConfig) -> SimReport:
 # finite-blocklength bound
 
 
-def _bound_sample_bytes(mac: Mac, k: int, groups: int | None = None) -> int:
+def _bound_sample_bytes(mac: Mac, k: int, groups: int) -> int:
     """Working set of one bound sample.
 
     With ``groups`` > 1 score groups (iid mode, see ``_score_groups``) a sample
     holds its K group totals, their float copy and the facilitator's per-k
-    values; with one group, or none (type mode), it holds nothing per k.  The
-    default charges a group per cell, the most there can be.  Every sample
-    also holds the chosen pair's cell and output counts with their copies.
+    values; with one group, or none (type mode), it holds nothing per k.
+    Every sample also holds the chosen pair's cell and output counts with
+    their copies.
     """
     cells = mac.x1_size * mac.x2_size
-    groups = cells if groups is None else groups
     per_k = 8 * k * (2 * groups + 3) if groups > 1 else 0
     return per_k + 32 * cells * (mac.y_size + 1)
 
@@ -915,7 +914,7 @@ def _pooled_scores(dist: InputDist, fac: _Facilitator, groups, n: int, k: int):
     It draws the K pairs' totals T_k over the score ``groups``, multinomial(n,
     p_g) for all K; the facilitator's tie rule picks e from the scores T_k . v;
     then only T_e is split into cells, multinomial(T_g, p_c / p_g) per group
-    of more than one cell.  This is exact, because the choice depends on the
+    of more than one cell and p_g > 0.  This is exact, because the choice depends on the
     totals alone.  With one group every score ties and e = 0, so nothing is
     drawn per k; when every cell is its own group the draws are version 5's.
     """
@@ -925,7 +924,8 @@ def _pooled_scores(dist: InputDist, fac: _Facilitator, groups, n: int, k: int):
     p_group = np.array([p12[g].sum() for g in groups])
     alone = [g for g, cells in enumerate(groups) if len(cells) == 1]
     alone_cells = [groups[g][0] for g in alone]
-    pooled = [(g, cells) for g, cells in enumerate(groups) if len(cells) > 1]
+    # a group of probability 0 always totals 0: its cells keep their zeros
+    pooled = [(g, c) for g, c in enumerate(groups) if len(c) > 1 and p_group[g] > 0]
 
     def sent_counts(rng, b):
         if len(groups) == 1:
@@ -934,7 +934,7 @@ def _pooled_scores(dist: InputDist, fac: _Facilitator, groups, n: int, k: int):
             totals = rng.multinomial(n, p_group, size=(b, k))
             e, _ = score.choose(np.moveaxis(totals, -1, 0)[:, :, None, None])
             totals = totals[np.arange(b), e[:, 0, 0]]
-        sent = np.empty((b, len(p12)), dtype=np.int64)
+        sent = np.zeros((b, len(p12)), dtype=np.int64)
         sent[:, alone_cells] = totals[:, alone]
         for g, cells in pooled:
             sent[:, cells] = rng.multinomial(totals[:, g], p12[cells] / p_group[g])
@@ -943,17 +943,16 @@ def _pooled_scores(dist: InputDist, fac: _Facilitator, groups, n: int, k: int):
     return sent_counts
 
 
-def _type_match(t12, k: int):
+def _type_match(t12, p_unmatched: float):
     """Type mode's sampler (rng, B) -> (the chosen pairs' counts (B, A1*A2), unmatched (B,)).
 
-    A sample is unmatched with probability (1 - q)^K (``_unmatched_probability``),
-    one uniform each.  A matched sample sends the target table ``t12``; an
-    unmatched one a contingency table of two uniform arrangements, redrawn
-    while it equals the target.
+    A sample is unmatched with probability ``p_unmatched``, (1 - q)^K (see
+    ``_unmatched_probability``), one uniform each.  A matched sample sends the
+    target table ``t12``; an unmatched one a contingency table of two uniform
+    arrangements, redrawn while it equals the target.
     """
     target = t12.ravel()
     t1, t2 = t12.sum(axis=1), t12.sum(axis=0)
-    p_unmatched = _unmatched_probability(t12, k)
 
     def sent_counts(rng, b):
         unmatched = rng.random(b) < p_unmatched
@@ -967,8 +966,10 @@ def _type_match(t12, k: int):
     return sent_counts
 
 
-def _bound_samples(config: SimConfig, th: DecoderThresholds, mc_samples: int, seed: int):
-    """Monte Carlo term of the bound: (threshold fails, type-mode unmatched) counts.
+def _bound_terms(config: SimConfig, th: DecoderThresholds, mc_samples: int, seed: int):
+    """Monte Carlo term of the bound, (threshold fails, type-mode unmatched)
+    counts, and the exact probability that no pair matches the target type:
+    (1 - q)^K in type mode, 0.0 in iid mode.
 
     With M1 = M2 = 1 a sample depends on its codewords and received word only
     through counts, and the facilitator reads fewer still, so a sample draws
@@ -994,10 +995,13 @@ def _bound_samples(config: SimConfig, th: DecoderThresholds, mc_samples: int, se
             f"a bound sample's K = {k} totals of {len(groups)} score groups take "
             f"{sample_bytes} bytes, over the {_BLOCK_BYTES}-byte block budget"
         )
+    p_unmatched = 0.0
     if fac.target is None:
         sent_counts = _pooled_scores(dist, fac, groups, n, k)
     else:
-        sent_counts = _type_match(fac.target.reshape(a1, a2), k)
+        t12 = fac.target.reshape(a1, a2)
+        p_unmatched = _unmatched_probability(t12, k)
+        sent_counts = _type_match(t12, p_unmatched)
 
     fails = 0
     type_misses = 0
@@ -1008,6 +1012,12 @@ def _bound_samples(config: SimConfig, th: DecoderThresholds, mc_samples: int, se
         fails += int((~dec.passes(z.astype(np.float64) @ dec.weights)).sum())
         if unmatched is not None:
             type_misses += int(unmatched.sum())
+    return fails, type_misses, p_unmatched
+
+
+def _bound_samples(config: SimConfig, th: DecoderThresholds, mc_samples: int, seed: int):
+    """The sampled (threshold fails, type-mode unmatched) counts of ``_bound_terms``."""
+    fails, type_misses, _ = _bound_terms(config, th, mc_samples, seed)
     return fails, type_misses
 
 
@@ -1049,12 +1059,8 @@ def fbl_bound(config: SimConfig, mc_samples: int = 100_000, seed: int | None = N
     if seed is None:
         seed = config.seed
 
-    fails, _ = _bound_samples(config, th, mc_samples, seed)
-    bound = _clopper_pearson(fails, mc_samples, 0.99)[1] + _union(config, th)
-    if config.mode == TYPE:
-        t12 = _type_counts(config.dist, config.n)
-        bound += _unmatched_probability(t12, config.k)
-    return bound
+    fails, _, p_unmatched = _bound_terms(config, th, mc_samples, seed)
+    return _clopper_pearson(fails, mc_samples, 0.99)[1] + _union(config, th) + p_unmatched
 
 
 def estimate_error_fixed_code(

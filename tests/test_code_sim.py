@@ -1257,7 +1257,7 @@ class TestBoundSampler:
         cfg = SimConfig(
             mac=xor_channel(0.11), dist=UNIFORM, n=10**5, m1_count=1, m2_count=1, k=2**10,
         )
-        block = code_sim._BLOCK_BYTES // code_sim._bound_sample_bytes(cfg.mac, cfg.k)
+        block = code_sim._BLOCK_BYTES // _bound_bytes(cfg)
         tracemalloc.start()
         try:
             fbl_bound(cfg, mc_samples=block + 1)
@@ -1332,7 +1332,8 @@ class TestTypeMatchLaw:
         law = _enumerated_match_law(t12.sum(axis=1), t12.sum(axis=0))
         target = tuple(t12.ravel())
         samples = 100_000
-        sent, unmatched = code_sim._type_match(t12, 1)(np.random.default_rng(8), samples)
+        sampler = code_sim._type_match(t12, code_sim._unmatched_probability(t12, 1))
+        sent, unmatched = sampler(np.random.default_rng(8), samples)
         assert np.all(sent[~unmatched] == t12.ravel())
         assert abs(unmatched.mean() - (1 - law[target])) <= 4.0 * math.sqrt(
             law[target] * (1 - law[target]) / samples
@@ -1379,7 +1380,7 @@ class TestPooledScores:
         cfg = SimConfig(mac=mac, dist=dist, n=n, m1_count=1, m2_count=1, k=k)
         fac = code_sim._ensemble(cfg.mac, cfg.dist, n, "iid")[1]
         assert len(code_sim._score_groups(fac.i_bar)) == 6  # every cell its own group
-        assert _bound_bytes(cfg) == code_sim._bound_sample_bytes(cfg.mac, k)  # version 5's
+        assert _bound_bytes(cfg) == code_sim._bound_sample_bytes(cfg.mac, k, 6)  # one group per cell, as in version 5
         assert code_sim._bound_samples(cfg, cfg.resolved_thresholds(), 100_000, seed=3) == figures
 
     def test_one_pair_sends_a_multinomial_table(self):
@@ -1400,6 +1401,38 @@ class TestPooledScores:
             p = math.factorial(n) * math.prod(q**c / math.factorial(c) for q, c in zip(p12, table))
             got = (sent == table).all(axis=-1).mean()
             assert abs(got - p) <= 4.0 * math.sqrt(p * (1 - p) / samples), (table, got, p)
+
+    def test_groups_of_probability_zero_send_zeros(self):
+        # inputs that never use symbol 2: the cells (1, 2), (2, 1) and (2, 2) form a
+        # score group of probability 0, and (0, 2), (1, 1), (2, 0) one with two zero cells
+        kernel = np.full((3, 3, 5), 0.05)
+        for a1, a2 in itertools.product(range(3), repeat=2):
+            kernel[a1, a2, a1 + a2] = 0.8
+        p = np.array([0.5, 0.5, 0.0])
+        cfg = SimConfig(mac=Mac(kernel), dist=ProductDist(p, p), n=3, m1_count=1, m2_count=1, k=2)
+        fac = code_sim._ensemble(cfg.mac, cfg.dist, cfg.n, "iid")[1]
+        groups = [g.tolist() for g in code_sim._score_groups(fac.i_bar)]
+        assert [5, 7, 8] in groups and [2, 4, 6] in groups
+        th = replace(cfg.resolved_thresholds(), c12=1.5, c1=0.75, c2=0.75)
+        fail, _ = _exact_bound_rates(cfg, th)
+        samples = 200_000
+        fails, _ = code_sim._bound_samples(cfg, th, samples, seed=4)
+        assert abs(fails / samples - fail) <= 4.0 * math.sqrt(fail * (1 - fail) / samples)
+        assert 0.01 < fail < 0.99
+
+    def test_group_totals_fill_their_block_budget(self):
+        # adder2 under uniform inputs has two score groups, so a sample holds K totals;
+        # block + 1 samples run over two blocks, whose peak the per-k charge bounds
+        cfg = SimConfig(mac=adder2(), dist=UNIFORM, n=10**5, m1_count=1, m2_count=1, k=2**14)
+        block = code_sim._BLOCK_BYTES // _bound_bytes(cfg)
+        assert block < 100
+        tracemalloc.start()
+        try:
+            fbl_bound(cfg, mc_samples=block + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code_sim._BLOCK_BYTES / 2 < peak < code_sim._BLOCK_BYTES
 
     def test_group_totals_past_the_block_budget_are_named(self):
         cfg = SimConfig(mac=adder2(), dist=UNIFORM, n=100, m1_count=1, m2_count=1, k=2**40)
