@@ -914,9 +914,10 @@ def _pooled_scores(dist: InputDist, fac: _Facilitator, groups, n: int, k: int):
     It draws the K pairs' totals T_k over the score ``groups``, multinomial(n,
     p_g) for all K; the facilitator's tie rule picks e from the scores T_k . v;
     then only T_e is split into cells, multinomial(T_g, p_c / p_g) per group
-    of more than one cell and p_g > 0.  This is exact, because the choice depends on the
-    totals alone.  With one group every score ties and e = 0, so nothing is
-    drawn per k; when every cell is its own group the draws are version 5's.
+    of more than one cell and p_g > 0.  This is exact, because the choice
+    depends on the totals alone.  With one group every score ties and e = 0,
+    so nothing is drawn per k; when every cell is its own group the draws are
+    version 5's.
     """
     p12 = np.outer(dist.p1, dist.p2).ravel()
     p12 /= p12.sum()

@@ -1380,7 +1380,8 @@ class TestPooledScores:
         cfg = SimConfig(mac=mac, dist=dist, n=n, m1_count=1, m2_count=1, k=k)
         fac = code_sim._ensemble(cfg.mac, cfg.dist, n, "iid")[1]
         assert len(code_sim._score_groups(fac.i_bar)) == 6  # every cell its own group
-        assert _bound_bytes(cfg) == code_sim._bound_sample_bytes(cfg.mac, k, 6)  # one group per cell, as in version 5
+        # one group per cell, as in version 5
+        assert _bound_bytes(cfg) == code_sim._bound_sample_bytes(cfg.mac, k, 6)
         assert code_sim._bound_samples(cfg, cfg.resolved_thresholds(), 100_000, seed=3) == figures
 
     def test_one_pair_sends_a_multinomial_table(self):
