@@ -21,13 +21,16 @@ D[a1, y, a2] of (codeword pair, received word).  Every count is a popcount of
 ANDed bit planes, one bit per position and symbol, packed into W = ceil(n/64)
 uint64 words.  The pair counts of every (m1, m2, k) AND the planes of symbols
 1..A-1 (a binary word is its own plane); each word's symbol counts and n give
-the row a1 = 0 and the column a2 = 0.  The decode counts are formed at the
-facilitated k = e(m1, m2) only, from those words' planes ANDed with the
-received word's, and their cells with a1 = 0 or a2 = 0 by difference.  The
-counts are exact integers in the smallest unsigned type that holds 64 * W,
-and every shape takes this one path.  Table entries that are not finite
-(-inf at kernel zeros) are counted by separate indicator columns, so
-0 * inf never arises.  The bound (M1 = M2 = 1) draws no symbols at all: it
+the row a1 = 0 and the column a2 = 0.  Every (x1, y, x2) count comes from one
+function, ``_triple_counts``: the planes of symbols 1..A-1 of the two words
+ANDed with all Y planes of the received word, over shapes that broadcast,
+and the cells with a1 = 0 or a2 = 0 by difference.  The ensemble forms them
+at the facilitated k = e(m1, m2) only; a fixed code for every message pair
+and received word; its type check is the same count under a received word
+of one symbol.  The counts are exact integers in the smallest unsigned type
+that holds 64 * W, so no layout changes a report.  Table entries that are
+not finite (-inf at kernel zeros) are counted by separate indicator columns,
+so 0 * inf never arises.  The bound (M1 = M2 = 1) draws no symbols at all: it
 samples only what the facilitator and decoder read, from exact laws.  In iid
 mode that is the K pairs' totals over the cells of equal i_bar, which fix the
 scores, and the chosen pair's cells; in type mode whether any of the K pairs
@@ -36,22 +39,20 @@ come the chosen pair's (x1, y, x2) counts.  The cost grows with neither n
 nor, in type mode or when i_bar takes one value, K.
 
 Fixed codes.  ``_fixed_code`` prepares a code once: its decoder, the
-facilitated words of every message pair and, in type mode, their type check.
-``threshold_decode`` keeps the last prepared code in a one-slot memo.  The
-memo's key holds the values the code is built from: the bytes, shape and
-dtype of the codebooks, the facilitator table and the kernel, the codebooks'
-and the table's modes, the thresholds and the input law.  So an array
-changed in place misses, where its ``id`` would not, and a table of another
-mode than the codebooks' reaches the mode check.  One word's counts for all
-M1 * M2 pairs are then one bincount of the pairs' cell codes
-(x1 * Y) * A2 + x2 + row * cells, each shifted by y * A2.  The slot keeps its code after the call, outside the block
-budget: about 16 MB at M1 = M2 = 64, n = 1000, half of it the cell codes,
-which are stored in the smallest unsigned type that holds them (uint16 there).
-``estimate_error_fixed_code`` takes a block's metrics as GEMMs of its received
-words' one-hot form with per-pair tables of Y * n rows and M1 * M2 * columns
-float64 entries.  Each block builds the tables for its products: all pairs in
-one when they fit the block budget, else chunks of message pairs that fit
-half of it.
+facilitated words of every message pair, their bit planes and, in type mode,
+their type check.  ``_FixedCode.passes`` is the one fixed-code decode: it
+counts received words against every pair's planes and contracts the counts
+cells first with the decoder's weights.  ``threshold_decode`` calls it with
+one word and keeps the last prepared code in a one-slot memo.  The memo's key
+holds the values the code is built from: the bytes, shape and dtype of the
+codebooks, the facilitator table and the kernel, the codebooks' and the
+table's modes, the thresholds and the input law.  So an array changed in
+place misses, where its ``id`` would not, and a table of another mode than
+the codebooks' reaches the mode check.  The slot keeps its code after the
+call, outside the block budget: about 9 MB at M1 = M2 = 64, n = 1000, nearly
+all of it the facilitated words.  ``estimate_error_fixed_code`` decodes a
+block's received words in chunks of trials whose counts and metrics take
+1/16 of the block budget.
 
 Ties.  The score facilitator picks the smallest k whose score lies within
 ``_TIE_ULPS_PER_CELL`` * A1 * A2 ulps of n * max|i_bar| of the best score,
@@ -92,7 +93,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 from scipy.special import betaincinv, gammaln
@@ -411,49 +412,43 @@ def _cells_last(counts, shape):
     return table.astype(np.float64, order="C").reshape(*shape, -1)
 
 
+def _triple_counts(x1, x2, y):
+    """Planes x1 (W, A1-1, *S), x2 (W, A2-1, *S), y (W, Y, *S) -> counts D (A1, Y, A2, *S)
+    of (x1, y, x2), cells first; the shapes S broadcast.
+
+    The popcounts of ANDed planes give D[a1, y, a2] for a1, a2 >= 1; the
+    counts of (x1, y) and (y, x2) give the cells with a2 = 0 or a1 = 0 by
+    difference, and y's own counts the cells with both.  The bits of y past n
+    must be zero, as ``_planes`` leaves them.
+    """
+    w = len(y)
+    # D[a1, y, a2] for a1, a2 >= 1: (A1-1, Y, A2-1, *S)
+    d11 = _bit_count(((x1[i][:, None] & y[i])[:, :, None] & x2[i] for i in range(w)), w)
+    c1y = _bit_count((x1[i][:, None] & y[i] for i in range(w)), w)  # (A1-1, Y, *S)
+    c2y = _bit_count((y[i][:, None] & x2[i] for i in range(w)), w)  # (Y, A2-1, *S)
+    s1, ny, s2, *shape = d11.shape
+    dt = d11.dtype
+    d = np.empty((s1 + 1, ny, s2 + 1, *shape), dtype=dt)
+    d[1:, :, 1:] = d11
+    d[1:, :, 0] = c1y - d11.sum(axis=2, dtype=dt)
+    d[0, :, 1:] = c2y - d11.sum(axis=0, dtype=dt)
+    d[0, :, 0] = _bit_count(y, w) - c1y.sum(axis=0, dtype=dt) - d[0, :, 1:].sum(axis=1, dtype=dt)
+    return d
+
+
 def _decode_counts(p1, p2, py, e):
     """Counts D (B, M1, M2, A1*Y*A2) float64 of (x1, y, x2) in the words k = e (B, M1, M2).
 
-    The codewords' planes at e, one row r per (b, m1, m2), are ANDed with the
-    planes ``py`` (W, Y, B) of every symbol of their trial's received word.
+    The codewords' planes at e are ANDed with the planes ``py`` (W, Y, B) of
+    every symbol of their trial's received word.
     """
     w, s1, b, k, m1 = p1.shape
     s2, m2 = p2.shape[1], p2.shape[-1]
-    at_e = np.arange(b)[:, None, None] * k + e  # each r's row of (B, K)
-    r1, r2 = (at_e * m1 + np.arange(m1)[:, None]).ravel(), (at_e * m2 + np.arange(m2)).ravel()
-    x1 = np.take(p1.reshape(w, s1, b * k * m1), r1, axis=2)  # (W, A1-1, R)
+    at_e = np.arange(b)[:, None, None] * k + e  # each (b, m1, m2)'s row of (B, K)
+    r1, r2 = at_e * m1 + np.arange(m1)[:, None], at_e * m2 + np.arange(m2)
+    x1 = np.take(p1.reshape(w, s1, b * k * m1), r1, axis=2)  # (W, A1-1, B, M1, M2)
     x2 = np.take(p2.reshape(w, s2, b * k * m2), r2, axis=2)
-    y = np.repeat(py, m1 * m2, axis=2)  # (W, Y, R)
-    c1y = _bit_count((x1[i][:, None] & y[i] for i in range(w)), w)  # (A1-1, Y, R)
-    dt = c1y.dtype
-    d = np.empty((s1 + 1, y.shape[1], s2 + 1, y.shape[2]), dtype=dt)  # cells first
-    d[1:, :, 1:] = _bit_count(((x1[i][:, None] & y[i])[:, :, None] & x2[i] for i in range(w)), w)
-    d[1:, :, 0] = c1y - d[1:, :, 1:].sum(axis=2, dtype=dt)
-    c2y = _bit_count((y[i][:, None] & x2[i] for i in range(w)), w)  # (Y, A2-1, R)
-    d[0, :, 1:] = c2y - d[1:, :, 1:].sum(axis=0, dtype=dt)
-    d[0, :, 0] = _bit_count(y, w) - c1y.sum(axis=0, dtype=dt) - d[0, :, 1:].sum(axis=1, dtype=dt)
-    return _cells_last(d, (b, m1, m2))
-
-
-def _cell_codes(x1, x2, y, a1, a2, ny):
-    """Cell codes (rows, n) intp of words x1, x2, y (..., n): (x1 * Y + y) * A2 + x2,
-    plus a disjoint range of A1*Y*A2 cells per row."""
-    code = np.empty(np.broadcast_shapes(x1.shape, np.shape(y), x2.shape), dtype=np.intp)
-    code[...] = x1  # built in place
-    code *= ny
-    code += y
-    code *= a2
-    code += x2
-    code = code.reshape(-1, code.shape[-1])
-    code += a1 * ny * a2 * np.arange(len(code))[:, None]
-    return code
-
-
-def _word_counts(x1, x2, y, a1, a2, ny):
-    """Counts (..., A1*Y*A2) of (x1, y, x2) in given words x1, x2, y (..., n)."""
-    shape = np.broadcast_shapes(x1.shape, np.shape(y), x2.shape)[:-1] + (a1 * ny * a2,)
-    code = _cell_codes(x1, x2, y, a1, a2, ny)
-    return np.bincount(code.ravel(), minlength=math.prod(shape)).reshape(shape)
+    return _cells_last(_triple_counts(x1, x2, py[..., None, None]), (b, m1, m2))
 
 
 @dataclass(frozen=True)
@@ -483,8 +478,8 @@ class _Facilitator:
         u_choice = rng.random(n_match.shape)
         pool = np.where(n_match > 0, n_match, matched.shape[-1])
         pick = np.minimum(np.floor(u_choice * pool).astype(np.int64), pool - 1)
-        order = np.argsort(~matched, axis=-1, kind="stable")  # matched ks first
-        return np.take_along_axis(order, pick[..., None], axis=-1)[..., 0], n_match == 0
+        nth = (matched.cumsum(axis=-1) > pick[..., None]).argmax(axis=-1)  # the pick-th matched k
+        return np.where(n_match > 0, nth, pick), n_match == 0
 
 
 def _ensemble(mac: Mac, dist: InputDist, n: int, mode: str):
@@ -546,25 +541,6 @@ class _Decoder:
                     fails &= z[..., pos] > 0
                 ok[..., j] &= ~fails
         return ok.all(axis=-1)
-
-    def fixed_tables(self, x1, x2):
-        """Per-pair tables (Y*n, P*columns) of fixed word pairs x1, x2 (P, n)."""
-        a2, ny = self.output_cdf.shape[1:]
-        cell = x1.T.astype(np.intp) * (ny * a2) + x2.T  # (n, P) weight rows at y = 0
-        rows = cell + a2 * np.arange(ny)[:, None, None]
-        return self.weights[rows].reshape(ny * x1.shape[1], -1)  # rows (y, i), columns (pair, col)
-
-
-def _pair_chunk(rows: int, columns: int, pairs: int) -> int:
-    """Message pairs per chunk of the fixed-code tables, ``rows`` = Y*n each.
-
-    All of them when the whole tables fit ``_BLOCK_BYTES``; else chunks whose
-    tables and index take at most half the budget, the rest left to the
-    block's received words and sums.
-    """
-    if 8 * rows * columns * pairs <= _BLOCK_BYTES:
-        return pairs
-    return max(1, _BLOCK_BYTES // (2 * 8 * rows * (columns + 1)))
 
 
 def _trial_bytes(mac: Mac, n: int, m1: int, m2: int, k: int) -> int:
@@ -651,28 +627,26 @@ def _run_trials(config: SimConfig, family: int, trial_bytes: int, block) -> SimR
 class _FixedCode:
     """One fixed code, prepared once for many received words.
 
-    Holds the decoder, the facilitated words x1, x2 (M1, M2, n) and, in type
-    mode, their type check (else None).  ``cells`` is built on first use.
+    Holds the decoder, the facilitated words x1, x2 (M1, M2, n), their planes
+    p1, p2 (W, A-1, 1, M1*M2) and, in type mode, their type check (else None).
     """
 
     dec: _Decoder
     x1: np.ndarray
     x2: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
     in_type: np.ndarray | None
 
-    @cached_property
-    def cells(self) -> np.ndarray:
-        """The pairs' cell codes (M1*M2, n) at y = 0: a received word adds y * A2,
-        and one bincount gives every pair's (x1, y, x2) counts.
+    def passes(self, y):
+        """Received words y (B, n) uint8 -> the decoder passes (B, M1, M2) of every pair.
 
-        Kept in the smallest unsigned type that holds them (uint16 up to 2^16
-        codes), so the slot stays small and a switch of codes does not
-        page-fault, as glibc's allocator did with intp cells beside the
-        word's intp sum.
+        The counts are contracted cells first, as (columns, B*M1*M2) = weights.T @ D.
         """
-        a1, a2, ny = self.dec.output_cdf.shape
-        cells = _cell_codes(self.x1, self.x2, 0, a1, a2, ny)
-        return cells.astype(np.min_scalar_type(len(cells) * a1 * ny * a2))
+        py = _planes(y, self.dec.output_cdf.shape[-1], first=0)[..., None]  # (W, Y, B, 1)
+        d = _triple_counts(self.p1, self.p2, py)  # (A1, Y, A2, B, M1*M2)
+        z = self.dec.weights.T @ d.reshape(len(self.dec.weights), -1).astype(np.float64)
+        return self.dec.passes(z.T).reshape(len(y), *self.x1.shape[:2])
 
 
 def _fixed_code(
@@ -695,10 +669,14 @@ def _fixed_code(
     dec = _Decoder.build(mac, dist, th)
     x1 = codebooks.f1[np.arange(m1)[:, None], e]
     x2 = codebooks.f2[np.arange(m2)[None, :], e]
+    p1 = _planes(x1.reshape(1, m1 * m2, -1), mac.x1_size)
+    p2 = _planes(x2.reshape(1, m1 * m2, -1), mac.x2_size)
     in_type = None
-    if target is not None:
-        in_type = (_word_counts(x1, x2, 0, mac.x1_size, mac.x2_size, 1) == target).all(axis=-1)
-    return _FixedCode(dec, x1, x2, in_type)
+    if target is not None:  # the pair counts: a received word of one symbol
+        one = _planes(np.zeros((1, 1, codebooks.n), dtype=np.uint8), 1, first=0)
+        counts = _triple_counts(p1, p2, one).reshape(len(target), m1, m2)
+        in_type = (counts == target[:, None, None]).all(axis=0)
+    return _FixedCode(dec, x1, x2, p1, p2, in_type)
 
 
 def _value_key(*arrays) -> tuple:
@@ -790,10 +768,7 @@ def threshold_decode(
     y = np.asarray(y_word)
     if y.shape != (codebooks.n,) or not np.all((y >= 0) & (y < mac.y_size) & (np.floor(y) == y)):
         raise SizeMismatch(f"received word must hold {codebooks.n} integers in [0, {mac.y_size})")
-    cells = code.cells + y.astype(np.intp) * mac.x2_size  # (M1*M2, n)
-    counts = np.bincount(cells.ravel(), minlength=len(cells) * len(code.dec.weights))
-    z = counts.reshape(*code.x1.shape[:2], -1).astype(np.float64) @ code.dec.weights
-    passes = code.dec.passes(z)
+    passes = code.passes(y.astype(np.uint8)[None])[0]
     if code.in_type is not None:
         passes &= code.in_type
     hits = np.argwhere(passes)
@@ -1084,23 +1059,20 @@ def estimate_error_fixed_code(
             f"config mode {config.mode!r} does not match codebook mode {codebooks.mode!r}"
         )
     code = _fixed_code(codebooks, e_table, mac, config.dist, config.resolved_thresholds())
-    dec, pairs, columns = code.dec, m1c * m2c, code.dec.weights.shape[1]
-    x1, x2 = code.x1.reshape(pairs, n), code.x2.reshape(pairs, n)
-    chunk = _pair_chunk(mac.y_size * n, columns, pairs)
+    pairs, (cells, columns) = m1c * m2c, code.dec.weights.shape
+    # a chunk of trials' counts, their float copy and metrics take 1/16 of the
+    # budget, so they stay in cache
+    chunk = max(1, _BLOCK_BYTES // (16 * pairs * (10 * cells + 8 * columns)))
 
     def block(rng, b):
         msg1 = rng.integers(0, m1c, size=b)
         msg2 = rng.integers(0, m2c, size=b)
-        y = _sample(rng, (b, n), dec.output_cdf, (code.x1[msg1, msg2], code.x2[msg1, msg2]))
-        onehot = y[:, None] == np.arange(mac.y_size, dtype=np.uint8)[:, None]  # (B, Y, n)
-        y1h = onehot.reshape(b, -1).astype(np.float64)
-        passes = np.empty((b, pairs), dtype=bool)
-        for start in range(0, pairs, chunk):
-            part = slice(start, start + chunk)
-            z = y1h @ dec.fixed_tables(x1[part], x2[part])  # live for this product only
-            passes[:, part] = dec.passes(z.reshape(b, -1, columns))
-        return passes.reshape(b, m1c, m2c), code.in_type, msg1, msg2
+        y = _sample(rng, (b, n), code.dec.output_cdf, (code.x1[msg1, msg2], code.x2[msg1, msg2]))
+        passes = [code.passes(y[start:start + chunk]) for start in range(0, b, chunk)]
+        return np.concatenate(passes), code.in_type, msg1, msg2
 
+    # a trial's received word one-hot and its metrics in float64: an upper
+    # bound, kept as it is because it sets the trials per block, and so the stream
     trial_bytes = 8 * (mac.y_size * n + pairs * columns) + 16 * n
     return _run_trials(config, _FIXED_CODE, trial_bytes, block)
 

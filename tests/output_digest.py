@@ -26,6 +26,9 @@ are hashed from exact forms: array bytes with their dtype and shape, floats by
 - per config: ``draw_codebooks``, ``facilitate``, 8 ``threshold_decode``
   results, ``estimate_error_fixed_code``, ``estimate_error``, ``fbl_bound``
   and ``cooperation_gain``;
+- ``estimate_error_fixed_code`` of a code large enough to be decoded in
+  chunks: adder2 at n = 1000, M1 = M2 = 64, K = 4, 64 trials, with a c12
+  that about half the trials miss;
 - ``threshold_decode`` calls that switch between the configs' codes (A, B,
   A, C, C, B, A), so a code decoded right after another and a code decoded
   twice in a row are both hashed.
@@ -92,6 +95,10 @@ RATE_KS = "1,2,16,1099511627776"
 BOUND_SAMPLES = "20000"
 DECODES = 8
 SWITCHES = ("readme", "iid", "readme", "type", "type", "iid", "readme")
+# d12 of a sent adder2 pair is n plus its count of x1 = x2, in bits; that count is
+# about 516 for the best of K = 4 pairs, so about half the trials miss c12
+LARGE_CODE = {**README_CONFIG, "n": 1000, "m1_count": 64, "m2_count": 64, "k": 4,
+              "trials": 64, "seed": 3, "thresholds": {"c12": 1515.5, "c1": 11.0, "c2": 11.0}}
 
 
 def _sha(data) -> str:
@@ -212,6 +219,9 @@ def library_digests():
         yield f"lib.{name}.cooperation_gain", json.dumps(
             cfmac.cooperation_gain(cfg.mac, q), sort_keys=True
         )
+    cfg, cb, table = _code(LARGE_CODE)
+    report = cfmac.estimate_error_fixed_code(cb, table, cfg)
+    yield "lib.large.estimate_error_fixed_code", json.dumps(report.to_dict(), sort_keys=True)
 
 
 def switching_decodes():

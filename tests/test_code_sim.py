@@ -237,19 +237,21 @@ def _facilitated(cb, table):
 def _pair_metrics(y, cb, table, th, mac, dist):
     """A freshly built decoder and its weighted counts (M1, M2, columns) of word y."""
     dec = code_sim._Decoder.build(mac, dist, th)
-    sizes = (mac.x1_size, mac.x2_size, mac.y_size)
-    z = code_sim._word_counts(*_facilitated(cb, table), np.asarray(y, dtype=np.int64), *sizes)
-    return dec, z.astype(np.float64) @ dec.weights
+    x1, x2 = _facilitated(cb, table)
+    y = np.asarray(y, dtype=np.int64)[None]
+    z = gather_reference.decode_counts(x1[None], x2[None], y, mac.x1_size, mac.y_size, mac.x2_size)
+    return dec, z[0].astype(np.float64) @ dec.weights
 
 
 def _decode_from_scratch(y, cb, table, th, mac, dist):
-    """threshold_decode by ``_word_counts`` and a freshly built decoder, no memo."""
+    """threshold_decode by the gather reference's counts and a freshly built decoder, no memo."""
     dec, z = _pair_metrics(y, cb, table, th, mac, dist)
     passes = dec.passes(z)
     if cb.mode == "type":
-        target = code_sim._type_counts(dist, cb.n).ravel()
-        counts = code_sim._word_counts(*_facilitated(cb, table), 0, mac.x1_size, mac.x2_size, 1)
-        passes &= (counts == target).all(axis=-1)
+        target = code_sim._type_counts(dist, cb.n)
+        x1, x2 = (x.reshape(-1, 1, 1, cb.n) for x in _facilitated(cb, table))  # B = M1*M2 pairs
+        counts = gather_reference.pair_counts(x1, x2, *target.shape).reshape(*passes.shape, -1)
+        passes &= (counts == target.ravel()).all(axis=-1)
     hits = np.argwhere(passes)
     if len(hits) == 1:
         return (int(hits[0][0]), int(hits[0][1])), "decoded"
@@ -336,16 +338,6 @@ class TestThresholdDecodeMemo:
             assert threshold_decode(y, *a) == answer
             threshold_decode(y, *b)
             assert threshold_decode(y, *a) == answer
-
-    @pytest.mark.parametrize("m, dtype", [(4, np.uint8), (5, np.uint16), (76, np.uint32)])
-    def test_cell_codes_keep_their_values_in_a_compact_type(self, m, dtype):
-        # M^2 rows of A1*Y*A2 = 12 cells: codes below 2^8, below 2^16, and past 2^16
-        mac = _noisy_adder()
-        cb = draw_codebooks(mac, UNIFORM, 6, m, m, 2, "iid", seed=3)
-        code = code_sim._fixed_code(cb, facilitate(cb, mac, UNIFORM, "iid"), mac, UNIFORM, self.TH)
-        assert code.cells.dtype == dtype
-        sizes = (mac.x1_size, mac.x2_size, mac.y_size)
-        assert np.array_equal(code.cells, code_sim._cell_codes(code.x1, code.x2, 0, *sizes))
 
 
 class TestEstimateError:
@@ -868,9 +860,7 @@ class TestCountKernel:
         assert np.array_equal(np.isfinite(got), finite)
         assert np.allclose(got[finite], want[finite], rtol=0.0, atol=1e-9)
         # the same counts taken directly from the facilitated words
-        direct = code_sim._word_counts(
-            x1, x2, y[:, None, None], mac.x1_size, mac.x2_size, mac.y_size
-        )
+        direct = gather_reference.decode_counts(x1, x2, y, mac.x1_size, mac.y_size, mac.x2_size)
         assert np.array_equal(direct, z)
         return np.isneginf(want).any()
 
@@ -903,6 +893,13 @@ class TestCountKernel:
             chosen = np.take_along_axis(matched, e[..., None], axis=-1)[..., 0]
             assert np.array_equal(chosen, ~unmatched)
             self.check_decode(mac, dist, n, "type", f1, f2, y, e, p1, p2)
+            # a fixed code's type check: each trial's codebooks under its choice e
+            th = default_thresholds(mac, dist, n, self.M1, self.M2, self.K, "type")
+            for b in range(self.B):
+                cb = code_sim.Codebooks(f1[b], f2[b], "type", seed)
+                table = code_sim.FacilitatorTable(e[b], "type")
+                code = code_sim._fixed_code(cb, table, mac, dist, th)
+                assert np.array_equal(code.in_type, chosen[b])
 
     # (M1, M2, K) from one message pair and K = 1 up to M1 = M2 = 16
     @pytest.mark.parametrize(
@@ -967,6 +964,13 @@ def test_plane_counts_equal_the_gather_reference(a1, a2, ny, m1, m2, k, n, seed)
     x1, x2 = gather_reference.selected_words(g1, g2, e)
     got = code_sim._decode_counts(p1, p2, code_sim._planes(y, ny, first=0), e)
     assert np.array_equal(got, gather_reference.decode_counts(x1, x2, y, a1, ny, a2))
+    # a fixed code's layout: every received word against all P = B*M1*M2 word pairs
+    q1 = code_sim._planes(x1.reshape(1, -1, n), a1)  # (W, A1-1, 1, P)
+    q2 = code_sim._planes(x2.reshape(1, -1, n), a2)
+    got = code_sim._triple_counts(q1, q2, code_sim._planes(y, ny, first=0)[..., None])
+    w1, w2 = x1.reshape(1, 1, -1, n), x2.reshape(1, 1, -1, n)  # one (M1, M2) = (1, P) code
+    want = gather_reference.decode_counts(w1, w2, y, a1, ny, a2)[:, 0]  # (B, P, A1*Y*A2)
+    assert np.array_equal(np.moveaxis(got.reshape(len(want[0, 0]), b, -1), 0, -1), want)
 
 
 def test_memory_stays_bounded_at_m64_n1000():
@@ -1007,14 +1011,13 @@ def test_memory_stays_bounded_where_facilitated_words_are_counted_directly():
     assert peak_mb < bound_mb, peak_mb
 
 
-def test_fixed_code_memory_stays_bounded_at_m64_n1000():
-    # The whole per-pair tables would take 3 * 1000 * 64 * 64 * 6 * 8 B = 562 MB;
-    # they are built in chunks of at most half the byte budget
+def _fixed_code_peak_mb(m, trials):
+    """tracemalloc's peak, in MB, of estimate_error_fixed_code on adder2 at n = 1000."""
     cfg = SimConfig(
-        mac=adder2(), dist=UNIFORM, n=1000, m1_count=64, m2_count=64, k=4,
-        mode="iid", trials=64, seed=3,
+        mac=adder2(), dist=UNIFORM, n=1000, m1_count=m, m2_count=m, k=4,
+        mode="iid", trials=trials, seed=3,
     )
-    cb = draw_codebooks(cfg.mac, cfg.dist, cfg.n, 64, 64, 4, "iid", seed=3)
+    cb = draw_codebooks(cfg.mac, cfg.dist, cfg.n, m, m, 4, "iid", seed=3)
     table = facilitate(cb, cfg.mac, cfg.dist, "iid")
     tracemalloc.start()
     try:
@@ -1022,12 +1025,24 @@ def test_fixed_code_memory_stays_bounded_at_m64_n1000():
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert rep.trials == 64 and sum(rep.decomposition.values()) == rep.errors
+    assert rep.trials == trials and sum(rep.decomposition.values()) == rep.errors
+    return peak_mb
+
+
+def test_fixed_code_memory_stays_bounded_at_m64_n1000():
+    peak_mb = _fixed_code_peak_mb(64, 64)
+    assert peak_mb < code_sim._BLOCK_BYTES / 2**20, peak_mb
+
+
+def test_fixed_code_memory_stays_bounded_over_a_full_block():
+    # M1 = M2 = 20: 1133 trials fill one block; per-pair decode tables of all
+    # 400 pairs would take 58 MB beside it
+    peak_mb = _fixed_code_peak_mb(20, 1133)
     assert peak_mb < code_sim._BLOCK_BYTES / 2**20, peak_mb
 
 
 @pytest.mark.parametrize("mode, dist", [("iid", UNIFORM), ("type", HALF_TYPE)])
-def test_fixed_code_tables_in_chunks_give_the_same_report(monkeypatch, mode, dist):
+def test_fixed_code_trials_in_one_trial_chunks_give_the_same_report(monkeypatch, mode, dist):
     mac = _noisy_adder()
     cfg = SimConfig(mac=mac, dist=dist, n=16, m1_count=4, m2_count=3, k=4, mode=mode,
                     thresholds=TestThresholdDecodeMemo.TH, trials=3000, seed=2)
@@ -1035,8 +1050,16 @@ def test_fixed_code_tables_in_chunks_give_the_same_report(monkeypatch, mode, dis
     table = facilitate(cb, mac, dist, mode, seed=2)
     whole = estimate_error_fixed_code(cb, table, cfg)
     assert 0 < whole.errors < whole.trials
-    monkeypatch.setattr(code_sim, "_pair_chunk", lambda rows, columns, pairs: 5)
+    passes = code_sim._FixedCode.passes
+    calls = []
+
+    def one_trial_chunks(code, y):
+        calls.append(len(y))
+        return np.concatenate([passes(code, y[i:i + 1]) for i in range(len(y))])
+
+    monkeypatch.setattr(code_sim._FixedCode, "passes", one_trial_chunks)
     assert estimate_error_fixed_code(cb, table, cfg) == whole
+    assert sum(calls) == cfg.trials
 
 
 def _noisy_adder():
@@ -1175,12 +1198,16 @@ def _exact_bound_rates(cfg, th):
 
     ys = np.array(list(itertools.product(range(ny), repeat=n)))  # (Y^n, n)
     p_y = np.prod(mac.kernel[x1[:, None], x2[:, None], ys[None]], axis=-1)  # (P, Y^n)
-    z = code_sim._word_counts(x1[:, None], x2[:, None], ys[None], a1, a2, ny)
+    # every received word is a trial b, every codeword pair an m1
+    z = gather_reference.decode_counts(x1[None, :, None], x2[None, :, None], ys, a1, ny, a2)
+    z = z[:, :, 0].transpose(1, 0, 2)  # (P, Y^n, A1*Y*A2)
     fail = (p_y * ~dec.passes(z.astype(np.float64) @ dec.weights)).sum(axis=1)  # (P,)
 
     combos = np.array(list(itertools.product(range(len(p_pair)), repeat=k)))  # (C, K)
     p_combo = np.prod(p_pair[combos], axis=1)
-    counts = code_sim._word_counts(x1[combos], x2[combos], 0, a1, a2, 1)  # (C, K, A1*A2)
+    # each combo's K pairs as one codebook of M1 = M2 = 1
+    counts = gather_reference.pair_counts(x1[combos][:, None], x2[combos][:, None], a1, a2)
+    counts = counts[:, 0, 0]  # (C, K, A1*A2)
     if cfg.mode == "iid":
         e, _ = fac.choose(np.moveaxis(counts, -1, 0)[:, :, None, None])  # cells first
         p_e = np.eye(k)[e[:, 0, 0]]
