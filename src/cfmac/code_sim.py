@@ -19,16 +19,22 @@ match and the type check compare or contract the counts N[a1, a2] of a
 codeword pair, and the three decoding metrics contract the counts
 D[a1, y, a2] of (codeword pair, received word).  Every count is a popcount of
 ANDed bit planes, one bit per position and symbol, packed into W = ceil(n/64)
-uint64 words.  The pair counts of every (m1, m2, k) AND the planes of symbols
-1..A-1 (a binary word is its own plane); each word's symbol counts and n give
-the row a1 = 0 and the column a2 = 0.  Every (x1, y, x2) count comes from one
-function, ``_triple_counts``: the planes of symbols 1..A-1 of the two words
-ANDed with all Y planes of the received word, over shapes that broadcast,
-and the cells with a1 = 0 or a2 = 0 by difference.  The ensemble forms them
-at the facilitated k = e(m1, m2) only; a fixed code for every message pair
-and received word; its type check is the same count under a received word
-of one symbol.  The counts are exact integers in the smallest unsigned type
-that holds 64 * W, so no layout changes a report.  Table entries that are
+uint64 words.  The ensemble's codewords are drawn straight into planes
+(``_construction`` picks the sampler): the planes of a dyadic law are
+bit-sliced compares of raw generator words, a type-class word is a sequential
+draw without replacement, and only other laws draw symbols and pack them with
+``_planes``.  Only the sent pair's words are read back as symbols
+(``_symbols``), because the channel needs them.  The pair counts of every
+(m1, m2, k) AND the planes of symbols 1..A-1 (a binary word is its own
+plane); each word's symbol counts and n give the row a1 = 0 and the column
+a2 = 0.  Every (x1, y, x2) count comes from one function, ``_triple_counts``:
+the planes of symbols 1..A-1 of the two words ANDed with all Y planes of the
+received word, over shapes that broadcast, and the cells with a1 = 0 or
+a2 = 0 by difference.  The ensemble forms them at the facilitated
+k = e(m1, m2) only; a fixed code for every message pair and received word;
+its type check is the same count under a received word of one symbol.  The
+counts are exact integers in the smallest unsigned type that holds 64 * W,
+so no layout changes a report.  Table entries that are
 not finite (-inf at kernel zeros) are counted by separate indicator columns,
 so 0 * inf never arises.  The bound (M1 = M2 = 1) draws no symbols at all: it
 samples only what the facilitator and decoder read, from exact laws.  In iid
@@ -38,21 +44,21 @@ matched, from the closed form (1 - q)^K, and the chosen pair's table.  Then
 come the chosen pair's (x1, y, x2) counts.  The cost grows with neither n
 nor, in type mode or when i_bar takes one value, K.
 
-Fixed codes.  ``_fixed_code`` prepares a code once: its decoder, the
-facilitated words of every message pair, their bit planes and, in type mode,
-their type check.  ``_FixedCode.passes`` is the one fixed-code decode: it
-counts received words against every pair's planes and contracts the counts
-cells first with the decoder's weights.  ``threshold_decode`` calls it with
-one word and keeps the last prepared code in a one-slot memo.  The memo's key
+Fixed codes.  ``_fixed_code`` prepares a code once: its decoder, the bit
+planes of the facilitated words of every message pair and, in type mode,
+their type check; the channel reads the sent words from the codebooks at
+e(m1, m2).  ``_FixedCode.passes`` is the one fixed-code decode: it counts
+received words against every pair's planes and contracts the counts cells
+first with the decoder's weights.  ``threshold_decode`` calls it with one
+word and keeps the last prepared code in a one-slot memo.  The memo's key
 holds the values the code is built from: the bytes, shape and dtype of the
 codebooks, the facilitator table and the kernel, the codebooks' and the
 table's modes, the thresholds and the input law.  So an array changed in
 place misses, where its ``id`` would not, and a table of another mode than
 the codebooks' reaches the mode check.  The slot keeps its code after the
-call, outside the block budget: about 9 MB at M1 = M2 = 64, n = 1000, nearly
-all of it the facilitated words.  ``estimate_error_fixed_code`` decodes a
-block's received words in chunks of trials whose counts and metrics take
-1/16 of the block budget.
+call, outside the block budget: about 1 MB of planes at M1 = M2 = 64,
+n = 1000.  ``estimate_error_fixed_code`` decodes a block's received words in
+chunks of trials whose counts and metrics take 1/16 of the block budget.
 
 Ties.  The score facilitator picks the smallest k whose score lies within
 ``_TIE_ULPS_PER_CELL`` * A1 * A2 ulps of n * max|i_bar| of the best score,
@@ -66,13 +72,15 @@ for the seed, the stream family and the block index.  The seed's 32-bit
 words are zero-padded to four before the spawn key is appended, so distinct
 (seed, family, block) never give the same entropy, and the families
 (ensemble trials, bound samples, codebook draws, facilitator picks,
-fixed-code trials) never share a stream.  A symbol of a dyadic law, one
-whose cumulative sums are all multiples of 1/256, is one raw byte; every
-other uniform keeps 53 bits.  The block size is a pure function of the
-configuration's per-trial footprint (for the
-bound, the per-sample count footprint ``_bound_sample_bytes``) and the byte
-budget ``_BLOCK_BYTES``, so results are bit-for-bit reproducible for a given
-(config, seed), independent of scheduling, and memory stays bounded.
+fixed-code trials) never share a stream.  A law is dyadic when its
+cumulative sums are all multiples of 1/256.  A codeword symbol of a dyadic
+law takes b bits, the fewest that express its sums, from b raw planes; an
+output symbol of a dyadic law is one raw byte; every other uniform keeps 53
+bits.  The block size is a pure function of the configuration's per-trial
+footprint (for the bound, the per-sample count footprint
+``_bound_sample_bytes``) and the byte budget ``_BLOCK_BYTES``, so results
+are bit-for-bit reproducible for a given (config, seed), independent of
+scheduling, and memory stays bounded.
 ``STREAM_VERSION`` names the stream layout; it changes whenever a fixed
 (config, seed) deliberately yields a different report.  The facilitator
 draws type mode's pick itself: one uniform per message pair, right after the
@@ -88,6 +96,13 @@ samples draw the K pairs' score-group totals, then split the chosen pair's
 into cells (a kernel whose i_bar values are all distinct draws as in version
 5), and type-mode samples draw one uniform for the match, then a contingency
 table only where none matched; a type-mode sample's footprint has no K term.
+Version 7 draws codewords straight into bit planes, in the ensemble and
+codebook families: a dyadic law of b bits reads b raw 64-bit words per plane
+word, in (b, W, *lead) order, where version 6 read a byte per symbol; a
+type-class word draws, at each position i in turn, one ``integers`` value in
+[0, n - i) (uint16, or uint32 past n = 2^16), where version 6 ranked n
+float64 keys.  Codewords of other laws, the channel's outputs and the bound
+family draw as in version 6.
 """
 from __future__ import annotations
 
@@ -115,7 +130,7 @@ from .channel import (
 )
 from .errors import DegenerateThresholds, ModeMismatch, NotAnNType, SizeMismatch
 
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 
 _BLOCK_BYTES = 64 * 2**20  # per-block working-set budget; sets the trials per block
 # Facilitator scores within this many ulps of n * max|i_bar|, per joint cell
@@ -314,17 +329,80 @@ def _sample(rng, shape, cdf, law=()):
     return words
 
 
-def _draw_type(rng, shape, base):
-    # a uniform arrangement of the type's base word: ranks of uniform keys (distinct
-    # keys have one sorted order, so the sort algorithm is free), in chunks of about
-    # 2^16 keys: one draw's stream, with temporaries that stay in cache and heap
-    words = np.empty(shape, dtype=np.uint8)
-    rows = words.reshape(-1, shape[-1])
-    step = max(1, 2**16 // shape[-1])
-    for start in range(0, len(rows), step):
-        part = rows[start:start + step]
-        part[...] = base[np.argsort(rng.random(part.shape), axis=-1)]
-    return words
+def _dyadic_bits(cdf) -> int | None:
+    """The smallest b <= 8 such that every compared sum cdf[:-1] is a multiple of
+    2^-b, or None when there is none (the law is not dyadic)."""
+    for b in range(9):
+        thresholds = cdf[:-1] * 2**b
+        if np.array_equal(thresholds, np.rint(thresholds)):
+            return b
+    return None
+
+
+def _at_least(u, t: int):
+    """Bit-sliced U >= t: ``u`` holds the b planes of U, bit j of U in u[j], and
+    0 <= t <= 2^b.  From U's lowest bit up, U >= t on bits 0..j holds where
+    u[j] is set and the lower bits are >= (t's bit j is 1), or where either is
+    (t's bit j is 0); below t's lowest set bit it holds everywhere."""
+    if t == 0:
+        return np.full(u.shape[1:], ~np.uint64(0), dtype="<u8")
+    if t >= 2 ** len(u):
+        return np.zeros(u.shape[1:], dtype="<u8")
+    low = (t & -t).bit_length() - 1
+    ge = u[low].copy()
+    for j in range(low + 1, len(u)):
+        if t >> j & 1:
+            ge &= u[j]
+        else:
+            ge |= u[j]
+    return ge
+
+
+def _one_hot(ge, n):
+    """Nested planes ge (W, A-1, ...) of "symbol >= a", a = 1..A-1, -> the planes
+    of "symbol == a", in place, with the bits past n cleared."""
+    ge[:, :-1] &= ~ge[:, 1:]
+    if n % 64:
+        ge[-1] &= np.uint64(2 ** (n % 64) - 1)
+    return ge
+
+
+def _draw_dyadic(rng, lead, thresholds, b, n):
+    """Planes (W, A-1, *lead) of i.i.d. symbols of a dyadic law, 2^b * cdf[:-1] =
+    ``thresholds``: U is b raw planes (b, W, *lead) of the generator's 64-bit
+    outputs read as ``<u8``, and a symbol counts the thresholds U reaches.
+    P(U >= t) = 1 - t/2^b = 1 - cdf exactly; a uniform binary law (b = 1) is
+    the raw word."""
+    w = -(-n // 64)
+    raw = rng.bit_generator.random_raw(b * w * math.prod(lead)).astype("<u8", copy=False)
+    u = raw.reshape(b, w, *lead)
+    ge = np.empty((w, len(thresholds), *lead), dtype="<u8")
+    for a, t in enumerate(thresholds):
+        ge[:, a] = _at_least(u, int(t))
+    return _one_hot(ge, n)
+
+
+def _draw_type(rng, lead, counts, n):
+    """Planes (W, A-1, *lead) of uniform arrangements of a word with symbol counts
+    ``counts`` (A,), which sum to n.
+
+    An exact sequential draw without replacement: at position i every word
+    takes one uniform integer r in [0, n - i) from ``rng.integers`` and reads a
+    symbol >= a where r is below its count left of the symbols >= a.  So it
+    reads a with probability (a's count left) / (n - i).
+    """
+    words = math.prod(lead)
+    dtype = np.uint16 if n <= 2**16 else np.uint32
+    at_least = np.cumsum(counts[::-1])[::-1][1:]  # symbols >= a, a = 1..A-1
+    left = np.repeat(at_least.astype(dtype)[:, None], words, axis=1)  # (A-1, words)
+    ge = np.zeros((-(-n // 64), len(left), words), dtype="<u8")
+    at = np.empty(left.shape, dtype=bool)
+    for i in range(n):
+        r = rng.integers(0, n - i, size=words, dtype=dtype)
+        np.less(r, left, out=at)
+        left -= at
+        ge[i // 64] |= np.left_shift(at, i % 64, dtype=np.uint64)
+    return _one_hot(ge, n).reshape(ge.shape[:2] + tuple(lead))
 
 
 def _require_uint8(mac: Mac) -> None:
@@ -332,18 +410,28 @@ def _require_uint8(mac: Mac) -> None:
         raise SizeMismatch("the simulator stores symbols as uint8: alphabets are limited to 256")
 
 
+def _iid_sampler(p, n):
+    """The sampler (rng, lead) -> planes (W, A-1, *lead) of i.i.d. words of law ``p``."""
+    cdf = np.cumsum(p)
+    b = _dyadic_bits(cdf)
+    if b is None:
+        return lambda rng, lead: _planes(_sample(rng, (*lead, n), cdf), len(p))
+    return partial(_draw_dyadic, thresholds=np.rint(cdf[:-1] * 2**b).astype(np.int64), b=b, n=n)
+
+
 def _construction(dist: InputDist, n: int, mode: str):
-    """The one mode dispatch: per user, a sampler (rng, shape) -> uint8 codeword
-    symbols, and the joint n-type counts (A1*A2,) that type mode matches (None in iid mode)."""
+    """The one mode dispatch: per user, a sampler (rng, lead) -> bit planes (W, A-1,
+    *lead) of codewords of length n (see ``_planes``), and the joint n-type counts
+    (A1*A2,) that type mode matches (None in iid mode)."""
     if mode == IID:
-        return [partial(_sample, cdf=np.cumsum(p)) for p in (dist.p1, dist.p2)], None
+        return [_iid_sampler(p, n) for p in (dist.p1, dist.p2)], None
     if mode != TYPE:
         raise ModeMismatch(f"unknown mode {mode!r}")
     if not isinstance(dist, JointDist):
         raise ModeMismatch("type mode requires a JointDist n-type")
     counts = _type_counts(dist, n)
     samplers = [
-        partial(_draw_type, base=np.repeat(np.arange(len(c), dtype=np.uint8), c))
+        partial(_draw_type, counts=c, n=n)
         for c in (counts.sum(axis=1), counts.sum(axis=0))
     ]
     return samplers, counts.ravel()
@@ -366,9 +454,18 @@ def _planes(words, size, first=1):
     symbols = np.arange(first, size, dtype=np.uint8)[:, None]
     bits = np.zeros((*lead, len(symbols), 64 * w), dtype=bool)
     np.equal(words[..., None, :], symbols, out=bits[..., :n])
-    packed = np.packbits(bits.reshape(-1), bitorder="little").view(np.uint64)
+    packed = np.packbits(bits.reshape(-1), bitorder="little").view("<u8")
     planes = packed.reshape(*lead, len(symbols), w)
     return np.ascontiguousarray(np.moveaxis(planes, (-1, -2), (0, 1)))
+
+
+def _symbols(planes, n):
+    """Planes (W, A-1, *lead) of symbols 1..A-1 -> (*lead, n) uint8 words; inverts ``_planes``."""
+    rows = np.ascontiguousarray(np.moveaxis(planes, (0, 1), (-1, -2)), dtype="<u8")
+    # (*lead, A-1, n), at most one bit set per position
+    bits = np.unpackbits(rows.view(np.uint8), axis=-1, count=n, bitorder="little")
+    symbols = np.arange(1, bits.shape[-2] + 1, dtype=np.uint8)[:, None]
+    return (bits * symbols).sum(axis=-2, dtype=np.uint8)
 
 
 def _bit_count(words, w):
@@ -547,8 +644,9 @@ def _trial_bytes(mac: Mac, n: int, m1: int, m2: int, k: int) -> int:
     """Working set of one ensemble trial: draw, one-hot words, counts.
 
     An upper bound, kept as it was because it sets the trials per block, and
-    so the stream: a dyadic law draws a byte per symbol, not a float64, and
-    the count kernel's bit planes take 1/64 byte per symbol, not float32s.
+    so the stream: a dyadic or type-class codeword is drawn into bit planes,
+    not float64 uniforms and bytes, and the count kernel's planes take 1/64
+    byte per symbol, not float32s.
     """
     a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
     draw = k * n * (8 * max(m1, m2) + m1 + m2)
@@ -564,20 +662,20 @@ def _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec):
     words (None in iid mode; it holds exactly where some k matched the type
     target) and the sent messages.
     """
-    a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
-    f1 = samplers[0](rng, (b, k, m1c, n))
-    f2 = samplers[1](rng, (b, k, m2c, n))
-    p1, p2 = _planes(f1, a1), _planes(f2, a2)
+    p1 = samplers[0](rng, (b, k, m1c))
+    p2 = samplers[1](rng, (b, k, m2c))
     e, unmatched = fac.choose(_pair_counts(p1, p2, n), rng)
 
     msg1 = rng.integers(0, m1c, size=b)
     msg2 = rng.integers(0, m2c, size=b)
     bb = np.arange(b)
     k_sent = e[bb, msg1, msg2]
-    x1, x2 = f1[bb, k_sent, msg1], f2[bb, k_sent, msg2]
+    # only the sent words are read as symbols: the channel needs them
+    x1 = _symbols(p1[:, :, bb, k_sent, msg1], n)
+    x2 = _symbols(p2[:, :, bb, k_sent, msg2], n)
     y = _sample(rng, x1.shape, dec.output_cdf, (x1, x2))
 
-    z = _decode_counts(p1, p2, _planes(y, ny, first=0), e)
+    z = _decode_counts(p1, p2, _planes(y, mac.y_size, first=0), e)
     in_type = None if unmatched is None else ~unmatched
     return dec.passes(z @ dec.weights), in_type, msg1, msg2
 
@@ -627,13 +725,11 @@ def _run_trials(config: SimConfig, family: int, trial_bytes: int, block) -> SimR
 class _FixedCode:
     """One fixed code, prepared once for many received words.
 
-    Holds the decoder, the facilitated words x1, x2 (M1, M2, n), their planes
-    p1, p2 (W, A-1, 1, M1*M2) and, in type mode, their type check (else None).
+    Holds the decoder, the planes p1, p2 (W, A-1, 1, M1, M2) of the facilitated
+    words of every message pair and, in type mode, their type check (else None).
     """
 
     dec: _Decoder
-    x1: np.ndarray
-    x2: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
     in_type: np.ndarray | None
@@ -643,10 +739,10 @@ class _FixedCode:
 
         The counts are contracted cells first, as (columns, B*M1*M2) = weights.T @ D.
         """
-        py = _planes(y, self.dec.output_cdf.shape[-1], first=0)[..., None]  # (W, Y, B, 1)
-        d = _triple_counts(self.p1, self.p2, py)  # (A1, Y, A2, B, M1*M2)
+        py = _planes(y, self.dec.output_cdf.shape[-1], first=0)[..., None, None]  # (W, Y, B, 1, 1)
+        d = _triple_counts(self.p1, self.p2, py)  # (A1, Y, A2, B, M1, M2)
         z = self.dec.weights.T @ d.reshape(len(self.dec.weights), -1).astype(np.float64)
-        return self.dec.passes(z.T).reshape(len(y), *self.x1.shape[:2])
+        return self.dec.passes(z.T).reshape(len(y), *self.p1.shape[-2:])
 
 
 def _fixed_code(
@@ -667,16 +763,14 @@ def _fixed_code(
         )
     _, target = _construction(dist, codebooks.n, codebooks.mode)
     dec = _Decoder.build(mac, dist, th)
-    x1 = codebooks.f1[np.arange(m1)[:, None], e]
-    x2 = codebooks.f2[np.arange(m2)[None, :], e]
-    p1 = _planes(x1.reshape(1, m1 * m2, -1), mac.x1_size)
-    p2 = _planes(x2.reshape(1, m1 * m2, -1), mac.x2_size)
+    p1 = _planes(codebooks.f1[np.arange(m1)[:, None], e][None], mac.x1_size)
+    p2 = _planes(codebooks.f2[np.arange(m2)[None, :], e][None], mac.x2_size)
     in_type = None
     if target is not None:  # the pair counts: a received word of one symbol
-        one = _planes(np.zeros((1, 1, codebooks.n), dtype=np.uint8), 1, first=0)
+        one = _planes(np.zeros((1, 1, 1, codebooks.n), dtype=np.uint8), 1, first=0)
         counts = _triple_counts(p1, p2, one).reshape(len(target), m1, m2)
         in_type = (counts == target[:, None, None]).all(axis=0)
-    return _FixedCode(dec, x1, x2, p1, p2, in_type)
+    return _FixedCode(dec, p1, p2, in_type)
 
 
 def _value_key(*arrays) -> tuple:
@@ -720,8 +814,8 @@ def draw_codebooks(
     _require_uint8(mac)
     samplers, _ = _construction(dist, n, mode)
     rng = _stream(seed, _CODEBOOK, 0)
-    f1 = samplers[0](rng, (m1_count, k, n))
-    f2 = samplers[1](rng, (m2_count, k, n))
+    f1 = _symbols(samplers[0](rng, (m1_count, k)), n)
+    f2 = _symbols(samplers[1](rng, (m2_count, k)), n)
     return Codebooks(f1=f1, f2=f2, mode=mode, seed=seed)
 
 
@@ -1059,6 +1153,7 @@ def estimate_error_fixed_code(
             f"config mode {config.mode!r} does not match codebook mode {codebooks.mode!r}"
         )
     code = _fixed_code(codebooks, e_table, mac, config.dist, config.resolved_thresholds())
+    f1, f2, e = codebooks.f1, codebooks.f2, e_table.e
     pairs, (cells, columns) = m1c * m2c, code.dec.weights.shape
     # a chunk of trials' counts, their float copy and metrics take 1/16 of the
     # budget, so they stay in cache
@@ -1067,7 +1162,8 @@ def estimate_error_fixed_code(
     def block(rng, b):
         msg1 = rng.integers(0, m1c, size=b)
         msg2 = rng.integers(0, m2c, size=b)
-        y = _sample(rng, (b, n), code.dec.output_cdf, (code.x1[msg1, msg2], code.x2[msg1, msg2]))
+        k_sent = e[msg1, msg2]
+        y = _sample(rng, (b, n), code.dec.output_cdf, (f1[msg1, k_sent], f2[msg2, k_sent]))
         passes = [code.passes(y[start:start + chunk]) for start in range(0, b, chunk)]
         return np.concatenate(passes), code.in_type, msg1, msg2
 

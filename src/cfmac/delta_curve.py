@@ -16,6 +16,15 @@ achievable, so a stalled refinement can only understate delta.  The top
 capacity maximizer is the first candidate, so delta = max(best - C, 0) >= 0,
 and at a = 0 it is returned with delta exactly 0.
 
+Some kernels gain nothing from dependence, and that is certified without a
+refinement.  For any output law q and any joint input law, I(X1,X2;Y) <=
+max_x D(W_x || q), the maximum over the input pairs x = (x1, x2).  When that
+maximum, at the output law of the top capacity maximizer, is at most C +
+``_ZERO_GAIN_SLACK`` nats, no joint law beats C by more than the slack, and
+``delta`` returns the maximizer with delta exactly 0 for every a, as at a = 0,
+running no SLSQP.  xor:0.11 is such a kernel: its maximum exceeds C by
+5.6e-17 nats.
+
 Capacity-achieving laws often put zero mass on some input pairs.  At such a
 cell the budget's gradient log(p12 / (p1 p2)) - 1 is unbounded: with its logs
 floored at 1e-300, a cell whose row and column are empty too gets about +690.
@@ -27,8 +36,9 @@ computed I(X1;X2) is at most the budget in nats, with no tolerance, so for
 a > 0 every returned law meets the budget as computed exactly.  At a = 0 the
 product maximizer is returned, whose computed I(X1;X2) is 0 up to rounding.
 
-For a > 0 a result is certified: at least one refinement must end with
-SLSQP status 0 and meet the budget, or ``delta`` raises ``NonConvergence``.
+For a > 0 a result is certified: the divergence bound above holds, or at
+least one refinement ends with SLSQP status 0 and meets the budget, or
+``delta`` raises ``NonConvergence``.
 """
 from __future__ import annotations
 
@@ -60,6 +70,9 @@ _EPS = 1e-300
 # floor of the logs in the budget gradient only: at _EPS an empty cell in an
 # empty row and column gets ~+690 and SLSQP's linearised budget stalls
 _GRAD_LOG_FLOOR = 1e-12
+# delta is 0 where no input pair's divergence from the top maximizer's output
+# law exceeds the sum-capacity by more than this many nats
+_ZERO_GAIN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -253,7 +266,10 @@ def delta(
     a_nats = a * _nats_per_unit(units)
     kernel = mac.kernel
     best_p = capacity.argmax_dists[0].joint()
-    if a == 0:  # only product laws meet a zero budget: the maximizer, of I(X1;X2) = 0, is optimal
+    # only product laws meet a zero budget, and no joint law beats a divergence
+    # bound at C: either way the maximizer, of I(X1;X2) = 0, is optimal
+    c_nats = capacity.c_sum / scale
+    if a == 0 or _letter_div_nats(kernel, best_p[None]).max() <= c_nats + _ZERO_GAIN_SLACK:
         return DeltaPoint(a, 0.0, JointDist(best_p), 0.0, units)
 
     starts: list[np.ndarray] = []
@@ -281,7 +297,7 @@ def delta(
 
     return DeltaPoint(
         a=a,
-        delta=max((best_val - capacity.c_sum / scale) * scale, 0.0),
+        delta=max((best_val - c_nats) * scale, 0.0),
         argmax_joint=JointDist(best_p),
         achieved_mi_budget=_mi_12_nats(best_p) * scale,
         units=units,

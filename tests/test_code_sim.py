@@ -24,6 +24,7 @@ from cfmac.channel import (
     xor_channel,
 )
 from cfmac.code_sim import (
+    Codebooks,
     DecoderThresholds,
     SimConfig,
     default_thresholds,
@@ -160,11 +161,13 @@ class TestThresholdDecode:
         assert decoded is None and reason == "multiple-pass"
 
     def test_type_code_checks_the_joint_type_under_explicit_thresholds(self):
-        # K = 1 words of the diagonal type: only the pair (0, 1) has it, so with
-        # open thresholds the type check alone leaves one pair passing
+        # K = 1 words with two of each symbol: under the diagonal type a pair
+        # matches where its words are equal, which only the pair (0, 1) is, so
+        # with open thresholds the type check alone leaves one pair passing
         mac = adder2()
         corner = JointDist(np.array([[0.5, 0.0], [0.0, 0.5]]))
-        cb = draw_codebooks(mac, corner, 4, 2, 2, 1, "type", seed=3)
+        words = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 0, 0]], dtype=np.uint8)
+        cb = Codebooks(f1=words[:2, None], f2=words[[2, 0], None], mode="type", seed=3)
         table = facilitate(cb, mac, corner, "type", seed=3)
         assert np.argwhere(~table.unmatched).tolist() == [[0, 1]]
         th = DecoderThresholds(c12=-math.inf, c1=-math.inf, c2=-math.inf)
@@ -692,6 +695,109 @@ class TestByteSampler:
         assert got.bit_generator.state == want.bit_generator.state
 
 
+class _AllValuesRng:
+    """Stub generator whose b raw outputs are the b bit planes of U = 0, 1, ..., 2^b - 1,
+    U = i at position i."""
+
+    def __init__(self, b):
+        self.bit_generator = self
+        self.b = b
+
+    def random_raw(self, size):
+        assert size == self.b  # one 64-bit word per plane
+        i = np.arange(2**self.b)
+        return np.array([int((i >> j & 1) @ (1 << i)) for j in range(self.b)], dtype=np.uint64)
+
+
+def _plane_sampler(p, n):
+    """User 1's iid codeword sampler for the input law ``p``."""
+    dist = ProductDist(np.asarray(p, dtype=float), np.array([0.5, 0.5]))
+    return code_sim._construction(dist, n, "iid")[0][0]
+
+
+class TestPlaneSamplers:
+    """Codeword samplers write bit planes; their laws are exact."""
+
+    P3 = (1 / 8, 3 / 8, 1 / 2)  # b = 3
+
+    @pytest.mark.parametrize(
+        "p", [(1 / 2, 1 / 2), (1 / 4, 3 / 4), P3, (1 / 8, 1 / 8, 3 / 4), (0, 1 / 2, 1 / 2),
+              (1 / 4, 3 / 4, 0), (1, 0), (5 / 8, 3 / 8)],
+    )
+    def test_every_value_of_u_gives_the_exact_law(self, p):
+        b = code_sim._dyadic_bits(np.cumsum(p))
+        planes = _plane_sampler(p, 2**b)(_AllValuesRng(b), ())
+        words = code_sim._symbols(planes, 2**b)
+        assert np.bincount(words, minlength=len(p)).tolist() == [2**b * q for q in p]
+
+    def test_dyadic_bits_is_the_smallest(self):
+        bits = [code_sim._dyadic_bits(np.cumsum(p)) for p in
+                [(1,), (1, 0), (1 / 2, 1 / 2), (1 / 4, 3 / 4), self.P3, (3 / 256, 253 / 256)]]
+        assert bits == [0, 0, 1, 2, 3, 8]
+        assert code_sim._dyadic_bits(np.cumsum([1 / 512, 511 / 512])) is None
+        assert code_sim._dyadic_bits(np.cumsum([0.3, 0.7])) is None
+
+    def test_three_symbol_dyadic_law(self):
+        n, lead = 130, (40, 25)
+        planes = _plane_sampler(self.P3, n)(_rng(4), lead)
+        assert planes.shape == (3, 2, *lead) and planes.dtype == np.uint64
+        assert not np.any(planes[:, 0] & planes[:, 1])  # disjoint: one symbol per position
+        assert not np.any(planes[-1] >> np.uint64(n - 128))  # the bits past n are zero
+        words = code_sim._symbols(planes, n)
+        assert np.array_equal(code_sim._planes(words, 3), planes)
+        total = words.size
+        for a, q in enumerate(self.P3):
+            count = int((words == a).sum())
+            assert abs(count - total * q) <= 4 * math.sqrt(total * q * (1 - q)), a
+
+    def test_dyadic_draw_reads_b_raw_planes(self):
+        got, want = _rng(3), _rng(3)
+        _plane_sampler(self.P3, 70)(got, (5, 3))
+        want.bit_generator.random_raw(3 * 2 * 15)
+        assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("law", ["0.3-0.7", "1/3"])
+    def test_other_laws_keep_the_symbol_draw(self, law):
+        p = (0.3, 0.7) if law == "0.3-0.7" else (1 / 3, 1 / 3, 1 / 3)
+        got, want = _rng(5), _rng(5)
+        planes = _plane_sampler(p, 70)(got, (4, 6))
+        words = code_sim._sample(want, (4, 6, 70), np.cumsum(p))
+        assert np.array_equal(planes, code_sim._planes(words, len(p)))
+        assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("n", [4, 40, 64, 130])
+    def test_every_type_word_has_the_target_type(self, n):
+        # user 1 has three symbols, user 2 two
+        c = n // 4
+        dist = JointDist(np.array([[c, c, 0], [0, 0, n - 2 * c]]).T / n)
+        samplers, _ = code_sim._construction(dist, n, "type")
+        for sampler, target in zip(samplers, (dist.p1 * n, dist.p2 * n)):
+            planes = sampler(_rng(n), (30, 7))
+            words = code_sim._symbols(planes, n)
+            assert np.array_equal(code_sim._planes(words, len(target)), planes)
+            for a, c in enumerate(np.rint(target)):
+                assert np.all((words == a).sum(axis=-1) == c), (a, c)
+
+    def test_type_arrangements_are_uniform(self):
+        from scipy.stats import chi2  # the reference; the package itself does not load it
+
+        samplers, _ = code_sim._construction(HALF_TYPE, 4, "type")
+        words = code_sim._symbols(samplers[0](_rng(6), (12_000,)), 4)
+        arrangements, seen = np.unique(words, axis=0, return_counts=True)
+        assert len(arrangements) == 6 and np.all(arrangements.sum(axis=1) == 2)
+        statistic = float((((seen - 2000) ** 2) / 2000).sum())
+        assert statistic < chi2.ppf(0.999, 5), seen
+
+    @pytest.mark.parametrize("n", [50, 130])
+    def test_symbols_inverts_planes(self, n):
+        words = _rng(n).integers(0, 5, size=(3, 4, n)).astype(np.uint8)
+        assert np.array_equal(code_sim._symbols(code_sim._planes(words, 5), n), words)
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.PCG64DXSM(seed))
+
+
 class TestClopperPearson:
     @pytest.mark.parametrize("conf", [0.95, 0.99])
     def test_equals_the_beta_quantiles(self, conf):
@@ -755,7 +861,7 @@ class TestStreams:
             draw_codebooks(adder2(), UNIFORM, 4, 2, 2, 2, "iid", seed=seed)
 
     def test_stream_version(self):
-        assert code_sim.STREAM_VERSION == 6
+        assert code_sim.STREAM_VERSION == 7
 
 
 def _kernel_3x2x4():
@@ -1079,7 +1185,7 @@ def _bound_bytes(cfg):
 
 
 class TestStreamGolden:
-    """Exact results of stream version 6 for fixed (config, seed).
+    """Exact results of stream version 7 for fixed (config, seed).
 
     Anything that moves the random streams (the generator or its keys, draw
     order, the samplers, or the trials per block set by ``_trial_bytes`` and
@@ -1088,7 +1194,7 @@ class TestStreamGolden:
     ``PYTHONPATH=src python tests/stream_golden.py`` prints them.
     """
 
-    VERSION = 6
+    VERSION = 7
     # name: (config, trials per (ensemble, bound) block, errors,
     #        (threshold_miss, impostor_pass, ambiguity, type_miss),
     #        (bound samples, threshold fails, type-mode unmatched))
@@ -1096,17 +1202,24 @@ class TestStreamGolden:
         "xor-iid-blocks": (
             dict(mac=xor_channel(0.11), dist=UNIFORM, n=60, m1_count=16, m2_count=16, k=4,
                  trials=600, seed=11),
-            (197, 174762), 10, (10, 0, 0, 0), (200_000, 2472, 0),
+            (197, 174762), 6, (6, 0, 0, 0), (200_000, 2472, 0),
         ),
         "noisy-adder-iid": (
             dict(mac=_noisy_adder(), dist=ProductDist(np.array([0.6, 0.4]), UNIFORM.p2), n=16,
                  m1_count=3, m2_count=2, k=3, trials=3000, seed=5),
-            (5801, 92182), 74, (58, 0, 16, 0), (200_000, 4390, 0),
+            (5801, 92182), 94, (80, 1, 13, 0), (200_000, 4390, 0),
+        ),
+        # dyadic input laws of b = 2 and b = 3 bits: bit-sliced threshold compares
+        "noisy-adder-iid-dyadic": (
+            dict(mac=_noisy_adder(), dist=ProductDist(np.array([0.25, 0.75]),
+                                                      np.array([0.625, 0.375])),
+                 n=24, m1_count=3, m2_count=2, k=4, trials=2000, seed=7),
+            (3221, 83886), 17, (15, 0, 2, 0), (200_000, 1496, 0),
         ),
         "noisy-adder-type": (
             dict(mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=4, m2_count=4, k=16,
                  mode="type", trials=1000, seed=1),
-            (330, 131072), 505, (492, 0, 0, 13), (200_000, 100184, 2101),
+            (330, 131072), 480, (475, 0, 0, 5), (200_000, 100184, 2101),
         ),
     }
 
@@ -1147,15 +1260,15 @@ class TestStreamGolden:
         cfg = SimConfig(**kw)
         cb = draw_codebooks(cfg.mac, cfg.dist, cfg.n, 3, 2, 3, "iid", seed=9)
         assert "".join(map(str, cb.f1[0, 0])) == "0100000000011100"
-        assert "".join(map(str, cb.f2[1, 2])) == "0100101000101010"
+        assert "".join(map(str, cb.f2[1, 2])) == "0101111010101110"
         table = facilitate(cb, cfg.mac, cfg.dist, "iid")
-        assert table.e.tolist() == [[1, 2], [2, 0], [2, 2]]
+        assert table.e.tolist() == [[0, 0], [1, 0], [0, 2]]
         rep = estimate_error_fixed_code(cb, table, replace(cfg, trials=2000))
-        assert (rep.errors, rep.decomposition["threshold_miss"]) == (69, 69)
+        assert (rep.errors, rep.decomposition["threshold_miss"]) == (67, 67)
         kw = self.CASES["noisy-adder-type"][0]
         cb = draw_codebooks(kw["mac"], kw["dist"], kw["n"], 2, 2, 8, "type", seed=9)
         table = facilitate(cb, kw["mac"], kw["dist"], "type", seed=4)
-        assert table.e.tolist() == [[4, 5], [0, 5]]
+        assert table.e.tolist() == [[2, 4], [0, 7]]
         assert table.unmatched.tolist() == [[False, False], [False, False]]
 
 

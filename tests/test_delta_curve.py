@@ -223,6 +223,24 @@ class TestCertificate:
         # a zero budget refines nothing, so it needs no certificate
         assert delta(adder2(), 0.0).delta == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("units", ["bits", "nats"])
+    def test_divergence_bound_certifies_zero_gain_without_slsqp(self, monkeypatch, units):
+        # at xor's uniform maximizer every input pair's divergence from the
+        # output law is C, so no joint law gains and no refinement is run
+        def refuse(*args, **kwargs):
+            raise AssertionError("SLSQP ran")
+
+        monkeypatch.setattr(cfmac.delta_curve, "minimize", refuse)
+        mac = xor_channel(0.11)
+        cap = sum_capacity(mac, units)
+        for a in (1e-6, 0.1, 0.5, 50.0):
+            point = delta(mac, a, units=units, capacity=cap)
+            assert point.delta == 0.0 and point.achieved_mi_budget == 0.0, a
+            assert np.array_equal(point.argmax_joint.p12, cap.argmax_dists[0].joint()), a
+        # adder2 gains from dependence: its bound does not hold at C, so it refines
+        with pytest.raises(AssertionError, match="SLSQP ran"):
+            delta(adder2(), 0.1, units=units)
+
 
 class TestSmallBudgetAsymptote:
     def test_closed_form_value(self):
