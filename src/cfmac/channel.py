@@ -1,7 +1,8 @@
 """Discrete memoryless MAC model, information densities, and the sum-capacity solver.
 
-All internal computation is in nats; public containers carry a units flag
-(default bits) and conversion happens once at the boundary.
+All internal computation is in nats, every solver comparison, tolerance and
+start included; public containers carry a units flag (default bits), read
+only where an input is converted to nats or a public record is built.
 
 The sum-capacity is one mutual-information core: ``_mi_nats`` gives the
 value and ``_letter_div_nats`` the letter divergences D(W_x || p_Y), from
@@ -28,7 +29,7 @@ from .errors import NegativeEntry, NonConvergence, RowNotStochastic, SizeMismatc
 LN2 = float(np.log(2.0))
 
 _ROW_TOL = 1e-9
-# sum_capacity keeps the starts within _CAPACITY_TOL (in the call's units) of the best value
+# sum_capacity keeps the starts within _CAPACITY_TOL nats of the best value
 _CAPACITY_TOL = 1e-7
 # largest KKT residual, in nats, that sum_capacity certifies
 _KKT_TOL = 1e-6
@@ -494,8 +495,8 @@ def sum_capacity(mac: Mac, units: str = "bits") -> CapacityResult:
 
     SLSQP runs from each start of a deterministic seed grid, on the mutual
     information with its analytic gradient; ``iterations`` is the sum of the
-    SLSQP iteration counts.  Near-maximizers are kept (deduplicated at L1
-    distance 1e-6) and the codeword dispersion is maximized over them.
+    SLSQP iteration counts.  The starts within 1e-7 nats of the best are kept
+    (deduplicated at L1 distance 1e-6) and the codeword dispersion is maximized over them.
     Raises ``NonConvergence`` unless at least one start that reached a kept
     maximizer ended with SLSQP status 0, and when the KKT residual exceeds
     1e-6 nats.  A kernel whose rows are all one law has capacity 0 under
@@ -505,11 +506,10 @@ def sum_capacity(mac: Mac, units: str = "bits") -> CapacityResult:
     kernel = mac.kernel
     if np.all(kernel == kernel[:1, :1]):
         return CapacityResult(0.0, [uniform_product(mac)], 0.0, 0, 0.0, units)
-    tol_nats = _CAPACITY_TOL * _nats_per_unit(units)
 
     candidates = [_ascend(kernel, p1, p2) for p1, p2 in zip(*_seed_grid(mac))]
     best = max(c[0] for c in candidates)
-    near_best = [c for c in candidates if c[0] >= best - tol_nats]
+    near_best = [c for c in candidates if c[0] >= best - _CAPACITY_TOL]
     if not any(c[3] == 0 for c in near_best):
         raise NonConvergence("no SLSQP run that reached the sum-capacity converged")
 

@@ -2,8 +2,9 @@
 
 Outputs are CSV for curves and JSON for structured reports.  When ``--out``
 is given, a run manifest (command, parameters, version, seed, wall time,
-output paths; for ``simulate`` also the RNG stream version) is written next
-to the output file and every output file references it: CSV files carry a
+output paths, the NumPy and SciPy versions, the units of the output where it
+has any; for ``simulate`` also the RNG stream version) is written next to the
+output file and every output file references it: CSV files carry a
 ``# manifest:`` comment line, JSON files a ``manifest`` field.  Emitted files
 round-trip: parsing one and re-emitting it reproduces the bytes.
 """
@@ -15,6 +16,9 @@ import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .channel import (
@@ -100,6 +104,8 @@ def _write_outputs(args, output: list[str] | dict, extra: dict, started: float) 
         "seed": args.seed,
         "wall_time_s": round(time.monotonic() - started, 6),
         "outputs": [str(out_path)],
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
         **extra,
     }
     if rows is not None:
@@ -111,18 +117,19 @@ def _write_outputs(args, output: list[str] | dict, extra: dict, started: float) 
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its CSV rows or JSON document; ``simulate`` also
-# returns its extra manifest fields
+# subcommands: each returns its CSV rows or JSON document, and those with
+# units also the extra manifest fields; ``--units`` is None when not given
 
 
-def cmd_stats(args) -> dict:
+def cmd_stats(args) -> tuple[dict, dict]:
+    units = args.units or "bits"
     mac = _resolve_channel(args.channel)
-    cap = sum_capacity(mac, units=args.units)
+    cap = sum_capacity(mac, units=units)
     dist = load_dist(_read_json(args.dist, "distribution")) if args.dist else cap.argmax_dists[0]
-    stats = channel_stats(mac, dist, units=args.units)
+    stats = channel_stats(mac, dist, units=units)
     doc = {
         "channel": args.channel,
-        "units": args.units,
+        "units": units,
         "c_sum": cap.c_sum,
         "v1_star": cap.v1_star,
         "maximizers": [dump_dist(d) for d in cap.argmax_dists],
@@ -131,7 +138,7 @@ def cmd_stats(args) -> dict:
         "v2": stats.v2,
         "v_max": stats.v_max,
     }
-    return doc
+    return doc, {"units": units}
 
 
 def cmd_fig1(args) -> list[str]:
@@ -146,33 +153,37 @@ def cmd_fig1(args) -> list[str]:
     return rows
 
 
-def cmd_delta(args) -> list[str]:
+def cmd_delta(args) -> tuple[list[str], dict]:
+    units = args.units or "bits"
     mac = _resolve_channel(args.channel)
-    cap = sum_capacity(mac, units=args.units)
+    cap = sum_capacity(mac, units=units)
     rows = ["a,delta,achieved_mi_budget"]
     for a in args.a_grid:
-        point = delta(mac, a, units=args.units, capacity=cap)
+        point = delta(mac, a, units=units, capacity=cap)
         rows.append(f"{_fmt(a)},{_fmt(point.delta)},{_fmt(point.achieved_mi_budget)}")
-    return rows
+    return rows, {"units": units}
 
 
-def cmd_rates(args) -> list[str]:
+def cmd_rates(args) -> tuple[list[str], dict]:
+    units = args.units or "bits"
     mac = _resolve_channel(args.channel)
-    cap = sum_capacity(mac, units=args.units)
+    cap = sum_capacity(mac, units=units)
     k_grid = sorted(set(args.k) | {1})  # baseline K=1 always included
     rows = ["n,K,eps,thm2,thm3,baseline,best,regime"]
     for n in args.n:
         for k in k_grid:
-            rep = rate_report(mac, RateQuery(n, args.eps, k, args.units), capacity=cap)
+            rep = rate_report(mac, RateQuery(n, args.eps, k, units), capacity=cap)
             rows.append(
                 f"{n},{k},{_fmt(args.eps)},{_fmt(rep.thm2_rate)},{_fmt(rep.thm3_rate)},"
                 f"{_fmt(rep.baseline_rate)},{_fmt(rep.best_rate)},{rep.regime}"
             )
-    return rows
+    return rows, {"units": units}
 
 
 def cmd_simulate(args) -> tuple[dict, dict]:
     config = sim_config_from_dict(_read_json(args.config, "config"))
+    if args.units not in (None, config.units):
+        raise CfmacError(f"--units {args.units} contradicts the config's units {config.units!r}")
     if args.trials is not None:
         config = dataclasses.replace(config, trials=args.trials)
     if args.seed is not None:
@@ -185,7 +196,7 @@ def cmd_simulate(args) -> tuple[dict, dict]:
     out["config"] = sim_config_to_dict(config)
     if args.validate_bound:
         out["bound_dominates_ci_lower"] = bool(report.fbl_bound >= report.ci95[0])
-    return out, {"stream_version": STREAM_VERSION}
+    return out, {"stream_version": STREAM_VERSION, "units": config.units}
 
 
 def cmd_invcdf(args) -> dict:
@@ -210,7 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cfmac",
         description="Finite-blocklength coordination benefits on two-user MACs.",
     )
-    parser.add_argument("--units", choices=("bits", "nats"), default="bits")
+    parser.add_argument(
+        "--units", choices=("bits", "nats"), default=None,
+        help="bits when not given; simulate takes the config's units",
+    )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", type=str, default=None, help="output file path")
     sub = parser.add_subparsers(dest="command", required=True)

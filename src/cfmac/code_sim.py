@@ -1085,12 +1085,6 @@ def _bound_terms(config: SimConfig, th: DecoderThresholds, mc_samples: int, seed
     return fails, type_misses, p_unmatched
 
 
-def _bound_samples(config: SimConfig, th: DecoderThresholds, mc_samples: int, seed: int):
-    """The sampled (threshold fails, type-mode unmatched) counts of ``_bound_terms``."""
-    fails, type_misses, _ = _bound_terms(config, th, mc_samples, seed)
-    return fails, type_misses
-
-
 def _union(config: SimConfig, th: DecoderThresholds) -> float:
     """The impostor union terms, times (n + 1)^(A1*A2) type classes in type mode.
 

@@ -57,14 +57,13 @@ from .channel import (
     _letter_div_nats,
     _mi_nats,
     _nats_per_unit,
-    _stats_nats,
     _unit_scale,
     info_density_tables,
 )
 from .errors import NonConvergence, NotCapacityAchieving
 
-# a base law more than this (in the call's units) below the sum-capacity is
-# not capacity-achieving
+# a base law more than this many nats below the sum-capacity is not
+# capacity-achieving
 _CAPACITY_GAP = 1e-6
 _EPS = 1e-300
 # floor of the logs in the budget gradient only: at _EPS an empty cell in an
@@ -110,30 +109,27 @@ def perturbation_direction(
     if not 0 < a < math.inf:
         raise ValueError(f"a must be positive and finite, got {a!r}")
     capacity = _capacity_in(mac, units, capacity)
-    mutual, _, _, _ = _stats_nats(mac, base)
+    i_bar = info_density_tables(mac, base, units="nats").i_bar
+    p1, p2 = base.p1, base.p2
+    total = float(p1 @ i_bar @ p2)  # I(X1, X2; Y) under base
     scale = _unit_scale(units)
-    if mutual * scale < capacity.c_sum - _CAPACITY_GAP:
+    if total < capacity.c_sum * _nats_per_unit(units) - _CAPACITY_GAP:
         raise NotCapacityAchieving(
-            f"base achieves {mutual * scale:.6g} {units}/use, "
+            f"base achieves {total * scale:.6g} {units}/use, "
             f"sum-capacity is {capacity.c_sum:.6g}"
         )
-    tables = info_density_tables(mac, base, units=units)
-    i_bar = tables.i_bar
-    p1, p2 = base.p1, base.p2
     # Centered density: on an exact maximizer the row and column averages both
     # equal the sum-capacity, so this reduces to i_bar - C on the support.
     row_mean = i_bar @ p2
     col_mean = p1 @ i_bar
-    total = float(p1 @ i_bar @ p2)
     j = i_bar - row_mean[:, None] - col_mean[None, :] + total
     p12 = base.joint()
     e_j2 = float((p12 * j * j).sum())
     if e_j2 < 1e-18:
-        return Perturbation(base, j, np.zeros_like(j), 0.0, units)
-    budget = a * (2.0 * _nats_per_unit(units))
-    lam_scale = math.sqrt(budget / e_j2)
-    r = lam_scale * p12 * j
-    return Perturbation(base, j, r, lam_scale, units)
+        return Perturbation(base, j * scale, np.zeros_like(j), 0.0, units)
+    lam_scale = math.sqrt(a * (2.0 * _nats_per_unit(units)) / e_j2)
+    # r is free of units; j and 1/(2 lambda) are converted once, here
+    return Perturbation(base, j * scale, lam_scale * p12 * j, lam_scale / scale, units)
 
 
 def delta_small_a(v1_star: float, a: float, units: str = "bits") -> float:

@@ -104,9 +104,11 @@ class SkParams:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _integer(self.k))
-        if not (0.0 <= self.v1 < math.inf and 0.0 <= self.v2 < math.inf):
+        # a finite sum of nonnegative terms makes each term and S_K's scale sqrt(V1 + V2) finite
+        if not (0.0 <= self.v1 and 0.0 <= self.v2 and self.v1 + self.v2 < math.inf):
             raise ValueError(
-                f"variance components must be finite and nonnegative, got {self.v1!r}, {self.v2!r}"
+                "variance components must be nonnegative with a finite sum, "
+                f"got {self.v1!r}, {self.v2!r}"
             )
         if self.k < 1:
             raise ValueError("k must be a positive integer")

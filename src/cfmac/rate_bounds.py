@@ -61,8 +61,8 @@ class Thm2Result:
 
 @dataclass(frozen=True)
 class Thm3Result:
-    rate: float | None  # None when the budget is exhausted: the bound does not apply
-    budget: float
+    rate: float | None  # None when the budget is exhausted (K <= n^c_a): the bound does not apply
+    budget: float  # in the query's units: <= 0 when exhausted, else >= 0
     delta_value: float
     budget_exhausted: bool
 
@@ -115,18 +115,22 @@ def thm3_sum_rate(mac: Mac, q: RateQuery, capacity: CapacityResult | None = None
 
     rate = C_sum + delta(budget) - sqrt(V2/n) * Q^{-1}(eps), with
     budget = log(K)/n - c_a log(n)/n and c_a = A1*A2 + 1, which covers the
-    type-class counting penalty.  A non-positive budget means the facilitator
-    alphabet is too small for this construction: the result has rate None and
-    budget_exhausted set, and ``rate_report`` decides what stands in for it.
-    An exhausted budget solves no sum-capacity.
+    type-class counting penalty.  The budget is exhausted exactly when
+    K <= n^c_a, which is decided in integers and so alike in every unit: the
+    facilitator alphabet is too small for this construction, the result has
+    rate None and budget_exhausted set, and ``rate_report`` decides what
+    stands in for it.  An exhausted budget solves no sum-capacity.  The
+    budget's value can round to the other sign; it is clamped to agree.
     """
     if q.k < 2:
         raise ValueError("the type construction needs k >= 2")
     c_a = mac.x1_size * mac.x2_size + 1
+    exhausted = q.k <= q.n**c_a
     budget = _log_units(q.k, q.units) / q.n - c_a * _log_units(q.n, q.units) / q.n
-    if capacity is not None or budget > 0.0:  # a passed capacity's units are checked either way
+    budget = min(budget, 0.0) if exhausted else max(budget, 0.0)
+    if capacity is not None or not exhausted:  # a passed capacity's units are checked either way
         capacity = _capacity_in(mac, q.units, capacity)
-    if budget <= 0.0:
+    if exhausted:
         return Thm3Result(rate=None, budget=budget, delta_value=0.0, budget_exhausted=True)
     point = delta(mac, budget, units=q.units, capacity=capacity)
     v2 = channel_stats(mac, point.argmax_joint, units=q.units).v2

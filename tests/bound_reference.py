@@ -2,7 +2,7 @@
 
 ``reference_bound_samples`` draws each sample's K codeword pairs and its
 received word symbol by symbol and runs them through the ensemble kernel with
-M1 = M2 = 1, as ``code_sim._bound_samples`` did up to stream version 3.  The
+M1 = M2 = 1, as the bound's sampler did up to stream version 3.  The
 count-law sampler that replaced it draws the same counts from their exact
 laws, so the tests require the two to agree within sampling error.
 """

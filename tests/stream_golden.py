@@ -35,7 +35,7 @@ def case_figures(kw: dict, samples: int) -> tuple:
         code_sim._BLOCK_BYTES // _bound_bytes(cfg),
     )
     rep = estimate_error(cfg)
-    fails, misses = code_sim._bound_samples(cfg, cfg.resolved_thresholds(), samples, seed=3)
+    fails, misses = code_sim._bound_terms(cfg, cfg.resolved_thresholds(), samples, seed=3)[:2]
     return blocks, rep.errors, tuple(rep.decomposition[k] for k in TALLY), (samples, fails, misses)
 
 

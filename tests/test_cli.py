@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 from scipy.optimize import OptimizeResult
 
 import cfmac.delta_curve
@@ -259,6 +260,35 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
         assert manifest["stream_version"] == 7
 
+    def test_manifest_records_library_versions(self, tmp_path, capsys):
+        # the stream's Generator methods may change between NumPy releases
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "sim.json"
+        code, _, _ = run(capsys, "--out", str(out), "simulate", "--config", str(cfg))
+        assert code == 0
+        manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
+
+    @pytest.mark.parametrize("flag", [[], ["--units", "nats"]])
+    def test_manifest_units_are_the_configs(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CONFIG, "units": "nats"}))
+        out = tmp_path / "sim.json"
+        code, _, _ = run(capsys, *flag, "--out", str(out), "simulate", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["units"] == "nats"
+        manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
+        assert manifest["units"] == "nats"
+
+    def test_units_flag_contradicting_the_config_is_an_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.CONFIG, "units": "nats"}))
+        code, out, err = run(capsys, "--units", "bits", "simulate", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert err == "cfmac: --units bits contradicts the config's units 'nats'\n"
+
     def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(self.CONFIG))
@@ -276,6 +306,13 @@ class TestInvcdf:
         doc = json.loads(out)
         assert code == 0
         assert doc["quantile"] == pytest.approx(-3.2900, abs=1e-4)
+
+    def test_variance_sum_overflow_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "invcdf", "--v1", "1e308", "--v2", "1e308", "--k", "4", "--eps", "0.5"
+        )
+        assert code == 3 and out == ""
+        assert "finite sum, got 1e+308, 1e+308" in err and err.count("\n") == 1
 
 
 class TestOutputsAndManifest:
@@ -308,6 +345,26 @@ class TestOutputsAndManifest:
         doc = json.loads(text)
         assert doc["manifest"] == "q.json.manifest.json"
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+
+    @pytest.mark.parametrize(
+        "argv, units",
+        [
+            (["stats", "--channel", "adder2"], "bits"),
+            (["--units", "nats", "stats", "--channel", "adder2"], "nats"),
+            (["--units", "nats", "delta", "--channel", "adder2", "--a-grid", "0"], "nats"),
+            (["--units", "nats", "rates", "--channel", "adder2", "--n", "100", "--k", "1"], "nats"),
+            (["rates", "--channel", "adder2", "--n", "100", "--k", "1"], "bits"),
+            (["fig1", "--kmax-log2", "1"], None),
+            (["--units", "nats", "invcdf", "--v1", "1", "--v2", "1", "--k", "2", "--eps", "0.1"],
+             None),
+        ],
+    )
+    def test_manifest_units_are_the_outputs(self, tmp_path, capsys, argv, units):
+        out_path = tmp_path / "out"
+        code, _, _ = run(capsys, "--out", str(out_path), *argv)
+        assert code == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert manifest.get("units") == units
 
     def test_units_flag(self, capsys):
         import math

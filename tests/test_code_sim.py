@@ -1179,7 +1179,7 @@ def _noisy_adder():
 
 
 def _bound_bytes(cfg):
-    """The working set ``_bound_samples`` charges a bound sample of ``cfg``."""
+    """The working set ``_bound_terms`` charges a bound sample of ``cfg``."""
     fac = code_sim._ensemble(cfg.mac, cfg.dist, cfg.n, cfg.mode)[1]
     return code_sim._bound_sample_bytes(cfg.mac, cfg.k, len(code_sim._score_groups(fac.i_bar)))
 
@@ -1252,7 +1252,7 @@ class TestStreamGolden:
     def test_bound_samples(self, case):
         kw, _, _, _, (samples, fails, misses) = self.CASES[case]
         cfg = SimConfig(**kw)
-        got = code_sim._bound_samples(cfg, cfg.resolved_thresholds(), samples, seed=3)
+        got = code_sim._bound_terms(cfg, cfg.resolved_thresholds(), samples, seed=3)[:2]
         assert got == (fails, misses)
 
     def test_codebooks_facilitator_and_fixed_code(self):
@@ -1365,7 +1365,7 @@ class TestBoundSampler:
         cfg = SimConfig(**kw, thresholds=th)
         th = cfg.resolved_thresholds()
         samples = 60_000
-        counts = code_sim._bound_samples(cfg, th, samples, seed=1)
+        counts = code_sim._bound_terms(cfg, th, samples, seed=1)[:2]
         symbols = bound_reference.reference_bound_samples(cfg, th, samples, seed=2)
         for got, want in zip(counts, symbols):
             assert abs(_two_sample_z(got, want, samples)) < 4.0, (counts, symbols)
@@ -1387,7 +1387,7 @@ class TestBoundSampler:
         th = replace(cfg.resolved_thresholds(), c12=0.5 * n, c1=0.25 * n, c2=0.25 * n)
         fail, unmatched = _exact_bound_rates(cfg, th)
         samples = 200_000
-        got = code_sim._bound_samples(cfg, th, samples, seed=4)
+        got = code_sim._bound_terms(cfg, th, samples, seed=4)[:2]
         for count, p in zip(got, (fail, unmatched)):
             se = math.sqrt(p * (1 - p) / samples)
             assert abs(count / samples - p) <= 4.0 * se, (got, fail, unmatched)
@@ -1489,7 +1489,7 @@ class TestTypeMatchLaw:
             mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=1, m2_count=1, k=16, mode="type",
         )
         samples = 100_000
-        _, misses = code_sim._bound_samples(cfg, cfg.resolved_thresholds(), samples, seed=6)
+        _, misses = code_sim._bound_terms(cfg, cfg.resolved_thresholds(), samples, seed=6)[:2]
         p = code_sim._unmatched_probability(code_sim._type_counts(HALF_TYPE, 40), 16)
         assert 0.01 < p < 0.5
         assert abs(misses / samples - p) <= 4.0 * math.sqrt(p * (1 - p) / samples), (misses, p)
@@ -1499,7 +1499,7 @@ class TestTypeMatchLaw:
             mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=2, m2_count=2, k=16, mode="type",
         )
         th = cfg.resolved_thresholds()
-        fails, _ = code_sim._bound_samples(cfg, th, 1000, seed=cfg.seed)
+        fails, _ = code_sim._bound_terms(cfg, th, 1000, seed=cfg.seed)[:2]
         p = code_sim._unmatched_probability(code_sim._type_counts(HALF_TYPE, 40), 16)
         want = code_sim._clopper_pearson(fails, 1000, 0.99)[1] + code_sim._union(cfg, th) + p
         assert fbl_bound(cfg, mc_samples=1000) == want
@@ -1513,7 +1513,7 @@ class TestPooledScores:
         assert [g.tolist() for g in groups] == [[0, 2], [1, 4], [3], [5, 6]]
         assert code_sim._score_groups(None) == []
 
-    # version-5 figures (fails, unmatched) of _bound_samples(cfg, th, 100_000, seed=3)
+    # version-5 figures (fails, unmatched) of _bound_terms(cfg, th, 100_000, seed=3)
     @pytest.mark.parametrize("n, k, figures", [(30, 8, (4947, 0)), (50, 2, (784, 0))])
     def test_distinct_scores_draw_the_version_5_stream(self, n, k, figures):
         mac, dist, _ = _IID_CASES["3x2x4"]
@@ -1522,7 +1522,7 @@ class TestPooledScores:
         assert len(code_sim._score_groups(fac.i_bar)) == 6  # every cell its own group
         # one group per cell, as in version 5
         assert _bound_bytes(cfg) == code_sim._bound_sample_bytes(cfg.mac, k, 6)
-        assert code_sim._bound_samples(cfg, cfg.resolved_thresholds(), 100_000, seed=3) == figures
+        assert code_sim._bound_terms(cfg, cfg.resolved_thresholds(), 100_000, seed=3)[:2] == figures
 
     def test_one_pair_sends_a_multinomial_table(self):
         # K = 1: the pooled totals, split within the groups, are multinomial(n, p1 x p2);
@@ -1557,7 +1557,7 @@ class TestPooledScores:
         th = replace(cfg.resolved_thresholds(), c12=1.5, c1=0.75, c2=0.75)
         fail, _ = _exact_bound_rates(cfg, th)
         samples = 200_000
-        fails, _ = code_sim._bound_samples(cfg, th, samples, seed=4)
+        fails, _ = code_sim._bound_terms(cfg, th, samples, seed=4)[:2]
         assert abs(fails / samples - fail) <= 4.0 * math.sqrt(fail * (1 - fail) / samples)
         assert 0.01 < fail < 0.99
 

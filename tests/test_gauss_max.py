@@ -70,6 +70,11 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             SkParams(v1, v2, 4)
 
+    def test_variance_sum_overflow_is_rejected(self):
+        # each component is finite, but S_K's scale sqrt(V1 + V2) is not
+        with pytest.raises(ValueError, match=r"finite sum, got 1e\+308, 1e\+308"):
+            SkParams(1e308, 1e308, 4)
+
     def test_integral_k_is_an_int(self):
         assert SkParams(1.0, 1.0, 2**1000).k == 2**1000
         for k in (np.int64(16), np.uint8(16), 16.0):
