@@ -20,17 +20,17 @@ codeword pair, and the three decoding metrics contract the counts
 D[a1, y, a2] of (codeword pair, received word).  Every count is a popcount of
 ANDed bit planes, one bit per position and symbol, packed into W = ceil(n/64)
 uint64 words.  The ensemble's codewords are drawn straight into planes
-(``_construction`` picks the sampler): the planes of a dyadic law are
-bit-sliced compares of raw generator words, a type-class word is a sequential
-draw without replacement, and only other laws draw symbols and pack them with
-``_planes``.  Only the sent pair's words are read back as symbols
-(``_symbols``), because the channel needs them.  The pair counts of every
-(m1, m2, k) AND the planes of symbols 1..A-1 (a binary word is its own
-plane); each word's symbol counts and n give the row a1 = 0 and the column
-a2 = 0.  Every (x1, y, x2) count comes from one function, ``_triple_counts``:
-the planes of symbols 1..A-1 of the two words ANDed with all Y planes of the
-received word, over shapes that broadcast, and the cells with a1 = 0 or
-a2 = 0 by difference.  The ensemble forms them at the facilitated
+(``_construction`` picks the sampler): an i.i.d. word is a bit-sliced compare
+of raw generator words with integer thresholds, a type-class word a
+sequential draw without replacement.  The channel (``_channel``) maps the
+sent words' planes to the received word's planes by the same compare, so a
+trial never holds a symbol.  The pair counts of every (m1, m2, k) AND the
+planes of symbols 1..A-1 (a binary word is its own plane); each word's
+symbol counts and n give the row a1 = 0 and the column a2 = 0.  Every
+(x1, y, x2) count comes from one function, ``_triple_counts``: the planes of
+symbols 1..A-1 of the two words ANDed with all Y planes of the received
+word, over shapes that broadcast, and the cells with a1 = 0 or a2 = 0 by
+difference.  The ensemble forms them at the facilitated
 k = e(m1, m2) only; a fixed code for every message pair and received word;
 its type check is the same count under a received word of one symbol.  The
 counts are exact integers in the smallest unsigned type that holds 64 * W,
@@ -46,16 +46,16 @@ nor, in type mode or when i_bar takes one value, K.
 
 Fixed codes.  ``_fixed_code`` prepares a code once: its decoder, the bit
 planes of the facilitated words of every message pair and, in type mode,
-their type check; the channel reads the sent words from the codebooks at
-e(m1, m2).  ``_FixedCode.passes`` is the one fixed-code decode: it counts
+their type check; the channel reads the sent pair's planes from them.
+``_FixedCode.passes`` is the one fixed-code decode: it counts the planes of
 received words against every pair's planes and contracts the counts cells
-first with the decoder's weights.  ``threshold_decode`` calls it with one
-word and keeps the last prepared code in a one-slot memo.  The memo's key
-holds the values the code is built from: the bytes, shape and dtype of the
-codebooks, the facilitator table and the kernel, the codebooks' and the
-table's modes, the thresholds and the input law.  So an array changed in
-place misses, where its ``id`` would not, and a table of another mode than
-the codebooks' reaches the mode check.  The slot keeps its code after the
+first with the decoder's weights.  ``threshold_decode`` packs its one word
+into planes, calls it and keeps the last prepared code in a one-slot memo.
+The memo's key holds the values the code is built from: the bytes, shape and
+dtype of the codebooks, the facilitator table and the kernel, the codebooks'
+and the table's modes, the thresholds and the input law.  So an array
+changed in place misses, where its ``id`` would not, and a table of another
+mode than the codebooks' reaches the mode check.  The slot keeps its code after the
 call, outside the block budget: about 1 MB of planes at M1 = M2 = 64,
 n = 1000.  ``estimate_error_fixed_code`` decodes a block's received words in
 chunks of trials whose counts and metrics take 1/16 of the block budget.
@@ -72,37 +72,22 @@ for the seed, the stream family and the block index.  The seed's 32-bit
 words are zero-padded to four before the spawn key is appended, so distinct
 (seed, family, block) never give the same entropy, and the families
 (ensemble trials, bound samples, codebook draws, facilitator picks,
-fixed-code trials) never share a stream.  A law is dyadic when its
-cumulative sums are all multiples of 1/256.  A codeword symbol of a dyadic
-law takes b bits, the fewest that express its sums, from b raw planes; an
-output symbol of a dyadic law is one raw byte; every other uniform keeps 53
-bits.  The block size is a pure function of the configuration's per-trial
-footprint (for the bound, the per-sample count footprint
-``_bound_sample_bytes``) and the byte budget ``_BLOCK_BYTES``, so results
-are bit-for-bit reproducible for a given (config, seed), independent of
-scheduling, and memory stays bounded.
-``STREAM_VERSION`` names the stream layout; it changes whenever a fixed
-(config, seed) deliberately yields a different report.  The facilitator
-draws type mode's pick itself: one uniform per message pair, right after the
-pair counts, from the stream it is given (the block's, or in ``facilitate``
-the facilitator family's, which iid mode builds too, so the seed is checked
-there as well).  Version 4 draws the bound family's samples as counts (the
-pair-type tables, then in type mode the facilitator's uniform, then the
-chosen pair's outputs); the other families draw as in version 3.  Version 5
-draws the symbols of dyadic laws (uniform binary inputs, adder2's 0/1 output
-rows) from one raw byte each; type-class words, other laws and the bound
-family draw as in version 4.  Version 6 changes the bound family only: iid
-samples draw the K pairs' score-group totals, then split the chosen pair's
-into cells (a kernel whose i_bar values are all distinct draws as in version
-5), and type-mode samples draw one uniform for the match, then a contingency
-table only where none matched; a type-mode sample's footprint has no K term.
-Version 7 draws codewords straight into bit planes, in the ensemble and
-codebook families: a dyadic law of b bits reads b raw 64-bit words per plane
-word, in (b, W, *lead) order, where version 6 read a byte per symbol; a
-type-class word draws, at each position i in turn, one ``integers`` value in
-[0, n - i) (uint16, or uint32 past n = 2^16), where version 6 ranked n
-float64 keys.  Codewords of other laws, the channel's outputs and the bound
-family draw as in version 6.
+fixed-code trials) never share a stream.  Every codeword symbol and every
+channel output counts the integer thresholds that a uniform b-bit U reaches
+(``_thresholds``): b is the fewest bits <= 53 in which the law's compared
+cumulative sums are exact, else 53, where the compare is the law of a 53-bit
+float uniform.  U is read bit-sliced, b raw 64-bit words per plane word, so
+a kernel of 0/1 rows draws nothing.  The block size is a pure function of
+the configuration's per-trial footprint (for the bound, the per-sample count
+footprint ``_bound_sample_bytes``) and the byte budget ``_BLOCK_BYTES``, so
+results are bit-for-bit reproducible for a given (config, seed), independent
+of scheduling, and memory stays bounded.  ``STREAM_VERSION`` names the
+stream layout; it changes whenever a fixed (config, seed) deliberately
+yields a different report, and README's "Stream version" notes give each
+version's layout.  The facilitator draws type mode's pick itself: one
+uniform per message pair, right after the pair counts, from the stream it is
+given (the block's, or in ``facilitate`` the facilitator family's, which iid
+mode builds too, so the seed is checked there as well).
 """
 from __future__ import annotations
 
@@ -130,7 +115,7 @@ from .channel import (
 )
 from .errors import DegenerateThresholds, ModeMismatch, NotAnNType, SizeMismatch
 
-STREAM_VERSION = 7
+STREAM_VERSION = 8
 
 _BLOCK_BYTES = 64 * 2**20  # per-block working-set budget; sets the trials per block
 # Facilitator scores within this many ulps of n * max|i_bar|, per joint cell
@@ -301,42 +286,19 @@ def _clopper_pearson(count: int, total: int, conf: float = 0.95) -> tuple[float,
 # sampling
 
 
-def _sample(rng, shape, cdf, law=()):
-    """uint8 symbols by inverse CDF: a uniform counts the sums cdf[law][:-1] it reaches.
+def _thresholds(cdf):
+    """(b, t): the compared sums c = cdf[..., :-1] of a law (A,) or a table (..., A)
+    as integers t = ceil(2^b * c), where b is the fewest bits <= 53 in which
+    every c is exact, else 53.
 
-    ``cdf`` is one law (A,) or a table (..., A) whose rows ``law`` indexes; one
-    pass per threshold keeps every temporary at ``shape``.  The last sum is never
-    compared, so a uniform that rounds past it still yields the last symbol.
-    When every compared sum of the table is a multiple of 1/256 (a dyadic law),
-    the uniform is one raw byte and the thresholds are the integers 256 * cdf:
-    P(byte >= t) = 1 - t/256 = 1 - cdf, so the law is exact.  The bytes are
-    the generator's raw 64-bit outputs read little-endian, eight symbols each;
-    the unused bytes of the last output are dropped.  Other laws draw 53-bit
-    float uniforms.
+    A uniform b-bit integer U reaches t with probability 1 - t/2^b, which is
+    1 - c where c is exact in b bits.  At b = 53, U >= t is U * 2^-53 >= c, the
+    law of a 53-bit float uniform (``Generator.random`` is the raw word >> 11
+    times 2^-53).  A sum c >= 1 gives t >= 2^b, which U never reaches.
     """
-    thresholds = cdf[..., :-1] * 256
-    if np.array_equal(thresholds, np.rint(thresholds)):
-        count = math.prod(shape)
-        raw = rng.bit_generator.random_raw(-(-count // 8)).astype("<u8", copy=False)
-        u = raw.view(np.uint8)[:count].reshape(shape)
-        thresholds = thresholds.astype(np.int16)  # 0..256: 256 is never reached
-    else:
-        u = rng.random(shape)
-        thresholds = cdf[..., :-1]
-    words = np.zeros(shape, dtype=np.uint8)
-    for j in range(thresholds.shape[-1]):
-        words += u >= thresholds[..., j][law]
-    return words
-
-
-def _dyadic_bits(cdf) -> int | None:
-    """The smallest b <= 8 such that every compared sum cdf[:-1] is a multiple of
-    2^-b, or None when there is none (the law is not dyadic)."""
-    for b in range(9):
-        thresholds = cdf[:-1] * 2**b
-        if np.array_equal(thresholds, np.rint(thresholds)):
-            return b
-    return None
+    c = cdf[..., :-1]
+    b = next((b for b in range(53) if np.all(c * 2.0**b % 1 == 0)), 53)
+    return b, np.ceil(c * 2.0**b).astype(np.int64)
 
 
 def _at_least(u, t: int):
@@ -367,19 +329,43 @@ def _one_hot(ge, n):
     return ge
 
 
-def _draw_dyadic(rng, lead, thresholds, b, n):
-    """Planes (W, A-1, *lead) of i.i.d. symbols of a dyadic law, 2^b * cdf[:-1] =
-    ``thresholds``: U is b raw planes (b, W, *lead) of the generator's 64-bit
-    outputs read as ``<u8``, and a symbol counts the thresholds U reaches.
-    P(U >= t) = 1 - t/2^b = 1 - cdf exactly; a uniform binary law (b = 1) is
-    the raw word."""
-    w = -(-n // 64)
+def _raw_planes(rng, b, w, lead):
+    """b planes (b, W, *lead) of a uniform b-bit integer U per position, bit j in
+    plane j: b * W * prod(lead) raw 64-bit generator outputs, read as ``<u8``."""
     raw = rng.bit_generator.random_raw(b * w * math.prod(lead)).astype("<u8", copy=False)
-    u = raw.reshape(b, w, *lead)
-    ge = np.empty((w, len(thresholds), *lead), dtype="<u8")
-    for a, t in enumerate(thresholds):
-        ge[:, a] = _at_least(u, int(t))
-    return _one_hot(ge, n)
+    return raw.reshape(b, w, *lead)
+
+
+def _channel(kernel, n):
+    """The channel (rng, x1, x2) -> planes (W, Y, *S) of the received words of the
+    sent words' planes x1 (W, A1-1, *S) and x2 (W, A2-1, *S).
+
+    Every position draws one U of the kernel's b bits (``_thresholds`` over all
+    rows), so a kernel of 0/1 rows (adder2) draws nothing.  A cell (a1, a2)
+    holds at the AND of its input planes, and there the output counts the
+    thresholds of the cell's row that U reaches, after a first threshold 0
+    that every U reaches.  Each distinct threshold is compared once.
+    """
+    b, t = _thresholds(np.cumsum(kernel, axis=-1))
+    values, index = np.unique(np.insert(t, 0, 0, axis=-1), return_inverse=True)
+    index = index.reshape(t.shape[:2] + (-1,))  # (A1, A2, Y)
+
+    def every_symbol(planes):  # symbol 0 where no plane is set; past n too
+        return np.concatenate([~np.bitwise_or.reduce(planes, axis=1)[:, None], planes], axis=1)
+
+    def channel(rng, x1, x2):
+        w, _, *lead = x1.shape
+        u = _raw_planes(rng, b, w, lead)
+        reached = [_at_least(u, int(v)) for v in values]
+        c1, c2 = every_symbol(x1), every_symbol(x2)
+        ge = np.zeros((w, index.shape[-1], *lead), dtype="<u8")
+        for a1, a2 in np.ndindex(index.shape[:2]):
+            cell = c1[:, a1] & c2[:, a2]
+            for y, i in enumerate(index[a1, a2]):
+                ge[:, y] |= cell & reached[i]
+        return _one_hot(ge, n)
+
+    return channel
 
 
 def _draw_type(rng, lead, counts, n):
@@ -411,12 +397,19 @@ def _require_uint8(mac: Mac) -> None:
 
 
 def _iid_sampler(p, n):
-    """The sampler (rng, lead) -> planes (W, A-1, *lead) of i.i.d. words of law ``p``."""
-    cdf = np.cumsum(p)
-    b = _dyadic_bits(cdf)
-    if b is None:
-        return lambda rng, lead: _planes(_sample(rng, (*lead, n), cdf), len(p))
-    return partial(_draw_dyadic, thresholds=np.rint(cdf[:-1] * 2**b).astype(np.int64), b=b, n=n)
+    """The sampler (rng, lead) -> planes (W, A-1, *lead) of i.i.d. words of law
+    ``p``: a symbol counts the thresholds (``_thresholds``) its U reaches, so a
+    uniform binary law (b = 1) is the raw word."""
+    b, t = _thresholds(np.cumsum(p))
+
+    def draw(rng, lead):
+        u = _raw_planes(rng, b, -(-n // 64), lead)
+        ge = np.empty((u.shape[1], len(t), *lead), dtype="<u8")
+        for a, v in enumerate(t):
+            ge[:, a] = _at_least(u, int(v))
+        return _one_hot(ge, n)
+
+    return draw
 
 
 def _construction(dist: InputDist, n: int, mode: str):
@@ -601,7 +594,6 @@ class _Decoder:
     weights: np.ndarray
     infs: tuple
     c: np.ndarray  # (c12, c1, c2)
-    output_cdf: np.ndarray  # kernel cdf (A1, A2, Y), for the channel
 
     @classmethod
     def build(cls, mac: Mac, dist: InputDist, th: DecoderThresholds) -> "_Decoder":
@@ -615,7 +607,6 @@ class _Decoder:
             np.concatenate([np.where(np.isfinite(d), d, 0.0), indicators[:, present]], axis=1),
             tuple((int(c) % 3, -np.inf if c < 3 else np.inf) for c in present),
             np.array([th.c12, th.c1, th.c2]),
-            np.cumsum(mac.kernel, axis=-1),
         )
 
     def passes(self, z):
@@ -641,12 +632,13 @@ class _Decoder:
 
 
 def _trial_bytes(mac: Mac, n: int, m1: int, m2: int, k: int) -> int:
-    """Working set of one ensemble trial: draw, one-hot words, counts.
+    """Charge of one ensemble trial against the block budget.
 
-    An upper bound, kept as it was because it sets the trials per block, and
-    so the stream: a dyadic or type-class codeword is drawn into bit planes,
-    not float64 uniforms and bytes, and the count kernel's planes take 1/64
-    byte per symbol, not float32s.
+    The formula prices float64 uniforms, byte symbols and one-hot operands
+    that a trial no longer holds, so it overstates the planes' working set.
+    It is kept because it fixes the trials per block, and so the measured
+    peak memory: a charge from the real working set would grow the blocks
+    and their peaks.
     """
     a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
     draw = k * n * (8 * max(m1, m2) + m1 + m2)
@@ -655,12 +647,13 @@ def _trial_bytes(mac: Mac, n: int, m1: int, m2: int, k: int) -> int:
     return draw + onehot + counts
 
 
-def _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec):
+def _ensemble_block(rng, b, m1c, m2c, k, n, channel, samplers, fac, dec):
     """One block of fresh-codebook trials.
 
     Returns the decoder passes (B, M1, M2), the type check at the facilitated
     words (None in iid mode; it holds exactly where some k matched the type
-    target) and the sent messages.
+    target) and the sent messages.  The sent words' planes go through the
+    ``channel`` (see ``_channel``) as they are.
     """
     p1 = samplers[0](rng, (b, k, m1c))
     p2 = samplers[1](rng, (b, k, m2c))
@@ -670,12 +663,9 @@ def _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec):
     msg2 = rng.integers(0, m2c, size=b)
     bb = np.arange(b)
     k_sent = e[bb, msg1, msg2]
-    # only the sent words are read as symbols: the channel needs them
-    x1 = _symbols(p1[:, :, bb, k_sent, msg1], n)
-    x2 = _symbols(p2[:, :, bb, k_sent, msg2], n)
-    y = _sample(rng, x1.shape, dec.output_cdf, (x1, x2))
+    py = channel(rng, p1[:, :, bb, k_sent, msg1], p2[:, :, bb, k_sent, msg2])
 
-    z = _decode_counts(p1, p2, _planes(y, mac.y_size, first=0), e)
+    z = _decode_counts(p1, p2, py, e)
     in_type = None if unmatched is None else ~unmatched
     return dec.passes(z @ dec.weights), in_type, msg1, msg2
 
@@ -734,15 +724,15 @@ class _FixedCode:
     p2: np.ndarray
     in_type: np.ndarray | None
 
-    def passes(self, y):
-        """Received words y (B, n) uint8 -> the decoder passes (B, M1, M2) of every pair.
+    def passes(self, py):
+        """Planes py (W, Y, B) of received words -> the decoder passes (B, M1, M2) of
+        every pair.
 
         The counts are contracted cells first, as (columns, B*M1*M2) = weights.T @ D.
         """
-        py = _planes(y, self.dec.output_cdf.shape[-1], first=0)[..., None, None]  # (W, Y, B, 1, 1)
-        d = _triple_counts(self.p1, self.p2, py)  # (A1, Y, A2, B, M1, M2)
+        d = _triple_counts(self.p1, self.p2, py[..., None, None])  # (A1, Y, A2, B, M1, M2)
         z = self.dec.weights.T @ d.reshape(len(self.dec.weights), -1).astype(np.float64)
-        return self.dec.passes(z.T).reshape(len(y), *self.p1.shape[-2:])
+        return self.dec.passes(z.T).reshape(py.shape[-1], *self.p1.shape[-2:])
 
 
 def _fixed_code(
@@ -862,7 +852,7 @@ def threshold_decode(
     y = np.asarray(y_word)
     if y.shape != (codebooks.n,) or not np.all((y >= 0) & (y < mac.y_size) & (np.floor(y) == y)):
         raise SizeMismatch(f"received word must hold {codebooks.n} integers in [0, {mac.y_size})")
-    passes = code.passes(y.astype(np.uint8)[None])[0]
+    passes = code.passes(_planes(y.astype(np.uint8)[None], mac.y_size, first=0))[0]
     if code.in_type is not None:
         passes &= code.in_type
     hits = np.argwhere(passes)
@@ -881,9 +871,10 @@ def estimate_error(config: SimConfig) -> SimReport:
     n, m1c, m2c, k = config.n, config.m1_count, config.m2_count, config.k
     samplers, fac = _ensemble(mac, dist, n, config.mode)
     dec = _Decoder.build(mac, dist, config.resolved_thresholds())
+    channel = _channel(mac.kernel, n)
 
     def block(rng, b):
-        return _ensemble_block(rng, b, m1c, m2c, k, n, mac, samplers, fac, dec)
+        return _ensemble_block(rng, b, m1c, m2c, k, n, channel, samplers, fac, dec)
 
     return _run_trials(config, _ENSEMBLE, _trial_bytes(mac, n, m1c, m2c, k), block)
 
@@ -1147,7 +1138,7 @@ def estimate_error_fixed_code(
             f"config mode {config.mode!r} does not match codebook mode {codebooks.mode!r}"
         )
     code = _fixed_code(codebooks, e_table, mac, config.dist, config.resolved_thresholds())
-    f1, f2, e = codebooks.f1, codebooks.f2, e_table.e
+    channel = _channel(mac.kernel, n)
     pairs, (cells, columns) = m1c * m2c, code.dec.weights.shape
     # a chunk of trials' counts, their float copy and metrics take 1/16 of the
     # budget, so they stay in cache
@@ -1156,13 +1147,14 @@ def estimate_error_fixed_code(
     def block(rng, b):
         msg1 = rng.integers(0, m1c, size=b)
         msg2 = rng.integers(0, m2c, size=b)
-        k_sent = e[msg1, msg2]
-        y = _sample(rng, (b, n), code.dec.output_cdf, (f1[msg1, k_sent], f2[msg2, k_sent]))
-        passes = [code.passes(y[start:start + chunk]) for start in range(0, b, chunk)]
+        # the code's planes hold each pair's facilitated words
+        py = channel(rng, code.p1[:, :, 0, msg1, msg2], code.p2[:, :, 0, msg1, msg2])
+        passes = [code.passes(py[..., start:start + chunk]) for start in range(0, b, chunk)]
         return np.concatenate(passes), code.in_type, msg1, msg2
 
-    # a trial's received word one-hot and its metrics in float64: an upper
-    # bound, kept as it is because it sets the trials per block, and so the stream
+    # a trial's received word one-hot and its metrics in float64: more than
+    # the planes take, kept because it fixes the trials per block, and so the
+    # measured peak memory
     trial_bytes = 8 * (mac.y_size * n + pairs * columns) + 16 * n
     return _run_trials(config, _FIXED_CODE, trial_bytes, block)
 

@@ -196,7 +196,11 @@ def sk_cdf(p: SkParams, s: float) -> float:
 
 
 def _bracket(p: SkParams, eps: float) -> tuple[float, float]:
-    """Interval [lo, hi] with F(lo) <= eps <= F(hi), seeded from the analytic bounds."""
+    """Interval [lo, hi] with F(lo) <= eps <= F(hi), seeded from the analytic bounds.
+
+    Raises ``ValueError`` naming (V1, V2, K) when the seed is not finite: near
+    the float range, 2 V1 ln K overflows.
+    """
     scale = math.sqrt(p.v1 + p.v2)
     top = math.sqrt(2.0 * p.v1 * math.log(p.k)) if p.k > 1 else 0.0
     lo = -10.0 * scale
@@ -204,6 +208,11 @@ def _bracket(p: SkParams, eps: float) -> tuple[float, float]:
     bounds = lemma1_bounds(p, min(eps, 1.0 - eps))
     if bounds.lower_at_eps is not None:
         lo = max(lo, min(bounds.lower_at_eps, hi - scale))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(
+            f"the S_K quantile bracket [{lo}, {hi}] is not finite in floats at "
+            f"V1 = {p.v1!r}, V2 = {p.v2!r}, K = {p.k}"
+        )
     while sk_cdf(p, lo) > eps:
         lo -= 10.0 * scale
     while sk_cdf(p, hi) < eps:

@@ -14,12 +14,13 @@ def reference_bound_samples(config, th, mc_samples: int, seed: int):
     mac, dist, n, k = config.mac, config.dist, config.n, config.k
     samplers, fac = code_sim._ensemble(mac, dist, n, config.mode)
     dec = code_sim._Decoder.build(mac, dist, th)
+    channel = code_sim._channel(mac.kernel, n)
     fails = 0
     type_misses = 0
     trial_bytes = code_sim._trial_bytes(mac, n, 1, 1, k)
     for rng, b in code_sim._blocks(seed, code_sim._BOUND, mc_samples, trial_bytes):
         passes, in_type, _, _ = code_sim._ensemble_block(
-            rng, b, 1, 1, k, n, mac, samplers, fac, dec
+            rng, b, 1, 1, k, n, channel, samplers, fac, dec
         )
         fails += int((~passes).sum())
         if in_type is not None:

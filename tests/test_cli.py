@@ -109,6 +109,12 @@ class TestFig1:
         assert code == 3
         assert err
 
+    def test_overflowing_quantile_bracket_is_an_input_error(self, capsys):
+        # K = 4 at V1 = 8e307: 2 V1 ln K overflows, after K = 1 and 2 solve
+        code, out, err = run(capsys, "fig1", "--v1", "8e307", "--v2", "8e307", "--kmax-log2", "2")
+        assert code == 3 and out == ""
+        assert "V1 = 8e+307, V2 = 8e+307, K = 4" in err and err.count("\n") == 1
+
 
 class TestDelta:
     def test_unconverged_refinement_exits_4(self, capsys, monkeypatch):
@@ -258,7 +264,7 @@ class TestSimulate:
         code, _, _ = run(capsys, "--out", str(out), "simulate", "--config", str(cfg))
         assert code == 0
         manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
-        assert manifest["stream_version"] == 7
+        assert manifest["stream_version"] == 8
 
     def test_manifest_records_library_versions(self, tmp_path, capsys):
         # the stream's Generator methods may change between NumPy releases
@@ -313,6 +319,14 @@ class TestInvcdf:
         )
         assert code == 3 and out == ""
         assert "finite sum, got 1e+308, 1e+308" in err and err.count("\n") == 1
+
+    def test_overflowing_quantile_bracket_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "invcdf", "--v1", "8e307", "--v2", "8e307", "--k", "4", "--eps", "0.5"
+        )
+        assert code == 3 and out == ""
+        assert "V1 = 8e+307, V2 = 8e+307, K = 4" in err and err.count("\n") == 1
+        assert "nan" not in err.lower()
 
 
 class TestOutputsAndManifest:
