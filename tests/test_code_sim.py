@@ -670,6 +670,38 @@ def _plane_sampler(p, n):
     return code_sim._construction(dist, n, "iid")[0][0]
 
 
+class _AllBytesRng:
+    """Stub generator for n = 256 positions (W = 4): the b raw planes read U = i mod 2^b,
+    the low b bits of byte i, at position i."""
+
+    def __init__(self, b):
+        self.bit_generator = self
+        self.b = b
+
+    def random_raw(self, size):
+        assert size == 4 * self.b  # four plane words per plane
+        i = np.arange(256, dtype=np.uint8)
+        bits = np.stack([i >> j & 1 for j in range(self.b)]).astype(bool)  # (b, 256)
+        return np.packbits(bits, axis=-1, bitorder="little").view("<u8").ravel()
+
+
+class TestByteSampler:
+    """Laws of at most 8 bits: U read off every byte value 0..255 gives the exact law,
+    in the codeword sampler and in a channel row."""
+
+    @pytest.mark.parametrize("p", [(1 / 2, 1 / 2), (1 / 4, 3 / 4), (1 / 8, 1 / 8, 3 / 4)])
+    def test_every_byte_value_gives_the_exact_law(self, p):
+        b = code_sim._thresholds(np.cumsum(p))[0]
+        want = [256 * q for q in p]
+        words = code_sim._symbols(_plane_sampler(p, 256)(_AllBytesRng(b), ()), 256)
+        assert np.bincount(words, minlength=len(p)).tolist() == want
+        channel = code_sim._channel(np.tile(p, (2, 2, 1)), 256)
+        for a1, a2 in np.ndindex(2, 2):
+            x1, x2 = _constant_planes(a1, 2, 256), _constant_planes(a2, 2, 256)
+            y = code_sim._symbols(channel(_AllBytesRng(b), x1, x2)[:, 1:], 256)
+            assert np.bincount(y, minlength=len(p)).tolist() == want, (a1, a2)
+
+
 class TestPlaneSamplers:
     """Codeword samplers write bit planes; their laws are exact."""
 
@@ -727,6 +759,22 @@ class TestPlaneSamplers:
             _plane_sampler(p, 70)(got, (5, 3))
             want.bit_generator.random_raw(b * 2 * 15)
             assert got.bit_generator.state == want.bit_generator.state, p
+
+    @pytest.mark.parametrize("law", ["0.3-0.7", "1/3"])
+    def test_other_laws_keep_the_symbol_draw(self, law):
+        # a law no 53 bits hold reads the 53-bit float uniform u = U * 2^-53 of each
+        # position's raw planes, a symbol counting the cumulative sums u reaches
+        p = (0.3, 0.7) if law == "0.3-0.7" else (1 / 3, 1 / 3, 1 / 3)
+        n, lead = 70, (4, 6)
+        got, want = _rng(5), _rng(5)
+        planes = _plane_sampler(p, n)(got, lead)
+        raw = want.bit_generator.random_raw(53 * 2 * 24).reshape(53, 2, *lead)
+        rows = np.ascontiguousarray(np.moveaxis(raw, (0, 1), (-2, -1)), dtype="<u8")
+        bits = np.unpackbits(rows.view(np.uint8), axis=-1, count=n, bitorder="little")
+        u = sum(bits[..., j, :].astype(np.uint64) << np.uint64(j) for j in range(53))
+        words = (u[..., None] * 2.0**-53 >= np.cumsum(p)[:-1]).sum(axis=-1)
+        assert np.array_equal(code_sim._symbols(planes, n), words)
+        assert got.bit_generator.state == want.bit_generator.state
 
     @pytest.mark.parametrize("p", [(0.4, 0.6), (0.7, 0.2, 0.1)], ids=["0.4-0.6", "0.7-0.2-0.1"])
     def test_non_dyadic_law_frequencies(self, p):
