@@ -24,41 +24,42 @@ uint64 words.  The ensemble's codewords are drawn straight into planes
 of raw generator words with integer thresholds, a type-class word a
 sequential draw without replacement.  The channel (``_channel``) maps the
 sent words' planes to the received word's planes by the same compare, so a
-trial never holds a symbol.  The pair counts of every (m1, m2, k) AND the
-planes of symbols 1..A-1 (a binary word is its own plane); each word's
-symbol counts and n give the row a1 = 0 and the column a2 = 0.  Every
-(x1, y, x2) count comes from one function, ``_triple_counts``: the planes of
-symbols 1..A-1 of the two words ANDed with all Y planes of the received
-word, over shapes that broadcast, and the cells with a1 = 0 or a2 = 0 by
-difference.  The ensemble forms them at the facilitated
-k = e(m1, m2) only; a fixed code for every message pair and received word;
-its type check is the same count under a received word of one symbol.  The
-counts are exact integers in the smallest unsigned type that holds 64 * W,
-so no layout changes a report.  Table entries that are
-not finite (-inf at kernel zeros) are counted by separate indicator columns,
-so 0 * inf never arises.  The bound (M1 = M2 = 1) draws no symbols at all: it
-samples only what the facilitator and decoder read, from exact laws.  In iid
-mode that is the K pairs' totals over the cells of equal i_bar, which fix the
-scores, and the chosen pair's cells; in type mode whether any of the K pairs
-matched, from the closed form (1 - q)^K, and the chosen pair's table.  Then
-come the chosen pair's (x1, y, x2) counts.  The cost grows with neither n
-nor, in type mode or when i_bar takes one value, K.
+trial never holds a symbol.  Every count comes from one function,
+``_triple_counts``: the planes of symbols 1..A-1 of the two words (a binary
+word is its own plane) ANDed with all Y planes of the received word, over
+shapes that broadcast, and the cells with a1 = 0 or a2 = 0 by difference.  A
+pair count N[a1, a2] is the same count under a received word of one symbol
+(``_one_symbol``): the facilitator's of every (m1, m2, k), a fixed code's
+type check of every pair, both compared with the type target by
+``_in_type``.  The decoder takes the counts cells first and contracts them
+with its weights in one place, ``_Decoder.decide``.  The counts are exact
+integers in the smallest unsigned type that holds 64 * W, so no layout
+changes a report.  Table entries that are not finite (-inf at kernel zeros)
+are counted by separate indicator columns, so 0 * inf never arises.  The
+bound (M1 = M2 = 1) draws no symbols at all: it samples only what the
+facilitator and decoder read, from exact laws.  In iid mode that is the K
+pairs' totals over the cells of equal i_bar, which fix the scores, and the
+chosen pair's cells; in type mode whether any of the K pairs matched, from
+the closed form (1 - q)^K, and the chosen pair's table.  Then come the chosen
+pair's (x1, y, x2) counts.  The cost grows with neither n nor, in type mode
+or when i_bar takes one value, K.
 
-Fixed codes.  ``_fixed_code`` prepares a code once: its decoder, the bit
-planes of the facilitated words of every message pair and, in type mode,
-their type check; the channel reads the sent pair's planes from them.
-``_FixedCode.passes`` is the one fixed-code decode: it counts the planes of
-received words against every pair's planes and contracts the counts cells
-first with the decoder's weights.  ``threshold_decode`` packs its one word
-into planes, calls it and keeps the last prepared code in a one-slot memo.
+Fixed codes.  Both error estimates run one trial loop, ``_run_trials``, and
+differ only in where the facilitated words of every message pair come from:
+fresh codebooks per block (``_ensemble_words``), or a code that
+``_fixed_code`` prepares once: its decoder, the bit planes of the facilitated
+words of every message pair and, in type mode, their type check.  A block's
+received words are decoded in chunks of trials whose counts and metrics take
+1/16 of the block budget, so they stay in cache.  ``threshold_decode`` packs
+its one word into planes, decodes it as a trial does and keeps the last
+prepared code in a one-slot memo.
 The memo's key holds the values the code is built from: the bytes, shape and
 dtype of the codebooks, the facilitator table and the kernel, the codebooks'
 and the table's modes, the thresholds and the input law.  So an array
 changed in place misses, where its ``id`` would not, and a table of another
 mode than the codebooks' reaches the mode check.  The slot keeps its code after the
 call, outside the block budget: about 1 MB of planes at M1 = M2 = 64,
-n = 1000.  ``estimate_error_fixed_code`` decodes a block's received words in
-chunks of trials whose counts and metrics take 1/16 of the block budget.
+n = 1000.
 
 Ties.  The score facilitator picks the smallest k whose score lies within
 ``_TIE_ULPS_PER_CELL`` * A1 * A2 ulps of n * max|i_bar| of the best score,
@@ -179,6 +180,8 @@ class SimConfig:
     units: str = "bits"
 
     def __post_init__(self):
+        for name in ("n", "m1_count", "m2_count", "k", "trials", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name)))
         for name in ("n", "m1_count", "m2_count", "k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -258,12 +261,13 @@ def _type_counts(dist: JointDist, n: int) -> np.ndarray:
 
 
 def _stream(seed: int, family: int, block: int) -> np.random.Generator:
+    seed = _integer(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     # SeedSequence([seed, family, block]) would not do: a seed below 2**32 is
     # one word and its entropy is zero-padded, so (s, f, b) and
     # (f * 2**32 + s, b, 0) would share a stream
-    entropy = np.random.SeedSequence(int(seed), spawn_key=(family, block))
+    entropy = np.random.SeedSequence(seed, spawn_key=(family, block))
     return np.random.Generator(np.random.PCG64DXSM(entropy))
 
 
@@ -476,30 +480,19 @@ def _bit_count(words, w):
 
 
 def _pair_counts(p1, p2, n):
-    """Planes (W, A1-1, B, K, M1), (W, A2-1, B, K, M2) -> N (A1*A2, B, M1, M2, K), cells first.
-
-    The popcounts of ANDed planes give N[a1, a2] for a1, a2 >= 1; each word's
-    symbol counts give row a1 = 0 and column a2 = 0, and n gives N[0, 0].  The
-    counts stay in the popcounts' unsigned type.
-    """
-    w, s1, b, k, m1 = p1.shape
-    s2, m2 = p2.shape[1], p2.shape[-1]
-    q1 = p1.transpose(0, 1, 2, 4, 3)[:, :, None, :, :, None]  # (W, A1-1, 1, B, M1, 1, K)
-    q2 = p2.transpose(0, 1, 2, 4, 3)[:, None, :, :, None]  # (W, 1, A2-1, B, 1, M2, K)
-    c1, c2 = _bit_count(q1[:, :, 0], w), _bit_count(q2[:, 0], w)  # symbol counts
-    dt = c1.dtype
-    out = np.empty((s1 + 1, s2 + 1, b, m1, m2, k), dtype=dt)  # cells first
-    out[1:, 1:] = _bit_count((q1[i] & q2[i] for i in range(w)), w)
-    out[1:, 0] = c1 - out[1:, 1:].sum(axis=1, dtype=dt)
-    out[0, 1:] = c2 - out[1:, 1:].sum(axis=0, dtype=dt)
-    out[0, 0] = n - c1.sum(axis=0, dtype=dt) - out[0, 1:].sum(axis=0, dtype=dt)
-    return out.reshape(-1, b, m1, m2, k)
+    """Planes (W, A1-1, B, K, M1), (W, A2-1, B, K, M2) -> N (A1*A2, B, M1, M2, K), cells first,
+    in the popcounts' unsigned type: the (x1, y, x2) counts of every codeword pair
+    under a received word of one symbol (``_one_symbol``)."""
+    b, k, m1 = p1.shape[2:]
+    q1 = p1.transpose(0, 1, 2, 4, 3)[:, :, :, :, None]  # (W, A1-1, B, M1, 1, K)
+    q2 = p2.transpose(0, 1, 2, 4, 3)[:, :, :, None]  # (W, A2-1, B, 1, M2, K)
+    return _triple_counts(q1, q2, _one_symbol(n, 4)).reshape(-1, b, m1, p2.shape[-1], k)
 
 
-def _cells_last(counts, shape):
-    """Counts (*cells, *shape) -> float64 (*shape, cells), C-ordered for the GEMMs."""
-    table = counts.reshape(-1, math.prod(shape)).T
-    return table.astype(np.float64, order="C").reshape(*shape, -1)
+def _one_symbol(n, ndim):
+    """Planes (W, 1, *S) of a word of n equal symbols, S = ``ndim`` unit axes: under
+    it ``_triple_counts`` gives a word pair's counts N[a1, a2] as D[a1, 0, a2]."""
+    return _one_hot(np.full((-(-n // 64), 1) + (1,) * ndim, ~np.uint64(0), dtype="<u8"), n)
 
 
 def _triple_counts(x1, x2, y):
@@ -526,19 +519,10 @@ def _triple_counts(x1, x2, y):
     return d
 
 
-def _decode_counts(p1, p2, py, e):
-    """Counts D (B, M1, M2, A1*Y*A2) float64 of (x1, y, x2) in the words k = e (B, M1, M2).
-
-    The codewords' planes at e are ANDed with the planes ``py`` (W, Y, B) of
-    every symbol of their trial's received word.
-    """
-    w, s1, b, k, m1 = p1.shape
-    s2, m2 = p2.shape[1], p2.shape[-1]
-    at_e = np.arange(b)[:, None, None] * k + e  # each (b, m1, m2)'s row of (B, K)
-    r1, r2 = at_e * m1 + np.arange(m1)[:, None], at_e * m2 + np.arange(m2)
-    x1 = np.take(p1.reshape(w, s1, b * k * m1), r1, axis=2)  # (W, A1-1, B, M1, M2)
-    x2 = np.take(p2.reshape(w, s2, b * k * m2), r2, axis=2)
-    return _cells_last(_triple_counts(x1, x2, py[..., None, None]), (b, m1, m2))
+def _in_type(counts, target):
+    """Pair counts N (A1*A2, *S) -> whether they are the joint type ``target`` (A1*A2,) (*S)."""
+    target = target.astype(counts.dtype)  # counts <= n: the type holds them
+    return (counts == target.reshape(-1, *[1] * (counts.ndim - 1))).all(axis=0)
 
 
 @dataclass(frozen=True)
@@ -553,17 +537,16 @@ class _Facilitator:
         """e (B, M1, M2) and, in type mode, where no k matched the target.
 
         ``counts`` are the pair counts (A1*A2, B, M1, M2, K), cells first.  Type
-        mode compares them with the target cell by cell in that layout, and
-        picks uniformly among the matched k, or over [K] when none matched,
-        with one uniform per (b, m1, m2) drawn from ``rng``; iid mode draws
-        nothing, and ``rng`` may be None.
+        mode compares them with the target (``_in_type``), and picks uniformly
+        among the matched k, or over [K] when none matched, with one uniform
+        per (b, m1, m2) drawn from ``rng``; iid mode draws nothing, and ``rng``
+        may be None.
         """
         if self.target is None:
-            scores = _cells_last(counts, counts.shape[1:]) @ self.i_bar
+            scores = (self.i_bar @ counts.reshape(len(self.i_bar), -1)).reshape(counts.shape[1:])
             best = scores.max(axis=-1, keepdims=True)
             return (scores >= best - self.tol).argmax(axis=-1), None
-        target = self.target.astype(counts.dtype)  # counts <= n: the type holds them
-        matched = (counts == target.reshape(-1, *[1] * (counts.ndim - 1))).all(axis=0)
+        matched = _in_type(counts, self.target)
         n_match = matched.sum(axis=-1)
         u_choice = rng.random(n_match.shape)
         pool = np.where(n_match > 0, n_match, matched.shape[-1])
@@ -609,6 +592,12 @@ class _Decoder:
             np.array([th.c12, th.c1, th.c2]),
         )
 
+    def decide(self, d):
+        """Counts D (A1, Y, A2, *S) of (x1, y, x2), cells first -> all three metrics
+        pass (*S).  The counts are contracted cells first, weights.T @ D."""
+        z = self.weights.T @ d.reshape(len(self.weights), -1).astype(np.float64)
+        return self.passes(z.T).reshape(d.shape[3:])
+
     def passes(self, z):
         """Weighted counts (..., columns) -> all three metrics pass (...).
 
@@ -647,27 +636,20 @@ def _trial_bytes(mac: Mac, n: int, m1: int, m2: int, k: int) -> int:
     return draw + onehot + counts
 
 
-def _ensemble_block(rng, b, m1c, m2c, k, n, channel, samplers, fac, dec):
-    """One block of fresh-codebook trials.
+def _ensemble_words(rng, b, m1c, m2c, k, n, samplers, fac):
+    """Fresh facilitated codebooks for b trials.
 
-    Returns the decoder passes (B, M1, M2), the type check at the facilitated
-    words (None in iid mode; it holds exactly where some k matched the type
-    target) and the sent messages.  The sent words' planes go through the
-    ``channel`` (see ``_channel``) as they are.
+    Returns the planes x1 (W, A1-1, B, M1, M2), x2 (W, A2-1, B, M1, M2) of the
+    words k = e(m1, m2) of every message pair and their type check (None in iid
+    mode; it holds exactly where some k matched the type target).
     """
     p1 = samplers[0](rng, (b, k, m1c))
     p2 = samplers[1](rng, (b, k, m2c))
     e, unmatched = fac.choose(_pair_counts(p1, p2, n), rng)
-
-    msg1 = rng.integers(0, m1c, size=b)
-    msg2 = rng.integers(0, m2c, size=b)
-    bb = np.arange(b)
-    k_sent = e[bb, msg1, msg2]
-    py = channel(rng, p1[:, :, bb, k_sent, msg1], p2[:, :, bb, k_sent, msg2])
-
-    z = _decode_counts(p1, p2, py, e)
-    in_type = None if unmatched is None else ~unmatched
-    return dec.passes(z @ dec.weights), in_type, msg1, msg2
+    bb = np.arange(b)[:, None, None]
+    x1 = p1[:, :, bb, e, np.arange(m1c)[:, None]]
+    x2 = p2[:, :, bb, e, np.arange(m2c)]
+    return x1, x2, None if unmatched is None else ~unmatched
 
 
 def _tally_block(tally, passes, in_type, msg1, msg2) -> int:
@@ -689,18 +671,36 @@ def _tally_block(tally, passes, in_type, msg1, msg2) -> int:
     return int(err.sum())
 
 
-def _run_trials(config: SimConfig, family: int, trial_bytes: int, block) -> SimReport:
-    """The trial loop of both error estimates.
+def _run_trials(
+    config: SimConfig, family: int, trial_bytes: int, words, channel, dec
+) -> SimReport:
+    """The trial loop of both error estimates (see "Fixed codes" above).
 
-    ``block(rng, b)`` runs b trials on the stream ``rng`` and returns their
-    decoder passes (B, M1, M2), type check (or None) and sent messages.
+    ``words(rng, b)`` gives the planes x1 (W, A1-1, B or 1, M1, M2) and x2 of
+    the facilitated words of every message pair of b trials, and their type
+    check (or None).
     """
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
+    m1c, m2c = config.m1_count, config.m2_count
+    cells, columns = dec.weights.shape
+    chunk = max(1, _BLOCK_BYTES // (16 * m1c * m2c * (10 * cells + 8 * columns)))
     errors = 0
     tally = {"threshold_miss": 0, "impostor_pass": 0, "ambiguity": 0, "type_miss": 0}
     for rng, b in _blocks(config.seed, family, config.trials, trial_bytes):
-        errors += _tally_block(tally, *block(rng, b))
+        x1, x2, in_type = words(rng, b)
+        x1 = np.broadcast_to(x1, x1.shape[:2] + (b, m1c, m2c))
+        x2 = np.broadcast_to(x2, x2.shape[:2] + (b, m1c, m2c))
+        msg1 = rng.integers(0, m1c, size=b)
+        msg2 = rng.integers(0, m2c, size=b)
+        bb = np.arange(b)
+        py = channel(rng, x1[:, :, bb, msg1, msg2], x2[:, :, bb, msg1, msg2])
+        passes = [
+            dec.decide(_triple_counts(x1[:, :, s], x2[:, :, s], py[:, :, s, None, None]))
+            for s in (slice(start, start + chunk) for start in range(0, b, chunk))
+        ]
+        errors += _tally_block(tally, np.concatenate(passes), in_type, msg1, msg2)
+        del x1, x2, py  # freed before the next block draws its words
     return SimReport(
         trials=config.trials,
         errors=errors,
@@ -724,16 +724,6 @@ class _FixedCode:
     p2: np.ndarray
     in_type: np.ndarray | None
 
-    def passes(self, py):
-        """Planes py (W, Y, B) of received words -> the decoder passes (B, M1, M2) of
-        every pair.
-
-        The counts are contracted cells first, as (columns, B*M1*M2) = weights.T @ D.
-        """
-        d = _triple_counts(self.p1, self.p2, py[..., None, None])  # (A1, Y, A2, B, M1, M2)
-        z = self.dec.weights.T @ d.reshape(len(self.dec.weights), -1).astype(np.float64)
-        return self.dec.passes(z.T).reshape(py.shape[-1], *self.p1.shape[-2:])
-
 
 def _fixed_code(
     codebooks: Codebooks, e_table: FacilitatorTable, mac: Mac, dist: InputDist,
@@ -756,10 +746,9 @@ def _fixed_code(
     p1 = _planes(codebooks.f1[np.arange(m1)[:, None], e][None], mac.x1_size)
     p2 = _planes(codebooks.f2[np.arange(m2)[None, :], e][None], mac.x2_size)
     in_type = None
-    if target is not None:  # the pair counts: a received word of one symbol
-        one = _planes(np.zeros((1, 1, 1, codebooks.n), dtype=np.uint8), 1, first=0)
-        counts = _triple_counts(p1, p2, one).reshape(len(target), m1, m2)
-        in_type = (counts == target[:, None, None]).all(axis=0)
+    if target is not None:
+        counts = _triple_counts(p1, p2, _one_symbol(codebooks.n, 3)).reshape(len(target), m1, m2)
+        in_type = _in_type(counts, target)
     return _FixedCode(dec, p1, p2, in_type)
 
 
@@ -806,7 +795,7 @@ def draw_codebooks(
     rng = _stream(seed, _CODEBOOK, 0)
     f1 = _symbols(samplers[0](rng, (m1_count, k)), n)
     f2 = _symbols(samplers[1](rng, (m2_count, k)), n)
-    return Codebooks(f1=f1, f2=f2, mode=mode, seed=seed)
+    return Codebooks(f1=f1, f2=f2, mode=mode, seed=_integer(seed))
 
 
 def facilitate(
@@ -852,7 +841,8 @@ def threshold_decode(
     y = np.asarray(y_word)
     if y.shape != (codebooks.n,) or not np.all((y >= 0) & (y < mac.y_size) & (np.floor(y) == y)):
         raise SizeMismatch(f"received word must hold {codebooks.n} integers in [0, {mac.y_size})")
-    passes = code.passes(_planes(y.astype(np.uint8)[None], mac.y_size, first=0))[0]
+    py = _planes(y.astype(np.uint8)[None], mac.y_size, first=0)  # (W, Y, 1)
+    passes = code.dec.decide(_triple_counts(code.p1, code.p2, py[..., None, None]))[0]
     if code.in_type is not None:
         passes &= code.in_type
     hits = np.argwhere(passes)
@@ -870,13 +860,10 @@ def estimate_error(config: SimConfig) -> SimReport:
     mac, dist = config.mac, config.dist
     n, m1c, m2c, k = config.n, config.m1_count, config.m2_count, config.k
     samplers, fac = _ensemble(mac, dist, n, config.mode)
+    words = partial(_ensemble_words, m1c=m1c, m2c=m2c, k=k, n=n, samplers=samplers, fac=fac)
     dec = _Decoder.build(mac, dist, config.resolved_thresholds())
-    channel = _channel(mac.kernel, n)
-
-    def block(rng, b):
-        return _ensemble_block(rng, b, m1c, m2c, k, n, channel, samplers, fac, dec)
-
-    return _run_trials(config, _ENSEMBLE, _trial_bytes(mac, n, m1c, m2c, k), block)
+    trial_bytes = _trial_bytes(mac, n, m1c, m2c, k)
+    return _run_trials(config, _ENSEMBLE, trial_bytes, words, _channel(mac.kernel, n), dec)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,8 +1056,7 @@ def _bound_terms(config: SimConfig, th: DecoderThresholds, mc_samples: int, seed
     for rng, b in _blocks(seed, _BOUND, mc_samples, sample_bytes):
         sent, unmatched = sent_counts(rng, b)  # (B, A1*A2)
         outputs = rng.multinomial(sent, kernel).reshape(b, a1, a2, ny)
-        z = outputs.transpose(0, 1, 3, 2).reshape(b, -1)  # cells (a1, y, a2)
-        fails += int((~dec.passes(z.astype(np.float64) @ dec.weights)).sum())
+        fails += int((~dec.decide(outputs.transpose(1, 3, 2, 0))).sum())
         if unmatched is not None:
             type_misses += int(unmatched.sum())
     return fails, type_misses, p_unmatched
@@ -1138,25 +1124,14 @@ def estimate_error_fixed_code(
             f"config mode {config.mode!r} does not match codebook mode {codebooks.mode!r}"
         )
     code = _fixed_code(codebooks, e_table, mac, config.dist, config.resolved_thresholds())
-    channel = _channel(mac.kernel, n)
-    pairs, (cells, columns) = m1c * m2c, code.dec.weights.shape
-    # a chunk of trials' counts, their float copy and metrics take 1/16 of the
-    # budget, so they stay in cache
-    chunk = max(1, _BLOCK_BYTES // (16 * pairs * (10 * cells + 8 * columns)))
-
-    def block(rng, b):
-        msg1 = rng.integers(0, m1c, size=b)
-        msg2 = rng.integers(0, m2c, size=b)
-        # the code's planes hold each pair's facilitated words
-        py = channel(rng, code.p1[:, :, 0, msg1, msg2], code.p2[:, :, 0, msg1, msg2])
-        passes = [code.passes(py[..., start:start + chunk]) for start in range(0, b, chunk)]
-        return np.concatenate(passes), code.in_type, msg1, msg2
-
     # a trial's received word one-hot and its metrics in float64: more than
     # the planes take, kept because it fixes the trials per block, and so the
     # measured peak memory
-    trial_bytes = 8 * (mac.y_size * n + pairs * columns) + 16 * n
-    return _run_trials(config, _FIXED_CODE, trial_bytes, block)
+    trial_bytes = 8 * (mac.y_size * n + m1c * m2c * code.dec.weights.shape[1]) + 16 * n
+    return _run_trials(
+        config, _FIXED_CODE, trial_bytes, lambda rng, b: (code.p1, code.p2, code.in_type),
+        _channel(mac.kernel, n), code.dec,
+    )
 
 
 def simulate_with_bound(config: SimConfig, mc_samples: int = 100_000) -> SimReport:

@@ -1,11 +1,14 @@
 """Symbol-by-symbol reference for the Monte Carlo term of ``fbl_bound``.
 
 ``reference_bound_samples`` draws each sample's K codeword pairs and its
-received word symbol by symbol and runs them through the ensemble kernel with
-M1 = M2 = 1, as the bound's sampler did up to stream version 3.  The
-count-law sampler that replaced it draws the same counts from their exact
-laws, so the tests require the two to agree within sampling error.
+received word symbol by symbol and runs them through the ensemble's trial
+loop with M1 = M2 = 1, as the bound's sampler did up to stream version 3.
+The count-law sampler that replaced it draws the same counts from their
+exact laws, so the tests require the two to agree within sampling error.
 """
+from dataclasses import replace
+from functools import partial
+
 from cfmac import code_sim
 
 
@@ -13,16 +16,22 @@ def reference_bound_samples(config, th, mc_samples: int, seed: int):
     """(threshold fails, type-mode unmatched) counts of ``mc_samples`` symbol-level samples."""
     mac, dist, n, k = config.mac, config.dist, config.n, config.k
     samplers, fac = code_sim._ensemble(mac, dist, n, config.mode)
-    dec = code_sim._Decoder.build(mac, dist, th)
-    channel = code_sim._channel(mac.kernel, n)
-    fails = 0
+    ensemble_words = partial(
+        code_sim._ensemble_words, m1c=1, m2c=1, k=k, n=n, samplers=samplers, fac=fac
+    )
     type_misses = 0
-    trial_bytes = code_sim._trial_bytes(mac, n, 1, 1, k)
-    for rng, b in code_sim._blocks(seed, code_sim._BOUND, mc_samples, trial_bytes):
-        passes, in_type, _, _ = code_sim._ensemble_block(
-            rng, b, 1, 1, k, n, channel, samplers, fac, dec
-        )
-        fails += int((~passes).sum())
+
+    def words(rng, b):
+        # the thresholds are tested alone: the type check is counted here
+        nonlocal type_misses
+        x1, x2, in_type = ensemble_words(rng, b)
         if in_type is not None:
             type_misses += int((~in_type).sum())
-    return fails, type_misses
+        return x1, x2, None
+
+    samples = replace(config, m1_count=1, m2_count=1, trials=mc_samples, seed=seed)
+    report = code_sim._run_trials(
+        samples, code_sim._BOUND, code_sim._trial_bytes(mac, n, 1, 1, k), words,
+        code_sim._channel(mac.kernel, n), code_sim._Decoder.build(mac, dist, th),
+    )
+    return report.errors, type_misses

@@ -29,6 +29,9 @@ are hashed from exact forms: array bytes with their dtype and shape, floats by
 - ``estimate_error_fixed_code`` of a code large enough to be decoded in
   chunks: adder2 at n = 1000, M1 = M2 = 64, K = 4, 64 trials, with a c12
   that about half the trials miss;
+- ``estimate_error`` whose blocks are decoded in several chunks: adder2 at
+  n = 100, M1 = M2 = 16, K = 1, 1000 trials (blocks of 462 trials, chunks
+  of 97), with a c12 that about half the trials miss;
 - ``threshold_decode`` calls that switch between the configs' codes (A, B,
   A, C, C, B, A), so a code decoded right after another and a code decoded
   twice in a row are both hashed.
@@ -99,6 +102,10 @@ SWITCHES = ("readme", "iid", "readme", "type", "type", "iid", "readme")
 # about 516 for the best of K = 4 pairs, so about half the trials miss c12
 LARGE_CODE = {**README_CONFIG, "n": 1000, "m1_count": 64, "m2_count": 64, "k": 4,
               "trials": 64, "seed": 3, "thresholds": {"c12": 1515.5, "c1": 11.0, "c2": 11.0}}
+# at K = 1, d12 of the sent pair is n plus its count of x1 = x2, about 150 bits
+CHUNKED_ENSEMBLE = {**README_CONFIG, "n": 100, "m1_count": 16, "m2_count": 16, "k": 1,
+                    "trials": 1000, "seed": 5,
+                    "thresholds": {"c12": 150.5, "c1": 11.0, "c2": 11.0}}
 
 
 def _sha(data) -> str:
@@ -222,6 +229,8 @@ def library_digests():
     cfg, cb, table = _code(LARGE_CODE)
     report = cfmac.estimate_error_fixed_code(cb, table, cfg)
     yield "lib.large.estimate_error_fixed_code", json.dumps(report.to_dict(), sort_keys=True)
+    report = cfmac.estimate_error(cfmac.sim_config_from_dict(CHUNKED_ENSEMBLE))
+    yield "lib.chunked.estimate_error", json.dumps(report.to_dict(), sort_keys=True)
 
 
 def switching_decodes():

@@ -1,12 +1,15 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -600,6 +603,20 @@ class TestConfigSerialization:
         assert (cfg.n, cfg.trials, cfg.seed) == (20, 1000, 7)
         assert all(type(v) is int for v in (cfg.n, cfg.trials, cfg.seed))
 
+    @pytest.mark.parametrize("value", [20.5, True, np.float64(1.5)])
+    @pytest.mark.parametrize("field", ["n", "m1_count", "m2_count", "k", "trials", "seed"])
+    def test_config_fields_must_be_integers(self, field, value):
+        kw = dict(mac=adder2(), dist=UNIFORM, n=20, m1_count=2, m2_count=2, k=2)
+        with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {value!r}")):
+            SimConfig(**{**kw, field: value})
+
+    def test_integral_config_fields_are_stored_as_ints(self):
+        cfg = SimConfig(mac=adder2(), dist=UNIFORM, n=np.int64(20), m1_count=2.0,
+                        m2_count=np.uint8(2), k=2, trials=1e3, seed=np.uint64(2**64 - 1))
+        values = (cfg.n, cfg.m1_count, cfg.m2_count, cfg.k, cfg.trials, cfg.seed)
+        assert values == (20, 2, 2, 2, 1000, 2**64 - 1)
+        assert all(type(v) is int for v in values)
+
     @pytest.mark.parametrize("field", ["n", "m1_count", "m2_count", "k"])
     def test_sizes_below_one_are_rejected(self, field):
         kw = dict(mac=adder2(), dist=UNIFORM, n=20, m1_count=2, m2_count=2, k=2)
@@ -948,6 +965,18 @@ class TestStreams:
         with pytest.raises(ValueError, match=f"seed {seed} "):
             draw_codebooks(adder2(), UNIFORM, 4, 2, 2, 2, "iid", seed=seed)
 
+    def test_fractional_seeds_are_rejected(self):
+        # a truncated seed would silently draw another seed's stream
+        with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+            draw_codebooks(adder2(), UNIFORM, 4, 2, 2, 2, "iid", seed=1.5)
+        cfg = SimConfig(mac=adder2(), dist=UNIFORM, n=4, m1_count=2, m2_count=2, k=2)
+        with pytest.raises(ValueError, match="expected an integer, got 2.7"):
+            fbl_bound(cfg, 1000, seed=2.7)
+        with pytest.raises(ValueError, match="expected an integer, got True"):
+            facilitate(draw_codebooks(adder2(), UNIFORM, 4, 2, 2, 2), adder2(), UNIFORM, seed=True)
+        assert fbl_bound(cfg, 1000, seed=2.0) == fbl_bound(cfg, 1000, seed=2)
+        assert type(draw_codebooks(adder2(), UNIFORM, 4, 2, 2, 2, seed=2.0).seed) is int
+
     def test_stream_version(self):
         assert code_sim.STREAM_VERSION == 8
 
@@ -1008,6 +1037,19 @@ def test_passes_decides_as_the_summed_metrics(present, c, seed):
     assert np.array_equal(dec.passes(z), want)
 
 
+def _decode_counts(p1, p2, py, e):
+    """Counts D (B, M1, M2, A1*Y*A2) of (x1, y, x2) in the words k = e (B, M1, M2) of
+    codebooks p1 (W, A1-1, B, K, M1), p2 (W, A2-1, B, K, M2), gathered as the
+    ensemble gathers them, against each trial's received word py (W, Y, B)."""
+    b, k, m1 = p1.shape[2:]
+    planes = iter((p1, p2))
+    samplers = [lambda rng, lead: next(planes)] * 2
+    fac = SimpleNamespace(choose=lambda counts, rng: (e, None))
+    x1, x2, _ = code_sim._ensemble_words(None, b, m1, p2.shape[-1], k, 1, samplers, fac)
+    d = code_sim._triple_counts(x1, x2, py[..., None, None])
+    return np.moveaxis(d.reshape(-1, *e.shape), 0, -1)
+
+
 class TestCountKernel:
     """The joint-count kernel against the gather-based reference."""
 
@@ -1038,7 +1080,7 @@ class TestCountKernel:
         return p1, p2, counts
 
     def decode_counts(self, mac, p1, p2, y, e):
-        return code_sim._decode_counts(p1, p2, code_sim._planes(y, mac.y_size, first=0), e)
+        return _decode_counts(p1, p2, code_sim._planes(y, mac.y_size, first=0), e)
 
     def check_decode(self, mac, dist, n, mode, f1, f2, y, e, p1, p2):
         th = default_thresholds(mac, dist, n, self.M1, self.M2, self.K, mode)
@@ -1156,7 +1198,7 @@ def test_plane_counts_equal_the_gather_reference(a1, a2, ny, m1, m2, k, n, seed)
     # the decode counts at any choice of k, not only the facilitator's
     e = rng.integers(0, k, size=(b, m1, m2))
     x1, x2 = gather_reference.selected_words(g1, g2, e)
-    got = code_sim._decode_counts(p1, p2, code_sim._planes(y, ny, first=0), e)
+    got = _decode_counts(p1, p2, code_sim._planes(y, ny, first=0), e)
     assert np.array_equal(got, gather_reference.decode_counts(x1, x2, y, a1, ny, a2))
     # a fixed code's layout: every received word against all P = B*M1*M2 word pairs
     q1 = code_sim._planes(x1.reshape(1, -1, n), a1)  # (W, A1-1, 1, P)
@@ -1237,24 +1279,28 @@ def test_fixed_code_memory_stays_bounded_over_a_full_block():
 
 @pytest.mark.parametrize("mode, dist", [("iid", UNIFORM), ("type", HALF_TYPE)])
 def test_fixed_code_trials_in_one_trial_chunks_give_the_same_report(monkeypatch, mode, dist):
+    # both error estimates, the ensemble's over more than one decode chunk
     mac = _noisy_adder()
     cfg = SimConfig(mac=mac, dist=dist, n=16, m1_count=4, m2_count=3, k=4, mode=mode,
                     thresholds=TestThresholdDecodeMemo.TH, trials=3000, seed=2)
     cb = draw_codebooks(mac, dist, 16, 4, 3, 4, mode, seed=2)
     table = facilitate(cb, mac, dist, mode, seed=2)
-    whole = estimate_error_fixed_code(cb, table, cfg)
-    assert 0 < whole.errors < whole.trials
-    passes = code_sim._FixedCode.passes
+    estimates = [partial(estimate_error_fixed_code, cb, table), estimate_error]
+    whole = [estimate(cfg) for estimate in estimates]
+    assert all(0 < rep.errors < rep.trials for rep in whole)
+    decide = code_sim._Decoder.decide
     calls = []
 
-    def one_trial_chunks(code, py):
-        trials = py.shape[-1]
+    def one_trial_slices(dec, d):
+        trials = d.shape[3]  # (A1, Y, A2, trials, M1, M2)
         calls.append(trials)
-        return np.concatenate([passes(code, py[..., i:i + 1]) for i in range(trials)])
+        return np.concatenate([decide(dec, d[:, :, :, i:i + 1]) for i in range(trials)])
 
-    monkeypatch.setattr(code_sim._FixedCode, "passes", one_trial_chunks)
-    assert estimate_error_fixed_code(cb, table, cfg) == whole
-    assert sum(calls) == cfg.trials
+    monkeypatch.setattr(code_sim._Decoder, "decide", one_trial_slices)
+    for estimate, want in zip(estimates, whole):
+        calls.clear()
+        assert estimate(cfg) == want
+        assert len(calls) > 1 and sum(calls) == cfg.trials
 
 
 def _noisy_adder():
