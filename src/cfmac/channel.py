@@ -413,36 +413,31 @@ def channel_stats(mac: Mac, d: InputDist, units: str = "bits") -> ChannelStats:
 
 def mutual_information(mac: Mac, d: InputDist, units: str = "bits") -> float:
     """I(X1, X2; Y) under ``d`` as H(Y) - H(Y | X1, X2); builds no density tables."""
-    return float(_mi_nats(mac.kernel, _joint(mac, d)[None])[0]) * _unit_scale(units)
+    return _mi_nats(mac.kernel, _joint(mac, d)) * _unit_scale(units)
 
 
 # ---------------------------------------------------------------------------
 # sum-capacity over product distributions
 
 
-def _outer(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Stacked product laws: (S, |X1|) and (S, |X2|) -> (S, |X1|, |X2|)."""
-    return p1[:, :, None] * p2[:, None, :]
-
-
-def _mi_nats(kernel: np.ndarray, p12: np.ndarray) -> np.ndarray:
-    """I(X1, X2; Y) in nats for each input law of the stack p12 (S, |X1|, |X2|)."""
-    p_y = np.einsum("sij,ijy->sy", p12, kernel)
-    h_y = -xlogy(p_y, p_y).sum(axis=1)
-    h_y_given_x = -(p12[..., None] * xlogy(kernel, kernel)).reshape(len(p12), -1).sum(axis=1)
-    return h_y - h_y_given_x
+def _mi_nats(kernel: np.ndarray, p12: np.ndarray) -> float:
+    """I(X1, X2; Y) in nats under the input law p12 (|X1|, |X2|)."""
+    p_y = np.einsum("ij,ijy->y", p12, kernel)
+    h_y = -xlogy(p_y, p_y).sum()
+    h_y_given_x = -(p12[..., None] * xlogy(kernel, kernel)).sum()
+    return float(h_y - h_y_given_x)
 
 
 def _letter_div_nats(kernel: np.ndarray, p12: np.ndarray) -> np.ndarray:
-    """D(W_{x1,x2} || p_Y) per law of the stack p12 (S, |X1|, |X2|); p_Y floored at 1e-300."""
-    p_y = np.einsum("sij,ijy->sy", p12, kernel)
-    return rel_entr(kernel, np.maximum(p_y, 1e-300)[:, None, None, :]).sum(axis=3)
+    """D(W_{x1,x2} || p_Y) (|X1|, |X2|) under the input law p12; p_Y floored at 1e-300."""
+    p_y = np.einsum("ij,ijy->y", p12, kernel)
+    return rel_entr(kernel, np.maximum(p_y, 1e-300)).sum(axis=2)
 
 
 def _dbar_nats(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
-    """The p2 and p1 averages of the letter divergences D(W_{x1,x2} || p_Y), per start."""
-    div = _letter_div_nats(kernel, _outer(p1, p2))
-    return (div @ p2[..., None])[..., 0], (p1[:, None, :] @ div)[:, 0]
+    """The p2 and p1 averages of the letter divergences D(W_{x1,x2} || p_Y)."""
+    div = _letter_div_nats(kernel, np.outer(p1, p2))
+    return div @ p2, p1 @ div
 
 
 def _ascend(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
@@ -454,11 +449,11 @@ def _ascend(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
     n1 = len(p1)
 
     def neg_mi(x):
-        a, b = x[None, :n1], x[None, n1:]
+        a, b = x[:n1], x[n1:]
         dbar1, dbar2 = _dbar_nats(kernel, a, b)
         # dI/dp12 = D(W_x || p_Y) - 1, averaged over the other input
-        grad = np.concatenate([dbar1[0] - b.sum(), dbar2[0] - a.sum()])
-        return -_mi_nats(kernel, _outer(a, b))[0], -grad
+        grad = np.concatenate([dbar1 - b.sum(), dbar2 - a.sum()])
+        return -_mi_nats(kernel, np.outer(a, b)), -grad
 
     sums = np.zeros((2, n1 + len(p2)))
     sums[0, :n1] = sums[1, n1:] = 1.0
@@ -475,7 +470,7 @@ def _ascend(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
     b = np.clip(res.x[n1:], 0.0, None)
     a /= a.sum()
     b /= b.sum()
-    return float(_mi_nats(kernel, np.outer(a, b)[None])[0]), a, b, res.status, res.nit
+    return _mi_nats(kernel, np.outer(a, b)), a, b, res.status, res.nit
 
 
 def _seed_grid(mac: Mac) -> tuple[np.ndarray, np.ndarray]:
@@ -526,7 +521,7 @@ def sum_capacity(mac: Mac, units: str = "bits") -> CapacityResult:
     # KKT residual at the top maximizer: E[i_bar(x1, X2)] <= C with equality
     # on the support, and symmetrically for x2.
     p1, p2 = keepers[0]
-    (dbar1,), (dbar2,) = _dbar_nats(kernel, p1[None], p2[None])
+    dbar1, dbar2 = _dbar_nats(kernel, p1, p2)
     resid = max(
         float(np.max(dbar1 - best)),
         float(np.max(dbar2 - best)),

@@ -206,8 +206,8 @@ def _refine(kernel, p_start: np.ndarray, a_nats: float) -> tuple[np.ndarray | No
     m = p_start.size
 
     def neg_obj(x):
-        p12 = x.reshape(1, *shape)
-        return -_mi_nats(kernel, p12)[0], 1.0 - _letter_div_nats(kernel, p12).ravel()
+        p12 = x.reshape(shape)
+        return -_mi_nats(kernel, p12), 1.0 - _letter_div_nats(kernel, p12).ravel()
 
     cons = [
         {"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(m)},
@@ -239,7 +239,7 @@ def _joint_ba_unconstrained(kernel: np.ndarray, iters: int = 400) -> np.ndarray:
     for _ in range(iters):
         # the multiplicative update; the mass stays positive, since the largest
         # entry of p is at least 1/(A1*A2) and no divergence exceeds ~690 nats
-        d = _letter_div_nats(kernel, p[None])[0]
+        d = _letter_div_nats(kernel, p)
         new_p = p * np.exp(d - d.max())
         new_p /= new_p.sum()
         p, old = new_p, p
@@ -265,7 +265,7 @@ def delta(
     # only product laws meet a zero budget, and no joint law beats a divergence
     # bound at C: either way the maximizer, of I(X1;X2) = 0, is optimal
     c_nats = capacity.c_sum / scale
-    if a == 0 or _letter_div_nats(kernel, best_p[None]).max() <= c_nats + _ZERO_GAIN_SLACK:
+    if a == 0 or _letter_div_nats(kernel, best_p).max() <= c_nats + _ZERO_GAIN_SLACK:
         return DeltaPoint(a, 0.0, JointDist(best_p), 0.0, units)
 
     starts: list[np.ndarray] = []
@@ -277,7 +277,7 @@ def delta(
     starts.append(np.full((mac.x1_size, mac.x2_size), 1.0 / (mac.x1_size * mac.x2_size)))
     starts.append(_project_feasible(_joint_ba_unconstrained(kernel), a_nats))
 
-    best_val = float(_mi_nats(kernel, best_p[None])[0])
+    best_val = _mi_nats(kernel, best_p)
     converged = False
     for p0 in starts:
         p, status = _refine(kernel, p0, a_nats)
@@ -285,7 +285,7 @@ def delta(
             if cand is None or _mi_12_nats(cand) > a_nats:
                 continue
             converged = converged or refined_ok
-            val = float(_mi_nats(kernel, cand[None])[0])
+            val = _mi_nats(kernel, cand)
             if val > best_val:
                 best_val, best_p = val, cand
     if not converged:
