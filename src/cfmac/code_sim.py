@@ -601,23 +601,16 @@ class _Decoder:
     def passes(self, z):
         """Weighted counts (..., columns) -> all three metrics pass (...).
 
-        A metric is its finite part plus its infinite terms, and it passes when
-        the sum reaches its threshold.  The sum is not formed: a +inf term
-        passes the metric (unless the threshold is nan), a -inf term fails it
-        unless the threshold is itself -inf, and both (nan) fail it.
+        A metric is its finite part plus its infinite terms, +-inf for each of
+        its indicator columns that counts a cell, and it passes when that sum
+        reaches its threshold: -inf + inf is nan, which fails, as does a nan
+        threshold.
         """
-        ok = z[..., :3] >= self.c
-        cols = {key: col for col, key in enumerate(self.infs, start=3)}
-        for j, c in enumerate(self.c):
-            pos, neg = cols.get((j, np.inf)), cols.get((j, -np.inf))
-            if pos is not None and np.inf >= c:
-                ok[..., j] |= z[..., pos] > 0
-            if neg is not None and (c > -np.inf or pos is not None):
-                fails = z[..., neg] > 0
-                if c == -np.inf:  # -inf passes; only -inf + inf fails
-                    fails &= z[..., pos] > 0
-                ok[..., j] &= ~fails
-        return ok.all(axis=-1)
+        metrics = z[..., :3].copy()
+        with np.errstate(invalid="ignore"):
+            for col, (j, v) in enumerate(self.infs, start=3):
+                metrics[..., j] += np.where(z[..., col] > 0, v, 0.0)
+            return (metrics >= self.c).all(axis=-1)
 
 
 def _trial_bytes(mac: Mac, n: int, m1: int, m2: int, k: int) -> int:
