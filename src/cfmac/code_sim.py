@@ -1086,6 +1086,7 @@ def fbl_bound(config: SimConfig, mc_samples: int = 100_000, seed: int | None = N
     blocklength n nor, in type mode or with one score group, with K; ``seed``
     (by default the config's) keys their stream.
     """
+    mc_samples = _integer(mc_samples)
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
     th = config.resolved_thresholds()

@@ -16,6 +16,15 @@ achievable, so a stalled refinement can only understate delta.  The top
 capacity maximizer is the first candidate, so delta = max(best - C, 0) >= 0,
 and at a = 0 it is returned with delta exactly 0.
 
+The budget is met in one place, ``_project_feasible``.  It moves a law along
+the segment to the product of its marginals.  That segment keeps the
+marginals, so I(X1;X2) = D(p || p1 p2) is convex along it and 0 at its end:
+the step 1 - a/I meets the budget in exact arithmetic and brackets a
+bisection that ends at adjacent floats.  The perturbed start is p* + t r at
+the simplex boundary along r; r has zero row and column sums, so its
+projection walks back along r toward p*.  The BA start and every SLSQP
+refinement take the same projection.
+
 Some kernels gain nothing from dependence, and that is certified without a
 refinement.  For any output law q and any joint input law, I(X1,X2;Y) <=
 max_x D(W_x || q), the maximum over the input pairs x = (x1, x2).  When that
@@ -134,9 +143,9 @@ def perturbation_direction(
 
 def delta_small_a(v1_star: float, a: float, units: str = "bits") -> float:
     """Small-budget closed form sqrt(2 a V1* ln 2) (ln 2 dropped in nats mode)."""
-    if not 0 <= a < math.inf or v1_star < 0:
+    if not (0 <= a < math.inf and 0 <= v1_star < math.inf):
         raise ValueError(
-            f"a must be finite and nonnegative and v1_star nonnegative, got {a!r}, {v1_star!r}"
+            f"a and v1_star must be finite and nonnegative, got {a!r}, {v1_star!r}"
         )
     return math.sqrt(a * (2.0 * _nats_per_unit(units)) * v1_star)
 
@@ -166,38 +175,48 @@ def _mi_12_grad_nats(p12: np.ndarray) -> np.ndarray:
 
 
 def _project_feasible(p12: np.ndarray, a_nats: float) -> np.ndarray:
-    """Shrink toward the product of marginals until the budget constraint holds."""
-    if _mi_12_nats(p12) <= a_nats:
+    """The law nearest ``p12`` on its segment to the product of its marginals
+    that meets the budget; ``p12`` itself when its I(X1;X2) <= a.
+
+    The segment keeps the marginals, so along it I(X1;X2) = D(p || p1 p2) is
+    convex in the step theta (the divergence is jointly convex) and 0 at
+    theta = 1.  So I(theta) <= (1 - theta) I, and theta = 1 - a/I meets the
+    budget in exact arithmetic: [0, 1 - a/I] brackets the bisection.  In
+    floats that end can miss the budget by rounding, and then the bracket is
+    [1 - a/I, 1].  The bisection ends when its ends are adjacent floats and
+    returns the law at the upper end, which has been checked against the
+    budget unless it is the product law.
+    """
+    mi = _mi_12_nats(p12)
+    if mi <= a_nats:
         return p12
     prod = np.outer(p12.sum(axis=1), p12.sum(axis=0))
-    lo, hi = 0.0, 1.0  # theta=1 is the fully independent (feasible) endpoint
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _mi_12_nats((1 - mid) * p12 + mid * prod) <= a_nats:
+
+    def feasible(theta):
+        return _mi_12_nats((1 - theta) * p12 + theta * prod) <= a_nats
+
+    lo, hi = 0.0, 1.0 - a_nats / mi
+    if not feasible(hi):
+        lo, hi = hi, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if feasible(mid):
             hi = mid
         else:
             lo = mid
     return (1 - hi) * p12 + hi * prod
 
 
-def _line_search_start(kernel, base: ProductDist, r: np.ndarray, a_nats: float) -> np.ndarray:
-    """p* + t r with t capped at both the simplex boundary and the budget."""
+def _line_search_start(base: ProductDist, r: np.ndarray, a_nats: float) -> np.ndarray:
+    """p* + t r at the simplex boundary along r, projected into the budget.
+
+    r has zero row and column sums, so the projection walks back along r
+    toward p*, the product of the marginals.
+    """
     p0 = base.joint()
-    if not np.any(r != 0):
-        return p0
     neg = r < 0
-    t_box = 1.0
-    if np.any(neg):
-        t_box = float(np.min(p0[neg] / -r[neg]))
-    lo, hi = 0.0, t_box
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _mi_12_nats(np.clip(p0 + mid * r, 0.0, None)) <= a_nats:
-            lo = mid
-        else:
-            hi = mid
-    p = np.clip(p0 + lo * r, 0.0, None)
-    return p / p.sum()
+    t_box = float(np.min(p0[neg] / -r[neg])) if np.any(neg) else 1.0
+    p = np.clip(p0 + t_box * r, 0.0, None)
+    return _project_feasible(p / p.sum(), a_nats)
 
 
 def _refine(kernel, p_start: np.ndarray, a_nats: float) -> tuple[np.ndarray | None, int]:
@@ -273,7 +292,7 @@ def delta(
         starts.append(base.joint())
         pert = perturbation_direction(mac, base, a, capacity=capacity, units=units)
         if np.any(pert.r_table != 0):
-            starts.append(_line_search_start(kernel, base, pert.r_table, a_nats))
+            starts.append(_line_search_start(base, pert.r_table, a_nats))
     starts.append(np.full((mac.x1_size, mac.x2_size), 1.0 / (mac.x1_size * mac.x2_size)))
     starts.append(_project_feasible(_joint_ba_unconstrained(kernel), a_nats))
 

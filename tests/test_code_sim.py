@@ -482,6 +482,20 @@ class TestFblBound:
         with pytest.raises(ValueError, match=f"mc_samples must be at least 1, got {samples}"):
             fbl_bound(cfg, mc_samples=samples)
 
+    @pytest.mark.parametrize(
+        "samples, count", [(True, None), (2.5, None), (1000.0, 1000)], ids=["True", "2.5", "1000.0"]
+    )
+    def test_sample_count_must_be_an_integer(self, samples, count):
+        # True used to run one sample and 2.5 to die in range(); 1000.0 is 1000
+        cfg = SimConfig(
+            mac=xor_channel(0.11), dist=UNIFORM, n=20, m1_count=2, m2_count=2, k=2, mode="iid",
+        )
+        if count is None:
+            with pytest.raises(ValueError, match="expected an integer"):
+                fbl_bound(cfg, mc_samples=samples)
+        else:
+            assert fbl_bound(cfg, mc_samples=samples) == fbl_bound(cfg, mc_samples=count)
+
     def test_degenerate_thresholds_rejected(self):
         cfg = SimConfig(
             mac=adder2(), dist=UNIFORM, n=10, m1_count=1, m2_count=1, k=1,
