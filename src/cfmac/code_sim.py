@@ -601,16 +601,20 @@ class _Decoder:
     def passes(self, z):
         """Weighted counts (..., columns) -> all three metrics pass (...).
 
-        A metric is its finite part plus its infinite terms, +-inf for each of
-        its indicator columns that counts a cell, and it passes when that sum
-        reaches its threshold: -inf + inf is nan, which fails, as does a nan
-        threshold.
+        A metric is its finite part plus +-inf for each of its indicator
+        columns that counts a cell, and it passes when that sum reaches its
+        threshold: -inf + inf is nan, which fails, as does a nan threshold.
+        The infinite terms are added only where their column counts a cell,
+        and each metric is taken in the layout of z, a view where it has none.
         """
-        metrics = z[..., :3].copy()
+        metrics = [z[..., j] for j in range(3)]
         with np.errstate(invalid="ignore"):
             for col, (j, v) in enumerate(self.infs, start=3):
-                metrics[..., j] += np.where(z[..., col] > 0, v, 0.0)
-            return (metrics >= self.c).all(axis=-1)
+                metrics[j] = np.add(metrics[j], v, out=metrics[j].copy(), where=z[..., col] > 0)
+            ok = metrics[0] >= self.c[0]
+            for m, c in zip(metrics[1:], self.c[1:]):
+                ok &= m >= c
+        return ok
 
 
 def _trial_bytes(mac: Mac, n: int, m1: int, m2: int, k: int) -> int:
