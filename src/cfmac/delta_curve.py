@@ -16,14 +16,10 @@ achievable, so a stalled refinement can only understate delta.  The top
 capacity maximizer is the first candidate, so delta = max(best - C, 0) >= 0,
 and at a = 0 it is returned with delta exactly 0.
 
-The budget is met in one place, ``_project_feasible``.  It moves a law along
-the segment to the product of its marginals.  That segment keeps the
-marginals, so I(X1;X2) = D(p || p1 p2) is convex along it and 0 at its end:
-the step 1 - a/I meets the budget in exact arithmetic and brackets a
-bisection that ends at adjacent floats.  The perturbed start is p* + t r at
-the simplex boundary along r; r has zero row and column sums, so its
-projection walks back along r toward p*.  The BA start and every SLSQP
-refinement take the same projection.
+Every start and refinement meets the budget through ``_project_feasible``:
+along the segment to the product of its marginals I(X1;X2) is convex, so
+the step 1 - a/I brackets its bisection.  The perturbed start is p* + t r at
+the simplex boundary along r, projected back toward p* the same way.
 
 Some kernels gain nothing from dependence, and that is certified without a
 refinement.  For any output law q and any joint input law, I(X1,X2;Y) <=
@@ -178,40 +174,30 @@ def _project_feasible(p12: np.ndarray, a_nats: float) -> np.ndarray:
     """The law nearest ``p12`` on its segment to the product of its marginals
     that meets the budget; ``p12`` itself when its I(X1;X2) <= a.
 
-    The segment keeps the marginals, so along it I(X1;X2) = D(p || p1 p2) is
-    convex in the step theta (the divergence is jointly convex) and 0 at
-    theta = 1.  So I(theta) <= (1 - theta) I, and theta = 1 - a/I meets the
-    budget in exact arithmetic: [0, 1 - a/I] brackets the bisection.  In
-    floats that end can miss the budget by rounding, and then the bracket is
-    [1 - a/I, 1].  The bisection ends when its ends are adjacent floats and
-    returns the law at the upper end, which has been checked against the
-    budget unless it is the product law.
+    The segment keeps the marginals, so I(X1;X2) = D(p || p1 p2) is convex
+    along it and 0 at its end: the step theta = 1 - a/I meets the budget in
+    exact arithmetic.  It is the first probe, so [0, 1 - a/I] brackets the
+    bisection, or [1 - a/I, 1] when rounding makes that probe miss.  The
+    bisection runs until its ends are adjacent floats and returns the law at
+    the upper end.
     """
     mi = _mi_12_nats(p12)
     if mi <= a_nats:
         return p12
     prod = np.outer(p12.sum(axis=1), p12.sum(axis=0))
-
-    def feasible(theta):
-        return _mi_12_nats((1 - theta) * p12 + theta * prod) <= a_nats
-
-    lo, hi = 0.0, 1.0 - a_nats / mi
-    if not feasible(hi):
-        lo, hi = hi, 1.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if feasible(mid):
+    lo, mid, hi = 0.0, 1.0 - a_nats / mi, 1.0
+    while lo < mid < hi:
+        if _mi_12_nats((1 - mid) * p12 + mid * prod) <= a_nats:
             hi = mid
         else:
             lo = mid
+        mid = 0.5 * (lo + hi)
     return (1 - hi) * p12 + hi * prod
 
 
 def _line_search_start(base: ProductDist, r: np.ndarray, a_nats: float) -> np.ndarray:
-    """p* + t r at the simplex boundary along r, projected into the budget.
-
-    r has zero row and column sums, so the projection walks back along r
-    toward p*, the product of the marginals.
-    """
+    """p* + t r at the simplex boundary along r, projected into the budget:
+    r has zero row and column sums, so back along r toward p*."""
     p0 = base.joint()
     neg = r < 0
     t_box = float(np.min(p0[neg] / -r[neg])) if np.any(neg) else 1.0
