@@ -196,8 +196,8 @@ def _project_feasible(p12: np.ndarray, a_nats: float) -> np.ndarray:
 
 
 def _line_search_start(base: ProductDist, r: np.ndarray, a_nats: float) -> np.ndarray:
-    """p* + t r at the simplex boundary along r, projected into the budget:
-    r has zero row and column sums, so back along r toward p*."""
+    """p* + t r at the simplex boundary along r, projected into the budget;
+    r has zero row and column sums, so the projection walks back along r."""
     p0 = base.joint()
     neg = r < 0
     t_box = float(np.min(p0[neg] / -r[neg])) if np.any(neg) else 1.0
