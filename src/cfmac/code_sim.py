@@ -19,24 +19,28 @@ match and the type check compare or contract the counts N[a1, a2] of a
 codeword pair, and the three decoding metrics contract the counts
 D[a1, y, a2] of (codeword pair, received word).  Every count is a popcount of
 ANDed bit planes, one bit per position and symbol, packed into W = ceil(n/64)
-uint64 words.  The ensemble's codewords are drawn straight into planes
+uint64 words.  Every word, codeword or received word, has the planes of its
+symbols 1..A-1 (a binary word is its own plane); it reads 0 where none is
+set.  The ensemble's codewords are drawn straight into planes
 (``_construction`` picks the sampler): an i.i.d. word is a bit-sliced compare
 of raw generator words with integer thresholds, a type-class word a
 sequential draw without replacement.  The channel (``_channel``) maps the
 sent words' planes to the received word's planes by the same compare, so a
-trial never holds a symbol.  Every count comes from one function,
-``_triple_counts``: the planes of symbols 1..A-1 of the two words (a binary
-word is its own plane) ANDed with all Y planes of the received word, over
-shapes that broadcast, and the cells with a1 = 0 or a2 = 0 by difference.  A
-pair count N[a1, a2] is the same count under a received word of one symbol
-(``_one_symbol``): the facilitator's of every (m1, m2, k), a fixed code's
-type check of every pair, both compared with the type target by
-``_in_type``.  The decoder takes the counts cells first and contracts them
-with its weights in one place, ``_Decoder.decide``.  The counts are exact
-integers in the smallest unsigned type that holds 64 * W, so no layout
-changes a report.  Table entries that are not finite (-inf at kernel zeros)
-are counted by separate indicator columns, so 0 * inf never arises.  The
-bound (M1 = M2 = 1) draws no symbols at all: it samples only what the
+trial never holds a symbol.  Every count comes from one kernel,
+``_pair_counts``: the popcounts of two words' ANDed planes, over shapes that
+broadcast, give N[a1, a2] for a1, a2 >= 1, and the cells with a1 = 0 or
+a2 = 0 follow by difference from the positions counted.  The facilitator's
+counts of every (m1, m2, k) and a fixed code's type check of every pair are
+pair counts, compared with the type target by ``_in_type``.  The triple
+counts are pair counts too (``_triple_counts``): D[:, y, :] for y >= 1 is
+the pair count of the two words masked by the received word's plane y, and
+D[:, 0, :] what is left of the words' pair counts N, which a code or a block
+computes once for all its trials.  The decoder takes the counts cells first
+and contracts them with its weights in one place, ``_Decoder.decide``.  The
+counts are exact integers in the smallest unsigned type that holds n, so no
+layout changes a report.  Table entries that are not finite (-inf at kernel
+zeros) are counted by separate indicator columns, so 0 * inf never arises.
+The bound (M1 = M2 = 1) draws no symbols at all: it samples only what the
 facilitator and decoder read, from exact laws.  In iid mode that is the K
 pairs' totals over the cells of equal i_bar, which fix the scores, and the
 chosen pair's cells; in type mode whether any of the K pairs matched, from
@@ -45,21 +49,21 @@ pair's (x1, y, x2) counts.  The cost grows with neither n nor, in type mode
 or when i_bar takes one value, K.
 
 Fixed codes.  Both error estimates run one trial loop, ``_run_trials``, and
-differ only in where the facilitated words of every message pair come from:
-fresh codebooks per block (``_ensemble_words``), or a code that
-``_fixed_code`` prepares once: its decoder, the bit planes of the facilitated
-words of every message pair and, in type mode, their type check.  A block's
-received words are decoded in chunks of trials whose counts and metrics take
-1/16 of the block budget, so they stay in cache.  ``threshold_decode`` packs
-its one word into planes, decodes it as a trial does and keeps the last
-prepared code in a one-slot memo.
+differ only in where the facilitated words of every message pair and their
+pair counts come from: fresh codebooks per block (``_ensemble_words``), or a
+code that ``_fixed_code`` prepares once: its decoder, the bit planes of the
+facilitated words of every message pair, their pair counts and, in type
+mode, their type check.  A block's received words are decoded in chunks of
+trials whose counts and metrics take 1/16 of the block budget, so they stay
+in cache.  ``threshold_decode`` packs its one word into planes, decodes it
+as a trial does and keeps the last prepared code in a one-slot memo.
 The memo's key holds the values the code is built from: the bytes, shape and
 dtype of the codebooks, the facilitator table and the kernel, the codebooks'
 and the table's modes, the thresholds and the input law.  So an array
 changed in place misses, where its ``id`` would not, and a table of another
 mode than the codebooks' reaches the mode check.  The slot keeps its code after the
-call, outside the block budget: about 1 MB of planes at M1 = M2 = 64,
-n = 1000.
+call, outside the block budget: about 1 MB of planes and 0.03 MB of pair
+counts at M1 = M2 = 64, n = 1000.
 
 Ties.  The score facilitator picks the smallest k whose score lies within
 ``_TIE_ULPS_PER_CELL`` * A1 * A2 ulps of n * max|i_bar| of the best score,
@@ -341,18 +345,18 @@ def _raw_planes(rng, b, w, lead):
 
 
 def _channel(kernel, n):
-    """The channel (rng, x1, x2) -> planes (W, Y, *S) of the received words of the
-    sent words' planes x1 (W, A1-1, *S) and x2 (W, A2-1, *S).
+    """The channel (rng, x1, x2) -> planes (W, Y-1, *S) of symbols 1..Y-1 of the
+    received words of the sent words' planes x1 (W, A1-1, *S) and x2 (W, A2-1, *S).
 
     Every position draws one U of the kernel's b bits (``_thresholds`` over all
     rows), so a kernel of 0/1 rows (adder2) draws nothing.  A cell (a1, a2)
     holds at the AND of its input planes, and there the output counts the
-    thresholds of the cell's row that U reaches, after a first threshold 0
-    that every U reaches.  Each distinct threshold is compared once.
+    thresholds of the cell's row that U reaches.  Each distinct threshold is
+    compared once.
     """
     b, t = _thresholds(np.cumsum(kernel, axis=-1))
-    values, index = np.unique(np.insert(t, 0, 0, axis=-1), return_inverse=True)
-    index = index.reshape(t.shape[:2] + (-1,))  # (A1, A2, Y)
+    values, index = np.unique(t, return_inverse=True)
+    index = index.reshape(t.shape)  # (A1, A2, Y-1)
 
     def every_symbol(planes):  # symbol 0 where no plane is set; past n too
         return np.concatenate([~np.bitwise_or.reduce(planes, axis=1)[:, None], planes], axis=1)
@@ -438,8 +442,8 @@ def _construction(dist: InputDist, n: int, mode: str):
 # joint-count kernel; codewords are laid out (B, K, M, n)
 
 
-def _planes(words, size, first=1):
-    """(..., n) uint8 words -> (W, size-first, ...) uint64 bit planes of symbols first..size-1.
+def _planes(words, size):
+    """(..., n) uint8 words -> (W, size-1, ...) uint64 bit planes of symbols 1..size-1.
 
     Bit i of a word's plane for symbol a is set where the word reads a; the bits
     past n are zero.  The W = ceil(n/64) plane words lead, then the symbols, so
@@ -448,7 +452,7 @@ def _planes(words, size, first=1):
     """
     *lead, n = words.shape
     w = -(-n // 64)
-    symbols = np.arange(first, size, dtype=np.uint8)[:, None]
+    symbols = np.arange(1, size, dtype=np.uint8)[:, None]
     bits = np.zeros((*lead, len(symbols), 64 * w), dtype=bool)
     np.equal(words[..., None, :], symbols, out=bits[..., :n])
     packed = np.packbits(bits.reshape(-1), bitorder="little").view("<u8")
@@ -465,57 +469,55 @@ def _symbols(planes, n):
     return (bits * symbols).sum(axis=-2, dtype=np.uint8)
 
 
-def _bit_count(words, w):
-    """Set bits summed over the w plane words that ``words`` yields one at a time,
-    so a product of planes never exists whole; exact in the smallest unsigned
-    type that holds 64 * w >= n, as are the differences of such counts."""
-    total = None
-    for word in words:
-        bits = np.bitwise_count(word)
-        if total is None:
-            total = bits.astype(np.min_scalar_type(64 * w), copy=False)
-        else:
-            total += bits
-    return total
+def _pair_counts(x1, x2, total):
+    """Planes x1 (W, A1-1, *S), x2 (W, A2-1, *S) -> pair counts N (A1, A2, *S) of
+    (x1, x2), cells first, in ``total``'s unsigned type; the shapes S broadcast.
 
-
-def _pair_counts(p1, p2, n):
-    """Planes (W, A1-1, B, K, M1), (W, A2-1, B, K, M2) -> N (A1*A2, B, M1, M2, K), cells first,
-    in the popcounts' unsigned type: the (x1, y, x2) counts of every codeword pair
-    under a received word of one symbol (``_one_symbol``)."""
-    b, k, m1 = p1.shape[2:]
-    q1 = p1.transpose(0, 1, 2, 4, 3)[:, :, :, :, None]  # (W, A1-1, B, M1, 1, K)
-    q2 = p2.transpose(0, 1, 2, 4, 3)[:, :, :, None]  # (W, A2-1, B, 1, M2, K)
-    return _triple_counts(q1, q2, _one_symbol(n, 4)).reshape(-1, b, m1, p2.shape[-1], k)
-
-
-def _one_symbol(n, ndim):
-    """Planes (W, 1, *S) of a word of n equal symbols, S = ``ndim`` unit axes: under
-    it ``_triple_counts`` gives a word pair's counts N[a1, a2] as D[a1, 0, a2]."""
-    return _one_hot(np.full((-(-n // 64), 1) + (1,) * ndim, ~np.uint64(0), dtype="<u8"), n)
-
-
-def _triple_counts(x1, x2, y):
-    """Planes x1 (W, A1-1, *S), x2 (W, A2-1, *S), y (W, Y, *S) -> counts D (A1, Y, A2, *S)
-    of (x1, y, x2), cells first; the shapes S broadcast.
-
-    The popcounts of ANDed planes give D[a1, y, a2] for a1, a2 >= 1; the
-    counts of (x1, y) and (y, x2) give the cells with a2 = 0 or a1 = 0 by
-    difference, and y's own counts the cells with both.  The bits of y past n
-    must be zero, as ``_planes`` leaves them.
+    The popcounts of ANDed planes give N[a1, a2] for a1, a2 >= 1; the words'
+    own counts give the cells with a2 = 0 or a1 = 0 by difference, and
+    ``total``, the number of positions counted (n, or the popcounts (*S) of a
+    mask), the cell with both.  The planes are read one plane word at a time,
+    so x1 and x2 may be any iterables of their W plane words, and a product of
+    planes never exists whole.  The bits past n must be zero, as ``_planes``
+    leaves them.  The counts are exact in the smallest unsigned type that
+    holds ``total``, as are their differences.
     """
-    w = len(y)
-    # D[a1, y, a2] for a1, a2 >= 1: (A1-1, Y, A2-1, *S)
-    d11 = _bit_count(((x1[i][:, None] & y[i])[:, :, None] & x2[i] for i in range(w)), w)
-    c1y = _bit_count((x1[i][:, None] & y[i] for i in range(w)), w)  # (A1-1, Y, *S)
-    c2y = _bit_count((y[i][:, None] & x2[i] for i in range(w)), w)  # (Y, A2-1, *S)
-    s1, ny, s2, *shape = d11.shape
-    dt = d11.dtype
-    d = np.empty((s1 + 1, ny, s2 + 1, *shape), dtype=dt)
-    d[1:, :, 1:] = d11
-    d[1:, :, 0] = c1y - d11.sum(axis=2, dtype=dt)
-    d[0, :, 1:] = c2y - d11.sum(axis=0, dtype=dt)
-    d[0, :, 0] = _bit_count(y, w) - c1y.sum(axis=0, dtype=dt) - d[0, :, 1:].sum(axis=1, dtype=dt)
+    dt = np.min_scalar_type(total)  # an array's own type
+    sums = None
+    for u, v in zip(x1, x2):
+        bits = [np.bitwise_count(word) for word in (u[:, None] & v, u, v)]
+        if sums is None:
+            sums = [b.astype(dt) for b in bits]
+        else:
+            for acc, b in zip(sums, bits):
+                acc += b
+    n11, c1, c2 = sums  # (A1-1, A2-1, *S), (A1-1, *S), (A2-1, *S)
+    s1, s2, *shape = n11.shape
+    counts = np.empty((s1 + 1, s2 + 1, *shape), dtype=dt)
+    counts[1:, 1:] = n11
+    counts[1:, 0] = c1 - n11.sum(axis=1, dtype=dt)
+    counts[0, 1:] = c2 - n11.sum(axis=0, dtype=dt)
+    counts[0, 0] = total - c1.sum(axis=0, dtype=dt) - counts[0, 1:].sum(axis=0, dtype=dt)
+    return counts
+
+
+def _triple_counts(x1, x2, y, pairs):
+    """Planes x1 (W, A1-1, *S), x2 (W, A2-1, *S) of two words, their pair counts
+    ``pairs`` (A1, A2, *S) and the planes y (W, Y-1, *S) of symbols 1..Y-1 of a
+    received word -> counts D (A1, Y, A2, *S) of (x1, y, x2), cells first; the
+    shapes S broadcast.
+
+    D[:, y] for y >= 1 is the pair count of the two words masked by y's plane,
+    ANDed one plane word at a time; D[:, 0] is what is left of the pair counts.
+    """
+    received = np.bitwise_count(y).sum(axis=0, dtype=pairs.dtype)  # (Y-1, *S)
+    masked = _pair_counts(
+        (u[:, None] & v for u, v in zip(x1, y)), (u[:, None] & v for u, v in zip(x2, y)), received
+    )  # (A1, A2, Y-1, *S)
+    s1, s2, ny, *shape = masked.shape
+    d = np.empty((s1, ny + 1, s2, *shape), dtype=masked.dtype)
+    d[:, 1:] = np.moveaxis(masked, 2, 1)
+    d[:, 0] = pairs - masked.sum(axis=2, dtype=masked.dtype)
     return d
 
 
@@ -637,16 +639,20 @@ def _ensemble_words(rng, b, m1c, m2c, k, n, samplers, fac):
     """Fresh facilitated codebooks for b trials.
 
     Returns the planes x1 (W, A1-1, B, M1, M2), x2 (W, A2-1, B, M1, M2) of the
-    words k = e(m1, m2) of every message pair and their type check (None in iid
-    mode; it holds exactly where some k matched the type target).
+    words k = e(m1, m2) of every message pair, their pair counts
+    (A1, A2, B, M1, M2) and their type check (None in iid mode; it holds
+    exactly where some k matched the type target).
     """
-    p1 = samplers[0](rng, (b, k, m1c))
+    p1 = samplers[0](rng, (b, k, m1c))  # (W, A1-1, B, K, M1)
     p2 = samplers[1](rng, (b, k, m2c))
-    e, unmatched = fac.choose(_pair_counts(p1, p2, n), rng)
+    q1 = p1.transpose(0, 1, 2, 4, 3)[:, :, :, :, None]  # (W, A1-1, B, M1, 1, K)
+    q2 = p2.transpose(0, 1, 2, 4, 3)[:, :, :, None]  # (W, A2-1, B, 1, M2, K)
+    e, unmatched = fac.choose(_pair_counts(q1, q2, n).reshape(-1, b, m1c, m2c, k), rng)
     bb = np.arange(b)[:, None, None]
     x1 = p1[:, :, bb, e, np.arange(m1c)[:, None]]
     x2 = p2[:, :, bb, e, np.arange(m2c)]
-    return x1, x2, None if unmatched is None else ~unmatched
+    del p1, p2, q1, q2  # the codebooks are freed before the chosen words' pair counts
+    return x1, x2, _pair_counts(x1, x2, n), None if unmatched is None else ~unmatched
 
 
 def _tally_block(tally, passes, in_type, msg1, msg2) -> int:
@@ -674,8 +680,8 @@ def _run_trials(
     """The trial loop of both error estimates (see "Fixed codes" above).
 
     ``words(rng, b)`` gives the planes x1 (W, A1-1, B or 1, M1, M2) and x2 of
-    the facilitated words of every message pair of b trials, and their type
-    check (or None).
+    the facilitated words of every message pair of b trials, their pair counts
+    (A1, A2, B or 1, M1, M2) and their type check (or None).
     """
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
@@ -685,19 +691,21 @@ def _run_trials(
     errors = 0
     tally = {"threshold_miss": 0, "impostor_pass": 0, "ambiguity": 0, "type_miss": 0}
     for rng, b in _blocks(config.seed, family, config.trials, trial_bytes):
-        x1, x2, in_type = words(rng, b)
-        x1 = np.broadcast_to(x1, x1.shape[:2] + (b, m1c, m2c))
-        x2 = np.broadcast_to(x2, x2.shape[:2] + (b, m1c, m2c))
+        x1, x2, pairs, in_type = words(rng, b)
+        x1, x2, pairs = (np.broadcast_to(a, a.shape[:2] + (b, m1c, m2c)) for a in (x1, x2, pairs))
         msg1 = rng.integers(0, m1c, size=b)
         msg2 = rng.integers(0, m2c, size=b)
         bb = np.arange(b)
         py = channel(rng, x1[:, :, bb, msg1, msg2], x2[:, :, bb, msg1, msg2])
-        passes = [
-            dec.decide(_triple_counts(x1[:, :, s], x2[:, :, s], py[:, :, s, None, None]))
+        chunks = [
+            (x1[:, :, s], x2[:, :, s], py[:, :, s, None, None], pairs[:, :, s])
             for s in (slice(start, start + chunk) for start in range(0, b, chunk))
         ]
+        # only the chunks' views hold the block's words now, so the last chunk's
+        # words are freed once its counts are taken, before it is decided
+        del x1, x2, pairs, py
+        passes = [dec.decide(_triple_counts(*chunks.pop(0))) for _ in range(len(chunks))]
         errors += _tally_block(tally, np.concatenate(passes), in_type, msg1, msg2)
-        del x1, x2, py  # freed before the next block draws its words
     return SimReport(
         trials=config.trials,
         errors=errors,
@@ -713,12 +721,14 @@ class _FixedCode:
     """One fixed code, prepared once for many received words.
 
     Holds the decoder, the planes p1, p2 (W, A-1, 1, M1, M2) of the facilitated
-    words of every message pair and, in type mode, their type check (else None).
+    words of every message pair, their pair counts (A1, A2, 1, M1, M2) and, in
+    type mode, their type check (else None).
     """
 
     dec: _Decoder
     p1: np.ndarray
     p2: np.ndarray
+    pairs: np.ndarray
     in_type: np.ndarray | None
 
 
@@ -742,11 +752,9 @@ def _fixed_code(
     dec = _Decoder.build(mac, dist, th)
     p1 = _planes(codebooks.f1[np.arange(m1)[:, None], e][None], mac.x1_size)
     p2 = _planes(codebooks.f2[np.arange(m2)[None, :], e][None], mac.x2_size)
-    in_type = None
-    if target is not None:
-        counts = _triple_counts(p1, p2, _one_symbol(codebooks.n, 3)).reshape(len(target), m1, m2)
-        in_type = _in_type(counts, target)
-    return _FixedCode(dec, p1, p2, in_type)
+    pairs = _pair_counts(p1, p2, codebooks.n)
+    in_type = None if target is None else _in_type(pairs.reshape(len(target), m1, m2), target)
+    return _FixedCode(dec, p1, p2, pairs, in_type)
 
 
 def _value_key(*arrays) -> tuple:
@@ -808,9 +816,12 @@ def facilitate(
             f"facilitator mode {mode!r} does not match codebook mode {codebooks.mode!r}"
         )
     _, fac = _ensemble(mac, dist, codebooks.n, mode)
-    p1 = _planes(codebooks.f1.transpose(1, 0, 2)[None], mac.x1_size)  # kernel layout (1, K, M, n)
-    p2 = _planes(codebooks.f2.transpose(1, 0, 2)[None], mac.x2_size)
-    e, unmatched = fac.choose(_pair_counts(p1, p2, codebooks.n), _stream(seed, _FACILITATOR, 0))
+    p1 = _planes(codebooks.f1[None, :, None], mac.x1_size)  # (W, A1-1, 1, M1, 1, K)
+    p2 = _planes(codebooks.f2[None, None], mac.x2_size)  # (W, A2-1, 1, 1, M2, K)
+    counts = _pair_counts(p1, p2, codebooks.n)  # (A1, A2, 1, M1, M2, K)
+    e, unmatched = fac.choose(
+        counts.reshape(-1, *counts.shape[2:]), _stream(seed, _FACILITATOR, 0)
+    )
     return FacilitatorTable(
         e=e[0], mode=mode, unmatched=None if unmatched is None else unmatched[0]
     )
@@ -838,8 +849,8 @@ def threshold_decode(
     y = np.asarray(y_word)
     if y.shape != (codebooks.n,) or not np.all((y >= 0) & (y < mac.y_size) & (np.floor(y) == y)):
         raise SizeMismatch(f"received word must hold {codebooks.n} integers in [0, {mac.y_size})")
-    py = _planes(y.astype(np.uint8)[None], mac.y_size, first=0)  # (W, Y, 1)
-    passes = code.dec.decide(_triple_counts(code.p1, code.p2, py[..., None, None]))[0]
+    py = _planes(y.astype(np.uint8)[None], mac.y_size)  # (W, Y-1, 1)
+    passes = code.dec.decide(_triple_counts(code.p1, code.p2, py[..., None, None], code.pairs))[0]
     if code.in_type is not None:
         passes &= code.in_type
     hits = np.argwhere(passes)
@@ -1127,7 +1138,8 @@ def estimate_error_fixed_code(
     # measured peak memory
     trial_bytes = 8 * (mac.y_size * n + m1c * m2c * code.dec.weights.shape[1]) + 16 * n
     return _run_trials(
-        config, _FIXED_CODE, trial_bytes, lambda rng, b: (code.p1, code.p2, code.in_type),
+        config, _FIXED_CODE, trial_bytes,
+        lambda rng, b: (code.p1, code.p2, code.pairs, code.in_type),
         _channel(mac.kernel, n), code.dec,
     )
 

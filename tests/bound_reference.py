@@ -24,10 +24,10 @@ def reference_bound_samples(config, th, mc_samples: int, seed: int):
     def words(rng, b):
         # the thresholds are tested alone: the type check is counted here
         nonlocal type_misses
-        x1, x2, in_type = ensemble_words(rng, b)
+        x1, x2, pairs, in_type = ensemble_words(rng, b)
         if in_type is not None:
             type_misses += int((~in_type).sum())
-        return x1, x2, None
+        return x1, x2, pairs, None
 
     samples = replace(config, m1_count=1, m2_count=1, trials=mc_samples, seed=seed)
     report = code_sim._run_trials(

@@ -678,7 +678,7 @@ class TestSamplers:
         x1, x2 = code_sim._planes(words[0], 2), code_sim._planes(words[1], 2)
         for u, symbol in ((2**53 - 1, 2), (0, 0)):
             y = channel(_ConstantRng(u, 53), x1, x2)
-            assert np.all(code_sim._symbols(y[:, 1:], n) == symbol), u
+            assert np.all(code_sim._symbols(y, n) == symbol), u
 
 
 class _AllValuesRng:
@@ -729,7 +729,7 @@ class TestByteSampler:
         channel = code_sim._channel(np.tile(p, (2, 2, 1)), 256)
         for a1, a2 in np.ndindex(2, 2):
             x1, x2 = _constant_planes(a1, 2, 256), _constant_planes(a2, 2, 256)
-            y = code_sim._symbols(channel(_AllBytesRng(b), x1, x2)[:, 1:], 256)
+            y = code_sim._symbols(channel(_AllBytesRng(b), x1, x2), 256)
             assert np.bincount(y, minlength=len(p)).tolist() == want, (a1, a2)
 
 
@@ -852,7 +852,7 @@ def _constant_planes(symbol, size, n, lead=()):
 
 def _cell_outputs(kernel, x1, x2, n):
     """Per cell (a1, a2), the received words' symbols (*lead, n) where the sent pair reads it."""
-    y = code_sim._symbols(code_sim._channel(kernel, n)(_rng(10), x1, x2)[:, 1:], n)
+    y = code_sim._symbols(code_sim._channel(kernel, n)(_rng(10), x1, x2), n)
     s1, s2 = code_sim._symbols(x1, n), code_sim._symbols(x2, n)
     return {cell: y[(s1 == cell[0]) & (s2 == cell[1])] for cell in np.ndindex(kernel.shape[:2])}
 
@@ -869,17 +869,18 @@ class TestChannel:
         channel = code_sim._channel(self.KERNEL, 8)
         for a1, a2 in np.ndindex(2, 2):
             y = channel(_AllValuesRng(3), _constant_planes(a1, 2, 8), _constant_planes(a2, 2, 8))
-            assert y.shape == (1, 3)
+            assert y.shape == (1, 2)  # the planes of symbols 1 and 2
             counts = [int(np.bitwise_count(plane)) for plane in y[0]]
-            assert counts == (8 * self.KERNEL[a1, a2]).tolist(), (a1, a2)
+            assert [8 - sum(counts)] + counts == (8 * self.KERNEL[a1, a2]).tolist(), (a1, a2)
 
     def test_outputs_are_one_hot_planes_up_to_n(self):
         n, lead = 70, (6, 4)
         x1, x2 = (_plane_sampler((0.5, 0.5), n)(_rng(seed), lead) for seed in (1, 2))
         y = code_sim._channel(self.KERNEL, n)(_rng(3), x1, x2)
-        assert y.shape == (2, 3, *lead) and y.dtype == np.uint64
-        total = sum(np.bitwise_count(y[:, a]).astype(int) for a in range(3))
-        assert np.all(total.sum(axis=0) == n)  # every position one symbol, none past n
+        assert y.shape == (2, 2, *lead) and y.dtype == np.uint64
+        # every position one symbol (0 where no plane is set), none past n
+        assert not np.any(y[:, 0] & y[:, 1])
+        assert not np.any(y[-1] >> np.uint64(n - 64))
 
     def test_a_deterministic_kernel_draws_nothing(self):
         n, lead = 130, (5, 3)
@@ -888,7 +889,7 @@ class TestChannel:
         y = code_sim._channel(adder2().kernel, n)(rng, x1, x2)
         assert rng.bit_generator.state == _rng(4).bit_generator.state
         s1, s2 = code_sim._symbols(x1, n), code_sim._symbols(x2, n)
-        assert np.array_equal(code_sim._symbols(y[:, 1:], n), s1 + s2)
+        assert np.array_equal(code_sim._symbols(y, n), s1 + s2)
 
     def test_reads_b_raw_words_per_plane_word(self):
         n, lead = 70, (5,)  # W = 2
@@ -1051,16 +1052,26 @@ def test_passes_decides_as_the_summed_metrics(present, c, seed):
     assert np.array_equal(dec.passes(z), want)
 
 
-def _decode_counts(p1, p2, py, e):
+def _codebook_pair_counts(p1, p2, n):
+    """Pair counts (A1*A2, B, M1, M2, K), cells first, of every codeword pair of
+    codebooks p1 (W, A1-1, B, K, M1), p2 (W, A2-1, B, K, M2), laid out as the
+    ensemble lays them out for the facilitator."""
+    b, k, m1 = p1.shape[2:]
+    q1 = p1.transpose(0, 1, 2, 4, 3)[:, :, :, :, None]  # (W, A1-1, B, M1, 1, K)
+    q2 = p2.transpose(0, 1, 2, 4, 3)[:, :, :, None]  # (W, A2-1, B, 1, M2, K)
+    return code_sim._pair_counts(q1, q2, n).reshape(-1, b, m1, p2.shape[-1], k)
+
+
+def _decode_counts(p1, p2, py, e, n):
     """Counts D (B, M1, M2, A1*Y*A2) of (x1, y, x2) in the words k = e (B, M1, M2) of
     codebooks p1 (W, A1-1, B, K, M1), p2 (W, A2-1, B, K, M2), gathered as the
-    ensemble gathers them, against each trial's received word py (W, Y, B)."""
+    ensemble gathers them, against each trial's received word py (W, Y-1, B)."""
     b, k, m1 = p1.shape[2:]
     planes = iter((p1, p2))
     samplers = [lambda rng, lead: next(planes)] * 2
     fac = SimpleNamespace(choose=lambda counts, rng: (e, None))
-    x1, x2, _ = code_sim._ensemble_words(None, b, m1, p2.shape[-1], k, 1, samplers, fac)
-    d = code_sim._triple_counts(x1, x2, py[..., None, None])
+    x1, x2, pairs, _ = code_sim._ensemble_words(None, b, m1, p2.shape[-1], k, n, samplers, fac)
+    d = code_sim._triple_counts(x1, x2, py[..., None, None], pairs)
     return np.moveaxis(d.reshape(-1, *e.shape), 0, -1)
 
 
@@ -1088,13 +1099,13 @@ class TestCountKernel:
         """The words' bit planes and their pair counts, checked against the gather reference."""
         w1, w2 = f1.transpose(0, 2, 1, 3), f2.transpose(0, 2, 1, 3)  # kernel layout (B, K, M, n)
         p1, p2 = code_sim._planes(w1, mac.x1_size), code_sim._planes(w2, mac.x2_size)
-        counts = code_sim._pair_counts(p1, p2, f1.shape[-1])  # cells first
+        counts = _codebook_pair_counts(p1, p2, f1.shape[-1])  # cells first
         want = gather_reference.pair_counts(f1, f2, mac.x1_size, mac.x2_size)
         assert np.array_equal(np.moveaxis(counts, 0, -1), want)
         return p1, p2, counts
 
     def decode_counts(self, mac, p1, p2, y, e):
-        return _decode_counts(p1, p2, code_sim._planes(y, mac.y_size, first=0), e)
+        return _decode_counts(p1, p2, code_sim._planes(y, mac.y_size), e, y.shape[-1])
 
     def check_decode(self, mac, dist, n, mode, f1, f2, y, e, p1, p2):
         th = default_thresholds(mac, dist, n, self.M1, self.M2, self.K, mode)
@@ -1191,7 +1202,7 @@ def _words_lacking_symbols(rng, shape, size):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([2, 3, 4]), st.sampled_from([2, 3, 4]), st.integers(2, 5),
+    st.sampled_from([2, 3, 4]), st.sampled_from([2, 3, 4]), st.integers(1, 5),
     st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
     st.sampled_from([1, 63, 64, 65, 129]), st.integers(0, 2**32 - 1),
 )
@@ -1204,20 +1215,21 @@ def test_plane_counts_equal_the_gather_reference(a1, a2, ny, m1, m2, k, n, seed)
     g1, g2 = f1.transpose(0, 2, 1, 3), f2.transpose(0, 2, 1, 3)  # reference layout (B, M, K, n)
     p1, p2 = code_sim._planes(f1, a1), code_sim._planes(f2, a2)
     want = gather_reference.pair_counts(g1, g2, a1, a2)
-    assert np.array_equal(np.moveaxis(code_sim._pair_counts(p1, p2, n), 0, -1), want)
+    assert np.array_equal(np.moveaxis(_codebook_pair_counts(p1, p2, n), 0, -1), want)
     # the codebooks' (M, K, n) layout, as ``facilitate`` passes it
-    v1, v2 = (np.ascontiguousarray(g).transpose(0, 2, 1, 3) for g in (g1, g2))
-    planes = code_sim._planes(v1, a1), code_sim._planes(v2, a2)
-    assert np.array_equal(np.moveaxis(code_sim._pair_counts(*planes, n), 0, -1), want)
+    planes = code_sim._planes(g1[:, :, None], a1), code_sim._planes(g2[:, None], a2)
+    counts = code_sim._pair_counts(*planes, n).reshape(-1, b, m1, m2, k)
+    assert np.array_equal(np.moveaxis(counts, 0, -1), want)
     # the decode counts at any choice of k, not only the facilitator's
     e = rng.integers(0, k, size=(b, m1, m2))
     x1, x2 = gather_reference.selected_words(g1, g2, e)
-    got = _decode_counts(p1, p2, code_sim._planes(y, ny, first=0), e)
+    got = _decode_counts(p1, p2, code_sim._planes(y, ny), e, n)
     assert np.array_equal(got, gather_reference.decode_counts(x1, x2, y, a1, ny, a2))
     # a fixed code's layout: every received word against all P = B*M1*M2 word pairs
     q1 = code_sim._planes(x1.reshape(1, -1, n), a1)  # (W, A1-1, 1, P)
     q2 = code_sim._planes(x2.reshape(1, -1, n), a2)
-    got = code_sim._triple_counts(q1, q2, code_sim._planes(y, ny, first=0)[..., None])
+    pairs = code_sim._pair_counts(q1, q2, n)  # (A1, A2, 1, P)
+    got = code_sim._triple_counts(q1, q2, code_sim._planes(y, ny)[..., None], pairs)
     w1, w2 = x1.reshape(1, 1, -1, n), x2.reshape(1, 1, -1, n)  # one (M1, M2) = (1, P) code
     want = gather_reference.decode_counts(w1, w2, y, a1, ny, a2)[:, 0]  # (B, P, A1*Y*A2)
     assert np.array_equal(np.moveaxis(got.reshape(len(want[0, 0]), b, -1), 0, -1), want)
