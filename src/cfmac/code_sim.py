@@ -1128,6 +1128,9 @@ def estimate_error_fixed_code(
     code = (codebooks.n, *e_table.e.shape)
     if (n, m1c, m2c) != code:
         raise SizeMismatch(f"config (n, M1, M2) = {(n, m1c, m2c)} does not match the code's {code}")
+    k = codebooks.f1.shape[1]
+    if config.k != k:
+        raise SizeMismatch(f"config K = {config.k} does not match the code's K = {k}")
     if config.mode != codebooks.mode:
         raise ModeMismatch(
             f"config mode {config.mode!r} does not match codebook mode {codebooks.mode!r}"

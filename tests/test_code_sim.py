@@ -409,6 +409,13 @@ class TestEstimateError:
         with pytest.raises(SizeMismatch, match=r"\(20, 2, 2\) does not match"):
             estimate_error_fixed_code(cb, table, self.config(trials=100))
 
+    def test_fixed_code_rejects_a_config_of_other_k(self):
+        # a K = 2 code under K = 5 would run with K = 5's default thresholds
+        cb = draw_codebooks(adder2(), UNIFORM, 20, 2, 2, 2, "iid", seed=3)
+        table = facilitate(cb, adder2(), UNIFORM, "iid")
+        with pytest.raises(SizeMismatch, match="config K = 5 does not match the code's K = 2"):
+            estimate_error_fixed_code(cb, table, self.config(k=5, trials=100))
+
 
     @pytest.mark.parametrize("code_mode, config_mode", [("type", "iid"), ("iid", "type")])
     def test_fixed_code_rejects_a_config_of_other_mode(self, code_mode, config_mode):
