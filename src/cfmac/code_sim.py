@@ -63,7 +63,9 @@ and the table's modes, the thresholds and the input law.  So an array
 changed in place misses, where its ``id`` would not, and a table of another
 mode than the codebooks' reaches the mode check.  The slot keeps its code after the
 call, outside the block budget: about 1 MB of planes and 0.03 MB of pair
-counts at M1 = M2 = 64, n = 1000.
+counts at M1 = M2 = 64, n = 1000.  Codebooks are checked where they enter
+(``_check_codebooks``): f1 (M1, K, n) and f2 (M2, K, n) agree on K and n and
+read symbols of the MAC's input alphabets.
 
 Ties.  The score facilitator picks the smallest k whose score lies within
 ``_TIE_ULPS_PER_CELL`` * A1 * A2 ulps of n * max|i_bar| of the best score,
@@ -184,11 +186,10 @@ class SimConfig:
     units: str = "bits"
 
     def __post_init__(self):
-        for name in ("n", "m1_count", "m2_count", "k", "trials", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name)))
         for name in ("n", "m1_count", "m2_count", "k"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            object.__setattr__(self, name, _size(name, getattr(self, name)))
+        for name in ("trials", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name)))
         if self.thresholds is not None and self.thresholds.units != self.units:
             raise ValueError(
                 f"thresholds are in {self.thresholds.units!r}, the config in {self.units!r}"
@@ -245,6 +246,14 @@ def default_thresholds(
         c2=_log_units(m2_count, units) + half_log_n + counting,
         units=units,
     )
+
+
+def _size(name: str, value) -> int:
+    """A size (n, M1, M2 or K) read through ``_integer``: at least 1."""
+    value = _integer(value)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def _counting(mac: Mac, m1_count: int, m2_count: int, k: int, mode: str) -> tuple[int, int]:
@@ -402,6 +411,21 @@ def _draw_type(rng, lead, counts, n):
 def _require_uint8(mac: Mac) -> None:
     if max(mac.x1_size, mac.x2_size, mac.y_size) > 256:
         raise SizeMismatch("the simulator stores symbols as uint8: alphabets are limited to 256")
+
+
+def _check_codebooks(codebooks: Codebooks, mac: Mac) -> None:
+    """Codebooks f1 (M1, K, n) and f2 (M2, K, n) that agree on K and n and read
+    symbols of the MAC's input alphabets; else ``SizeMismatch``."""
+    f1, f2 = codebooks.f1, codebooks.f2
+    if f1.ndim != 3 or f2.ndim != 3 or f1.shape[1:] != f2.shape[1:] or 0 in f1.shape + f2.shape:
+        raise SizeMismatch(
+            f"codebooks of shapes {f1.shape} and {f2.shape} are not (M1, K, n) and (M2, K, n)"
+        )
+    for user, f, size in ((1, f1, mac.x1_size), (2, f2, mac.x2_size)):
+        if f.min() < 0 or f.max() >= size:
+            raise SizeMismatch(
+                f"codebook {user} holds symbols in [{f.min()}, {f.max()}], outside [0, {size})"
+            )
 
 
 def _iid_sampler(p, n):
@@ -737,6 +761,7 @@ def _fixed_code(
     th: DecoderThresholds,
 ) -> _FixedCode:
     """The prepared code of codebooks, facilitator table and thresholds."""
+    _check_codebooks(codebooks, mac)
     if e_table.mode != codebooks.mode:
         raise ModeMismatch(
             f"facilitator table mode {e_table.mode!r} does not match codebook mode "
@@ -796,6 +821,10 @@ def draw_codebooks(
 ) -> Codebooks:
     """One reproducible codebook draw (i.i.d. symbols or type-class words)."""
     _require_uint8(mac)
+    n, m1_count, m2_count, k = (
+        _size(name, value)
+        for name, value in (("n", n), ("m1_count", m1_count), ("m2_count", m2_count), ("k", k))
+    )
     samplers, _ = _construction(dist, n, mode)
     rng = _stream(seed, _CODEBOOK, 0)
     f1 = _symbols(samplers[0](rng, (m1_count, k)), n)
@@ -815,6 +844,7 @@ def facilitate(
         raise ModeMismatch(
             f"facilitator mode {mode!r} does not match codebook mode {codebooks.mode!r}"
         )
+    _check_codebooks(codebooks, mac)
     _, fac = _ensemble(mac, dist, codebooks.n, mode)
     p1 = _planes(codebooks.f1[None, :, None], mac.x1_size)  # (W, A1-1, 1, M1, 1, K)
     p2 = _planes(codebooks.f2[None, None], mac.x2_size)  # (W, A2-1, 1, 1, M2, K)
@@ -1125,6 +1155,7 @@ def estimate_error_fixed_code(
     excluded from bound validation.
     """
     mac, n, m1c, m2c = config.mac, config.n, config.m1_count, config.m2_count
+    _check_codebooks(codebooks, mac)  # before their sizes are read
     code = (codebooks.n, *e_table.e.shape)
     if (n, m1c, m2c) != code:
         raise SizeMismatch(f"config (n, M1, M2) = {(n, m1c, m2c)} does not match the code's {code}")

@@ -79,10 +79,58 @@ class TestDrawCodebooks:
         with pytest.raises(ModeMismatch):
             draw_codebooks(adder2(), UNIFORM, 4, 1, 1, 1, "mixed", seed=0)
 
+    @pytest.mark.parametrize("field", ["n", "m1_count", "m2_count", "k"])
+    def test_sizes_below_one_are_rejected(self, field):
+        sizes = dict(n=4, m1_count=2, m2_count=2, k=2)
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
+            draw_codebooks(adder2(), UNIFORM, **{**sizes, field: 0})
+
+    def test_sizes_are_read_as_integers(self):
+        with pytest.raises(ValueError, match="expected an integer, got 2.5"):
+            draw_codebooks(adder2(), UNIFORM, 4, 2.5, 2, 2)
+        cb = draw_codebooks(adder2(), UNIFORM, 4.0, np.int64(3), 2, 2.0)
+        assert cb.f1.shape == (3, 2, 4) and cb.f2.shape == (2, 2, 4)
+
     def test_symbols_are_uint8(self):
         cb = draw_codebooks(adder2(), UNIFORM, 6, 3, 2, 4, "iid", seed=0)
         assert cb.f1.dtype == cb.f2.dtype == np.uint8
         assert cb.f1.shape == (3, 4, 6) and cb.f2.shape == (2, 4, 6)
+
+
+class TestCodebookChecks:
+    """Codebooks are checked where they enter: ``facilitate`` and the prepared code."""
+
+    def code(self, **fields):
+        """adder2 codebooks (n, M1, M2, K) = (6, 2, 2, 2), their table, config and thresholds."""
+        cb = draw_codebooks(adder2(), UNIFORM, 6, 2, 2, 2, "iid", seed=1)
+        table = facilitate(cb, adder2(), UNIFORM, "iid")
+        cfg = SimConfig(mac=adder2(), dist=UNIFORM, n=6, m1_count=2, m2_count=2, k=2, trials=100)
+        return replace(cb, **fields), table, cfg, cfg.resolved_thresholds()
+
+    def rejected_everywhere(self, cb, table, cfg, th, match):
+        with pytest.raises(SizeMismatch, match=match):
+            facilitate(cb, adder2(), UNIFORM, "iid")
+        with pytest.raises(SizeMismatch, match=match):
+            estimate_error_fixed_code(cb, table, cfg)
+        with pytest.raises(SizeMismatch, match=match):
+            threshold_decode(np.zeros(6, dtype=np.uint8), cb, table, th, adder2(), UNIFORM)
+
+    @pytest.mark.parametrize("user", [1, 2])
+    def test_symbols_outside_the_input_alphabet_are_rejected(self, user):
+        # adder2's inputs are binary: a codebook of 2s used to read as all zeros
+        twos = np.full((2, 2, 6), 2, dtype=np.uint8)
+        cb, table, cfg, th = self.code(**{f"f{user}": twos})
+        match = re.escape(f"codebook {user} holds symbols in [2, 2], outside [0, 2)")
+        self.rejected_everywhere(cb, table, cfg, th, match)
+
+    @pytest.mark.parametrize("user", [1, 2])
+    @pytest.mark.parametrize("shape", [(2, 3, 6), (2, 2, 5), (2, 6), (0, 2, 6)],
+                             ids=["other-k", "other-n", "two-axes", "no-words"])
+    def test_codebooks_of_other_sizes_are_rejected(self, user, shape):
+        cb, table, cfg, th = self.code(**{f"f{user}": np.zeros(shape, dtype=np.uint8)})
+        shapes = (shape, (2, 2, 6)) if user == 1 else ((2, 2, 6), shape)
+        match = re.escape("codebooks of shapes {} and {} are not (M1, K, n)".format(*shapes))
+        self.rejected_everywhere(cb, table, cfg, th, match)
 
 
 class TestFacilitate:
