@@ -97,12 +97,15 @@ def theta_regime(n: int, k: int) -> str:
 def thm2_sum_rate(stats: ChannelStats, q: RateQuery, c_sum: float | None = None) -> Thm2Result:
     """Dispersion-style achievable sum-rate at a capacity-achieving product law.
 
-    rate = C_sum + quantile(eps) / sqrt(n), with theta_n = 0.
+    rate = C_sum + quantile(eps) / sqrt(n), with theta_n = 0.  On a channel of
+    zero dispersion (V1 = V2 = 0) S_K is the point mass at 0, whose every
+    quantile is 0, so the rate is C_sum.
     """
     if stats.units != q.units:
         raise ValueError("stats and query use different units")
     c = stats.mutual_info if c_sum is None else c_sum
-    quantile = sk_inverse_cdf(SkParams(stats.v1, stats.v2, q.k), q.eps).value
+    sk = SkParams(stats.v1, stats.v2, q.k)
+    quantile = 0.0 if sk.degenerate else sk_inverse_cdf(sk, q.eps).value
     return Thm2Result(
         rate=c + quantile / math.sqrt(q.n),
         regime=theta_regime(q.n, q.k),

@@ -155,6 +155,23 @@ class TestRates:
         bests = {line.split(",")[6] for line in out.strip().split("\n")[1:]}
         assert len(bests) == 1
 
+    def test_zero_dispersion_rates_are_the_capacity(self, capsys):
+        # xor:0 is deterministic, so V1 = V2 = 0 and S_K is the point mass at 0
+        code, out, _ = run(capsys, "rates", "--channel", "xor:0", "--n", "100", "--k", "1,2,16")
+        assert code == 0
+        rows = {int(row[1]): row for row in (l.split(",") for l in out.strip().split("\n")[1:])}
+        assert set(rows) == {1, 2, 16}
+        assert rows[1][3] == "NA"  # K = 1 is the baseline alone
+        assert [float(rows[k][3]) for k in (2, 16)] == [1.0, 1.0]  # thm2
+        assert [float(rows[k][5]) for k in (1, 2, 16)] == [1.0, 1.0, 1.0]  # baseline
+
+    @pytest.mark.parametrize("channel, c", [("xor:0.5", 0.0), ("xor:1", 1.0)])
+    def test_other_zero_dispersion_channels_give_their_capacity(self, capsys, channel, c):
+        code, out, _ = run(capsys, "rates", "--channel", channel, "--n", "100", "--k", "1,2")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [float(row[6]) for row in rows] == [c, c]  # best
+
 
 class TestSimulate:
     CONFIG = {

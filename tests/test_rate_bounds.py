@@ -55,6 +55,14 @@ class TestDispersionRate:
         assert r1.rate == pytest.approx(1.4632, abs=5e-4)
         assert r2.rate == pytest.approx(1.4797, abs=5e-4)
 
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_zero_dispersion_rate_is_the_capacity(self, k):
+        # V1 = V2 = 0: S_K is the point mass at 0, so its quantile is 0
+        stats = channel_stats(xor_channel(0.0), uniform_product(xor_channel(0.0)))
+        assert stats.v1 == stats.v2 == 0.0
+        r = thm2_sum_rate(stats, RateQuery(100, 0.01, k))
+        assert r.quantile == 0.0 and r.rate == stats.mutual_info == 1.0
+
     def test_rate_increases_with_k(self):
         stats = channel_stats(adder2(), uniform_product(adder2()))
         rates = [thm2_sum_rate(stats, RateQuery(1000, 0.01, k)).rate for k in (1, 2, 8, 64)]
