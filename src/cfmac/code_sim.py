@@ -494,28 +494,22 @@ def _symbols(planes, n):
 
 
 def _pair_counts(x1, x2, total):
-    """Planes x1 (W, A1-1, *S), x2 (W, A2-1, *S) -> pair counts N (A1, A2, *S) of
-    (x1, x2), cells first, in ``total``'s unsigned type; the shapes S broadcast.
+    """Planes x1 (W, A1-1, *S), x2 (W, A2-1, *S) -> pair counts N (A1, A2, *S),
+    cells first; the shapes S broadcast.
 
-    The popcounts of ANDed planes give N[a1, a2] for a1, a2 >= 1; the words'
-    own counts give the cells with a2 = 0 or a1 = 0 by difference, and
-    ``total``, the number of positions counted (n, or the popcounts (*S) of a
-    mask), the cell with both.  The planes are read one plane word at a time,
-    so x1 and x2 may be any iterables of their W plane words, and a product of
-    planes never exists whole.  The bits past n must be zero, as ``_planes``
-    leaves them.  The counts are exact in the smallest unsigned type that
-    holds ``total``, as are their differences.
+    The popcounts of ANDed planes give N[a1, a2] for a1, a2 >= 1, the words'
+    own counts the cells with a1 = 0 or a2 = 0 by difference, and ``total``
+    (n, or a mask's popcounts (*S)) the cell with both.  x1 and x2 are read one
+    plane word at a time, so they may be any iterables of their W plane words.
+    The bits past n must be zero.  The counts are exact in the smallest
+    unsigned type that holds ``total``, as are their differences.
     """
     dt = np.min_scalar_type(total)  # an array's own type
-    sums = None
+    n11 = c1 = c2 = np.zeros((), dtype=dt)  # to (A1-1, A2-1, *S), (A1-1, *S), (A2-1, *S)
     for u, v in zip(x1, x2):
-        bits = [np.bitwise_count(word) for word in (u[:, None] & v, u, v)]
-        if sums is None:
-            sums = [b.astype(dt) for b in bits]
-        else:
-            for acc, b in zip(sums, bits):
-                acc += b
-    n11, c1, c2 = sums  # (A1-1, A2-1, *S), (A1-1, *S), (A2-1, *S)
+        n11 = n11 + np.bitwise_count(u[:, None] & v)
+        c1 = c1 + np.bitwise_count(u)
+        c2 = c2 + np.bitwise_count(v)
     s1, s2, *shape = n11.shape
     counts = np.empty((s1 + 1, s2 + 1, *shape), dtype=dt)
     counts[1:, 1:] = n11
@@ -675,7 +669,6 @@ def _ensemble_words(rng, b, m1c, m2c, k, n, samplers, fac):
     bb = np.arange(b)[:, None, None]
     x1 = p1[:, :, bb, e, np.arange(m1c)[:, None]]
     x2 = p2[:, :, bb, e, np.arange(m2c)]
-    del p1, p2, q1, q2  # the codebooks are freed before the chosen words' pair counts
     return x1, x2, _pair_counts(x1, x2, n), None if unmatched is None else ~unmatched
 
 
@@ -725,9 +718,7 @@ def _run_trials(
             (x1[:, :, s], x2[:, :, s], py[:, :, s, None, None], pairs[:, :, s])
             for s in (slice(start, start + chunk) for start in range(0, b, chunk))
         ]
-        # only the chunks' views hold the block's words now, so the last chunk's
-        # words are freed once its counts are taken, before it is decided
-        del x1, x2, pairs, py
+        del x1, x2, pairs, py  # so the last chunk's counts free the block's words
         passes = [dec.decide(_triple_counts(*chunks.pop(0))) for _ in range(len(chunks))]
         errors += _tally_block(tally, np.concatenate(passes), in_type, msg1, msg2)
     return SimReport(
