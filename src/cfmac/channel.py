@@ -12,6 +12,14 @@ SLSQP status and the KKT residual; a kernel whose rows are all one law has
 capacity exactly 0.  ``delta_curve`` uses the same core, and its joint
 Blahut-Arimoto start takes its multiplicative step from ``_letter_div_nats``
 itself.
+
+A solver step evaluates the core once: ``_mi_and_div_nats`` builds the
+output law p_Y of its input law once and takes both the value and the letter
+divergences from it, with the same operations as ``_mi_nats`` and
+``_letter_div_nats``, so its floats are theirs bit for bit.  The conditional
+entropy's kernel term xlogy(W, W) is a per-kernel constant: ``Mac`` computes
+it once, as the read-only array ``_w_log_w``, and the core takes it from
+there.
 """
 from __future__ import annotations
 
@@ -81,6 +89,11 @@ class Mac:
             )
         kernel.setflags(write=False)
         object.__setattr__(self, "kernel", kernel)
+        # the kernel term of H(Y | X1, X2), which every MI evaluation reads;
+        # an attribute, not a field, so it stays out of init, repr and eq
+        w_log_w = xlogy(kernel, kernel)
+        w_log_w.setflags(write=False)
+        object.__setattr__(self, "_w_log_w", w_log_w)
 
     @property
     def x1_size(self) -> int:
@@ -131,7 +144,7 @@ class ProductDist:
         object.__setattr__(self, "p2", _check_prob(self.p2, "p2"))
 
     def joint(self) -> np.ndarray:
-        return np.outer(self.p1, self.p2)
+        return self.p1[:, None] * self.p2
 
 
 @dataclass(frozen=True)
@@ -413,53 +426,73 @@ def channel_stats(mac: Mac, d: InputDist, units: str = "bits") -> ChannelStats:
 
 def mutual_information(mac: Mac, d: InputDist, units: str = "bits") -> float:
     """I(X1, X2; Y) under ``d`` as H(Y) - H(Y | X1, X2); builds no density tables."""
-    return _mi_nats(mac.kernel, _joint(mac, d)) * _unit_scale(units)
+    return _mi_nats(mac.kernel, _joint(mac, d), mac._w_log_w) * _unit_scale(units)
 
 
 # ---------------------------------------------------------------------------
 # sum-capacity over product distributions
 
 
-def _mi_nats(kernel: np.ndarray, p12: np.ndarray) -> float:
-    """I(X1, X2; Y) in nats under the input law p12 (|X1|, |X2|)."""
-    p_y = np.einsum("ij,ijy->y", p12, kernel)
+def _output_law(kernel: np.ndarray, p12: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ijy->y", p12, kernel)
+
+
+def _mi_at(p12: np.ndarray, p_y: np.ndarray, w_log_w: np.ndarray) -> float:
+    """H(Y) - H(Y | X1, X2) in nats from the output law p_Y of p12."""
     h_y = -xlogy(p_y, p_y).sum()
-    h_y_given_x = -(p12[..., None] * xlogy(kernel, kernel)).sum()
+    h_y_given_x = -(p12[..., None] * w_log_w).sum()
     return float(h_y - h_y_given_x)
+
+
+def _div_at(kernel: np.ndarray, p_y: np.ndarray) -> np.ndarray:
+    """D(W_{x1,x2} || p_Y) (|X1|, |X2|); p_Y floored at 1e-300."""
+    return rel_entr(kernel, np.maximum(p_y, 1e-300)).sum(axis=2)
+
+
+def _mi_nats(kernel: np.ndarray, p12: np.ndarray, w_log_w: np.ndarray) -> float:
+    """I(X1, X2; Y) in nats under the input law p12 (|X1|, |X2|); w_log_w is xlogy(W, W)."""
+    return _mi_at(p12, _output_law(kernel, p12), w_log_w)
 
 
 def _letter_div_nats(kernel: np.ndarray, p12: np.ndarray) -> np.ndarray:
     """D(W_{x1,x2} || p_Y) (|X1|, |X2|) under the input law p12; p_Y floored at 1e-300."""
-    p_y = np.einsum("ij,ijy->y", p12, kernel)
-    return rel_entr(kernel, np.maximum(p_y, 1e-300)).sum(axis=2)
+    return _div_at(kernel, _output_law(kernel, p12))
+
+
+def _mi_and_div_nats(kernel: np.ndarray, p12: np.ndarray, w_log_w: np.ndarray):
+    """``_mi_nats`` and ``_letter_div_nats`` at p12 from one output law p_Y."""
+    p_y = _output_law(kernel, p12)
+    return _mi_at(p12, p_y, w_log_w), _div_at(kernel, p_y)
 
 
 def _dbar_nats(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
     """The p2 and p1 averages of the letter divergences D(W_{x1,x2} || p_Y)."""
-    div = _letter_div_nats(kernel, np.outer(p1, p2))
+    div = _letter_div_nats(kernel, p1[:, None] * p2)
     return div @ p2, p1 @ div
 
 
-def _ascend(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
+def _neg_mi_product(x: np.ndarray, kernel: np.ndarray, w_log_w: np.ndarray, n1: int):
+    """-I(p1 x p2) and its gradient at x = (p1, p2), from one evaluation of the core."""
+    a, b = x[:n1], x[n1:]
+    mi, div = _mi_and_div_nats(kernel, a[:, None] * b, w_log_w)
+    # dI/dp12 = D(W_x || p_Y) - 1, averaged over the other input
+    grad = np.concatenate([div @ b - b.sum(), a @ div - a.sum()])
+    return -mi, -grad
+
+
+def _ascend(mac: Mac, p1: np.ndarray, p2: np.ndarray):
     """SLSQP on I(p1 x p2) from one start, with the analytic gradient.
 
     Returns (value, p1, p2, status, iterations); the law is clipped to the
     simplex and renormalized before its value is taken.
     """
     n1 = len(p1)
-
-    def neg_mi(x):
-        a, b = x[:n1], x[n1:]
-        dbar1, dbar2 = _dbar_nats(kernel, a, b)
-        # dI/dp12 = D(W_x || p_Y) - 1, averaged over the other input
-        grad = np.concatenate([dbar1 - b.sum(), dbar2 - a.sum()])
-        return -_mi_nats(kernel, np.outer(a, b)), -grad
-
     sums = np.zeros((2, n1 + len(p2)))
     sums[0, :n1] = sums[1, n1:] = 1.0
     res = minimize(
-        neg_mi,
+        _neg_mi_product,
         np.concatenate([p1, p2]),
+        args=(mac.kernel, mac._w_log_w, n1),
         jac=True,
         method="SLSQP",
         bounds=[(0.0, 1.0)] * (n1 + len(p2)),
@@ -470,7 +503,7 @@ def _ascend(kernel: np.ndarray, p1: np.ndarray, p2: np.ndarray):
     b = np.clip(res.x[n1:], 0.0, None)
     a /= a.sum()
     b /= b.sum()
-    return _mi_nats(kernel, np.outer(a, b)), a, b, res.status, res.nit
+    return _mi_nats(mac.kernel, a[:, None] * b, mac._w_log_w), a, b, res.status, res.nit
 
 
 def _seed_grid(mac: Mac) -> tuple[np.ndarray, np.ndarray]:
@@ -502,7 +535,7 @@ def sum_capacity(mac: Mac, units: str = "bits") -> CapacityResult:
     if np.all(kernel == kernel[:1, :1]):
         return CapacityResult(0.0, [uniform_product(mac)], 0.0, 0, 0.0, units)
 
-    candidates = [_ascend(kernel, p1, p2) for p1, p2 in zip(*_seed_grid(mac))]
+    candidates = [_ascend(mac, p1, p2) for p1, p2 in zip(*_seed_grid(mac))]
     best = max(c[0] for c in candidates)
     near_best = [c for c in candidates if c[0] >= best - _CAPACITY_TOL]
     if not any(c[3] == 0 for c in near_best):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -37,7 +38,7 @@ from .code_sim import (
     sim_config_to_dict,
     simulate_with_bound,
 )
-from .delta_curve import delta
+from .delta_curve import _DeltaContext
 from .errors import CfmacError, NonConvergence
 from .gauss_max import SkParams, lemma1_bounds, sk_inverse_cdf
 from .rate_bounds import RateQuery, rate_report
@@ -98,7 +99,7 @@ def _write_outputs(args, output: list[str] | dict, extra: dict, started: float) 
     manifest = {
         "command": args.command,
         "parameters": {
-            k: v for k, v in sorted(vars(args).items()) if k not in ("func",) and v is not None
+            k: v for k, v in sorted(vars(args).items()) if v is not None
         },
         "version": __version__,
         "seed": args.seed,
@@ -156,10 +157,10 @@ def cmd_fig1(args) -> list[str]:
 def cmd_delta(args) -> tuple[list[str], dict]:
     units = args.units or "bits"
     mac = _resolve_channel(args.channel)
-    cap = sum_capacity(mac, units=units)
+    context = _DeltaContext(mac, sum_capacity(mac, units=units), units)
     rows = ["a,delta,achieved_mi_budget"]
     for a in args.a_grid:
-        point = delta(mac, a, units=units, capacity=cap)
+        point = context.point(a)
         rows.append(f"{_fmt(a)},{_fmt(point.delta)},{_fmt(point.achieved_mi_budget)}")
     return rows, {"units": units}
 
@@ -232,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="channel capacity and dispersion statistics")
     p.add_argument("--channel", required=True, help="adder2, xor:<p>, or a JSON file")
     p.add_argument("--dist", default=None, help="JSON file with p1/p2 or p12")
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("fig1", help="max-of-Gaussians quantile versus log2 K")
     p.add_argument("--v1", type=float, default=1.0)
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--kmin-log2", type=int, default=0)
     p.add_argument("--kmax-log2", type=int, default=40)
-    p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("delta", help="correlation-benefit curve delta(a)")
     p.add_argument("--channel", required=True)
@@ -250,38 +249,40 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0.001, 0.01, 0.1, 0.5, 1.0],
         help="comma-separated dependence budgets",
     )
-    p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("rates", help="achievable sum-rate curves")
     p.add_argument("--channel", required=True)
     p.add_argument("--n", type=_int_list, default=[1000], help="comma-separated blocklengths")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--k", type=_int_list, default=[1, 2], help="comma-separated K values")
-    p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("simulate", help="Monte Carlo error estimate for a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--validate-bound", action="store_true")
     p.add_argument("--bound-samples", type=int, default=100_000)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("invcdf", help="single quantile of the S_K law")
     p.add_argument("--v1", type=float, required=True)
     p.add_argument("--v2", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=cmd_invcdf)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: it does not depend on the inputs."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        output = args.func(args)
+        # looked up per call, so the parser keeps no reference to a subcommand
+        output = globals()[f"cmd_{args.command}"](args)
         output, extra = output if isinstance(output, tuple) else (output, {})
         _write_outputs(args, output, extra, started)
     except NonConvergence as exc:

@@ -44,14 +44,26 @@ product maximizer is returned, whose computed I(X1;X2) is 0 up to rounding.
 For a > 0 a result is certified: the divergence bound above holds, or at
 least one refinement ends with SLSQP status 0 and meets the budget, or
 ``delta`` raises ``NonConvergence``.
+
+Each SLSQP step of a refinement evaluates the MI core once: its value and
+its gradient 1 - D(W_x || p_Y) come from one output law
+(``channel._mi_and_div_nats``), with the kernel's constant xlogy(W, W) taken
+from the ``Mac``.  What does not depend on the budget is computed once per
+(mac, capacity) in a ``_DeltaContext``: the top maximizer and the zero-gain
+certificate, and, when a budget first needs them, each maximizer's centered
+density j with E[j^2] and the joint Blahut-Arimoto law.  ``delta`` builds a
+context and solves its one point; the CLI builds one and solves its whole
+grid, so both run the same code.  No context outlives the call that builds it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import xlogy
 
 from .channel import (
     CapacityResult,
@@ -60,6 +72,7 @@ from .channel import (
     ProductDist,
     _capacity_in,
     _letter_div_nats,
+    _mi_and_div_nats,
     _mi_nats,
     _nats_per_unit,
     _unit_scale,
@@ -114,13 +127,22 @@ def perturbation_direction(
     if not 0 < a < math.inf:
         raise ValueError(f"a must be positive and finite, got {a!r}")
     capacity = _capacity_in(mac, units, capacity)
+    return _perturbation(base, *_centered_density(mac, base, capacity, units), a, units)
+
+
+def _centered_density(
+    mac: Mac, base: ProductDist, capacity: CapacityResult, units: str
+) -> tuple[np.ndarray, float]:
+    """The centered density j of ``base`` in nats and E[j^2] under ``base``.
+
+    Raises ``NotCapacityAchieving`` when ``base`` is not capacity-achieving.
+    """
     i_bar = info_density_tables(mac, base, units="nats").i_bar
     p1, p2 = base.p1, base.p2
     total = float(p1 @ i_bar @ p2)  # I(X1, X2; Y) under base
-    scale = _unit_scale(units)
     if total < capacity.c_sum * _nats_per_unit(units) - _CAPACITY_GAP:
         raise NotCapacityAchieving(
-            f"base achieves {total * scale:.6g} {units}/use, "
+            f"base achieves {total * _unit_scale(units):.6g} {units}/use, "
             f"sum-capacity is {capacity.c_sum:.6g}"
         )
     # Centered density: on an exact maximizer the row and column averages both
@@ -128,13 +150,17 @@ def perturbation_direction(
     row_mean = i_bar @ p2
     col_mean = p1 @ i_bar
     j = i_bar - row_mean[:, None] - col_mean[None, :] + total
-    p12 = base.joint()
-    e_j2 = float((p12 * j * j).sum())
+    return j, float((base.joint() * j * j).sum())
+
+
+def _perturbation(base: ProductDist, j: np.ndarray, e_j2: float, a: float, units: str) -> Perturbation:
+    """The direction of ``perturbation_direction`` from j (nats) and E[j^2] at budget ``a``."""
+    scale = _unit_scale(units)
     if e_j2 < 1e-18:
         return Perturbation(base, j * scale, np.zeros_like(j), 0.0, units)
     lam_scale = math.sqrt(a * (2.0 * _nats_per_unit(units)) / e_j2)
     # r is free of units; j and 1/(2 lambda) are converted once, here
-    return Perturbation(base, j * scale, lam_scale * p12 * j, lam_scale / scale, units)
+    return Perturbation(base, j * scale, lam_scale * base.joint() * j, lam_scale / scale, units)
 
 
 def delta_small_a(v1_star: float, a: float, units: str = "bits") -> float:
@@ -153,7 +179,7 @@ def delta_small_a(v1_star: float, a: float, units: str = "bits") -> float:
 def _mi_12_nats(p12: np.ndarray) -> float:
     p1 = p12.sum(axis=1)
     p2 = p12.sum(axis=0)
-    prod = np.outer(p1, p2)
+    prod = p1[:, None] * p2
     ratio = np.log(np.maximum(p12, _EPS)) - np.log(np.maximum(prod, _EPS))
     # never negative: a product law's recomputed marginals can leave -1e-16
     return max(float(np.where(p12 > 0, p12 * ratio, 0.0).sum()), 0.0)
@@ -184,7 +210,7 @@ def _project_feasible(p12: np.ndarray, a_nats: float) -> np.ndarray:
     mi = _mi_12_nats(p12)
     if mi <= a_nats:
         return p12
-    prod = np.outer(p12.sum(axis=1), p12.sum(axis=0))
+    prod = p12.sum(axis=1)[:, None] * p12.sum(axis=0)
     lo, mid, hi = 0.0, 1.0 - a_nats / mi, 1.0
     while lo < mid < hi:
         if _mi_12_nats((1 - mid) * p12 + mid * prod) <= a_nats:
@@ -205,15 +231,23 @@ def _line_search_start(base: ProductDist, r: np.ndarray, a_nats: float) -> np.nd
     return _project_feasible(p / p.sum(), a_nats)
 
 
-def _refine(kernel, p_start: np.ndarray, a_nats: float) -> tuple[np.ndarray | None, int]:
-    """SLSQP from ``p_start``: the projected law (None if it vanished) and the SLSQP status."""
+def _neg_mi_joint(x: np.ndarray, kernel: np.ndarray, w_log_w: np.ndarray, shape) -> tuple:
+    """-I(X1, X2; Y) and its gradient at the flattened joint law x, from one evaluation of the core."""
+    mi, div = _mi_and_div_nats(kernel, x.reshape(shape), w_log_w)
+    return -mi, 1.0 - div.ravel()
+
+
+def _refine(
+    kernel, p_start: np.ndarray, a_nats: float, w_log_w: np.ndarray | None = None
+) -> tuple[np.ndarray | None, int]:
+    """SLSQP from ``p_start``: the projected law (None if it vanished) and the SLSQP status.
+
+    ``w_log_w`` is the kernel's ``Mac._w_log_w``, computed here when not given.
+    """
     shape = p_start.shape
     m = p_start.size
-
-    def neg_obj(x):
-        p12 = x.reshape(shape)
-        return -_mi_nats(kernel, p12), 1.0 - _letter_div_nats(kernel, p12).ravel()
-
+    if w_log_w is None:
+        w_log_w = xlogy(kernel, kernel)
     cons = [
         {"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(m)},
         {
@@ -223,8 +257,9 @@ def _refine(kernel, p_start: np.ndarray, a_nats: float) -> tuple[np.ndarray | No
         },
     ]
     res = minimize(
-        neg_obj,
+        _neg_mi_joint,
         p_start.ravel(),
+        args=(kernel, w_log_w, shape),
         jac=True,
         method="SLSQP",
         bounds=[(0.0, 1.0)] * m,
@@ -253,6 +288,86 @@ def _joint_ba_unconstrained(kernel: np.ndarray, iters: int = 400) -> np.ndarray:
     return p
 
 
+def _check_budget(a: float) -> None:
+    if not 0 <= a < math.inf:
+        raise ValueError(f"a must be finite and nonnegative, got {a!r}")
+
+
+class _DeltaContext:
+    """The part of ``delta`` that does not depend on the budget, for one MAC and capacity.
+
+    Built once per (mac, capacity): the top maximizer's law and the zero-gain
+    certificate; on the first budget that needs them, each maximizer's
+    centered density j with E[j^2] and the unconstrained joint
+    Blahut-Arimoto law.  ``point(a)`` solves one budget.  It lives as long as
+    the call that builds it: ``delta`` for one point, the CLI for its grid.
+    """
+
+    def __init__(self, mac: Mac, capacity: CapacityResult, units: str):
+        self.mac, self.capacity, self.units = mac, capacity, units
+        self.scale = _unit_scale(units)
+        self.c_nats = capacity.c_sum / self.scale
+        self.best_p = capacity.argmax_dists[0].joint()
+        # no joint law beats a divergence bound at C
+        div = _letter_div_nats(mac.kernel, self.best_p)
+        self.zero_gain = div.max() <= self.c_nats + _ZERO_GAIN_SLACK
+
+    @cached_property
+    def densities(self) -> list[tuple[ProductDist, np.ndarray, float]]:
+        """(base, j, E[j^2]) of every capacity maximizer."""
+        return [
+            (base, *_centered_density(self.mac, base, self.capacity, self.units))
+            for base in self.capacity.argmax_dists
+        ]
+
+    @cached_property
+    def ba_law(self) -> np.ndarray:
+        return _joint_ba_unconstrained(self.mac.kernel)
+
+    def point(self, a: float) -> DeltaPoint:
+        _check_budget(a)
+        units = self.units
+        a_nats = a * _nats_per_unit(units)
+        kernel, w_log_w = self.mac.kernel, self.mac._w_log_w
+        best_p = self.best_p
+        # only product laws meet a zero budget, and the certificate bounds
+        # every joint law: either way the maximizer, of I(X1;X2) = 0, is optimal
+        if a == 0 or self.zero_gain:
+            return DeltaPoint(a, 0.0, JointDist(best_p), 0.0, units)
+
+        starts: list[np.ndarray] = []
+        for base, j, e_j2 in self.densities:
+            starts.append(base.joint())
+            r = _perturbation(base, j, e_j2, a, units).r_table
+            if np.any(r != 0):
+                starts.append(_line_search_start(base, r, a_nats))
+        n1, n2 = kernel.shape[:2]
+        starts.append(np.full((n1, n2), 1.0 / (n1 * n2)))
+        starts.append(_project_feasible(self.ba_law, a_nats))
+
+        best_val = _mi_nats(kernel, best_p, w_log_w)
+        converged = False
+        for p0 in starts:
+            p, status = _refine(kernel, p0, a_nats, w_log_w)
+            for cand, refined_ok in ((p0, False), (p, status == 0)):
+                if cand is None or _mi_12_nats(cand) > a_nats:
+                    continue
+                converged = converged or refined_ok
+                val = _mi_nats(kernel, cand, w_log_w)
+                if val > best_val:
+                    best_val, best_p = val, cand
+        if not converged:
+            raise NonConvergence(f"no SLSQP refinement converged within the budget at a={a!r}")
+
+        return DeltaPoint(
+            a=a,
+            delta=max((best_val - self.c_nats) * self.scale, 0.0),
+            argmax_joint=JointDist(best_p),
+            achieved_mi_budget=_mi_12_nats(best_p) * self.scale,
+            units=units,
+        )
+
+
 def delta(
     mac: Mac,
     a: float,
@@ -260,46 +375,5 @@ def delta(
     capacity: CapacityResult | None = None,
 ) -> DeltaPoint:
     """Constrained maximum sum-rate gain at dependence budget ``a``."""
-    if not 0 <= a < math.inf:
-        raise ValueError(f"a must be finite and nonnegative, got {a!r}")
-    capacity = _capacity_in(mac, units, capacity)
-    scale = _unit_scale(units)
-    a_nats = a * _nats_per_unit(units)
-    kernel = mac.kernel
-    best_p = capacity.argmax_dists[0].joint()
-    # only product laws meet a zero budget, and no joint law beats a divergence
-    # bound at C: either way the maximizer, of I(X1;X2) = 0, is optimal
-    c_nats = capacity.c_sum / scale
-    if a == 0 or _letter_div_nats(kernel, best_p).max() <= c_nats + _ZERO_GAIN_SLACK:
-        return DeltaPoint(a, 0.0, JointDist(best_p), 0.0, units)
-
-    starts: list[np.ndarray] = []
-    for base in capacity.argmax_dists:
-        starts.append(base.joint())
-        pert = perturbation_direction(mac, base, a, capacity=capacity, units=units)
-        if np.any(pert.r_table != 0):
-            starts.append(_line_search_start(base, pert.r_table, a_nats))
-    starts.append(np.full((mac.x1_size, mac.x2_size), 1.0 / (mac.x1_size * mac.x2_size)))
-    starts.append(_project_feasible(_joint_ba_unconstrained(kernel), a_nats))
-
-    best_val = _mi_nats(kernel, best_p)
-    converged = False
-    for p0 in starts:
-        p, status = _refine(kernel, p0, a_nats)
-        for cand, refined_ok in ((p0, False), (p, status == 0)):
-            if cand is None or _mi_12_nats(cand) > a_nats:
-                continue
-            converged = converged or refined_ok
-            val = _mi_nats(kernel, cand)
-            if val > best_val:
-                best_val, best_p = val, cand
-    if not converged:
-        raise NonConvergence(f"no SLSQP refinement converged within the budget at a={a!r}")
-
-    return DeltaPoint(
-        a=a,
-        delta=max((best_val - c_nats) * scale, 0.0),
-        argmax_joint=JointDist(best_p),
-        achieved_mi_budget=_mi_12_nats(best_p) * scale,
-        units=units,
-    )
+    _check_budget(a)
+    return _DeltaContext(mac, _capacity_in(mac, units, capacity), units).point(a)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from scipy.special import xlogy
 from hypothesis import strategies as st
 
 import ba_reference
@@ -28,7 +29,12 @@ from cfmac.channel import (
     _CAPACITY_TOL,
     _check_entries,
     _check_prob,
+    _dbar_nats,
+    _letter_div_nats,
+    _mi_and_div_nats,
+    _mi_nats,
     _nats_per_unit,
+    _neg_mi_product,
     _seed_grid,
 )
 from cfmac.errors import NegativeEntry, NonConvergence, RowNotStochastic, SizeMismatch
@@ -573,6 +579,72 @@ class TestMutualInformation:
             mutual_information(adder2(), ProductDist(np.array([1.0]), np.array([0.5, 0.5])))
         with pytest.raises(SizeMismatch):
             mutual_information(adder2(), JointDist(np.full((3, 2), 1.0 / 6.0)))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _fused_cases(seed=26, count=40):
+    """Kernels with zero entries, each with product laws of full support and
+    with an empty row and column, and a joint law with an empty row and column."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        x1, x2, y = (int(v) for v in rng.integers(1, 5, size=3))
+        kernel = rng.dirichlet(np.full(y, 0.5), size=(x1, x2))
+        kernel[rng.random(kernel.shape) < 0.3] = 0.0
+        kernel[..., 0] += kernel.sum(axis=-1) == 0  # no row is all zeros
+        mac = Mac(kernel / kernel.sum(axis=-1, keepdims=True))
+        p1, p2 = rng.dirichlet(np.ones(x1)), rng.dirichlet(np.ones(x2))
+        q1, q2 = p1.copy(), p2.copy()
+        if x1 > 1:
+            q1[rng.integers(x1)] = 0.0
+        if x2 > 1:
+            q2[rng.integers(x2)] = 0.0
+        p12 = rng.dirichlet(np.ones(x1 * x2)).reshape(x1, x2)
+        if x1 > 1 and x2 > 1:
+            p12[rng.integers(x1)] = 0.0
+            p12[:, rng.integers(x2)] = 0.0
+        yield mac, [(p1, p2), (q1 / q1.sum(), q2 / q2.sum())], p12 / p12.sum()
+
+
+class TestFusedCore:
+    """A solver step's one evaluation of the MI core gives the floats of the
+    separate functions bit for bit, zero kernel entries and empty rows included."""
+
+    def test_per_kernel_constant(self):
+        for mac, _, _ in _fused_cases():
+            assert _bits(mac._w_log_w) == _bits(xlogy(mac.kernel, mac.kernel))
+            assert not mac._w_log_w.flags.writeable
+
+    def test_value_and_divergences_from_one_output_law(self):
+        for mac, products, joint in _fused_cases():
+            w, w_log_w = mac.kernel, xlogy(mac.kernel, mac.kernel)
+            for p12 in [np.outer(p1, p2) for p1, p2 in products] + [joint]:
+                mi, div = _mi_and_div_nats(w, p12, mac._w_log_w)
+                assert _bits(mi) == _bits(_mi_nats(w, p12, w_log_w))
+                assert _bits(div) == _bits(_letter_div_nats(w, p12))
+
+    def test_ascent_objective(self):
+        for mac, products, _ in _fused_cases():
+            w, w_log_w = mac.kernel, xlogy(mac.kernel, mac.kernel)
+            for p1, p2 in products:
+                value, grad = _neg_mi_product(np.concatenate([p1, p2]), w, mac._w_log_w, len(p1))
+                assert _bits(value) == _bits(-_mi_nats(w, np.outer(p1, p2), w_log_w))
+                dbar1, dbar2 = _dbar_nats(w, p1, p2)
+                assert _bits(grad) == _bits(-np.concatenate([dbar1 - p2.sum(), dbar2 - p1.sum()]))
+
+    def test_public_mutual_information(self):
+        for mac, products, joint in _fused_cases(count=10):
+            w_log_w = xlogy(mac.kernel, mac.kernel)
+            for d in [ProductDist(p1, p2) for p1, p2 in products] + [JointDist(joint)]:
+                got = mutual_information(mac, d, units="nats")
+                assert _bits(got) == _bits(_mi_nats(mac.kernel, d.joint(), w_log_w))
+
+    def test_product_joint_is_the_outer_product(self):
+        for _, products, _ in _fused_cases(count=10):
+            for p1, p2 in products:
+                assert _bits(ProductDist(p1, p2).joint()) == _bits(np.outer(p1, p2))
 
 
 @settings(max_examples=40, deadline=None)

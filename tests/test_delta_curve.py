@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
+from scipy.special import xlogy
 
 import cfmac.delta_curve
 from cfmac.channel import (
     JointDist,
     Mac,
     ProductDist,
+    _letter_div_nats,
+    _mi_nats,
     _nats_per_unit,
     adder2,
     mutual_information,
@@ -17,7 +20,9 @@ from cfmac.channel import (
     xor_channel,
 )
 from cfmac.delta_curve import (
+    _DeltaContext,
     _mi_12_nats,
+    _neg_mi_joint,
     _project_feasible,
     delta,
     delta_small_a,
@@ -216,6 +221,52 @@ class TestDeltaProperties:
             # once the budget stops binding every refinement reaches the same law,
             # up to SLSQP's rounding
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), (label, vals)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestFusedObjective:
+    def test_refine_objective_is_the_core_bit_for_bit(self):
+        # kernels with zero entries, and joint laws with an empty row and column
+        rng = np.random.default_rng(27)
+        for label, mac in random_kernels():
+            kernel = mac.kernel.copy()
+            kernel[rng.random(kernel.shape) < 0.3] = 0.0
+            kernel[..., 0] += kernel.sum(axis=-1) == 0
+            mac = Mac(kernel / kernel.sum(axis=-1, keepdims=True))
+            w, w_log_w = mac.kernel, xlogy(mac.kernel, mac.kernel)
+            a1, a2 = w.shape[:2]
+            sparse = rng.dirichlet(np.ones(a1 * a2)).reshape(a1, a2)
+            sparse[rng.integers(a1)] = 0.0
+            sparse[:, rng.integers(a2)] = 0.0
+            for p12 in (np.full((a1, a2), 1.0 / (a1 * a2)), sparse / sparse.sum()):
+                value, grad = _neg_mi_joint(p12.ravel(), w, mac._w_log_w, p12.shape)
+                assert _bits(value) == _bits(-_mi_nats(w, p12, w_log_w)), label
+                assert _bits(grad) == _bits(1.0 - _letter_div_nats(w, p12).ravel()), label
+
+
+class TestContext:
+    @pytest.mark.parametrize("units", ["bits", "nats"])
+    def test_one_context_gives_the_points_of_separate_calls(self, units):
+        # the context's budget-independent parts are built once and reused
+        # across a grid; every point equals a delta call of its own
+        grid = (0.1, 0.0, 0.01, 0.5)
+        for label, mac in list(random_kernels())[:7]:
+            cap = sum_capacity(mac, units=units)
+            context = _DeltaContext(mac, cap, units)
+            for a in grid:
+                got, want = context.point(a), delta(mac, a, units=units, capacity=cap)
+                assert _bits(got.delta) == _bits(want.delta), (label, a)
+                assert _bits(got.achieved_mi_budget) == _bits(want.achieved_mi_budget), (label, a)
+                assert _bits(got.argmax_joint.p12) == _bits(want.argmax_joint.p12), (label, a)
+
+    @pytest.mark.parametrize("a", [-0.1, math.nan, math.inf])
+    def test_point_rejects_bad_budgets(self, a):
+        context = _DeltaContext(adder2(), sum_capacity(adder2()), "bits")
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            context.point(a)
 
 
 class TestCertificate:
