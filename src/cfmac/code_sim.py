@@ -666,9 +666,11 @@ def _ensemble_words(rng, b, m1c, m2c, k, n, samplers, fac):
     q1 = p1.transpose(0, 1, 2, 4, 3)[:, :, :, :, None]  # (W, A1-1, B, M1, 1, K)
     q2 = p2.transpose(0, 1, 2, 4, 3)[:, :, :, None]  # (W, A2-1, B, 1, M2, K)
     e, unmatched = fac.choose(_pair_counts(q1, q2, n).reshape(-1, b, m1c, m2c, k), rng)
-    bb = np.arange(b)[:, None, None]
-    x1 = p1[:, :, bb, e, np.arange(m1c)[:, None]]
-    x2 = p2[:, :, bb, e, np.arange(m2c)]
+    # one take over the flattened (B, K, M) axis: the fancy index p[:, :, b, e, m]
+    # picks the same words at several times the cost
+    be = np.arange(b)[:, None, None] * k + e
+    x1 = np.take(p1.reshape(p1.shape[:2] + (-1,)), be * m1c + np.arange(m1c)[:, None], axis=2)
+    x2 = np.take(p2.reshape(p2.shape[:2] + (-1,)), be * m2c + np.arange(m2c), axis=2)
     return x1, x2, _pair_counts(x1, x2, n), None if unmatched is None else ~unmatched
 
 
