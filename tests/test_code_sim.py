@@ -988,6 +988,22 @@ class TestClopperPearson:
                 )
                 assert code_sim._clopper_pearson(count, total, conf) == (low, high)
 
+    def test_report_interval_is_the_95_percent_one(self):
+        # the default confidence of the report's interval, at its own counts
+        from scipy.stats import beta
+        cfg = sim_config_from_dict({
+            "channel": "adder2", "dist": {"p1": [0.5, 0.5], "p2": [0.5, 0.5]},
+            "n": 20, "m1_count": 2, "m2_count": 2, "k": 2,
+            "mode": "iid", "trials": 2000, "seed": 5,
+            "thresholds": {"c12": 28.5, "c1": 11.0, "c2": 11.0},
+        })
+        rep = estimate_error(cfg)
+        e, t = rep.errors, rep.trials
+        assert 0 < e < t
+        want = (float(beta.ppf(0.025, e, t - e + 1)), float(beta.ppf(0.975, e + 1, t - e)))
+        # 1 - 0.95 is 0.05 only to the last bit, which moves the ends by an ulp
+        assert rep.ci95 == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_import_loads_no_scipy_stats(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -6,7 +6,8 @@ from scipy.special import ndtri, ndtri_exp
 
 import cfmac.channel
 import cfmac.rate_bounds
-from cfmac.channel import adder2, channel_stats, sum_capacity, uniform_product, xor_channel
+from cfmac.channel import Mac, adder2, channel_stats, sum_capacity, uniform_product, xor_channel
+from cfmac.delta_curve import delta
 from cfmac.rate_bounds import (
     RateQuery,
     cooperation_gain,
@@ -29,6 +30,12 @@ class TestThetaRegimes:
         assert theta_regime(n, 11) == "theta2"  # between log n and log^1.5 n
         assert theta_regime(n, 40) == "theta3"  # between log^1.5 n and n
         assert theta_regime(n, 2 * n) == "theta4"
+
+    @pytest.mark.parametrize("n", [100, 1024, 10**6])
+    def test_k_equal_to_n_is_the_last_theta3(self, n):
+        # theta3 holds for log^1.5 n < K <= n, theta4 for K > n
+        assert theta_regime(n, n) == "theta3"
+        assert theta_regime(n, n + 1) == "theta4"
 
     def test_tag_does_not_depend_on_units(self):
         # 16 lies between log2(100) = 6.6 and log2(100)^1.5 = 17.1, and above
@@ -123,6 +130,26 @@ class TestTypeRate:
         gap2 = t2.rate - 1.5
         gap3 = t3.rate - 1.5
         assert abs(gap2 - gap3) <= 0.15 * max(abs(gap2), abs(gap3))
+
+    @pytest.mark.parametrize("label", ["adder2", "dir2x2x3"])
+    def test_live_budget_rate_from_its_closed_form(self, label):
+        # n = 100, K = 2^40: budget = (40 - 5 log2 100) / 100 > 0 bits with
+        # c_a = 2 * 2 + 1, and rate = C + delta(budget) - sqrt(V2 / n) Q^-1(eps)
+        # with V2 at delta's law; adder2's V2 is 0, the Dirichlet kernel's is not
+        if label == "adder2":
+            mac = adder2()
+        else:
+            mac = Mac(np.random.default_rng(210201247).dirichlet(np.ones(3), size=(2, 2)))
+        n, eps = 100, 0.01
+        budget = (40 - 5 * math.log2(n)) / n
+        r = thm3_sum_rate(mac, RateQuery(n, eps, 2**40))
+        assert not r.budget_exhausted
+        assert r.budget == pytest.approx(budget, rel=1e-12)
+        point = delta(mac, r.budget)  # SLSQP's end moves with the budget's last bits
+        v2 = channel_stats(mac, point.argmax_joint).v2
+        assert point.delta > 0.0 and (v2 > 0.0) == (label != "adder2")
+        want = sum_capacity(mac).c_sum + point.delta - math.sqrt(v2 / n) * float(ndtri(1 - eps))
+        assert r.rate == pytest.approx(want, rel=1e-12)
 
     def test_rejects_k1(self):
         with pytest.raises(ValueError):
