@@ -1,11 +1,17 @@
 """Print one ``name sha256`` line per CLI and library output of cfmac.
 
-A refactor must keep every output byte-identical.  Run this script on two
-trees and compare the results with ``diff``:
+A refactor must keep every output byte-identical.  Compare this tree with a
+git revision:
 
-    PYTHONPATH=src python tests/output_digest.py > after.txt
-    (cd ../parent && PYTHONPATH=src python tests/output_digest.py) > before.txt
-    diff before.txt after.txt
+    python tests/output_digest.py --against HEAD~1
+
+checks the revision out into a temporary local ``git worktree``, runs its
+copy of this script and this tree's, each on its own ``src``, side by side,
+prints a unified diff of the two digests and exits 1 when they differ (0 when
+they agree).  It needs no network, and removes the worktree when done.
+Without ``--against`` the script prints the digest of the tree it sits in:
+
+    python tests/output_digest.py > after.txt
 
 The CLI runs in-process through ``cfmac.cli.main`` and writes to stdout: no
 ``--out``, so no manifest and no wall time enters a digest.  Library results
@@ -40,15 +46,19 @@ The tool pins BLAS to one thread before numpy is imported: the thread count
 changes the summation order of BLAS products, so the ``stats``, ``delta`` and
 ``rates`` lines would move in the last digit between hosts or settings.
 
-It takes about 20 s on a 2-core host.
+It takes about 20 s on a 2-core host, ``--against`` about as long when two
+cores are free.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -56,6 +66,9 @@ from pathlib import Path
 # before numpy loads BLAS, which reads these once
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+# the tree this script sits in is the one it digests
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
@@ -246,7 +259,7 @@ def switching_decodes():
         yield f"lib.switching.{step}.{name}.threshold_decode", repr(result)
 
 
-def main() -> int:
+def print_digest() -> None:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative file names: ``stats`` echoes its channel reference
@@ -257,6 +270,47 @@ def main() -> int:
             os.chdir(home)
     for name, data in [*library_digests(), *switching_decodes()]:
         print(name, _sha(data), flush=True)
+
+
+def _digest_of(tree: Path) -> subprocess.Popen:
+    """This script of ``tree`` run on ``tree/src``, its digest on a pipe."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return subprocess.Popen(
+        [sys.executable, str(tree / "tests" / "output_digest.py")],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+
+
+def _lines(proc: subprocess.Popen, what: str) -> list[str]:
+    out, _ = proc.communicate()
+    if proc.returncode != 0:
+        raise SystemExit(f"the digest of {what} exited with {proc.returncode}")
+    return out.splitlines()
+
+
+def against(rev: str) -> int:
+    """Diff the digest of ``rev`` with this tree's; 1 on any difference."""
+    git = ["git", "-C", str(ROOT), "worktree"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run(git + ["add", "--detach", "--quiet", str(tree), rev], check=True)
+        try:
+            procs = {rev: _digest_of(tree), "this tree": _digest_of(ROOT)}
+            before, after = (_lines(proc, what) for what, proc in procs.items())
+        finally:
+            subprocess.run(git + ["remove", "--force", str(tree)], check=True)
+    diff = list(difflib.unified_diff(before, after, rev, "this tree", lineterm=""))
+    print("\n".join(diff) if diff else f"{len(after)} lines, identical to {rev}")
+    return 1 if diff else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--against", metavar="REV", help="git revision to compare this tree with")
+    args = parser.parse_args()
+    if args.against is not None:
+        return against(args.against)
+    print_digest()
     return 0
 
 
