@@ -349,14 +349,14 @@ def _joint(mac: Mac, d: InputDist) -> np.ndarray:
 
 def output_marginal(mac: Mac, d: InputDist) -> np.ndarray:
     """Output distribution p_Y induced by the input distribution."""
-    return np.einsum("ij,ijy->y", _joint(mac, d), mac.kernel)
+    return _output_law(mac.kernel, _joint(mac, d))
 
 
 def info_density_tables(mac: Mac, d: InputDist, units: str = "bits") -> InfoDensityTable:
     """All three information-density tables plus per-pair expected density."""
     w = mac.kernel
     p12 = _joint(mac, d)
-    p_y = np.einsum("ij,ijy->y", p12, w)
+    p_y = _output_law(w, p12)
     p1 = p12.sum(axis=1, keepdims=True)
     p2 = p12.sum(axis=0, keepdims=True)
     positive = w > 0
@@ -434,6 +434,7 @@ def mutual_information(mac: Mac, d: InputDist, units: str = "bits") -> float:
 
 
 def _output_law(kernel: np.ndarray, p12: np.ndarray) -> np.ndarray:
+    """p_Y under the input law p12, the one formula of every output law in this module."""
     return np.einsum("ij,ijy->y", p12, kernel)
 
 

@@ -98,9 +98,7 @@ def _write_outputs(args, output: list[str] | dict, extra: dict, started: float) 
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     manifest = {
         "command": args.command,
-        "parameters": {
-            k: v for k, v in sorted(vars(args).items()) if v is not None
-        },
+        "parameters": {k: v for k, v in sorted(vars(args).items()) if v is not None},
         "version": __version__,
         "seed": args.seed,
         "wall_time_s": round(time.monotonic() - started, 6),
