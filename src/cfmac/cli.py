@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import sys
 import time
@@ -98,7 +97,9 @@ def _write_outputs(args, output: list[str] | dict, extra: dict, started: float) 
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     manifest = {
         "command": args.command,
-        "parameters": {k: v for k, v in sorted(vars(args).items()) if v is not None},
+        "parameters": {
+            k: v for k, v in sorted(vars(args).items()) if k not in ("func",) and v is not None
+        },
         "version": __version__,
         "seed": args.seed,
         "wall_time_s": round(time.monotonic() - started, 6),
@@ -231,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="channel capacity and dispersion statistics")
     p.add_argument("--channel", required=True, help="adder2, xor:<p>, or a JSON file")
     p.add_argument("--dist", default=None, help="JSON file with p1/p2 or p12")
+    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("fig1", help="max-of-Gaussians quantile versus log2 K")
     p.add_argument("--v1", type=float, default=1.0)
@@ -238,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--kmin-log2", type=int, default=0)
     p.add_argument("--kmax-log2", type=int, default=40)
+    p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("delta", help="correlation-benefit curve delta(a)")
     p.add_argument("--channel", required=True)
@@ -247,40 +250,38 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0.001, 0.01, 0.1, 0.5, 1.0],
         help="comma-separated dependence budgets",
     )
+    p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("rates", help="achievable sum-rate curves")
     p.add_argument("--channel", required=True)
     p.add_argument("--n", type=_int_list, default=[1000], help="comma-separated blocklengths")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--k", type=_int_list, default=[1, 2], help="comma-separated K values")
+    p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("simulate", help="Monte Carlo error estimate for a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--validate-bound", action="store_true")
     p.add_argument("--bound-samples", type=int, default=100_000)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("invcdf", help="single quantile of the S_K law")
     p.add_argument("--v1", type=float, required=True)
     p.add_argument("--v2", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
+    p.set_defaults(func=cmd_invcdf)
 
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused: it does not depend on the inputs."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        # looked up per call, so the parser keeps no reference to a subcommand
-        output = globals()[f"cmd_{args.command}"](args)
+        output = args.func(args)
         output, extra = output if isinstance(output, tuple) else (output, {})
         _write_outputs(args, output, extra, started)
     except NonConvergence as exc:

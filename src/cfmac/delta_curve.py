@@ -47,9 +47,10 @@ least one refinement ends with SLSQP status 0 and meets the budget, or
 
 Each SLSQP step of a refinement evaluates the MI core once: its value and
 its gradient 1 - D(W_x || p_Y) come from one output law
-(``channel._mi_and_div_nats``), with the kernel's constant xlogy(W, W) taken
-from the ``Mac``.  What does not depend on the budget is computed once per
-(mac, capacity) in a ``_DeltaContext``: the top maximizer and the zero-gain
+(``channel._mi_and_div_nats``), and ``_refine`` computes the kernel's
+constant xlogy(W, W) once for all its steps.  What does not depend on the
+budget is computed once per (mac, capacity) in a ``_DeltaContext``: the top
+maximizer and the zero-gain
 certificate, and, when a budget first needs them, each maximizer's centered
 density j with E[j^2] and the joint Blahut-Arimoto law.  ``delta`` builds a
 context and solves its one point; the CLI builds one and solves its whole
@@ -237,17 +238,11 @@ def _neg_mi_joint(x: np.ndarray, kernel: np.ndarray, w_log_w: np.ndarray, shape)
     return -mi, 1.0 - div.ravel()
 
 
-def _refine(
-    kernel, p_start: np.ndarray, a_nats: float, w_log_w: np.ndarray | None = None
-) -> tuple[np.ndarray | None, int]:
-    """SLSQP from ``p_start``: the projected law (None if it vanished) and the SLSQP status.
-
-    ``w_log_w`` is the kernel's ``Mac._w_log_w``, computed here when not given.
-    """
+def _refine(kernel, p_start: np.ndarray, a_nats: float) -> tuple[np.ndarray | None, int]:
+    """SLSQP from ``p_start``: the projected law (None if it vanished) and the SLSQP status."""
     shape = p_start.shape
     m = p_start.size
-    if w_log_w is None:
-        w_log_w = xlogy(kernel, kernel)
+    w_log_w = xlogy(kernel, kernel)  # once per refinement, not per step
     cons = [
         {"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(m)},
         {
@@ -288,29 +283,15 @@ def _joint_ba_unconstrained(kernel: np.ndarray, iters: int = 400) -> np.ndarray:
     return p
 
 
-def _check_budget(a: float) -> None:
-    if not 0 <= a < math.inf:
-        raise ValueError(f"a must be finite and nonnegative, got {a!r}")
-
-
 class _DeltaContext:
-    """The part of ``delta`` that does not depend on the budget, for one MAC and capacity.
-
-    Built once per (mac, capacity): the top maximizer's law and the zero-gain
-    certificate; on the first budget that needs them, each maximizer's
-    centered density j with E[j^2] and the unconstrained joint
-    Blahut-Arimoto law.  ``point(a)`` solves one budget.  It lives as long as
-    the call that builds it: ``delta`` for one point, the CLI for its grid.
-    """
+    """What ``delta`` computes once per (mac, capacity); ``point(a)`` solves one budget."""
 
     def __init__(self, mac: Mac, capacity: CapacityResult, units: str):
         self.mac, self.capacity, self.units = mac, capacity, units
-        self.scale = _unit_scale(units)
-        self.c_nats = capacity.c_sum / self.scale
         self.best_p = capacity.argmax_dists[0].joint()
         # no joint law beats a divergence bound at C
         div = _letter_div_nats(mac.kernel, self.best_p)
-        self.zero_gain = div.max() <= self.c_nats + _ZERO_GAIN_SLACK
+        self.zero_gain = div.max() <= capacity.c_sum / _unit_scale(units) + _ZERO_GAIN_SLACK
 
     @cached_property
     def densities(self) -> list[tuple[ProductDist, np.ndarray, float]]:
@@ -325,8 +306,10 @@ class _DeltaContext:
         return _joint_ba_unconstrained(self.mac.kernel)
 
     def point(self, a: float) -> DeltaPoint:
-        _check_budget(a)
+        if not 0 <= a < math.inf:
+            raise ValueError(f"a must be finite and nonnegative, got {a!r}")
         units = self.units
+        scale = _unit_scale(units)
         a_nats = a * _nats_per_unit(units)
         kernel, w_log_w = self.mac.kernel, self.mac._w_log_w
         best_p = self.best_p
@@ -348,7 +331,7 @@ class _DeltaContext:
         best_val = _mi_nats(kernel, best_p, w_log_w)
         converged = False
         for p0 in starts:
-            p, status = _refine(kernel, p0, a_nats, w_log_w)
+            p, status = _refine(kernel, p0, a_nats)
             for cand, refined_ok in ((p0, False), (p, status == 0)):
                 if cand is None or _mi_12_nats(cand) > a_nats:
                     continue
@@ -361,9 +344,9 @@ class _DeltaContext:
 
         return DeltaPoint(
             a=a,
-            delta=max((best_val - self.c_nats) * self.scale, 0.0),
+            delta=max((best_val - self.capacity.c_sum / scale) * scale, 0.0),
             argmax_joint=JointDist(best_p),
-            achieved_mi_budget=_mi_12_nats(best_p) * self.scale,
+            achieved_mi_budget=_mi_12_nats(best_p) * scale,
             units=units,
         )
 
@@ -375,5 +358,4 @@ def delta(
     capacity: CapacityResult | None = None,
 ) -> DeltaPoint:
     """Constrained maximum sum-rate gain at dependence budget ``a``."""
-    _check_budget(a)
     return _DeltaContext(mac, _capacity_in(mac, units, capacity), units).point(a)

@@ -1,15 +1,10 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 from scipy.optimize import OptimizeResult
 
-import cfmac.cli
 import cfmac.delta_curve
 from cfmac.cli import main
 
@@ -410,46 +405,3 @@ class TestOutputsAndManifest:
         c_bits = json.loads(out_bits)["c_sum"]
         c_nats = json.loads(out_nats)["c_sum"]
         assert c_nats == pytest.approx(c_bits * math.log(2.0), abs=1e-9)
-
-
-class TestParserReuse:
-    """``main`` builds its parser on the first call and reuses it; a call made
-    after others prints the bytes it prints as the first call of a process."""
-
-    # each default list is read twice, so a call that changed it would show
-    SEQUENCES = {
-        "delta": [
-            ["delta", "--channel", "adder2", "--a-grid", "0.05,0.2"],
-            ["delta", "--channel", "adder2"],
-            ["--units", "nats", "delta", "--channel", "adder2"],
-        ],
-        "rates-then-stats": [
-            ["rates", "--channel", "adder2"],
-            ["stats", "--channel", "adder2"],
-            ["rates", "--channel", "adder2", "--n", "100", "--k", "2,1099511627776"],
-            ["rates", "--channel", "adder2"],
-        ],
-    }
-
-    @pytest.mark.parametrize("name", SEQUENCES)
-    def test_consecutive_calls_match_first_calls(self, capsys, name):
-        calls = self.SEQUENCES[name]
-        first = []
-        for argv in calls:
-            cfmac.cli._parser.cache_clear()
-            first.append(run(capsys, *argv))
-        cfmac.cli._parser.cache_clear()
-        consecutive = [run(capsys, *argv) for argv in calls]
-        assert cfmac.cli._parser.cache_info().misses == 1
-        assert consecutive == first
-        assert all(code == 0 for code, _, _ in first)
-
-    def test_import_builds_no_parser(self):
-        code = "import cfmac.cli; print(cfmac.cli._parser.cache_info().currsize)"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(Path(cfmac.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0"
