@@ -291,9 +291,8 @@ def _blocks(seed: int, family: int, total: int, trial_bytes: int):
         yield _stream(seed, family, block), min(size, total - start)
 
 
-def _clopper_pearson(count: int, total: int, conf: float = 0.95) -> tuple[float, float]:
-    """Both endpoints of the ``conf`` Clopper-Pearson interval of count / total."""
-    alpha = 1.0 - conf
+def _clopper_pearson(count: int, total: int, alpha: float = 0.05) -> tuple[float, float]:
+    """Both endpoints of the 1 - ``alpha`` Clopper-Pearson interval of count / total."""
     low = 0.0 if count == 0 else float(betaincinv(count, total - count + 1, alpha / 2))
     high = 1.0 if count == total else float(betaincinv(count + 1, total - count, 1 - alpha / 2))
     return low, high
@@ -1133,7 +1132,7 @@ def fbl_bound(config: SimConfig, mc_samples: int = 100_000, seed: int | None = N
         seed = config.seed
 
     fails, _, p_unmatched = _bound_terms(config, th, mc_samples, seed)
-    return _clopper_pearson(fails, mc_samples, 0.99)[1] + _union(config, th) + p_unmatched
+    return _clopper_pearson(fails, mc_samples, 0.01)[1] + _union(config, th) + p_unmatched
 
 
 def estimate_error_fixed_code(

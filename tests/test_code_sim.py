@@ -974,11 +974,10 @@ def _rng(seed):
 
 
 class TestClopperPearson:
-    @pytest.mark.parametrize("conf", [0.95, 0.99])
-    def test_equals_the_beta_quantiles(self, conf):
+    @pytest.mark.parametrize("alpha", [0.05, 0.01], ids=["0.95", "0.99"])  # the confidences
+    def test_equals_the_beta_quantiles(self, alpha):
         from scipy.stats import beta  # the reference; the package itself does not load it
         rng = np.random.default_rng(5)
-        alpha = 1.0 - conf
         for total in (1, 2, 3, 10, 1000, 10**5, 10**7, 10**9):
             counts = {0, 1, total // 2, total - 1, total, *rng.integers(0, total + 1, 20).tolist()}
             for count in sorted(counts):
@@ -986,7 +985,7 @@ class TestClopperPearson:
                 high = 1.0 if count == total else float(
                     beta.ppf(1 - alpha / 2, count + 1, total - count)
                 )
-                assert code_sim._clopper_pearson(count, total, conf) == (low, high)
+                assert code_sim._clopper_pearson(count, total, alpha) == (low, high)
 
     def test_report_interval_is_the_95_percent_one(self):
         # the default confidence of the report's interval, at its own counts
@@ -1001,8 +1000,7 @@ class TestClopperPearson:
         e, t = rep.errors, rep.trials
         assert 0 < e < t
         want = (float(beta.ppf(0.025, e, t - e + 1)), float(beta.ppf(0.975, e + 1, t - e)))
-        # 1 - 0.95 is 0.05 only to the last bit, which moves the ends by an ulp
-        assert rep.ci95 == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert rep.ci95 == want
 
     def test_import_loads_no_scipy_stats(self):
         env = dict(os.environ)
@@ -1733,7 +1731,7 @@ class TestTypeMatchLaw:
         th = cfg.resolved_thresholds()
         fails, _ = code_sim._bound_terms(cfg, th, 1000, seed=cfg.seed)[:2]
         p = code_sim._unmatched_probability(code_sim._type_counts(HALF_TYPE, 40), 16)
-        want = code_sim._clopper_pearson(fails, 1000, 0.99)[1] + code_sim._union(cfg, th) + p
+        want = code_sim._clopper_pearson(fails, 1000, 0.01)[1] + code_sim._union(cfg, th) + p
         assert fbl_bound(cfg, mc_samples=1000) == want
 
 
