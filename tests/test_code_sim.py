@@ -9,7 +9,6 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 
 import bound_reference
 import gather_reference
+import sim_seam
 from cfmac import code_sim
 from cfmac.channel import (
     JointDist,
@@ -180,11 +180,11 @@ class TestFacilitate:
 
     @pytest.mark.parametrize("mode, uniforms", [("iid", 0), ("type", 3 * 2 * 4)])
     def test_choice_takes_one_uniform_per_message_pair_in_type_mode(self, mode, uniforms):
-        fac = code_sim._ensemble(adder2(), HALF_TYPE, 8, mode)[1]
+        fac = sim_seam.facilitator(adder2(), HALF_TYPE, 8, mode)
         # pair counts (A1*A2, B, M1, M2, K); only their matches to the target matter
         counts = np.random.default_rng(1).integers(0, 3, size=(4, 3, 2, 4, 5))
         rng, fresh = np.random.default_rng(7), np.random.default_rng(7)
-        fac.choose(counts, rng)
+        sim_seam.choose(fac, counts, rng)
         fresh.random(uniforms)
         assert rng.random() == fresh.random()
 
@@ -284,9 +284,8 @@ class TestThresholdDecode:
 
 
 def _facilitated(cb, table):
-    """The facilitated words x1, x2 (M1, M2, n) of a fixed code."""
-    m1, m2 = table.e.shape
-    return cb.f1[np.arange(m1)[:, None], table.e], cb.f2[np.arange(m2)[None, :], table.e]
+    """The facilitated words x1, x2 (1, M1, M2, n) of a fixed code."""
+    return gather_reference.selected_words(cb.f1[None], cb.f2[None], table.e[None])
 
 
 def _pair_metrics(y, cb, table, th, mac, dist):
@@ -294,7 +293,7 @@ def _pair_metrics(y, cb, table, th, mac, dist):
     dec = code_sim._Decoder.build(mac, dist, th)
     x1, x2 = _facilitated(cb, table)
     y = np.asarray(y, dtype=np.int64)[None]
-    z = gather_reference.decode_counts(x1[None], x2[None], y, mac.x1_size, mac.y_size, mac.x2_size)
+    z = gather_reference.decode_counts(x1, x2, y, mac.x1_size, mac.y_size, mac.x2_size)
     return dec, z[0].astype(np.float64) @ dec.weights
 
 
@@ -463,7 +462,6 @@ class TestEstimateError:
         table = facilitate(cb, adder2(), UNIFORM, "iid")
         with pytest.raises(SizeMismatch, match="config K = 5 does not match the code's K = 2"):
             estimate_error_fixed_code(cb, table, self.config(k=5, trials=100))
-
 
     @pytest.mark.parametrize("code_mode, config_mode", [("type", "iid"), ("iid", "type")])
     def test_fixed_code_rejects_a_config_of_other_mode(self, code_mode, config_mode):
@@ -697,19 +695,6 @@ class TestConfigSerialization:
             default_thresholds(adder2(), UNIFORM, 20, 2, 2, 2, "iid", units="bit")
 
 
-class _ConstantRng:
-    """Stub generator whose every b-bit U equals ``u``: raw plane j is all ones
-    where bit j of u is set, else all zeros."""
-
-    def __init__(self, u, b):
-        self.bit_generator = self
-        self.u, self.b = u, b
-
-    def random_raw(self, size):
-        bits = [(self.u >> j & 1) * (2**64 - 1) for j in range(self.b)]
-        return np.repeat(np.array(bits, dtype=np.uint64), size // self.b)
-
-
 class TestSamplers:
     # the compared sums 0.7 and 0.7 + 0.2 = 0.8999999999999999 take b = 52 bits:
     # the top U, 2^52 - 1, must still reach both and U = 0 neither
@@ -717,58 +702,20 @@ class TestSamplers:
     B = 52
 
     def test_codeword_draw_maps_top_uniform_to_last_symbol(self):
-        assert code_sim._thresholds(np.cumsum(self.P))[0] == self.B
-        sampler = _plane_sampler(self.P, 130)
+        assert sim_seam.thresholds(self.P)[0] == self.B
         for u, symbol in ((2**self.B - 1, 2), (0, 0)):
-            words = code_sim._symbols(sampler(_ConstantRng(u, self.B), (2, 3)), 130)
+            words = sim_seam.iid_words(self.P, 130, sim_seam.ConstantRng(u, self.B), (2, 3))
             assert np.all(words == symbol), u
 
     def test_channel_maps_top_uniform_to_last_symbol(self):
         # beside a row of 0.3, which no 53 bits hold, the kernel takes b = 53
         n = 130
         kernel = np.array([[self.P, (0.3, 0.6, 0.1)], [(0.3, 0.6, 0.1), self.P]])
-        assert code_sim._thresholds(np.cumsum(kernel, axis=-1))[0] == 53
-        channel = code_sim._channel(kernel, n)
+        assert sim_seam.thresholds(kernel)[0] == 53
         words = _rng(2).integers(0, 2, size=(2, 4, n)).astype(np.uint8)
-        x1, x2 = code_sim._planes(words[0], 2), code_sim._planes(words[1], 2)
         for u, symbol in ((2**53 - 1, 2), (0, 0)):
-            y = channel(_ConstantRng(u, 53), x1, x2)
-            assert np.all(code_sim._symbols(y, n) == symbol), u
-
-
-class _AllValuesRng:
-    """Stub generator whose b raw outputs are the b bit planes of U = 0, 1, ..., 2^b - 1,
-    U = i at position i."""
-
-    def __init__(self, b):
-        self.bit_generator = self
-        self.b = b
-
-    def random_raw(self, size):
-        assert size == self.b  # one 64-bit word per plane
-        i = np.arange(2**self.b)
-        return np.array([int((i >> j & 1) @ (1 << i)) for j in range(self.b)], dtype=np.uint64)
-
-
-def _plane_sampler(p, n):
-    """User 1's iid codeword sampler for the input law ``p``."""
-    dist = ProductDist(np.asarray(p, dtype=float), np.array([0.5, 0.5]))
-    return code_sim._construction(dist, n, "iid")[0][0]
-
-
-class _AllBytesRng:
-    """Stub generator for n = 256 positions (W = 4): the b raw planes read U = i mod 2^b,
-    the low b bits of byte i, at position i."""
-
-    def __init__(self, b):
-        self.bit_generator = self
-        self.b = b
-
-    def random_raw(self, size):
-        assert size == 4 * self.b  # four plane words per plane
-        i = np.arange(256, dtype=np.uint8)
-        bits = np.stack([i >> j & 1 for j in range(self.b)]).astype(bool)  # (b, 256)
-        return np.packbits(bits, axis=-1, bitorder="little").view("<u8").ravel()
+            y = sim_seam.received(kernel, words[0], words[1], sim_seam.ConstantRng(u, 53))
+            assert np.all(y == symbol), u
 
 
 class TestByteSampler:
@@ -777,14 +724,14 @@ class TestByteSampler:
 
     @pytest.mark.parametrize("p", [(1 / 2, 1 / 2), (1 / 4, 3 / 4), (1 / 8, 1 / 8, 3 / 4)])
     def test_every_byte_value_gives_the_exact_law(self, p):
-        b = code_sim._thresholds(np.cumsum(p))[0]
+        b = sim_seam.thresholds(p)[0]
+        every_byte = partial(sim_seam.PositionRng, np.arange(256) % 2**b, b)  # U = i mod 2^b
         want = [256 * q for q in p]
-        words = code_sim._symbols(_plane_sampler(p, 256)(_AllBytesRng(b), ()), 256)
+        words = sim_seam.iid_words(p, 256, every_byte())
         assert np.bincount(words, minlength=len(p)).tolist() == want
-        channel = code_sim._channel(np.tile(p, (2, 2, 1)), 256)
         for a1, a2 in np.ndindex(2, 2):
-            x1, x2 = _constant_planes(a1, 2, 256), _constant_planes(a2, 2, 256)
-            y = code_sim._symbols(channel(_AllBytesRng(b), x1, x2), 256)
+            x1, x2 = np.full(256, a1, dtype=np.uint8), np.full(256, a2, dtype=np.uint8)
+            y = sim_seam.received(np.tile(p, (2, 2, 1)), x1, x2, every_byte())
             assert np.bincount(y, minlength=len(p)).tolist() == want, (a1, a2)
 
 
@@ -798,19 +745,18 @@ class TestPlaneSamplers:
               (1 / 4, 3 / 4, 0), (1, 0), (5 / 8, 3 / 8)],
     )
     def test_every_value_of_u_gives_the_exact_law(self, p):
-        b = code_sim._thresholds(np.cumsum(p))[0]
-        planes = _plane_sampler(p, 2**b)(_AllValuesRng(b), ())
-        words = code_sim._symbols(planes, 2**b)
+        b = sim_seam.thresholds(p)[0]
+        words = sim_seam.iid_words(p, 2**b, sim_seam.PositionRng(np.arange(2**b), b))
         assert np.bincount(words, minlength=len(p)).tolist() == [2**b * q for q in p]
 
     def test_dyadic_bits_is_the_smallest(self):
-        bits = [code_sim._thresholds(np.cumsum(p))[0] for p in
+        bits = [sim_seam.thresholds(p)[0] for p in
                 [(1,), (1, 0), (1 / 2, 1 / 2), (1 / 4, 3 / 4), self.P3, (3 / 256, 253 / 256),
                  (1 / 512, 511 / 512), (2**-52, 1 - 2**-52)]]
         assert bits == [0, 0, 1, 2, 3, 8, 9, 52]
         # sums exact in no b <= 53 bits take 53
-        assert code_sim._thresholds(np.cumsum([0.3, 0.7]))[0] == 53
-        assert code_sim._thresholds(np.cumsum([2**-60, 1 - 2**-60]))[0] == 53
+        assert sim_seam.thresholds([0.3, 0.7])[0] == 53
+        assert sim_seam.thresholds([2**-60, 1 - 2**-60])[0] == 53
 
     @pytest.mark.parametrize(
         "p", [(0.3, 0.7), (0.4, 0.6), (1 / 3, 1 / 3, 1 / 3), (2**-60, 1 - 2**-60), (0.89, 0.11),
@@ -820,19 +766,16 @@ class TestPlaneSamplers:
     def test_53_bit_thresholds_bracket_their_sums(self, p):
         # t is the least U with U * 2^-53 >= c: the 53-bit float uniform's law
         cdf = np.cumsum(p, axis=-1)
-        b, t = code_sim._thresholds(cdf)
+        b, t = sim_seam.thresholds(p)
         assert b == 53 and t.shape == cdf[..., :-1].shape
         for c, t in zip(cdf[..., :-1].ravel(), t.ravel().tolist()):
             assert Fraction(t - 1, 2**53) < Fraction(c) <= Fraction(t, 2**53)
 
     def test_three_symbol_dyadic_law(self):
+        # the seam checks that the planes are one-hot, clear past n and the words' own
         n, lead = 130, (40, 25)
-        planes = _plane_sampler(self.P3, n)(_rng(4), lead)
-        assert planes.shape == (3, 2, *lead) and planes.dtype == np.uint64
-        assert not np.any(planes[:, 0] & planes[:, 1])  # disjoint: one symbol per position
-        assert not np.any(planes[-1] >> np.uint64(n - 128))  # the bits past n are zero
-        words = code_sim._symbols(planes, n)
-        assert np.array_equal(code_sim._planes(words, 3), planes)
+        words = sim_seam.iid_words(self.P3, n, _rng(4), lead)
+        assert words.shape == (*lead, n) and words.dtype == np.uint8
         total = words.size
         for a, q in enumerate(self.P3):
             count = int((words == a).sum())
@@ -842,7 +785,7 @@ class TestPlaneSamplers:
         # b raw words per plane word: W = 2 plane words for each of 15 words
         for p, b in ((self.P3, 3), ((0.3, 0.7), 53), ((1, 0), 0)):
             got, want = _rng(3), _rng(3)
-            _plane_sampler(p, 70)(got, (5, 3))
+            sim_seam.iid_words(p, 70, got, (5, 3))
             want.bit_generator.random_raw(b * 2 * 15)
             assert got.bit_generator.state == want.bit_generator.state, p
 
@@ -853,19 +796,15 @@ class TestPlaneSamplers:
         p = (0.3, 0.7) if law == "0.3-0.7" else (1 / 3, 1 / 3, 1 / 3)
         n, lead = 70, (4, 6)
         got, want = _rng(5), _rng(5)
-        planes = _plane_sampler(p, n)(got, lead)
-        raw = want.bit_generator.random_raw(53 * 2 * 24).reshape(53, 2, *lead)
-        rows = np.ascontiguousarray(np.moveaxis(raw, (0, 1), (-2, -1)), dtype="<u8")
-        bits = np.unpackbits(rows.view(np.uint8), axis=-1, count=n, bitorder="little")
-        u = sum(bits[..., j, :].astype(np.uint64) << np.uint64(j) for j in range(53))
+        u = sim_seam.uniforms(want, 53, n, lead)
         words = (u[..., None] * 2.0**-53 >= np.cumsum(p)[:-1]).sum(axis=-1)
-        assert np.array_equal(code_sim._symbols(planes, n), words)
+        assert np.array_equal(sim_seam.iid_words(p, n, got, lead), words)
         assert got.bit_generator.state == want.bit_generator.state
 
     @pytest.mark.parametrize("p", [(0.4, 0.6), (0.7, 0.2, 0.1)], ids=["0.4-0.6", "0.7-0.2-0.1"])
     def test_non_dyadic_law_frequencies(self, p):
         n, lead = 130, (60, 5)
-        words = code_sim._symbols(_plane_sampler(p, n)(_rng(9), lead), n)
+        words = sim_seam.iid_words(p, n, _rng(9), lead)
         total = words.size
         for a, q in enumerate(p):
             count = int((words == a).sum())
@@ -876,19 +815,15 @@ class TestPlaneSamplers:
         # user 1 has three symbols, user 2 two
         c = n // 4
         dist = JointDist(np.array([[c, c, 0], [0, 0, n - 2 * c]]).T / n)
-        samplers, _ = code_sim._construction(dist, n, "type")
-        for sampler, target in zip(samplers, (dist.p1 * n, dist.p2 * n)):
-            planes = sampler(_rng(n), (30, 7))
-            words = code_sim._symbols(planes, n)
-            assert np.array_equal(code_sim._planes(words, len(target)), planes)
+        for user, target in ((1, dist.p1 * n), (2, dist.p2 * n)):
+            words = sim_seam.sampled_words(dist, n, "type", _rng(n), (30, 7), user)
             for a, c in enumerate(np.rint(target)):
                 assert np.all((words == a).sum(axis=-1) == c), (a, c)
 
     def test_type_arrangements_are_uniform(self):
         from scipy.stats import chi2  # the reference; the package itself does not load it
 
-        samplers, _ = code_sim._construction(HALF_TYPE, 4, "type")
-        words = code_sim._symbols(samplers[0](_rng(6), (12_000,)), 4)
+        words = sim_seam.sampled_words(HALF_TYPE, 4, "type", _rng(6), (12_000,))
         arrangements, seen = np.unique(words, axis=0, return_counts=True)
         assert len(arrangements) == 6 and np.all(arrangements.sum(axis=1) == 2)
         statistic = float((((seen - 2000) ** 2) / 2000).sum())
@@ -897,19 +832,7 @@ class TestPlaneSamplers:
     @pytest.mark.parametrize("n", [50, 130])
     def test_symbols_inverts_planes(self, n):
         words = _rng(n).integers(0, 5, size=(3, 4, n)).astype(np.uint8)
-        assert np.array_equal(code_sim._symbols(code_sim._planes(words, 5), n), words)
-
-
-def _constant_planes(symbol, size, n, lead=()):
-    """Planes (W, size-1, *lead) of words that read ``symbol`` at all n positions."""
-    return code_sim._planes(np.full((*lead, n), symbol, dtype=np.uint8), size)
-
-
-def _cell_outputs(kernel, x1, x2, n):
-    """Per cell (a1, a2), the received words' symbols (*lead, n) where the sent pair reads it."""
-    y = code_sim._symbols(code_sim._channel(kernel, n)(_rng(10), x1, x2), n)
-    s1, s2 = code_sim._symbols(x1, n), code_sim._symbols(x2, n)
-    return {cell: y[(s1 == cell[0]) & (s2 == cell[1])] for cell in np.ndindex(kernel.shape[:2])}
+        assert np.array_equal(sim_seam.round_trip(words, 5), words)
 
 
 class TestChannel:
@@ -920,38 +843,34 @@ class TestChannel:
                        [[0, 1, 0], [3 / 4, 0, 1 / 4]]])
 
     def test_every_value_of_u_gives_each_cells_law(self):
-        assert code_sim._thresholds(np.cumsum(self.KERNEL, axis=-1))[0] == 3
-        channel = code_sim._channel(self.KERNEL, 8)
+        assert sim_seam.thresholds(self.KERNEL)[0] == 3
         for a1, a2 in np.ndindex(2, 2):
-            y = channel(_AllValuesRng(3), _constant_planes(a1, 2, 8), _constant_planes(a2, 2, 8))
-            assert y.shape == (1, 2)  # the planes of symbols 1 and 2
-            counts = [int(np.bitwise_count(plane)) for plane in y[0]]
-            assert [8 - sum(counts)] + counts == (8 * self.KERNEL[a1, a2]).tolist(), (a1, a2)
+            x1, x2 = np.full(8, a1, dtype=np.uint8), np.full(8, a2, dtype=np.uint8)
+            y = sim_seam.received(self.KERNEL, x1, x2, sim_seam.PositionRng(np.arange(8), 3))
+            assert y.shape == (8,)
+            assert np.bincount(y, minlength=3).tolist() == (8 * self.KERNEL[a1, a2]).tolist(), (a1, a2)
 
     def test_outputs_are_one_hot_planes_up_to_n(self):
+        # the seam checks that the planes are one-hot, clear past n and the words' own
         n, lead = 70, (6, 4)
-        x1, x2 = (_plane_sampler((0.5, 0.5), n)(_rng(seed), lead) for seed in (1, 2))
-        y = code_sim._channel(self.KERNEL, n)(_rng(3), x1, x2)
-        assert y.shape == (2, 2, *lead) and y.dtype == np.uint64
-        # every position one symbol (0 where no plane is set), none past n
-        assert not np.any(y[:, 0] & y[:, 1])
-        assert not np.any(y[-1] >> np.uint64(n - 64))
+        x1, x2 = (sim_seam.iid_words((0.5, 0.5), n, _rng(seed), lead) for seed in (1, 2))
+        y = sim_seam.received(self.KERNEL, x1, x2, _rng(3))
+        assert y.shape == (*lead, n) and y.dtype == np.uint8 and y.max() <= 2
 
     def test_a_deterministic_kernel_draws_nothing(self):
         n, lead = 130, (5, 3)
-        x1, x2 = (_plane_sampler((0.5, 0.5), n)(_rng(seed), lead) for seed in (1, 2))
+        x1, x2 = (sim_seam.iid_words((0.5, 0.5), n, _rng(seed), lead) for seed in (1, 2))
         rng = _rng(4)
-        y = code_sim._channel(adder2().kernel, n)(rng, x1, x2)
+        y = sim_seam.received(adder2().kernel, x1, x2, rng)
         assert rng.bit_generator.state == _rng(4).bit_generator.state
-        s1, s2 = code_sim._symbols(x1, n), code_sim._symbols(x2, n)
-        assert np.array_equal(code_sim._symbols(y, n), s1 + s2)
+        assert np.array_equal(y, x1 + x2)
 
     def test_reads_b_raw_words_per_plane_word(self):
         n, lead = 70, (5,)  # W = 2
-        x = _constant_planes(1, 2, n, lead)
+        x = np.ones((*lead, n), dtype=np.uint8)
         for kernel, b in ((xor_channel(0.11).kernel, 53), (self.KERNEL, 3)):
             got, want = _rng(3), _rng(3)
-            code_sim._channel(kernel, n)(got, x, x)
+            sim_seam.received(kernel, x, x, got)
             want.bit_generator.random_raw(b * 2 * 5)
             assert got.bit_generator.state == want.bit_generator.state, b
 
@@ -962,10 +881,12 @@ class TestChannel:
         else:
             kernel = _rng(12).dirichlet(np.ones(3), size=(2, 2))
         n, lead = 130, (100,)
-        x1, x2 = (_plane_sampler((0.5, 0.5), n)(_rng(seed), lead) for seed in (5, 6))
-        for cell, y in _cell_outputs(kernel, x1, x2, n).items():
+        x1, x2 = (sim_seam.iid_words((0.5, 0.5), n, _rng(seed), lead) for seed in (5, 6))
+        y = sim_seam.received(kernel, x1, x2, _rng(10))
+        for cell in np.ndindex(2, 2):
+            received = y[(x1 == cell[0]) & (x2 == cell[1])]
             for symbol, q in enumerate(kernel[cell]):
-                count, total = int((y == symbol).sum()), y.size
+                count, total = int((received == symbol).sum()), received.size
                 assert abs(count - total * q) <= 4 * math.sqrt(total * q * (1 - q)), (cell, symbol)
 
 
@@ -1121,29 +1042,6 @@ def test_passes_decides_as_the_summed_metrics(present, c, seed):
     assert np.array_equal(dec.passes(z), want)
 
 
-def _codebook_pair_counts(p1, p2, n):
-    """Pair counts (A1*A2, B, M1, M2, K), cells first, of every codeword pair of
-    codebooks p1 (W, A1-1, B, K, M1), p2 (W, A2-1, B, K, M2), laid out as the
-    ensemble lays them out for the facilitator."""
-    b, k, m1 = p1.shape[2:]
-    q1 = p1.transpose(0, 1, 2, 4, 3)[:, :, :, :, None]  # (W, A1-1, B, M1, 1, K)
-    q2 = p2.transpose(0, 1, 2, 4, 3)[:, :, :, None]  # (W, A2-1, B, 1, M2, K)
-    return code_sim._pair_counts(q1, q2, n).reshape(-1, b, m1, p2.shape[-1], k)
-
-
-def _decode_counts(p1, p2, py, e, n):
-    """Counts D (B, M1, M2, A1*Y*A2) of (x1, y, x2) in the words k = e (B, M1, M2) of
-    codebooks p1 (W, A1-1, B, K, M1), p2 (W, A2-1, B, K, M2), gathered as the
-    ensemble gathers them, against each trial's received word py (W, Y-1, B)."""
-    b, k, m1 = p1.shape[2:]
-    planes = iter((p1, p2))
-    samplers = [lambda rng, lead: next(planes)] * 2
-    fac = SimpleNamespace(choose=lambda counts, rng: (e, None))
-    x1, x2, pairs, _ = code_sim._ensemble_words(None, b, m1, p2.shape[-1], k, n, samplers, fac)
-    d = code_sim._triple_counts(x1, x2, py[..., None, None], pairs)
-    return np.moveaxis(d.reshape(-1, *e.shape), 0, -1)
-
-
 class TestCountKernel:
     """The joint-count kernel against the gather-based reference."""
 
@@ -1164,22 +1062,17 @@ class TestCountKernel:
         y = rng.integers(0, mac.y_size, size=(self.B, n))
         return f1.astype(np.uint8), f2.astype(np.uint8), y.astype(np.uint8)
 
-    def kernel_parts(self, mac, f1, f2):
-        """The words' bit planes and their pair counts, checked against the gather reference."""
-        w1, w2 = f1.transpose(0, 2, 1, 3), f2.transpose(0, 2, 1, 3)  # kernel layout (B, K, M, n)
-        p1, p2 = code_sim._planes(w1, mac.x1_size), code_sim._planes(w2, mac.x2_size)
-        counts = _codebook_pair_counts(p1, p2, f1.shape[-1])  # cells first
+    def kernel_parts(self, mac, f1, f2, y, fac, rng=None):
+        """The ensemble's e, unmatched and decode counts of y; its pair counts are the reference's."""
+        sizes = mac.x1_size, mac.y_size, mac.x2_size
+        counts, e, unmatched, z = sim_seam.ensemble_counts(f1, f2, y, *sizes, fac, rng)
         want = gather_reference.pair_counts(f1, f2, mac.x1_size, mac.x2_size)
         assert np.array_equal(np.moveaxis(counts, 0, -1), want)
-        return p1, p2, counts
+        return e, unmatched, z
 
-    def decode_counts(self, mac, p1, p2, y, e):
-        return _decode_counts(p1, p2, code_sim._planes(y, mac.y_size), e, y.shape[-1])
-
-    def check_decode(self, mac, dist, n, mode, f1, f2, y, e, p1, p2):
+    def check_decode(self, mac, dist, n, mode, f1, f2, y, e, z):
         th = default_thresholds(mac, dist, n, self.M1, self.M2, self.K, mode)
         dec = code_sim._Decoder.build(mac, dist, th)
-        z = self.decode_counts(mac, p1, p2, y, e)
         got = _summed_metrics(dec, z @ dec.weights)
         x1, x2 = gather_reference.selected_words(f1, f2, e)
         tables = gather_reference.decode_tables(mac, dist, th.units)
@@ -1197,32 +1090,30 @@ class TestCountKernel:
     @pytest.mark.parametrize("case", sorted(_IID_CASES))
     def test_iid_matches_gather_reference(self, case):
         mac, dist, n = _IID_CASES[case]
-        fac = code_sim._ensemble(mac, dist, n, "iid")[1]
+        fac = sim_seam.facilitator(mac, dist, n, "iid")
         i_bar = info_density_tables(mac, dist, units="nats").i_bar
         saw_neg_inf = False
         for seed in range(5):
             f1, f2, y = self.draw(mac, dist, n, "iid", seed)
-            p1, p2, counts = self.kernel_parts(mac, f1, f2)
-            e, unmatched = fac.choose(counts)
+            e, unmatched, z = self.kernel_parts(mac, f1, f2, y, fac)
             assert unmatched is None
             assert np.array_equal(e, gather_reference.score_argmax(i_bar, f1, f2))
-            saw_neg_inf |= self.check_decode(mac, dist, n, "iid", f1, f2, y, e, p1, p2)
+            saw_neg_inf |= self.check_decode(mac, dist, n, "iid", f1, f2, y, e, z)
         assert saw_neg_inf == (case != "xor0.11")  # xor:0.11 has no kernel zeros
 
     @pytest.mark.parametrize("case", sorted(_TYPE_CASES))
     def test_type_mode_matches_gather_reference(self, case):
         mac, dist, n = _TYPE_CASES[case]
-        fac = code_sim._ensemble(mac, dist, n, "type")[1]
+        fac = sim_seam.facilitator(mac, dist, n, "type")
         target = np.rint(dist.p12 * n).astype(int)
         for seed in range(5):
             f1, f2, y = self.draw(mac, dist, n, "type", seed)
-            p1, p2, counts = self.kernel_parts(mac, f1, f2)
-            e, unmatched = fac.choose(counts, np.random.default_rng(seed))
+            e, unmatched, z = self.kernel_parts(mac, f1, f2, y, fac, np.random.default_rng(seed))
             matched = gather_reference.joint_type_match(f1, f2, target)
             assert np.array_equal(unmatched, ~matched.any(axis=-1))
             chosen = np.take_along_axis(matched, e[..., None], axis=-1)[..., 0]
             assert np.array_equal(chosen, ~unmatched)
-            self.check_decode(mac, dist, n, "type", f1, f2, y, e, p1, p2)
+            self.check_decode(mac, dist, n, "type", f1, f2, y, e, z)
             # a fixed code's type check: each trial's codebooks under its choice e
             th = default_thresholds(mac, dist, n, self.M1, self.M2, self.K, "type")
             for b in range(self.B):
@@ -1240,24 +1131,21 @@ class TestCountKernel:
     def test_direct_count_equals_decode_counts(self, mode, case, shape):
         mac, dist, n = (_IID_CASES if mode == "iid" else _TYPE_CASES)[case]
         m1, m2, _ = shape
-        fac = code_sim._ensemble(mac, dist, n, mode)[1]
+        fac = sim_seam.facilitator(mac, dist, n, mode)
         sizes = (mac.x1_size, mac.y_size, mac.x2_size)
         for seed in range(3):
             f1, f2, y = self.draw(mac, dist, n, mode, seed, shape)
-            p1, p2, counts = self.kernel_parts(mac, f1, f2)
-            e, _ = fac.choose(counts, np.random.default_rng(seed))
+            e, _, got = self.kernel_parts(mac, f1, f2, y, fac, np.random.default_rng(seed))
             x1, x2 = gather_reference.selected_words(f1, f2, e)
             want = gather_reference.decode_counts(x1, x2, y, *sizes)
-            got = self.decode_counts(mac, p1, p2, y, e)
             assert got.shape == want.shape == (self.B, m1, m2, np.prod(sizes))
             assert np.array_equal(got, want)
 
     def test_xor_scores_all_tie_so_first_codeword_wins(self):
         # xor:0.11 under uniform inputs has four bitwise-equal i_bar entries
         mac, dist, n = _IID_CASES["xor0.11"]
-        f1, f2, _ = self.draw(mac, dist, n, "iid", 0)
-        _, _, counts = self.kernel_parts(mac, f1, f2)
-        e, _ = code_sim._ensemble(mac, dist, n, "iid")[1].choose(counts)
+        f1, f2, y = self.draw(mac, dist, n, "iid", 0)
+        e, _, _ = self.kernel_parts(mac, f1, f2, y, sim_seam.facilitator(mac, dist, n, "iid"))
         assert np.all(e == 0)
 
 
@@ -1278,30 +1166,34 @@ def _words_lacking_symbols(rng, shape, size):
 def test_plane_counts_equal_the_gather_reference(a1, a2, ny, m1, m2, k, n, seed):
     rng = np.random.default_rng(seed)
     b = 2
-    f1 = _words_lacking_symbols(rng, (b, k, m1, n), a1)  # kernel layout (B, K, M, n)
+    f1 = _words_lacking_symbols(rng, (b, k, m1, n), a1)  # drawn (B, K, M, n)
     f2 = _words_lacking_symbols(rng, (b, k, m2, n), a2)
     y = _words_lacking_symbols(rng, (b, n), ny)
     g1, g2 = f1.transpose(0, 2, 1, 3), f2.transpose(0, 2, 1, 3)  # reference layout (B, M, K, n)
-    p1, p2 = code_sim._planes(f1, a1), code_sim._planes(f2, a2)
     want = gather_reference.pair_counts(g1, g2, a1, a2)
-    assert np.array_equal(np.moveaxis(_codebook_pair_counts(p1, p2, n), 0, -1), want)
     # the codebooks' (M, K, n) layout, as ``facilitate`` passes it
-    planes = code_sim._planes(g1[:, :, None], a1), code_sim._planes(g2[:, None], a2)
-    counts = code_sim._pair_counts(*planes, n).reshape(-1, b, m1, m2, k)
+    counts = sim_seam.pair_counts(g1[:, :, None], g2[:, None], a1, a2)
     assert np.array_equal(np.moveaxis(counts, 0, -1), want)
-    # the decode counts at any choice of k, not only the facilitator's
+    # the ensemble's counts, and its decode counts at any choice of k, not only the facilitator's
     e = rng.integers(0, k, size=(b, m1, m2))
+    counts, _, _, got = sim_seam.ensemble_counts(g1, g2, y, a1, ny, a2, e)
+    assert np.array_equal(np.moveaxis(counts, 0, -1), want)
     x1, x2 = gather_reference.selected_words(g1, g2, e)
-    got = _decode_counts(p1, p2, code_sim._planes(y, ny), e, n)
     assert np.array_equal(got, gather_reference.decode_counts(x1, x2, y, a1, ny, a2))
     # a fixed code's layout: every received word against all P = B*M1*M2 word pairs
-    q1 = code_sim._planes(x1.reshape(1, -1, n), a1)  # (W, A1-1, 1, P)
-    q2 = code_sim._planes(x2.reshape(1, -1, n), a2)
-    pairs = code_sim._pair_counts(q1, q2, n)  # (A1, A2, 1, P)
-    got = code_sim._triple_counts(q1, q2, code_sim._planes(y, ny)[..., None], pairs)
+    got = sim_seam.triple_counts(x1.reshape(1, -1, n), x2.reshape(1, -1, n), y[:, None], a1, ny, a2)
     w1, w2 = x1.reshape(1, 1, -1, n), x2.reshape(1, 1, -1, n)  # one (M1, M2) = (1, P) code
     want = gather_reference.decode_counts(w1, w2, y, a1, ny, a2)[:, 0]  # (B, P, A1*Y*A2)
-    assert np.array_equal(np.moveaxis(got.reshape(len(want[0, 0]), b, -1), 0, -1), want)
+    assert np.array_equal(np.moveaxis(got, 0, -1), want)
+
+
+def _traced(call, *args, **kwargs):
+    """call(*args, **kwargs) and tracemalloc's peak over it, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_memory_stays_bounded_at_m64_n1000():
@@ -1314,14 +1206,9 @@ def test_memory_stays_bounded_at_m64_n1000():
         mac=adder2(), dist=UNIFORM, n=1000, m1_count=64, m2_count=64, k=4,
         mode="iid", trials=6, seed=3,
     )
-    tracemalloc.start()
-    try:
-        rep = estimate_error(cfg)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    rep, peak = _traced(estimate_error, cfg)
     assert rep.trials == 6 and sum(rep.decomposition.values()) == rep.errors
-    assert peak_mb < bound_mb, peak_mb
+    assert peak / 2**20 < bound_mb, peak / 2**20
 
 
 def test_memory_stays_bounded_where_facilitated_words_are_counted_directly():
@@ -1332,14 +1219,9 @@ def test_memory_stays_bounded_where_facilitated_words_are_counted_directly():
         mode="iid", trials=40, seed=3,
     )
     assert code_sim._BLOCK_BYTES // code_sim._trial_bytes(cfg.mac, 1000, 7, 7, 4) < cfg.trials
-    tracemalloc.start()
-    try:
-        rep = estimate_error(cfg)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    rep, peak = _traced(estimate_error, cfg)
     assert rep.trials == 40 and sum(rep.decomposition.values()) == rep.errors
-    assert peak_mb < bound_mb, peak_mb
+    assert peak / 2**20 < bound_mb, peak / 2**20
 
 
 def _fixed_code_peak_mb(m, trials):
@@ -1350,14 +1232,9 @@ def _fixed_code_peak_mb(m, trials):
     )
     cb = draw_codebooks(cfg.mac, cfg.dist, cfg.n, m, m, 4, "iid", seed=3)
     table = facilitate(cb, cfg.mac, cfg.dist, "iid")
-    tracemalloc.start()
-    try:
-        rep = estimate_error_fixed_code(cb, table, cfg)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    rep, peak = _traced(estimate_error_fixed_code, cb, table, cfg)
     assert rep.trials == trials and sum(rep.decomposition.values()) == rep.errors
-    return peak_mb
+    return peak / 2**20
 
 
 def test_fixed_code_memory_stays_bounded_at_m64_n1000():
@@ -1410,7 +1287,7 @@ def _noisy_adder():
 
 def _bound_bytes(cfg):
     """The working set ``_bound_terms`` charges a bound sample of ``cfg``."""
-    fac = code_sim._ensemble(cfg.mac, cfg.dist, cfg.n, cfg.mode)[1]
+    fac = sim_seam.facilitator(cfg.mac, cfg.dist, cfg.n, cfg.mode)
     return code_sim._bound_sample_bytes(cfg.mac, cfg.k, len(code_sim._score_groups(fac.i_bar)))
 
 
@@ -1518,7 +1395,7 @@ def _exact_bound_rates(cfg, th):
     and every received word."""
     mac, n, k = cfg.mac, cfg.n, cfg.k
     a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
-    _, fac = code_sim._ensemble(mac, cfg.dist, n, cfg.mode)
+    fac = sim_seam.facilitator(mac, cfg.dist, n, cfg.mode)
     dec = code_sim._Decoder.build(mac, cfg.dist, th)
 
     def words(size, p, margin):
@@ -1552,7 +1429,7 @@ def _exact_bound_rates(cfg, th):
     counts = gather_reference.pair_counts(x1[combos][:, None], x2[combos][:, None], a1, a2)
     counts = counts[:, 0, 0]  # (C, K, A1*A2)
     if cfg.mode == "iid":
-        e, _ = fac.choose(np.moveaxis(counts, -1, 0)[:, :, None, None])  # cells first
+        e, _ = sim_seam.choose(fac, np.moveaxis(counts, -1, 0)[:, :, None, None])  # cells first
         p_e = np.eye(k)[e[:, 0, 0]]
         unmatched = 0.0
     else:  # uniform over the matched k, or over all K when none matched
@@ -1628,12 +1505,7 @@ class TestBoundSampler:
             mac=xor_channel(0.11), dist=UNIFORM, n=10**5, m1_count=1, m2_count=1, k=2**10,
         )
         block = code_sim._BLOCK_BYTES // _bound_bytes(cfg)
-        tracemalloc.start()
-        try:
-            fbl_bound(cfg, mc_samples=block + 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced(fbl_bound, cfg, mc_samples=block + 1)
         assert peak < code_sim._BLOCK_BYTES
 
 
@@ -1748,7 +1620,7 @@ class TestPooledScores:
     def test_distinct_scores_draw_the_version_5_stream(self, n, k, figures):
         mac, dist, _ = _IID_CASES["3x2x4"]
         cfg = SimConfig(mac=mac, dist=dist, n=n, m1_count=1, m2_count=1, k=k)
-        fac = code_sim._ensemble(cfg.mac, cfg.dist, n, "iid")[1]
+        fac = sim_seam.facilitator(cfg.mac, cfg.dist, n, "iid")
         assert len(code_sim._score_groups(fac.i_bar)) == 6  # every cell its own group
         # one group per cell, as in version 5
         assert _bound_bytes(cfg) == code_sim._bound_sample_bytes(cfg.mac, k, 6)
@@ -1759,7 +1631,7 @@ class TestPooledScores:
         # the noisy adder's cells (0, 1) and (1, 0) share an i_bar value but not a probability
         p1, p2, n = np.array([0.6, 0.4]), np.array([0.5, 0.5]), 3
         mac, dist = _noisy_adder(), ProductDist(p1, p2)
-        fac = code_sim._ensemble(mac, dist, n, "iid")[1]
+        fac = sim_seam.facilitator(mac, dist, n, "iid")
         groups = code_sim._score_groups(fac.i_bar)
         assert [g.tolist() for g in groups] == [[0], [1, 2], [3]]
         samples = 100_000
@@ -1781,7 +1653,7 @@ class TestPooledScores:
             kernel[a1, a2, a1 + a2] = 0.8
         p = np.array([0.5, 0.5, 0.0])
         cfg = SimConfig(mac=Mac(kernel), dist=ProductDist(p, p), n=3, m1_count=1, m2_count=1, k=2)
-        fac = code_sim._ensemble(cfg.mac, cfg.dist, cfg.n, "iid")[1]
+        fac = sim_seam.facilitator(cfg.mac, cfg.dist, cfg.n, "iid")
         groups = [g.tolist() for g in code_sim._score_groups(fac.i_bar)]
         assert [5, 7, 8] in groups and [2, 4, 6] in groups
         th = replace(cfg.resolved_thresholds(), c12=1.5, c1=0.75, c2=0.75)
@@ -1797,12 +1669,7 @@ class TestPooledScores:
         cfg = SimConfig(mac=adder2(), dist=UNIFORM, n=10**5, m1_count=1, m2_count=1, k=2**14)
         block = code_sim._BLOCK_BYTES // _bound_bytes(cfg)
         assert block < 100
-        tracemalloc.start()
-        try:
-            fbl_bound(cfg, mc_samples=block + 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced(fbl_bound, cfg, mc_samples=block + 1)
         assert code_sim._BLOCK_BYTES / 2 < peak < code_sim._BLOCK_BYTES
 
     def test_group_totals_past_the_block_budget_are_named(self):
@@ -1820,11 +1687,6 @@ def test_bound_memory_stays_bounded_at_the_papers_k(mode, k):
         mac, dist = xor_channel(0.11), UNIFORM
     cfg = SimConfig(mac=mac, dist=dist, n=160, m1_count=4, m2_count=4, k=k, mode=mode)
     block = code_sim._BLOCK_BYTES // _bound_bytes(cfg)
-    tracemalloc.start()
-    try:
-        bound = fbl_bound(cfg, mc_samples=block + 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    bound, peak = _traced(fbl_bound, cfg, mc_samples=block + 1)
     assert math.isfinite(bound)
     assert peak < code_sim._BLOCK_BYTES
