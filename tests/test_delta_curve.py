@@ -298,6 +298,18 @@ class TestCertificate:
         with pytest.raises(AssertionError, match="SLSQP ran"):
             delta(adder2(), 0.1, units=units)
 
+    def test_a_gain_below_the_slack_of_a_loose_certificate_is_found(self):
+        # 3% of adder2 in a kernel of uniform rows: the divergence bound misses C by
+        # 3.4e-4 nats, so a certificate slack of 1e-3 would report no gain at all
+        mac = Mac(0.97 * np.full((2, 2, 3), 1 / 3) + 0.03 * adder2().kernel)
+        cap = sum_capacity(mac, "nats")
+        gap = _letter_div_nats(mac.kernel, cap.argmax_dists[0].joint()).max() - cap.c_sum
+        assert 1e-12 < gap < 1e-3
+        # the grid oracle works in bits; a = 0.1 nats
+        grid_gain = brute_force_gain(mac, 0.1 / math.log(2), resolution=80) * math.log(2)
+        assert grid_gain >= 1e-5
+        assert delta(mac, 0.1, units="nats", capacity=cap).delta >= grid_gain - 1e-9
+
 
 def random_laws(count, seed=20211):
     """Seeded Dirichlet(1) and Dirichlet(0.3) joint laws, 2x2 up to 4x4."""
