@@ -91,14 +91,14 @@ def received(kernel, w1, w2, rng):
 
 def pair_counts(w1, w2, a1, a2):
     """Pair counts N (A1*A2, *S), cells first, of words w1 (*S1, n) of symbols in
-    [0, A1) and w2 (*S2, n) in [0, A2), where S1 and S2 broadcast to S."""
+    [0, A1) and w2 (*S2, n) in [0, A2), where S1 and S2 of as many axes broadcast to S."""
     counts = code_sim._pair_counts(code_sim._planes(w1, a1), code_sim._planes(w2, a2), w1.shape[-1])
     return counts.reshape(-1, *counts.shape[2:])
 
 
 def triple_counts(w1, w2, y, a1, ny, a2):
     """Counts D (A1*Y*A2, *S), cells first, of (x1, y, x2) in words w1, w2 and
-    received words y, (..., n) each, whose shapes broadcast to S."""
+    received words y, (..., n) each, whose shapes of as many axes broadcast to S."""
     p1, p2 = code_sim._planes(w1, a1), code_sim._planes(w2, a2)
     pairs = code_sim._pair_counts(p1, p2, w1.shape[-1])
     d = code_sim._triple_counts(p1, p2, code_sim._planes(y, ny), pairs)
