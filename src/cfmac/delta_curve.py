@@ -47,11 +47,11 @@ least one refinement ends with SLSQP status 0 and meets the budget, or
 
 Each SLSQP step of a refinement evaluates the MI core once: its value and
 its gradient 1 - D(W_x || p_Y) come from one output law
-(``channel._mi_and_div_nats``), and ``_refine`` computes the kernel's
-constant xlogy(W, W) once for all its steps.  What does not depend on the
-budget is computed once per (mac, capacity) in a ``_DeltaContext``: the top
-maximizer and the zero-gain
-certificate, and, when a budget first needs them, each maximizer's centered
+(``channel._mi_and_div_nats``), and every step takes the kernel's constant
+xlogy(W, W) from the Mac, which holds it as ``_w_log_w``.  What does not
+depend on the budget is computed once per (mac, capacity) in a
+``_DeltaContext``: the top maximizer and the zero-gain certificate, and,
+when a budget first needs them, each maximizer's centered
 density j with E[j^2] and the joint Blahut-Arimoto law.  ``delta`` builds a
 context and solves its one point; the CLI builds one and solves its whole
 grid, so both run the same code.  No context outlives the call that builds it.
@@ -64,7 +64,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import xlogy
 
 from .channel import (
     CapacityResult,
@@ -238,11 +237,13 @@ def _neg_mi_joint(x: np.ndarray, kernel: np.ndarray, w_log_w: np.ndarray, shape)
     return -mi, 1.0 - div.ravel()
 
 
-def _refine(kernel, p_start: np.ndarray, a_nats: float) -> tuple[np.ndarray | None, int]:
-    """SLSQP from ``p_start``: the projected law (None if it vanished) and the SLSQP status."""
+def _refine(
+    kernel, w_log_w, p_start: np.ndarray, a_nats: float
+) -> tuple[np.ndarray | None, int]:
+    """SLSQP from ``p_start``: the projected law (None if it vanished) and the SLSQP
+    status; ``w_log_w`` is the kernel's xlogy(W, W)."""
     shape = p_start.shape
     m = p_start.size
-    w_log_w = xlogy(kernel, kernel)  # once per refinement, not per step
     cons = [
         {"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(m)},
         {
@@ -331,7 +332,7 @@ class _DeltaContext:
         best_val = _mi_nats(kernel, best_p, w_log_w)
         converged = False
         for p0 in starts:
-            p, status = _refine(kernel, p0, a_nats)
+            p, status = _refine(kernel, w_log_w, p0, a_nats)
             for cand, refined_ok in ((p0, False), (p, status == 0)):
                 if cand is None or _mi_12_nats(cand) > a_nats:
                     continue

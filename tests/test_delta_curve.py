@@ -165,7 +165,7 @@ class TestStarts:
         uniform = np.full((mac.x1_size, mac.x2_size), 1.0 / (mac.x1_size * mac.x2_size))
         for a in (0.001, 0.01, 0.03, 0.1, 0.5, 1.0):
             a_nats = a * (math.log(2.0) if units == "bits" else 1.0)
-            p, _ = cfmac.delta_curve._refine(mac.kernel, uniform, a_nats)
+            p, _ = cfmac.delta_curve._refine(mac.kernel, mac._w_log_w, uniform, a_nats)
             gain = mutual_information(mac, JointDist(p), units=units) - cap.c_sum
             assert gain <= delta(mac, a, units=units, capacity=cap).delta + 1e-9, a
 
