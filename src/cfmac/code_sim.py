@@ -43,10 +43,12 @@ zeros) are counted by separate indicator columns, so 0 * inf never arises.
 The bound (M1 = M2 = 1) draws no symbols at all: it samples only what the
 facilitator and decoder read, from exact laws.  In iid mode that is the K
 pairs' totals over the cells of equal i_bar, which fix the scores, and the
-chosen pair's cells; in type mode whether any of the K pairs matched, from
-the closed form (1 - q)^K, and the chosen pair's table.  Then come the chosen
-pair's (x1, y, x2) counts.  The cost grows with neither n nor, in type mode
-or when i_bar takes one value, K.
+chosen pair's cells; in type mode nothing, since a matched pair has the
+target table t12 and an unmatched one errs, which the closed form p_u =
+(1 - q)^K pays for.  Then come the chosen pair's (x1, y, x2) counts.  One
+formula serves both modes, (1 - p_u) * (fail rate) + union + p_u, with p_u
+exactly 0.0 in iid mode.  The cost grows with neither n nor, in type mode or
+when i_bar takes one value, K.
 
 Fixed codes.  Both error estimates run one trial loop, ``_run_trials``, and
 differ only in where the facilitated words of every message pair and their
@@ -122,7 +124,7 @@ from .channel import (
 )
 from .errors import DegenerateThresholds, ModeMismatch, NotAnNType, SizeMismatch
 
-STREAM_VERSION = 8
+STREAM_VERSION = 9
 
 _BLOCK_BYTES = 64 * 2**20  # per-block working-set budget; sets the trials per block
 # Facilitator scores within this many ulps of n * max|i_bar|, per joint cell
@@ -494,7 +496,7 @@ def _symbols(planes, n):
 
 def _pair_counts(x1, x2, total):
     """Planes x1 (W, A1-1, *S), x2 (W, A2-1, *S) -> pair counts N (A1, A2, *S),
-    cells first; the shapes S broadcast.
+    cells first; the shapes S, of as many axes (else ``ValueError``), broadcast.
 
     The popcounts of ANDed planes give N[a1, a2] for a1, a2 >= 1, the words'
     own counts the cells with a1 = 0 or a2 = 0 by difference, and ``total``
@@ -506,6 +508,8 @@ def _pair_counts(x1, x2, total):
     dt = np.min_scalar_type(total)  # an array's own type
     n11 = c1 = c2 = np.zeros((), dtype=dt)  # to (A1-1, A2-1, *S), (A1-1, *S), (A2-1, *S)
     for u, v in zip(x1, x2):
+        if u.ndim != v.ndim:
+            raise ValueError(f"plane words of shapes {u.shape} and {v.shape} differ in rank")
         n11 = n11 + np.bitwise_count(u[:, None] & v)
         c1 = c1 + np.bitwise_count(u)
         c2 = c2 + np.bitwise_count(v)
@@ -522,11 +526,13 @@ def _triple_counts(x1, x2, y, pairs):
     """Planes x1 (W, A1-1, *S), x2 (W, A2-1, *S) of two words, their pair counts
     ``pairs`` (A1, A2, *S) and the planes y (W, Y-1, *S) of symbols 1..Y-1 of a
     received word -> counts D (A1, Y, A2, *S) of (x1, y, x2), cells first; the
-    shapes S broadcast.
+    shapes S, of as many axes (else ``ValueError``), broadcast.
 
     D[:, y] for y >= 1 is the pair count of the two words masked by y's plane,
     ANDed one plane word at a time; D[:, 0] is what is left of the pair counts.
     """
+    if not x1.ndim == x2.ndim == y.ndim:
+        raise ValueError(f"planes of shapes {x1.shape}, {x2.shape} and {y.shape} differ in rank")
     received = np.bitwise_count(y).sum(axis=0, dtype=pairs.dtype)  # (Y-1, *S)
     masked = _pair_counts(
         (u[:, None] & v for u, v in zip(x1, y)), (u[:, None] & v for u, v in zip(x2, y)), received
@@ -960,33 +966,8 @@ def _unmatched_probability(t12, k: int) -> float:
     return math.exp(-math.exp(min(math.log(k) + _log_miss_rate(t12), 709.0)))
 
 
-def _contingency(rng, shape, t1, t2):
-    """Joint counts (*shape, A1*A2) of two independent uniform arrangements of
-    words with symbol counts t1 (A1,) and t2 (A2,).
-
-    Row a1 holds the t1[a1] positions where the first word reads a1.  Given the
-    rows above it, the second word's symbols in the positions left are a uniform
-    arrangement of what those rows did not take, so the row is a multivariate
-    hypergeometric draw, made one column at a time from univariate ones.
-    """
-    a1, a2 = len(t1), len(t2)
-    table = np.empty(shape + (a1, a2), dtype=np.int64)
-    cols = np.array(np.broadcast_to(t2, shape + (a2,)), dtype=np.int64)  # not yet taken
-    for i in range(a1 - 1):
-        left = np.full(shape, t1[i], dtype=np.int64)
-        rest = cols.sum(axis=-1)
-        for j in range(a2 - 1):
-            rest -= cols[..., j]
-            table[..., i, j] = rng.hypergeometric(cols[..., j], rest, left)
-            left -= table[..., i, j]
-        table[..., i, -1] = left
-        cols -= table[..., i, :]
-    table[..., -1, :] = cols
-    return table.reshape(shape + (a1 * a2,))
-
-
 def _pooled_scores(dist: InputDist, fac: _Facilitator, groups, n: int, k: int):
-    """iid mode's sampler (rng, B) -> (the chosen pairs' counts (B, A1*A2), None).
+    """iid mode's sampler (rng, B) -> the chosen pairs' counts (B, A1*A2).
 
     It draws the K pairs' totals T_k over the score ``groups``, multinomial(n,
     p_g) for all K; the facilitator's tie rule picks e from the scores T_k . v;
@@ -1016,44 +997,25 @@ def _pooled_scores(dist: InputDist, fac: _Facilitator, groups, n: int, k: int):
         sent[:, alone_cells] = totals[:, alone]
         for g, cells in pooled:
             sent[:, cells] = rng.multinomial(totals[:, g], p12[cells] / p_group[g])
-        return sent, None
-
-    return sent_counts
-
-
-def _type_match(t12, p_unmatched: float):
-    """Type mode's sampler (rng, B) -> (the chosen pairs' counts (B, A1*A2), unmatched (B,)).
-
-    A sample is unmatched with probability ``p_unmatched``, (1 - q)^K (see
-    ``_unmatched_probability``), one uniform each.  A matched sample sends the
-    target table ``t12``; an unmatched one a contingency table of two uniform
-    arrangements, redrawn while it equals the target.
-    """
-    target = t12.ravel()
-    t1, t2 = t12.sum(axis=1), t12.sum(axis=0)
-
-    def sent_counts(rng, b):
-        unmatched = rng.random(b) < p_unmatched
-        sent = np.tile(target, (b, 1))
-        redraw = np.flatnonzero(unmatched)
-        while len(redraw):
-            sent[redraw] = _contingency(rng, (len(redraw),), t1, t2)
-            redraw = redraw[(sent[redraw] == target).all(axis=-1)]
-        return sent, unmatched
+        return sent
 
     return sent_counts
 
 
 def _bound_terms(config: SimConfig, th: DecoderThresholds, mc_samples: int, seed: int):
-    """Monte Carlo term of the bound, (threshold fails, type-mode unmatched)
-    counts, and the exact probability that no pair matches the target type:
-    (1 - q)^K in type mode, 0.0 in iid mode.
+    """Monte Carlo term of the bound, (threshold fails, p_unmatched): the fails
+    among ``mc_samples`` samples of the chosen pair, and the exact probability
+    that no pair matches the target type, (1 - q)^K in type mode
+    (``_unmatched_probability``), 0.0 in iid mode.
 
     With M1 = M2 = 1 a sample depends on its codewords and received word only
     through counts, and the facilitator reads fewer still, so a sample draws
-    only what it reads, each from its exact law (``_pooled_scores`` in iid
-    mode, ``_type_match`` in type mode), then the chosen pair's outputs,
-    multinomial(N_e[a1, a2], W[a1, a2]) per cell.  A sample costs
+    only what it reads, each from its exact law, then the chosen pair's
+    outputs, multinomial(N_e[a1, a2], W[a1, a2]) per cell.  In iid mode
+    ``_pooled_scores`` draws the chosen pair's table N_e.  In type mode a
+    sample is a matched one: its pair has the target table t12, the only
+    table whose fails the bound needs, since an unmatched sample's error is
+    paid by p_unmatched; it draws the outputs alone.  A sample costs
     O(K*G + A1*A2*Y) with G > 1 score groups, else O(A1*A2*(1 + Y)), whatever
     n.  Raises ``ValueError`` when one sample's K group totals do not fit the
     block budget.
@@ -1061,7 +1023,7 @@ def _bound_terms(config: SimConfig, th: DecoderThresholds, mc_samples: int, seed
     mac, dist, n, k = config.mac, config.dist, config.n, config.k
     a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
     _, fac = _ensemble(mac, dist, n, config.mode)
-    # the thresholds are tested alone: a type miss is counted separately
+    # the thresholds are tested alone: a type miss is paid by p_unmatched
     dec = _Decoder.build(mac, dist, th)
     # laws sum to 1 within the inputs' tolerance (1e-9), multinomial's is 1e-12
     kernel = mac.kernel.reshape(a1 * a2, ny)
@@ -1077,19 +1039,14 @@ def _bound_terms(config: SimConfig, th: DecoderThresholds, mc_samples: int, seed
     if fac.target is None:
         sent_counts = _pooled_scores(dist, fac, groups, n, k)
     else:
-        t12 = fac.target.reshape(a1, a2)
-        p_unmatched = _unmatched_probability(t12, k)
-        sent_counts = _type_match(t12, p_unmatched)
+        p_unmatched = _unmatched_probability(fac.target.reshape(a1, a2), k)
+        sent_counts = lambda rng, b: np.tile(fac.target, (b, 1))
 
     fails = 0
-    type_misses = 0
     for rng, b in _blocks(seed, _BOUND, mc_samples, sample_bytes):
-        sent, unmatched = sent_counts(rng, b)  # (B, A1*A2)
-        outputs = rng.multinomial(sent, kernel).reshape(b, a1, a2, ny)
+        outputs = rng.multinomial(sent_counts(rng, b), kernel).reshape(b, a1, a2, ny)
         fails += int((~dec.decide(outputs.transpose(1, 3, 2, 0))).sum())
-        if unmatched is not None:
-            type_misses += int(unmatched.sum())
-    return fails, type_misses, p_unmatched
+    return fails, p_unmatched
 
 
 def _union(config: SimConfig, th: DecoderThresholds) -> float:
@@ -1113,11 +1070,13 @@ def _union(config: SimConfig, th: DecoderThresholds) -> float:
 def fbl_bound(config: SimConfig, mc_samples: int = 100_000, seed: int | None = None) -> float:
     """Upper bound on the ensemble-average error probability of ``config``'s decoder.
 
-    The probability that the facilitated pair's density vector misses the
-    thresholds is estimated by Monte Carlo, as the upper endpoint of its 99%
-    confidence interval, keeping the bound valid with high confidence; the
-    impostor union terms and, in type mode, the probability (1 - q)^K that no
-    codeword pair has the target joint type are exact closed forms.  The
+    The bound is (1 - p_u) * fail rate + union + p_u.  p_u, the probability
+    (1 - q)^K that no codeword pair has the target joint type, is exact, and
+    exactly 0.0 in iid mode; so are the impostor union terms.  The fail rate,
+    the probability that the facilitated pair's density vector misses the
+    thresholds (in type mode, given that it has the target type), is
+    estimated by Monte Carlo, as the upper endpoint of its 99% confidence
+    interval, keeping the bound valid with high confidence.  The
     ``mc_samples`` samples are drawn from the exact laws of the counts the
     facilitator and decoder read, so their cost grows neither with the
     blocklength n nor, in type mode or with one score group, with K; ``seed``
@@ -1131,8 +1090,9 @@ def fbl_bound(config: SimConfig, mc_samples: int = 100_000, seed: int | None = N
     if seed is None:
         seed = config.seed
 
-    fails, _, p_unmatched = _bound_terms(config, th, mc_samples, seed)
-    return _clopper_pearson(fails, mc_samples, 0.01)[1] + _union(config, th) + p_unmatched
+    fails, p_unmatched = _bound_terms(config, th, mc_samples, seed)
+    fail_rate = _clopper_pearson(fails, mc_samples, 0.01)[1]
+    return (1.0 - p_unmatched) * fail_rate + _union(config, th) + p_unmatched
 
 
 def estimate_error_fixed_code(

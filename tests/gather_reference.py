@@ -39,7 +39,7 @@ def pair_counts(f1, f2, a1, a2):
     return np.stack(cells, axis=-1)
 
 
-def joint_type_match(f1, f2, target):
+def matches_joint_type(f1, f2, target):
     """Whether each (B, M1, M2, K) pair has joint-type counts ``target`` (A1, A2)."""
     return (pair_counts(f1, f2, *target.shape) == target.ravel()).all(axis=-1)
 

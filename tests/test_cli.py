@@ -281,7 +281,7 @@ class TestSimulate:
         code, _, _ = run(capsys, "--out", str(out), "simulate", "--config", str(cfg))
         assert code == 0
         manifest = json.loads((tmp_path / "sim.json.manifest.json").read_text())
-        assert manifest["stream_version"] == 8
+        assert manifest["stream_version"] == 9
 
     def test_manifest_records_library_versions(self, tmp_path, capsys):
         # the stream's Generator methods may change between NumPy releases

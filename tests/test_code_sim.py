@@ -983,7 +983,7 @@ class TestStreams:
         assert type(draw_codebooks(adder2(), UNIFORM, 4, 2, 2, 2, seed=2.0).seed) is int
 
     def test_stream_version(self):
-        assert code_sim.STREAM_VERSION == 8
+        assert code_sim.STREAM_VERSION == 9
 
 
 def _kernel_3x2x4():
@@ -1109,7 +1109,7 @@ class TestCountKernel:
         for seed in range(5):
             f1, f2, y = self.draw(mac, dist, n, "type", seed)
             e, unmatched, z = self.kernel_parts(mac, f1, f2, y, fac, np.random.default_rng(seed))
-            matched = gather_reference.joint_type_match(f1, f2, target)
+            matched = gather_reference.matches_joint_type(f1, f2, target)
             assert np.array_equal(unmatched, ~matched.any(axis=-1))
             chosen = np.take_along_axis(matched, e[..., None], axis=-1)[..., 0]
             assert np.array_equal(chosen, ~unmatched)
@@ -1147,6 +1147,21 @@ class TestCountKernel:
         f1, f2, y = self.draw(mac, dist, n, "iid", 0)
         e, _, _ = self.kernel_parts(mac, f1, f2, y, sim_seam.facilitator(mac, dist, n, "iid"))
         assert np.all(e == 0)
+
+    def test_pair_counts_reject_words_of_unequal_rank(self):
+        # words (1, 4) against (2, 1, 4) would broadcast their lead shapes into the cells
+        w1, w2 = np.zeros((1, 4), dtype=np.uint8), np.zeros((2, 1, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"shapes \(1, 1\) and \(1, 2, 1\) differ in rank"):
+            sim_seam.pair_counts(w1, w2, 2, 2)
+        assert sim_seam.pair_counts(w1[None], w2, 2, 2).shape == (4, 2, 1)
+
+    def test_triple_counts_reject_words_of_unequal_rank(self):
+        w, y = np.zeros((2, 4), dtype=np.uint8), np.zeros(4, dtype=np.uint8)
+        with pytest.raises(
+            ValueError, match=r"shapes \(1, 1, 2\), \(1, 1, 2\) and \(1, 2\) differ in rank"
+        ):
+            sim_seam.triple_counts(w, w, y, 2, 3, 2)
+        assert sim_seam.triple_counts(w, w, y[None], 2, 3, 2).shape == (12, 2)
 
 
 def _words_lacking_symbols(rng, shape, size):
@@ -1292,7 +1307,7 @@ def _bound_bytes(cfg):
 
 
 class TestStreamGolden:
-    """Exact results of stream version 8 for fixed (config, seed).
+    """Exact results of stream version 9 for fixed (config, seed).
 
     Anything that moves the random streams (the generator or its keys, draw
     order, the samplers, or the trials per block set by ``_trial_bytes`` and
@@ -1301,32 +1316,32 @@ class TestStreamGolden:
     ``PYTHONPATH=src python tests/stream_golden.py`` prints them.
     """
 
-    VERSION = 8
+    VERSION = 9
     # name: (config, trials per (ensemble, bound) block, errors,
     #        (threshold_miss, impostor_pass, ambiguity, type_miss),
-    #        (bound samples, threshold fails, type-mode unmatched))
+    #        (bound samples, threshold fails))
     CASES = {
         "xor-iid-blocks": (
             dict(mac=xor_channel(0.11), dist=UNIFORM, n=60, m1_count=16, m2_count=16, k=4,
                  trials=600, seed=11),
-            (197, 174762), 9, (8, 0, 1, 0), (200_000, 2472, 0),
+            (197, 174762), 9, (8, 0, 1, 0), (200_000, 2472),
         ),
         "noisy-adder-iid": (
             dict(mac=_noisy_adder(), dist=ProductDist(np.array([0.6, 0.4]), UNIFORM.p2), n=16,
                  m1_count=3, m2_count=2, k=3, trials=3000, seed=5),
-            (5801, 92182), 89, (70, 0, 19, 0), (200_000, 4390, 0),
+            (5801, 92182), 89, (70, 0, 19, 0), (200_000, 4390),
         ),
         # dyadic input laws of b = 2 and b = 3 bits: bit-sliced threshold compares
         "noisy-adder-iid-dyadic": (
             dict(mac=_noisy_adder(), dist=ProductDist(np.array([0.25, 0.75]),
                                                       np.array([0.625, 0.375])),
                  n=24, m1_count=3, m2_count=2, k=4, trials=2000, seed=7),
-            (3221, 83886), 18, (16, 0, 2, 0), (200_000, 1496, 0),
+            (3221, 83886), 18, (16, 0, 2, 0), (200_000, 1496),
         ),
         "noisy-adder-type": (
             dict(mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=4, m2_count=4, k=16,
                  mode="type", trials=1000, seed=1),
-            (330, 131072), 518, (513, 0, 0, 5), (200_000, 100184, 2101),
+            (330, 131072), 518, (513, 0, 0, 5), (200_000, 100093),
         ),
     }
 
@@ -1357,10 +1372,10 @@ class TestStreamGolden:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_bound_samples(self, case):
-        kw, _, _, _, (samples, fails, misses) = self.CASES[case]
+        kw, _, _, _, (samples, fails) = self.CASES[case]
         cfg = SimConfig(**kw)
-        got = code_sim._bound_terms(cfg, cfg.resolved_thresholds(), samples, seed=3)[:2]
-        assert got == (fails, misses)
+        got, _ = code_sim._bound_terms(cfg, cfg.resolved_thresholds(), samples, seed=3)
+        assert got == fails
 
     def test_codebooks_facilitator_and_fixed_code(self):
         kw = self.CASES["noisy-adder-iid"][0]
@@ -1382,17 +1397,19 @@ class TestStreamGolden:
 _TYPE_3X2 = JointDist(np.array([[0.2, 0.1], [0.2, 0.2], [0.1, 0.2]]))
 
 
-def _two_sample_z(count_a, count_b, samples):
-    """z statistic of two binomial counts out of ``samples`` each (0 when both are 0)."""
-    pooled = (count_a + count_b) / (2 * samples)
-    se = math.sqrt(2 * pooled * (1 - pooled) / samples)
-    return 0.0 if se == 0 else (count_a - count_b) / samples / se
+def _two_sample_z(count_a, samples_a, count_b, samples_b):
+    """z statistic of two binomial counts out of ``samples_a`` and ``samples_b``
+    (0 when the pooled rate is 0 or 1)."""
+    pooled = (count_a + count_b) / (samples_a + samples_b)
+    se = math.sqrt(pooled * (1 - pooled) * (1 / samples_a + 1 / samples_b))
+    return 0.0 if se == 0 else (count_a / samples_a - count_b / samples_b) / se
 
 
 def _exact_bound_rates(cfg, th):
     """Exact (threshold fail, type-mode unmatched) probabilities of one bound
     sample, enumerating every codeword of every pair, each facilitator choice
-    and every received word."""
+    and every received word.  In type mode the fail probability is the one
+    given that the pair has the target type t12, which every such pair shares."""
     mac, n, k = cfg.mac, cfg.n, cfg.k
     a1, a2, ny = mac.x1_size, mac.x2_size, mac.y_size
     fac = sim_seam.facilitator(mac, cfg.dist, n, cfg.mode)
@@ -1431,13 +1448,13 @@ def _exact_bound_rates(cfg, th):
     if cfg.mode == "iid":
         e, _ = sim_seam.choose(fac, np.moveaxis(counts, -1, 0)[:, :, None, None])  # cells first
         p_e = np.eye(k)[e[:, 0, 0]]
-        unmatched = 0.0
-    else:  # uniform over the matched k, or over all K when none matched
-        matched = (counts == fac.target).all(axis=-1)
-        none = ~matched.any(axis=1)
-        p_e = np.where(none[:, None], 1.0, matched) / np.where(none, k, matched.sum(axis=1))[:, None]
-        unmatched = float(p_combo @ none)
-    return float(p_combo @ (p_e * fail[combos]).sum(axis=1)), unmatched
+        return float(p_combo @ (p_e * fail[combos]).sum(axis=1)), 0.0
+    # each pair as a trial of its own
+    pairs = gather_reference.pair_counts(x1[:, None, None], x2[:, None, None], a1, a2)
+    in_type = (pairs == fac.target).all(axis=-1).ravel()  # (P,)
+    assert fail[in_type] == pytest.approx(np.full(in_type.sum(), fail[in_type][0]), rel=1e-12)
+    none = ~(counts == fac.target).all(axis=-1).any(axis=1)
+    return float(fail[in_type][0]), float(p_combo @ none)
 
 
 class TestBoundSampler:
@@ -1472,12 +1489,15 @@ class TestBoundSampler:
         cfg = SimConfig(**kw, thresholds=th)
         th = cfg.resolved_thresholds()
         samples = 60_000
-        counts = code_sim._bound_terms(cfg, th, samples, seed=1)[:2]
-        symbols = bound_reference.reference_bound_samples(cfg, th, samples, seed=2)
-        for got, want in zip(counts, symbols):
-            assert abs(_two_sample_z(got, want, samples)) < 4.0, (counts, symbols)
-        rates = np.array(counts + symbols) / samples
-        checked = rates if cfg.mode == "type" else rates[::2]  # iid has no type misses
+        fails, p_unmatched = code_sim._bound_terms(cfg, th, samples, seed=1)
+        want, matched = bound_reference.reference_bound_samples(cfg, th, samples, seed=2)
+        assert abs(_two_sample_z(fails, samples, want, matched)) < 4.0, (fails, want, matched)
+        # the symbol sampler's misses against the closed form (1 - q)^K
+        misses = samples - matched
+        se = math.sqrt(p_unmatched * (1 - p_unmatched) / samples)
+        assert abs(misses / samples - p_unmatched) <= 4.0 * se, (misses, p_unmatched)
+        rates = np.array([fails / samples, want / matched, p_unmatched])
+        checked = rates if cfg.mode == "type" else rates[:2]  # iid has no type misses
         assert np.all((checked >= 1e-3) & (checked <= 0.5)), rates
 
     @pytest.mark.parametrize("case", [
@@ -1494,10 +1514,10 @@ class TestBoundSampler:
         th = replace(cfg.resolved_thresholds(), c12=0.5 * n, c1=0.25 * n, c2=0.25 * n)
         fail, unmatched = _exact_bound_rates(cfg, th)
         samples = 200_000
-        got = code_sim._bound_terms(cfg, th, samples, seed=4)[:2]
-        for count, p in zip(got, (fail, unmatched)):
-            se = math.sqrt(p * (1 - p) / samples)
-            assert abs(count / samples - p) <= 4.0 * se, (got, fail, unmatched)
+        fails, p_unmatched = code_sim._bound_terms(cfg, th, samples, seed=4)
+        se = math.sqrt(fail * (1 - fail) / samples)
+        assert abs(fails / samples - fail) <= 4.0 * se, (fails, fail)
+        assert p_unmatched == pytest.approx(unmatched, rel=1e-12, abs=0.0)
         assert 0.01 < fail < 0.99
 
     def test_memory_stays_bounded_at_large_n_and_k(self):
@@ -1559,41 +1579,17 @@ class TestTypeMatchLaw:
 
     @pytest.mark.parametrize("t12, k", [([[4, 2], [2, 4]], 4), ([[3, 1, 0], [1, 2, 3]], 3)])
     def test_unmatched_probability_equals_counted_misses(self, t12, k):
+        # K type-class word pairs per sample, drawn as the construction draws them
         t12 = np.array(t12)
-        t1, t2 = t12.sum(axis=1), t12.sum(axis=0)
+        (a1, a2), n = t12.shape, int(t12.sum())
+        dist = JointDist(t12 / n)
         samples = 100_000
-        tables = code_sim._contingency(np.random.default_rng(5), (samples, k), t1, t2)
-        misses = int((~(tables == t12.ravel()).all(axis=-1).any(axis=-1)).sum())
+        rng = np.random.default_rng(5)
+        w1, w2 = (sim_seam.sampled_words(dist, n, "type", rng, (samples, k), user) for user in (1, 2))
+        counts = sim_seam.pair_counts(w1, w2, a1, a2)  # (A1*A2, samples, K)
+        matched = (counts == t12.reshape(-1, 1, 1)).all(axis=0)
+        misses = int((~matched.any(axis=-1)).sum())
         p = code_sim._unmatched_probability(t12, k)
-        assert abs(misses / samples - p) <= 4.0 * math.sqrt(p * (1 - p) / samples), (misses, p)
-
-    def test_unmatched_tables_follow_the_law_off_the_target(self):
-        # K = 1: a sample is unmatched with probability 1 - q, and then its
-        # table follows the joint-type law conditioned on not being the target
-        t12 = np.array([[2, 1, 0], [0, 1, 2]])
-        law = _enumerated_match_law(t12.sum(axis=1), t12.sum(axis=0))
-        target = tuple(t12.ravel())
-        samples = 100_000
-        sampler = code_sim._type_match(t12, code_sim._unmatched_probability(t12, 1))
-        sent, unmatched = sampler(np.random.default_rng(8), samples)
-        assert np.all(sent[~unmatched] == t12.ravel())
-        assert abs(unmatched.mean() - (1 - law[target])) <= 4.0 * math.sqrt(
-            law[target] * (1 - law[target]) / samples
-        )
-        drawn = sent[unmatched]
-        for table, prob in law.items():
-            p = 0.0 if table == target else prob / (1 - law[target])
-            got = (drawn == table).all(axis=-1).mean()
-            assert abs(got - p) <= 4.0 * math.sqrt(p * (1 - p) / len(drawn)) + 1e-12, (table, got, p)
-
-    def test_bound_samples_miss_at_the_exact_rate(self):
-        cfg = SimConfig(
-            mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=1, m2_count=1, k=16, mode="type",
-        )
-        samples = 100_000
-        _, misses = code_sim._bound_terms(cfg, cfg.resolved_thresholds(), samples, seed=6)[:2]
-        p = code_sim._unmatched_probability(code_sim._type_counts(HALF_TYPE, 40), 16)
-        assert 0.01 < p < 0.5
         assert abs(misses / samples - p) <= 4.0 * math.sqrt(p * (1 - p) / samples), (misses, p)
 
     def test_type_miss_term_is_exact(self):
@@ -1601,10 +1597,33 @@ class TestTypeMatchLaw:
             mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=2, m2_count=2, k=16, mode="type",
         )
         th = cfg.resolved_thresholds()
-        fails, _ = code_sim._bound_terms(cfg, th, 1000, seed=cfg.seed)[:2]
-        p = code_sim._unmatched_probability(code_sim._type_counts(HALF_TYPE, 40), 16)
-        want = code_sim._clopper_pearson(fails, 1000, 0.01)[1] + code_sim._union(cfg, th) + p
+        fails, p = code_sim._bound_terms(cfg, th, 1000, seed=cfg.seed)
+        assert p == code_sim._unmatched_probability(code_sim._type_counts(HALF_TYPE, 40), 16)
+        fail_rate = code_sim._clopper_pearson(fails, 1000, 0.01)[1]
+        want = (1.0 - p) * fail_rate + code_sim._union(cfg, th) + p
         assert fbl_bound(cfg, mc_samples=1000) == want
+
+    def test_one_message_pair_bound_is_exact(self):
+        # at M1 = M2 = 1 no impostor exists, and the ensemble error is exactly
+        # p_u + (1 - p_u) * P(fail | t12): the bound past its union terms is
+        # that, plus its Clopper-Pearson slack
+        cfg = SimConfig(
+            mac=_noisy_adder(), dist=HALF_TYPE, n=40, m1_count=1, m2_count=1, k=4, mode="type",
+            trials=100_000, seed=1,
+        )
+        th = cfg.resolved_thresholds()
+        samples = 100_000
+        p_hat = estimate_error(cfg).p_hat
+        fails = code_sim._bound_terms(cfg, th, samples, seed=cfg.seed)[0]
+        p_u = code_sim._unmatched_probability(code_sim._type_counts(HALF_TYPE, 40), 4)
+        f = fails / samples
+        slack = code_sim._clopper_pearson(fails, samples, 0.01)[1] - f
+        sigma = math.sqrt(
+            p_hat * (1 - p_hat) / cfg.trials + (1 - p_u) ** 2 * f * (1 - f) / samples
+        )
+        gap = fbl_bound(cfg, mc_samples=samples) - code_sim._union(cfg, th) - p_hat
+        assert 0.1 < p_u < 0.5 and 0.1 < f < 0.9
+        assert -4.0 * sigma <= gap <= slack + 4.0 * sigma, (gap, slack, sigma)
 
 
 class TestPooledScores:
@@ -1615,8 +1634,8 @@ class TestPooledScores:
         assert [g.tolist() for g in groups] == [[0, 2], [1, 4], [3], [5, 6]]
         assert code_sim._score_groups(None) == []
 
-    # version-5 figures (fails, unmatched) of _bound_terms(cfg, th, 100_000, seed=3)
-    @pytest.mark.parametrize("n, k, figures", [(30, 8, (4947, 0)), (50, 2, (784, 0))])
+    # version-5 figures (fails, p_unmatched) of _bound_terms(cfg, th, 100_000, seed=3)
+    @pytest.mark.parametrize("n, k, figures", [(30, 8, (4947, 0.0)), (50, 2, (784, 0.0))])
     def test_distinct_scores_draw_the_version_5_stream(self, n, k, figures):
         mac, dist, _ = _IID_CASES["3x2x4"]
         cfg = SimConfig(mac=mac, dist=dist, n=n, m1_count=1, m2_count=1, k=k)
@@ -1624,7 +1643,9 @@ class TestPooledScores:
         assert len(code_sim._score_groups(fac.i_bar)) == 6  # every cell its own group
         # one group per cell, as in version 5
         assert _bound_bytes(cfg) == code_sim._bound_sample_bytes(cfg.mac, k, 6)
-        assert code_sim._bound_terms(cfg, cfg.resolved_thresholds(), 100_000, seed=3)[:2] == figures
+        fails, p_unmatched = code_sim._bound_terms(cfg, cfg.resolved_thresholds(), 100_000, seed=3)
+        assert fails == figures[0]
+        assert p_unmatched == figures[1] and type(p_unmatched) is float
 
     def test_one_pair_sends_a_multinomial_table(self):
         # K = 1: the pooled totals, split within the groups, are multinomial(n, p1 x p2);
@@ -1636,7 +1657,7 @@ class TestPooledScores:
         assert [g.tolist() for g in groups] == [[0], [1, 2], [3]]
         samples = 100_000
         sampler = code_sim._pooled_scores(dist, fac, groups, n, 1)
-        sent, _ = sampler(np.random.default_rng(9), samples)
+        sent = sampler(np.random.default_rng(9), samples)
         p12 = np.outer(p1, p2).ravel()
         for table in itertools.product(range(n + 1), repeat=4):
             if sum(table) != n:
@@ -1659,7 +1680,7 @@ class TestPooledScores:
         th = replace(cfg.resolved_thresholds(), c12=1.5, c1=0.75, c2=0.75)
         fail, _ = _exact_bound_rates(cfg, th)
         samples = 200_000
-        fails, _ = code_sim._bound_terms(cfg, th, samples, seed=4)[:2]
+        fails, _ = code_sim._bound_terms(cfg, th, samples, seed=4)
         assert abs(fails / samples - fail) <= 4.0 * math.sqrt(fail * (1 - fail) / samples)
         assert 0.01 < fail < 0.99
 
