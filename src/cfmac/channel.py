@@ -9,9 +9,10 @@ value and ``_letter_div_nats`` the letter divergences D(W_x || p_Y), from
 which ``_dbar_nats`` forms the gradient over each input.  ``sum_capacity``
 runs SLSQP on them from a fixed seed grid and certifies the result by the
 SLSQP status and the KKT residual; a kernel whose rows are all one law has
-capacity exactly 0.  ``delta_curve`` uses the same core, and its joint
-Blahut-Arimoto start takes its multiplicative step from ``_letter_div_nats``
-itself.
+capacity exactly 0.  Every SLSQP run of the package, here and in
+``delta_curve``, goes through ``_slsqp``, its one call of SciPy's optimizer.
+``delta_curve`` uses the same core, and its joint Blahut-Arimoto start takes
+its multiplicative step from ``_letter_div_nats`` itself.
 
 A solver step evaluates the core once: ``_mi_and_div_nats`` builds the
 output law p_Y of its input law once and takes both the value and the letter
@@ -481,6 +482,16 @@ def _neg_mi_product(x: np.ndarray, kernel: np.ndarray, w_log_w: np.ndarray, n1: 
     return -mi, -grad
 
 
+def _slsqp(objective, x0: np.ndarray, args: tuple, constraints, ftol: float, maxiter: int):
+    """The package's one optimizer call: SLSQP on [0, 1]^len(x0), ``objective`` returning its
+    value and gradient.  Returns the solution clipped at 0, the status and the iterations."""
+    res = minimize(
+        objective, x0, args=args, method="SLSQP", jac=True, bounds=[(0.0, 1.0)] * len(x0),
+        constraints=constraints, options={"ftol": ftol, "maxiter": maxiter},
+    )
+    return np.clip(res.x, 0.0, None), res.status, res.nit
+
+
 def _ascend(mac: Mac, p1: np.ndarray, p2: np.ndarray):
     """SLSQP on I(p1 x p2) from one start, with the analytic gradient.
 
@@ -490,21 +501,13 @@ def _ascend(mac: Mac, p1: np.ndarray, p2: np.ndarray):
     n1 = len(p1)
     sums = np.zeros((2, n1 + len(p2)))
     sums[0, :n1] = sums[1, n1:] = 1.0
-    res = minimize(
-        _neg_mi_product,
-        np.concatenate([p1, p2]),
-        args=(mac.kernel, mac._w_log_w, n1),
-        jac=True,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * (n1 + len(p2)),
-        constraints={"type": "eq", "fun": lambda x: sums @ x - 1.0, "jac": lambda x: sums},
-        options={"ftol": 1e-14, "maxiter": 500},
-    )
-    a = np.clip(res.x[:n1], 0.0, None)
-    b = np.clip(res.x[n1:], 0.0, None)
+    x0, args = np.concatenate([p1, p2]), (mac.kernel, mac._w_log_w, n1)
+    cons = {"type": "eq", "fun": lambda x: sums @ x - 1.0, "jac": lambda x: sums}
+    x, status, nit = _slsqp(_neg_mi_product, x0, args, cons, 1e-14, 500)
+    a, b = x[:n1], x[n1:]
     a /= a.sum()
     b /= b.sum()
-    return _mi_nats(mac.kernel, a[:, None] * b, mac._w_log_w), a, b, res.status, res.nit
+    return _mi_nats(mac.kernel, a[:, None] * b, mac._w_log_w), a, b, status, nit
 
 
 def _seed_grid(mac: Mac) -> tuple[np.ndarray, np.ndarray]:

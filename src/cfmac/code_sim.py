@@ -972,19 +972,18 @@ def _pooled_scores(dist: InputDist, fac: _Facilitator, groups, n: int, k: int):
     It draws the K pairs' totals T_k over the score ``groups``, multinomial(n,
     p_g) for all K; the facilitator's tie rule picks e from the scores T_k . v;
     then only T_e is split into cells, multinomial(T_g, p_c / p_g) per group
-    of more than one cell and p_g > 0.  This is exact, because the choice
-    depends on the totals alone.  With one group every score ties and e = 0,
-    so nothing is drawn per k; when every cell is its own group the draws are
-    version 5's.
+    of p_g > 0.  This is exact, because the choice depends on the totals
+    alone.  A one-cell group's split draws nothing, since NumPy's multinomial
+    takes no variate for one category.  With one group every score ties and
+    e = 0, so nothing is drawn per k; when every cell is its own group the
+    draws are version 5's.
     """
     p12 = np.outer(dist.p1, dist.p2).ravel()
     p12 /= p12.sum()
     score = _Facilitator(fac.i_bar[[g[0] for g in groups]], fac.tol, None)
     p_group = np.array([p12[g].sum() for g in groups])
-    alone = [g for g, cells in enumerate(groups) if len(cells) == 1]
-    alone_cells = [groups[g][0] for g in alone]
     # a group of probability 0 always totals 0: its cells keep their zeros
-    pooled = [(g, c) for g, c in enumerate(groups) if len(c) > 1 and p_group[g] > 0]
+    pooled = [(g, c) for g, c in enumerate(groups) if p_group[g] > 0]
 
     def sent_counts(rng, b):
         if len(groups) == 1:
@@ -994,7 +993,6 @@ def _pooled_scores(dist: InputDist, fac: _Facilitator, groups, n: int, k: int):
             e, _ = score.choose(np.moveaxis(totals, -1, 0)[:, :, None, None])
             totals = totals[np.arange(b), e[:, 0, 0]]
         sent = np.zeros((b, len(p12)), dtype=np.int64)
-        sent[:, alone_cells] = totals[:, alone]
         for g, cells in pooled:
             sent[:, cells] = rng.multinomial(totals[:, g], p12[cells] / p_group[g])
         return sent

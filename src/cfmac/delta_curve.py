@@ -3,18 +3,19 @@
 delta(a) maximizes I(X1,X2;Y) over joint input distributions whose input
 mutual information I(X1;X2) stays below ``a``.  The objective and its
 gradient come from ``channel``, whose ``_mi_nats`` also gives the
-sum-capacity C.  SLSQP refines four kinds of start over the joint simplex:
-each capacity-achieving product law, its analytic perturbation along the
-first-order optimal direction, the uniform law, and the unconstrained joint
-Blahut-Arimoto law (``_joint_ba_unconstrained``, which holds the BA step)
-shrunk into the budget.  The problem is not concave and the starts end in
-different basins: where the maximizer fixes one input its perturbation is
-zero, and on such a 3x3x3 kernel only the uniform start reaches the better
-basin.  Every feasible start and refinement is a
-candidate, converged or not: in a maximization each feasible law's value is
-achievable, so a stalled refinement can only understate delta.  The top
-capacity maximizer is the first candidate, so delta = max(best - C, 0) >= 0,
-and at a = 0 it is returned with delta exactly 0.
+sum-capacity C.  SLSQP, through ``channel._slsqp``, refines four kinds of
+start over the joint simplex: each capacity-achieving product law, its
+analytic perturbation along the first-order optimal direction, the uniform
+law, and the unconstrained joint Blahut-Arimoto law
+(``_joint_ba_unconstrained``, which holds the BA step) shrunk into the
+budget.  The problem is not concave and the starts end in different basins:
+where the maximizer fixes one input its perturbation is zero, and on such a
+3x3x3 kernel only the uniform start reaches the better basin.  Every
+feasible start and refinement is a candidate, converged or not: in a
+maximization each feasible law's value is achievable, so a stalled
+refinement can only understate delta.  The top capacity maximizer is the
+first candidate, so delta = max(best - C, 0) >= 0, and at a = 0 it is
+returned with delta exactly 0.
 
 Every start and refinement meets the budget through ``_project_feasible``:
 along the segment to the product of its marginals I(X1;X2) is convex, so
@@ -38,8 +39,10 @@ its iteration limit and the curve is not monotone.  The gradient alone
 therefore floors its logs at a bounded constant; the value, the projection
 and the budget check keep the 1e-300 floor.  A law is kept only when its
 computed I(X1;X2) is at most the budget in nats, with no tolerance, so for
-a > 0 every returned law meets the budget as computed exactly.  At a = 0 the
-product maximizer is returned, whose computed I(X1;X2) is 0 up to rounding.
+a > 0 every returned law meets the budget as computed exactly.  The top
+capacity maximizer is a product law, and its budget use is 0 at every a:
+it is not recomputed, since its rounded marginals can give I(X1;X2) ~ 4e-17
+nats, above a tiny budget.
 
 For a > 0 a result is certified: the divergence bound above holds, or at
 least one refinement ends with SLSQP status 0 and meets the budget, or
@@ -63,7 +66,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import (
     CapacityResult,
@@ -75,6 +77,7 @@ from .channel import (
     _mi_and_div_nats,
     _mi_nats,
     _nats_per_unit,
+    _slsqp,
     _unit_scale,
     info_density_tables,
 )
@@ -252,21 +255,13 @@ def _refine(
             "jac": lambda x: -_mi_12_grad_nats(x.reshape(shape)).ravel(),
         },
     ]
-    res = minimize(
-        _neg_mi_joint,
-        p_start.ravel(),
-        args=(kernel, w_log_w, shape),
-        jac=True,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * m,
-        constraints=cons,
-        options={"ftol": 1e-13, "maxiter": 400},
-    )
-    p = np.clip(res.x.reshape(shape), 0.0, None)
+    args = (kernel, w_log_w, shape)
+    x, status, _ = _slsqp(_neg_mi_joint, p_start.ravel(), args, cons, 1e-13, 400)
+    p = x.reshape(shape)
     total = p.sum()
     if total <= 0:
-        return None, res.status
-    return _project_feasible(p / total, a_nats), res.status
+        return None, status
+    return _project_feasible(p / total, a_nats), status
 
 
 def _joint_ba_unconstrained(kernel: np.ndarray, iters: int = 400) -> np.ndarray:
@@ -329,17 +324,19 @@ class _DeltaContext:
         starts.append(np.full((n1, n2), 1.0 / (n1 * n2)))
         starts.append(_project_feasible(self.ba_law, a_nats))
 
-        best_val = _mi_nats(kernel, best_p, w_log_w)
+        # the maximizer is a product law: its budget use is 0, not its marginals' rounding
+        best_val, best_mi_12 = _mi_nats(kernel, best_p, w_log_w), 0.0
         converged = False
         for p0 in starts:
             p, status = _refine(kernel, w_log_w, p0, a_nats)
             for cand, refined_ok in ((p0, False), (p, status == 0)):
-                if cand is None or _mi_12_nats(cand) > a_nats:
+                mi_12 = math.inf if cand is None else _mi_12_nats(cand)
+                if mi_12 > a_nats:
                     continue
                 converged = converged or refined_ok
                 val = _mi_nats(kernel, cand, w_log_w)
                 if val > best_val:
-                    best_val, best_p = val, cand
+                    best_val, best_p, best_mi_12 = val, cand, mi_12
         if not converged:
             raise NonConvergence(f"no SLSQP refinement converged within the budget at a={a!r}")
 
@@ -347,7 +344,7 @@ class _DeltaContext:
             a=a,
             delta=max((best_val - self.capacity.c_sum / scale) * scale, 0.0),
             argmax_joint=JointDist(best_p),
-            achieved_mi_budget=_mi_12_nats(best_p) * scale,
+            achieved_mi_budget=best_mi_12 * scale,
             units=units,
         )
 

@@ -55,12 +55,11 @@ KILLED = [
      "fbl_bound without p_unmatched"),
     (CODE_SIM, BOUND, "    return fail_rate + _union(config, th) + p_unmatched",
      "fbl_bound without the (1 - p_unmatched) factor"),
+    (RATES, "        key=lambda s: s.v1,", "        key=lambda s: -s.v1,",
+     "rate_report's capacity law of least V1"),
 ]
 SURVIVORS = [
-    (RATES, "        key=lambda s: s.v1,", "        key=lambda s: -s.v1,",
-     "rate_report's capacity law of least V1: no test kernel has two of different V1"),
-    (DELTA, "                if cand is None or _mi_12_nats(cand) > a_nats:",
-     "                if cand is None or _mi_12_nats(cand) > 2 * a_nats:",
+    (DELTA, "                if mi_12 > a_nats:", "                if mi_12 > 2 * a_nats:",
      "delta keeping candidates up to 2a: likely equivalent, every one is projected"),
 ]
 

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 import scipy
-from scipy.optimize import OptimizeResult
 
 import cfmac.delta_curve
 from cfmac.cli import main
@@ -118,10 +117,10 @@ class TestFig1:
 
 class TestDelta:
     def test_unconverged_refinement_exits_4(self, capsys, monkeypatch):
-        def stalled(fun, x0, **kwargs):
-            return OptimizeResult(x=np.array(x0), status=9, success=False)
+        def stalled(objective, x0, *rest):
+            return np.array(x0), 9, 0
 
-        monkeypatch.setattr(cfmac.delta_curve, "minimize", stalled)
+        monkeypatch.setattr(cfmac.delta_curve, "_slsqp", stalled)
         code, out, err = run(capsys, "delta", "--channel", "adder2", "--a-grid", "0.1")
         assert code == 4
         assert out == ""

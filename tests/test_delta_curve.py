@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 from scipy.special import xlogy
 
 import cfmac.delta_curve
@@ -130,6 +129,15 @@ class TestDirichlet4x4x5:
         )
         got = delta(mac, 0.01, capacity=shifted).delta
         assert got == pytest.approx(delta(mac, 0.01, capacity=cap).delta, abs=1e-9)
+
+    def test_tiny_budgets_are_met(self, dir4x4x5):
+        # the maximizer is a product law, yet its recomputed marginals give
+        # I(X1;X2) ~ 4.4e-17 nats, above both budgets
+        mac, _ = dir4x4x5
+        cap = sum_capacity(mac, "nats")
+        for a in (1e-17, 3e-17):
+            point = delta(mac, a, units="nats", capacity=cap)
+            assert point.achieved_mi_budget <= a, (a, point.achieved_mi_budget)
 
 
 SWEEP_SHAPES = [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (3, 3, 4), (3, 4, 4), (4, 4, 4), (4, 4, 5)]
@@ -271,10 +279,10 @@ class TestContext:
 
 class TestCertificate:
     def test_no_converged_refinement_raises(self, monkeypatch):
-        def stalled(fun, x0, **kwargs):
-            return OptimizeResult(x=np.array(x0), status=9, success=False)
+        def stalled(objective, x0, *rest):
+            return np.array(x0), 9, 0
 
-        monkeypatch.setattr(cfmac.delta_curve, "minimize", stalled)
+        monkeypatch.setattr(cfmac.delta_curve, "_slsqp", stalled)
         with pytest.raises(NonConvergence, match="converged"):
             delta(adder2(), 0.1)
         # a zero budget refines nothing, so it needs no certificate
@@ -287,7 +295,7 @@ class TestCertificate:
         def refuse(*args, **kwargs):
             raise AssertionError("SLSQP ran")
 
-        monkeypatch.setattr(cfmac.delta_curve, "minimize", refuse)
+        monkeypatch.setattr(cfmac.delta_curve, "_slsqp", refuse)
         mac = xor_channel(0.11)
         cap = sum_capacity(mac, units)
         for a in (1e-6, 0.1, 0.5, 50.0):

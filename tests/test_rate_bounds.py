@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,15 @@ from scipy.special import ndtri, ndtri_exp
 
 import cfmac.channel
 import cfmac.rate_bounds
-from cfmac.channel import Mac, adder2, channel_stats, sum_capacity, uniform_product, xor_channel
+from cfmac.channel import (
+    Mac,
+    ProductDist,
+    adder2,
+    channel_stats,
+    sum_capacity,
+    uniform_product,
+    xor_channel,
+)
 from cfmac.delta_curve import delta
 from cfmac.rate_bounds import (
     RateQuery,
@@ -186,6 +195,17 @@ class TestRateReport:
         assert rep.thm3_rate == rep.baseline_rate
         assert rep.best_rate == max(rep.thm2_rate, rep.baseline_rate)
         assert sorted(calls) == [1, 2]
+
+    def test_rates_take_the_member_of_largest_v1(self):
+        # skew is no maximizer: the test pins the choice among the given
+        # laws, V1 = 0.4503 bits^2 against the uniform law's 0.25
+        mac, q = adder2(), RateQuery(1000, 0.01, 16)
+        cap = sum_capacity(mac)
+        skew, uniform = ProductDist((0.8, 0.2), (0.5, 0.5)), uniform_product(mac)
+        rep = rate_report(mac, q, capacity=dataclasses.replace(cap, argmax_dists=[skew, uniform]))
+        want = thm2_sum_rate(channel_stats(mac, skew), q, c_sum=cap.c_sum).rate
+        assert rep.thm2_rate == want
+        assert want > thm2_sum_rate(channel_stats(mac, uniform), q, c_sum=cap.c_sum).rate
 
     def test_xor_best_rate_constant_in_k(self):
         # flat expected density: facilitation cannot help, v1 = 0
