@@ -30,7 +30,7 @@ trial never holds a symbol.  Every count comes from one kernel,
 ``_pair_counts``: the popcounts of two words' ANDed planes, over shapes that
 broadcast, give N[a1, a2] for a1, a2 >= 1, and the cells with a1 = 0 or
 a2 = 0 follow by difference from the positions counted.  The facilitator's
-counts of every (m1, m2, k) and a fixed code's type check of every pair are
+counts of every (m1, m2, k) and the type check of every facilitated pair are
 pair counts, compared with the type target by ``_in_type``.  The triple
 counts are pair counts too (``_triple_counts``): D[:, y, :] for y >= 1 is
 the pair count of the two words masked by the received word's plane y, and
@@ -50,24 +50,26 @@ formula serves both modes, (1 - p_u) * (fail rate) + union + p_u, with p_u
 exactly 0.0 in iid mode.  The cost grows with neither n nor, in type mode or
 when i_bar takes one value, K.
 
-Fixed codes.  Both error estimates run one trial loop, ``_run_trials``, and
-differ only in where the facilitated words of every message pair and their
-pair counts come from: fresh codebooks per block (``_ensemble_words``), or a
-code that ``_fixed_code`` prepares once: its decoder, the bit planes of the
-facilitated words of every message pair, their pair counts and, in type
-mode, their type check.  A block's received words are decoded in chunks of
-trials whose counts and metrics take 1/16 of the block budget, so they stay
-in cache.  ``threshold_decode`` packs its one word into planes, decodes it
-as a trial does and keeps the last prepared code in a one-slot memo.
-The memo's key holds the values the code is built from: the bytes, shape and
-dtype of the codebooks, the facilitator table and the kernel, the codebooks'
-and the table's modes, the thresholds and the input law.  So an array
-changed in place misses, where its ``id`` would not, and a table of another
-mode than the codebooks' reaches the mode check.  The slot keeps its code after the
-call, outside the block budget: about 1 MB of planes and 0.03 MB of pair
-counts at M1 = M2 = 64, n = 1000.  Codebooks are checked where they enter
-(``_check_codebooks``): f1 (M1, K, n) and f2 (M2, K, n) agree on K and n and
-read symbols of the MAC's input alphabets.
+Fixed codes.  A fixed code is one trial of the ensemble, decoded the same
+way.  Both error estimates run one trial loop, ``_run_trials``, on the words
+that ``_facilitated`` selects from codeword planes under choices e: the
+planes of the facilitated words of every message pair, their pair counts
+and, in type mode, their type check.  The ensemble selects them from fresh
+codebooks under the facilitator's choices per block (``_ensemble_words``),
+a fixed code once from its codebooks under its table (``_fixed_code``,
+which also builds its decoder).  A block's received words are decoded in
+chunks of trials whose counts and metrics take 1/16 of the block budget, so
+they stay in cache.  ``threshold_decode`` packs its one word into planes,
+decodes it as a trial does and keeps the last prepared code in a one-slot
+memo.  The memo's key holds the values the code is built from: the bytes,
+shape and dtype of the codebooks, the facilitator table and the kernel, the
+codebooks' and the table's modes, the thresholds and the input law.  So an
+array changed in place misses, where its ``id`` would not, and a table of
+another mode than the codebooks' reaches the mode check.  The slot keeps its
+code after the call, outside the block budget: about 1 MB of planes and
+0.03 MB of pair counts at M1 = M2 = 64, n = 1000.  Codebooks are checked
+where they enter (``_check_codebooks``): f1 (M1, K, n) and f2 (M2, K, n)
+agree on K and n and read symbols of the MAC's input alphabets.
 
 Ties.  The score facilitator picks the smallest k whose score lies within
 ``_TIE_ULPS_PER_CELL`` * A1 * A2 ulps of n * max|i_bar| of the best score,
@@ -658,25 +660,33 @@ def _trial_bytes(mac: Mac, n: int, m1: int, m2: int, k: int) -> int:
     return draw + onehot + counts
 
 
-def _ensemble_words(rng, b, m1c, m2c, k, n, samplers, fac):
-    """Fresh facilitated codebooks for b trials.
+def _facilitated(p1, p2, e, n, target):
+    """Codeword planes p1 (W, A1-1, B, K, M1), p2 (W, A2-1, B, K, M2) of B codes
+    and choices e (B, M1, M2) -> the planes x1 (W, A1-1, B, M1, M2), x2 of the
+    words k = e(m1, m2) of every message pair, their pair counts (A1, A2, B,
+    M1, M2) and their type check against ``target`` (None in iid mode)."""
+    b, m1c, m2c = e.shape
+    # one take over the flattened (B, K, M) axis: the fancy index p[:, :, b, e, m]
+    # picks the same words at several times the cost
+    be = np.arange(b)[:, None, None] * p1.shape[3] + e
+    x1 = np.take(p1.reshape(p1.shape[:2] + (-1,)), be * m1c + np.arange(m1c)[:, None], axis=2)
+    x2 = np.take(p2.reshape(p2.shape[:2] + (-1,)), be * m2c + np.arange(m2c), axis=2)
+    pairs = _pair_counts(x1, x2, n)
+    in_type = None if target is None else _in_type(pairs.reshape(len(target), b, m1c, m2c), target)
+    return x1, x2, pairs, in_type
 
-    Returns the planes x1 (W, A1-1, B, M1, M2), x2 (W, A2-1, B, M1, M2) of the
-    words k = e(m1, m2) of every message pair, their pair counts
-    (A1, A2, B, M1, M2) and their type check (None in iid mode; it holds
-    exactly where some k matched the type target).
-    """
+
+def _ensemble_words(rng, b, m1c, m2c, k, n, samplers, fac):
+    """Fresh facilitated codebooks for b trials: ``_facilitated`` of b drawn codes
+    under the facilitator's choices.  In type mode the type check holds exactly
+    where some k matched the target, since the facilitator picks a matched k
+    whenever there is one."""
     p1 = samplers[0](rng, (b, k, m1c))  # (W, A1-1, B, K, M1)
     p2 = samplers[1](rng, (b, k, m2c))
     q1 = p1.transpose(0, 1, 2, 4, 3)[:, :, :, :, None]  # (W, A1-1, B, M1, 1, K)
     q2 = p2.transpose(0, 1, 2, 4, 3)[:, :, :, None]  # (W, A2-1, B, 1, M2, K)
-    e, unmatched = fac.choose(_pair_counts(q1, q2, n).reshape(-1, b, m1c, m2c, k), rng)
-    # one take over the flattened (B, K, M) axis: the fancy index p[:, :, b, e, m]
-    # picks the same words at several times the cost
-    be = np.arange(b)[:, None, None] * k + e
-    x1 = np.take(p1.reshape(p1.shape[:2] + (-1,)), be * m1c + np.arange(m1c)[:, None], axis=2)
-    x2 = np.take(p2.reshape(p2.shape[:2] + (-1,)), be * m2c + np.arange(m2c), axis=2)
-    return x1, x2, _pair_counts(x1, x2, n), None if unmatched is None else ~unmatched
+    e, _ = fac.choose(_pair_counts(q1, q2, n).reshape(-1, b, m1c, m2c, k), rng)
+    return _facilitated(p1, p2, e, n, fac.target)
 
 
 def _tally_block(tally, passes, in_type, msg1, msg2) -> int:
@@ -703,9 +713,8 @@ def _run_trials(
 ) -> SimReport:
     """The trial loop of both error estimates (see "Fixed codes" above).
 
-    ``words(rng, b)`` gives the planes x1 (W, A1-1, B or 1, M1, M2) and x2 of
-    the facilitated words of every message pair of b trials, their pair counts
-    (A1, A2, B or 1, M1, M2) and their type check (or None).
+    ``words(rng, b)`` gives ``_facilitated``'s words, pair counts and type
+    check for the codes of b trials, or for one fixed code (B = 1).
     """
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
@@ -738,27 +747,12 @@ def _run_trials(
     )
 
 
-@dataclass(frozen=True)
-class _FixedCode:
-    """One fixed code, prepared once for many received words.
-
-    Holds the decoder, the planes p1, p2 (W, A-1, 1, M1, M2) of the facilitated
-    words of every message pair, their pair counts (A1, A2, 1, M1, M2) and, in
-    type mode, their type check (else None).
-    """
-
-    dec: _Decoder
-    p1: np.ndarray
-    p2: np.ndarray
-    pairs: np.ndarray
-    in_type: np.ndarray | None
-
-
 def _fixed_code(
     codebooks: Codebooks, e_table: FacilitatorTable, mac: Mac, dist: InputDist,
     th: DecoderThresholds,
-) -> _FixedCode:
-    """The prepared code of codebooks, facilitator table and thresholds."""
+):
+    """The prepared code of codebooks, facilitator table and thresholds: its
+    decoder and ``_facilitated`` of the one code under the table's choices."""
     _check_codebooks(codebooks, mac)
     if e_table.mode != codebooks.mode:
         raise ModeMismatch(
@@ -773,11 +767,9 @@ def _fixed_code(
         )
     _, target = _construction(dist, codebooks.n, codebooks.mode)
     dec = _Decoder.build(mac, dist, th)
-    p1 = _planes(codebooks.f1[np.arange(m1)[:, None], e][None], mac.x1_size)
-    p2 = _planes(codebooks.f2[np.arange(m2)[None, :], e][None], mac.x2_size)
-    pairs = _pair_counts(p1, p2, codebooks.n)
-    in_type = None if target is None else _in_type(pairs.reshape(len(target), m1, m2), target)
-    return _FixedCode(dec, p1, p2, pairs, in_type)
+    p1 = _planes(np.swapaxes(codebooks.f1, 0, 1)[None], mac.x1_size)  # (W, A1-1, 1, K, M1)
+    p2 = _planes(np.swapaxes(codebooks.f2, 0, 1)[None], mac.x2_size)
+    return dec, _facilitated(p1, p2, e[None], codebooks.n, target)
 
 
 def _value_key(*arrays) -> tuple:
@@ -874,13 +866,14 @@ def threshold_decode(
     if slot_key != key:
         code = _fixed_code(codebooks, e_table, mac, dist, thresholds)
         _decode_slot = key, code
+    dec, (x1, x2, pairs, in_type) = code
     y = np.asarray(y_word)
     if y.shape != (codebooks.n,) or not np.all((y >= 0) & (y < mac.y_size) & (np.floor(y) == y)):
         raise SizeMismatch(f"received word must hold {codebooks.n} integers in [0, {mac.y_size})")
     py = _planes(y.astype(np.uint8)[None], mac.y_size)  # (W, Y-1, 1)
-    passes = code.dec.decide(_triple_counts(code.p1, code.p2, py[..., None, None], code.pairs))[0]
-    if code.in_type is not None:
-        passes &= code.in_type
+    passes = dec.decide(_triple_counts(x1, x2, py[..., None, None], pairs))[0]
+    if in_type is not None:
+        passes &= in_type[0]
     hits = np.argwhere(passes)
     if len(hits) == 1:
         return (int(hits[0][0]), int(hits[0][1])), "decoded"
@@ -1105,7 +1098,7 @@ def estimate_error_fixed_code(
     excluded from bound validation.
     """
     mac, n, m1c, m2c = config.mac, config.n, config.m1_count, config.m2_count
-    _check_codebooks(codebooks, mac)  # before their sizes are read
+    dec, words = _fixed_code(codebooks, e_table, mac, config.dist, config.resolved_thresholds())
     code = (codebooks.n, *e_table.e.shape)
     if (n, m1c, m2c) != code:
         raise SizeMismatch(f"config (n, M1, M2) = {(n, m1c, m2c)} does not match the code's {code}")
@@ -1116,15 +1109,12 @@ def estimate_error_fixed_code(
         raise ModeMismatch(
             f"config mode {config.mode!r} does not match codebook mode {codebooks.mode!r}"
         )
-    code = _fixed_code(codebooks, e_table, mac, config.dist, config.resolved_thresholds())
     # a trial's received word one-hot and its metrics in float64: more than
     # the planes take, kept because it fixes the trials per block, and so the
     # measured peak memory
-    trial_bytes = 8 * (mac.y_size * n + m1c * m2c * code.dec.weights.shape[1]) + 16 * n
+    trial_bytes = 8 * (mac.y_size * n + m1c * m2c * dec.weights.shape[1]) + 16 * n
     return _run_trials(
-        config, _FIXED_CODE, trial_bytes,
-        lambda rng, b: (code.p1, code.p2, code.pairs, code.in_type),
-        _channel(mac.kernel, n), code.dec,
+        config, _FIXED_CODE, trial_bytes, lambda rng, b: words, _channel(mac.kernel, n), dec
     )
 
 

@@ -264,10 +264,11 @@ def _refine(
     return _project_feasible(p / total, a_nats), status
 
 
-def _joint_ba_unconstrained(kernel: np.ndarray, iters: int = 400) -> np.ndarray:
-    """Blahut-Arimoto over the composite input alphabet X1 x X2 (no budget)."""
+def _joint_ba_unconstrained(kernel: np.ndarray) -> np.ndarray:
+    """Blahut-Arimoto over the composite input alphabet X1 x X2 (no budget), at
+    most 400 steps."""
     p = np.full(kernel.shape[:2], 1.0 / (kernel.shape[0] * kernel.shape[1]))
-    for _ in range(iters):
+    for _ in range(400):
         # the multiplicative update; the mass stays positive, since the largest
         # entry of p is at least 1/(A1*A2) and no divergence exceeds ~690 nats
         d = _letter_div_nats(kernel, p)

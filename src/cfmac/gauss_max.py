@@ -199,8 +199,16 @@ def _bracket(p: SkParams, eps: float) -> tuple[float, float]:
     """Interval [lo, hi] with F(lo) <= eps <= F(hi), seeded from the analytic bounds.
 
     Raises ``ValueError`` naming (V1, V2, K) when the seed is not finite: near
-    the float range, 2 V1 ln K overflows.
+    the float range, 2 V1 ln K overflows.  Raises ``ValueError`` naming eps when
+    it lies below Phi(-_Z_CUTOFF), the least value the panel rule's F takes,
+    since it adds the normal mass below -_Z_CUTOFF at every s.
     """
+    floor = float(ndtr(-_Z_CUTOFF))
+    if eps < floor:
+        raise ValueError(
+            f"eps = {eps!r} lies below {floor!r}, the least value of the S_K CDF's "
+            f"quadrature at V1 = {p.v1!r}, V2 = {p.v2!r}, K = {p.k}"
+        )
     scale = math.sqrt(p.v1 + p.v2)
     top = math.sqrt(2.0 * p.v1 * math.log(p.k)) if p.k > 1 else 0.0
     lo = -10.0 * scale

@@ -3,7 +3,7 @@
 Each function takes symbol-space inputs (uint8 words (..., n), a kernel or a
 law, a mode, a generator) and returns symbol-space outputs: sampled and
 received words, pair counts N and triple counts D (cells first), the
-facilitator's choices and a law's threshold bits.  The planes that a sampler
+facilitator's choices, a fixed code's type check and a law's threshold bits.  The planes that a sampler
 or the channel returns must be exactly their words' planes: one symbol per
 position, nothing past n.  A change of the layout edits this module alone.
 """
@@ -133,8 +133,16 @@ def ensemble_counts(f1, f2, y, a1, ny, a2, choice, rng=None):
         seen[:] = counts, *((choice, None) if fixed else choose(choice, counts, rng))
         return seen[1:]
 
+    fac = SimpleNamespace(choose=read, target=getattr(choice, "target", None))
     x1, x2, pairs, _ = code_sim._ensemble_words(
-        rng, b, m1, m2, k, n, [lambda rng, lead: next(planes)] * 2, SimpleNamespace(choose=read)
+        rng, b, m1, m2, k, n, [lambda rng, lead: next(planes)] * 2, fac
     )
     d = code_sim._triple_counts(x1, x2, code_sim._planes(y, ny)[..., None, None], pairs)
     return (*seen, np.moveaxis(d.reshape(-1, b, m1, m2), 0, -1))
+
+
+def fixed_code_in_type(codebooks, table, mac, dist, th):
+    """A fixed code's type check (M1, M2): whether the facilitated words of each
+    message pair of ``codebooks`` under ``table`` have the target joint type."""
+    _, (*_, in_type) = code_sim._fixed_code(codebooks, table, mac, dist, th)
+    return in_type[0]

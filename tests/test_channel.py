@@ -690,3 +690,22 @@ def test_stats_invariants_random(raw, q, r):
     s = channel_stats(mac, d, units="nats")
     assert s.v1 >= 0.0 and s.v2 >= 0.0
     assert s.mutual_info >= -1e-12
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: Mac(np.full((4, 3), 1 / 3)), SizeMismatch,
+         r"kernel must be 3-dimensional, got shape \(4, 3\)"),
+        (lambda: Mac(np.ones((0, 2, 2))), SizeMismatch, "alphabet sizes must be at least 1"),
+        (lambda: JointDist(np.array([0.5, 0.5])), SizeMismatch,
+         r"p12 must be a matrix, got shape \(2,\)"),
+        (lambda: xor_channel(1.5), ValueError, r"flip probability must lie in \[0, 1\], got 1.5"),
+        (lambda: load_channel({"x1_size": 0, "x2_size": 2, "y_size": 2, "kernel": []}),
+         SizeMismatch, "alphabet sizes must be at least 1"),
+    ],
+    ids=["2d-kernel", "empty-kernel", "1d-joint-law", "flip-above-1", "no-x1-symbols"],
+)
+def test_input_guards_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +347,22 @@ class TestInvcdf:
         assert code == 3 and out == ""
         assert "V1 = 8e+307, V2 = 8e+307, K = 4" in err and err.count("\n") == 1
         assert "nan" not in err.lower()
+
+    def test_eps_below_the_cdf_floor_is_an_input_error(self):
+        # S_K's quadrature never reads below Phi(-12) = 1.78e-33, so a bracket
+        # search for F(lo) <= eps could not end; a subprocess, so that a hang
+        # fails the test rather than the suite
+        src = str(Path(cfmac.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfmac.cli", "invcdf", "--v1", "1", "--v2", "1", "--k", "2",
+             "--eps", "1e-40"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "eps = 1e-40 lies below 1.776482112077653e-33" in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
 
 class TestOutputsAndManifest:

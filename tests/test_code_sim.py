@@ -1119,8 +1119,8 @@ class TestCountKernel:
             for b in range(self.B):
                 cb = code_sim.Codebooks(f1[b], f2[b], "type", seed)
                 table = code_sim.FacilitatorTable(e[b], "type")
-                code = code_sim._fixed_code(cb, table, mac, dist, th)
-                assert np.array_equal(code.in_type, chosen[b])
+                in_type = sim_seam.fixed_code_in_type(cb, table, mac, dist, th)
+                assert np.array_equal(in_type, chosen[b])
 
     # (M1, M2, K) from one message pair and K = 1 up to M1 = M2 = 16
     @pytest.mark.parametrize(
@@ -1711,3 +1711,24 @@ def test_bound_memory_stays_bounded_at_the_papers_k(mode, k):
     bound, peak = _traced(fbl_bound, cfg, mc_samples=block + 1)
     assert math.isfinite(bound)
     assert peak < code_sim._BLOCK_BYTES
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: estimate_error(SimConfig(mac=adder2(), dist=UNIFORM, n=4, m1_count=2,
+                                          m2_count=2, k=1, trials=0)),
+         ValueError, "trials must be at least 1"),
+        (lambda: estimate_error(SimConfig(mac=adder2(), dist=UNIFORM, n=4, m1_count=2,
+                                          m2_count=2, k=1, mode="type", trials=5)),
+         ModeMismatch, "type mode requires a JointDist n-type"),
+        (lambda: default_thresholds(adder2(), UNIFORM, 4, 2, 2, 1, "foo"),
+         ModeMismatch, "unknown mode 'foo'"),
+        (lambda: draw_codebooks(Mac(np.full((2, 2, 257), 1 / 257)), UNIFORM, 4, 2, 2, 1),
+         SizeMismatch, "alphabets are limited to 256"),
+    ],
+    ids=["no-trials", "type-mode-product-law", "unknown-mode", "257-output-symbols"],
+)
+def test_input_guards_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -198,6 +198,13 @@ class TestInverseCdf:
         with pytest.raises(TargetOutOfRange):
             sk_inverse_cdf(SkParams(1, 1, 2), 0.0)
 
+    @pytest.mark.parametrize("v1, v2, k", [(1.0, 0.0, 2), (0.0, 1.0, 2), (1.0, 1.0, 1)])
+    def test_closed_forms_reach_below_the_quadrature_floor(self, v1, v2, k):
+        # the panel rule's F never reads below Phi(-12) (test_cli's
+        # test_eps_below_the_cdf_floor_is_an_input_error); the closed forms do
+        q = sk_inverse_cdf(SkParams(v1, v2, k), 1e-40)
+        assert q.achieved_probability == pytest.approx(1e-40, rel=1e-9)
+
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateBothZero):
             sk_inverse_cdf(SkParams(0.0, 0.0, 2), 0.5)
@@ -309,3 +316,17 @@ def test_quantile_round_trip_random(v1, v2, k, eps):
     p = SkParams(v1, v2, k)
     q = sk_inverse_cdf(p, eps)
     assert sk_cdf(p, q.value) == pytest.approx(eps, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: SkParams(1, 1, 0), ValueError, "k must be a positive integer"),
+        (lambda: lemma1_bounds(SkParams(1, 1, 2), 1.0), TargetOutOfRange,
+         r"eps must lie in \(0, 1\), got 1.0"),
+    ],
+    ids=["k-zero", "lemma1-eps-one"],
+)
+def test_input_guards_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -304,3 +304,17 @@ class TestBaselineAndUnits:
         cap_nats = sum_capacity(mac, units="nats")
         right = rate_report(mac, RateQuery(1000, 0.01, 1, "nats"), capacity=cap_nats)
         assert right.best_rate == rate_report(mac, RateQuery(1000, 0.01, 1, "nats")).best_rate
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: thm2_sum_rate(channel_stats(adder2(), uniform_product(adder2()), units="nats"),
+                               RateQuery(100, 0.01, 2, "bits")),
+         ValueError, "stats and query use different units"),
+    ],
+    ids=["thm2-nats-stats-bits-query"],
+)
+def test_input_guards_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
